@@ -18,6 +18,8 @@ DEFAULT_WIDTH = 256
 _DOMAIN_H = b"\x01"  # domain-separation prefix for h (byte-string hash)
 _DOMAIN_BIG_H = b"\x02"  # domain-separation prefix for H (field-element hash)
 
+_H_PREFIX = hashlib.sha256(_DOMAIN_H)  # never updated; h_state() hands out copies
+
 
 class WidthMismatch(ValueError):
     """Operands of a width-preserving operation disagree on bit width."""
@@ -140,6 +142,17 @@ class RandomSource:
         return self._rng.randrange(*self.EXPONENT_RANGE)
 
 
+def h_state():
+    """A fresh SHA-256 state that has absorbed h's domain prefix.
+
+    h(data) at width w is ``state.update(data)`` followed by
+    ``state.digest()[: w // 8]``. Callers that hash many inputs sharing a
+    leading part update one state with that part and read ``digest()``,
+    which leaves the state usable, instead of rehashing it per input.
+    """
+    return _H_PREFIX.copy()
+
+
 def hash_h(data, width: int = DEFAULT_WIDTH, counts: OpCounts | None = None) -> BitString:
     """One-way hash h of an arbitrary byte sequence to a width-bit string.
 
@@ -148,8 +161,9 @@ def hash_h(data, width: int = DEFAULT_WIDTH, counts: OpCounts | None = None) -> 
     _check_width(width)
     if counts is not None:
         counts.n_hash += 1
-    digest = hashlib.sha256(_DOMAIN_H + as_bytes(data)).digest()
-    return BitString(digest[: width // 8])
+    state = h_state()
+    state.update(as_bytes(data))
+    return BitString(state.digest()[: width // 8])
 
 
 def hash_H(
@@ -173,7 +187,9 @@ def xor(a: BitString, b: BitString, counts: OpCounts | None = None) -> BitString
         raise WidthMismatch(f"cannot XOR widths {a.width} and {b.width}")
     if counts is not None:
         counts.n_xor += 1
-    return BitString(bytes(x ^ y for x, y in zip(a.data, b.data)))
+    n = len(a.data)
+    value = int.from_bytes(a.data, "big") ^ int.from_bytes(b.data, "big")
+    return BitString(value.to_bytes(n, "big"))
 
 
 def concat(parts) -> bytes:

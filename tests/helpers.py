@@ -3,7 +3,7 @@
 from types import SimpleNamespace
 
 from chebauth.chaotic import DEFAULT_PRIME
-from chebauth.primitives import DEFAULT_WIDTH, LogicalClock, RandomSource
+from chebauth.primitives import DEFAULT_WIDTH, LogicalClock, RandomSource, as_bytes, concat, hash_h, xor
 from chebauth.protocol import DEFAULT_DELTA_T, registration, server_setup
 
 
@@ -27,6 +27,21 @@ def cheb_naive_sequence(limit: int, x: int, p: int) -> list:
     for _ in range(limit - 1):
         values.append((2 * x * values[-1] - values[-2]) % p)
     return values[: limit + 1]
+
+
+def guess_predicate_oracle(candidate, card, m1, counts=None) -> bool:
+    """Reference oracle for the offline-guess predicate, on the counted primitives.
+
+    The scheme's formula written with BitString values, hash_h, xor and
+    concat; the production predicate works on bytes and ints and must agree
+    with it, op counts included.
+    """
+    cand = as_bytes(candidate)
+    w = card.width
+    b_guess = xor(card.d2, hash_h(cand, w, counts), counts)
+    k_guess = xor(card.d1, hash_h(concat([cand, b_guess]), w, counts), counts)
+    check = hash_h(concat([k_guess, m1.im1, m1.im2, m1.tuk, m1.t1]), w, counts)
+    return check == m1.x1
 
 
 def make_fixture(

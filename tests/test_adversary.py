@@ -1,3 +1,5 @@
+from itertools import product
+
 import pytest
 
 from chebauth.adversary import (
@@ -11,10 +13,11 @@ from chebauth.adversary import (
     offline_guess,
     wrong_login_experiment,
 )
-from chebauth.primitives import OpCounts
-from chebauth.protocol import run_login_session, user_login_start
+from chebauth.chaotic import DEFAULT_PRIME
+from chebauth.primitives import BitString, OpCounts
+from chebauth.protocol import SmartCard, run_login_session, user_login_start
 
-from helpers import make_fixture
+from helpers import guess_predicate_oracle, make_fixture
 
 
 def intercepted_m1(fx):
@@ -69,6 +72,23 @@ class TestGuessPredicate:
         counts = OpCounts()
         guess_predicate(fx.password, extracted, m1, counts=counts)
         assert counts.as_dict() == {"hash": 3, "xor": 2, "cheb": 0}
+
+    @pytest.mark.parametrize("prime", (17, DEFAULT_PRIME))
+    @pytest.mark.parametrize("width", (8, 64, 256))
+    def test_agrees_with_oracle(self, width, prime):
+        fx = make_fixture(57, width=width, prime=prime, password="pâté-€-57")
+        extracted, m1 = intercepted_m1(fx)
+        _, foreign_m1 = intercepted_m1(make_fixture(58, width=width, prime=prime))
+        cards = (extracted, ExtractedCard.zeroed(width))
+        candidates = (fx.password, fx.password.encode(), b"", "naïve", "日本語".encode())
+        candidates += tuple(f"cand-{i}".encode() for i in range(40))
+        for card, message, candidate in product(cards, (m1, foreign_m1), candidates):
+            counts, oracle_counts = OpCounts(), OpCounts()
+            verdict = guess_predicate(candidate, card, message, counts=counts)
+            assert verdict == guess_predicate_oracle(candidate, card, message, oracle_counts)
+            assert counts.as_dict() == oracle_counts.as_dict() == {"hash": 3, "xor": 2, "cheb": 0}
+        assert guess_predicate(fx.password, extracted, m1)
+        assert guess_predicate(fx.password.encode(), extracted, m1)
 
 
 class TestOfflineGuess:
@@ -220,6 +240,12 @@ class TestExtractedCard:
         z = ExtractedCard.zeroed(256)
         assert z.im1.to_int() == 0 and z.width == 256
 
+    def test_mixed_widths_rejected_as_on_the_card(self):
+        narrow, wide = BitString.zeros(64), BitString.zeros(128)
+        for card_type in (SmartCard, ExtractedCard):
+            with pytest.raises(ValueError, match=r"card fields disagree on width: \[64, 128\]"):
+                card_type(im1=narrow, im2=narrow, d1=narrow, d2=wide)
+
 
 class TestTranscript:
     def test_captures_session_messages_in_order(self):
@@ -261,6 +287,12 @@ class TestDictionary:
         path = tmp_path / "words.txt"
         path.write_bytes(b"alpha\r\nbeta\n")
         with pytest.raises(ValueError):
+            Dictionary.from_file(path)
+
+    def test_invalid_utf8_rejected(self, tmp_path):
+        path = tmp_path / "words.txt"
+        path.write_bytes(b"alpha\nbeta\ngam\xffma\n")
+        with pytest.raises(UnicodeDecodeError):
             Dictionary.from_file(path)
 
     def test_duplicates_rejected(self):

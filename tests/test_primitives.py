@@ -136,6 +136,18 @@ class TestXor:
             assert xor(xor(a, b), c) == xor(a, xor(b, c))
             assert xor(xor(a, b), b) == a
 
+    def test_width_and_leading_zero_bytes_kept(self):
+        rng = random.Random(4)
+        for width in range(8, 257, 8):
+            n = width // 8
+            shared = rng.randbytes((n + 1) // 2)  # equal top bytes XOR to zero bytes
+            a = BitString(shared + rng.randbytes(n - len(shared)))
+            b = BitString(shared + rng.randbytes(n - len(shared)))
+            result = xor(a, b)
+            assert result.width == width
+            assert result.data == bytes(x ^ y for x, y in zip(a.data, b.data))
+            assert result.data[: len(shared)] == bytes(len(shared))
+
     def test_width_mismatch(self):
         with pytest.raises(WidthMismatch):
             xor(BitString.zeros(256), BitString.zeros(128))
