@@ -1,6 +1,9 @@
-"""Interpreter-only fallback kernel for Chebyshev evaluation mod p."""
+"""Reference kernel for Chebyshev evaluation mod p: T-form fast doubling.
 
-BACKEND_NAME = "pure"
+chaotic.cheb_eval runs the faster V-form ladder. This kernel stays as the
+independent reference it is compared against, by the tests and by the
+benchmark's kernel-agreement gate; nothing in the package calls it.
+"""
 
 
 def cheb_eval_int(n: int, x: int, p: int) -> int:

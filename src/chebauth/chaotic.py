@@ -5,31 +5,18 @@ identity T_u(T_v(x)) = T_v(T_u(x)) = T_{u*v}(x) holds bit for bit. That
 identity is what the key-agreement protocol and its attacks rest on;
 floating-point chaotic dynamics are deliberately out of scope.
 
-The evaluation kernel is the hot loop of every simulation, so a compiled
-extension is preferred when it is installed. Set CHEBAUTH_BACKEND=pure or
-CHEBAUTH_BACKEND=compiled to force one kernel explicitly.
+The evaluation kernel is the hot loop of every simulation. It runs the
+Lucas V-form ladder (V_n = 2*T_n; Joye and Quisquater, "Efficient
+computation of full Lucas sequences", Electronics Letters 32(6), 1996),
+which costs one squaring and one multiplication per exponent bit.
+_cheb_pure keeps the T-form fast-doubling kernel as the reference the tests
+compare it against.
 """
 
-import os
 from dataclasses import dataclass
 
-_choice = os.environ.get("CHEBAUTH_BACKEND", "").strip().lower()
-if _choice == "pure":
-    from . import _cheb_pure as _kernel
-elif _choice == "compiled":
-    from . import _cheb_core as _kernel
-elif _choice == "":
-    try:
-        from . import _cheb_core as _kernel
-    except ImportError:
-        from . import _cheb_pure as _kernel
-else:
-    raise ImportError(
-        f"CHEBAUTH_BACKEND={_choice!r} not understood; use 'pure' or 'compiled'"
-    )
-
-#: Name of the kernel selected at import time: "compiled" or "pure".
-backend_name: str = _kernel.BACKEND_NAME
+#: Name of the evaluation kernel. There is one; the CLI reports carry it.
+backend_name: str = "pure"
 
 #: Default modulus: the 256-bit prime 2**256 - 2**32 - 977 (the secp256k1
 #: base field prime). Tests override it with small primes such as 17 or 101
@@ -42,15 +29,16 @@ class FieldElement:
     """An integer in [0, p) with its modulus attached.
 
     The modulus is assumed prime; primality is validated once at parameter
-    setup (see is_probable_prime), not on every element. p > 3 keeps T_0,
-    T_1 and the doubling identities non-degenerate.
+    setup (see is_probable_prime), not on every element. An odd p > 3 keeps
+    T_0, T_1 and the doubling identities non-degenerate and makes 2
+    invertible, which the V-form kernel's final halving needs.
     """
 
     value: int
     p: int
 
     def __post_init__(self):
-        if self.p <= 3:
+        if self.p <= 3 or self.p % 2 == 0:
             raise ValueError("modulus must be a prime greater than 3")
         if not 0 <= self.value < self.p:
             raise ValueError("value out of range [0, p)")
@@ -72,10 +60,29 @@ def cheb_eval(n: int, x: FieldElement) -> FieldElement:
 
     T_0(x) = 1, T_1(x) = x, T_n(x) = 2*x*T_{n-1}(x) - T_{n-2}(x). n = 0 is
     accepted (and returns 1) even though the protocol never samples it.
+
+    Works on V_k = 2*T_k: from the top bit of n down it carries
+    (V_k, V_{k+1}) and per bit applies
+        V_{2k}   = V_k^2 - 2
+        V_{2k+1} = V_k*V_{k+1} - V_1
+        V_{2k+2} = V_{k+1}^2 - 2
+    then halves V_n once. Unlike the T-form no operand is doubled, so each
+    square is a self-multiplication and takes CPython's squaring path.
     """
     if n < 0:
         raise ValueError("exponent must be non-negative")
-    return FieldElement(_kernel.cheb_eval_int(n, x.value, x.p), x.p)
+    p = x.p
+    if n == 0:
+        return FieldElement(1, p)
+    v1 = 2 * x.value % p
+    v, w = v1, (v1 * v1 - 2) % p
+    for bit in bin(n)[3:]:
+        if bit == "1":
+            v, w = (v * w - v1) % p, (w * w - 2) % p
+        else:
+            v, w = (v * v - 2) % p, (v * w - v1) % p
+    # p is odd, so V_n/2 mod p is V_n >> 1 or (V_n + p) >> 1, whichever is exact.
+    return FieldElement((v + p) >> 1 if v & 1 else v >> 1, p)
 
 
 def bits_to_field(bits, p: int) -> FieldElement:

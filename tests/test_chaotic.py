@@ -9,11 +9,6 @@ from chebauth.primitives import BitString
 
 from helpers import cheb_naive, cheb_naive_sequence
 
-try:
-    from chebauth._cheb_core import cheb_eval_int as compiled_eval
-except ImportError:
-    compiled_eval = None
-
 
 def fe(value, p):
     return FieldElement(value, p)
@@ -30,6 +25,10 @@ class TestFieldElement:
     def test_small_moduli_rejected(self):
         for p in (0, 1, 2, 3):
             with pytest.raises(ValueError):
+                FieldElement(0, p)
+        # the V-form kernel halves mod p, so 2 must be invertible
+        for p in (4, 18, 1 << 256):
+            with pytest.raises(ValueError, match="modulus must be a prime greater than 3"):
                 FieldElement(0, p)
 
     def test_serialization_is_fixed_width(self):
@@ -117,25 +116,22 @@ class TestBackends:
         with pytest.raises(ValueError):
             pure_eval(3, 0, 1)
 
-    @pytest.mark.skipif(compiled_eval is None, reason="compiled kernel not built")
-    def test_compiled_and_pure_kernels_agree(self):
+    def test_kernel_agrees_with_reference(self):
         rng = random.Random(42)
         moduli = [5, 17, 101, (1 << 31) - 1, (1 << 61) - 1, (1 << 64) - 59, DEFAULT_PRIME]
         for _ in range(500):
             p = rng.choice(moduli)
             n = rng.randrange(0, 1 << rng.choice([3, 10, 33, 64, 128]))
             x = rng.randrange(p)
-            assert compiled_eval(n, x, p) == pure_eval(n, x, p), (n, x, p)
-
-    @pytest.mark.skipif(compiled_eval is None, reason="compiled kernel not built")
-    def test_compiled_kernel_validates_input(self):
-        with pytest.raises(ValueError):
-            compiled_eval(-1, 0, 17)
-        with pytest.raises(ValueError):
-            compiled_eval(3, 0, 1)
+            assert cheb_eval(n, fe(x, p)).value == pure_eval(n, x, p), (n, x, p)
+        # the ladder's start values, and p - 1 where V_1 = 2x mod p is odd
+        for p in moduli:
+            for n in (0, 1, 2):
+                for x in (0, 1, p - 1):
+                    assert cheb_eval(n, fe(x, p)).value == pure_eval(n, x, p), (n, x, p)
 
     def test_selected_backend_is_exposed(self):
-        assert chaotic.backend_name in ("compiled", "pure")
+        assert chaotic.backend_name == "pure"
 
 
 class TestBitsToField:
