@@ -6,9 +6,9 @@ either one alone validates nothing (the tests check this explicitly).
 """
 
 import time
-from dataclasses import dataclass, field
 from pathlib import Path
 
+from ._value import Frozen, Record, _set
 from .primitives import BitString, LogicalClock, OpCounts, RandomSource, as_bytes, h_state
 
 # Not called here. It stays bound because perfbench/tracer.py wraps hash_h
@@ -33,13 +33,15 @@ class ExperimentInvalid(RuntimeError):
     """An experiment's fixture violates its precondition (bad configuration)."""
 
 
-@dataclass(frozen=True)
 class ExtractedCard(SmartCard):
     """Attacker's copy of the card's stored tuple at extraction time.
 
     It inherits the card's fields and their equal-width check, which the
-    guess predicate relies on because it XORs the fields as integers.
+    guess predicate relies on because it XORs the fields as integers. It is
+    never equal to a SmartCard, whatever the fields.
     """
+
+    __slots__ = ()
 
     @classmethod
     def from_card(cls, card: SmartCard) -> "ExtractedCard":
@@ -52,17 +54,17 @@ class ExtractedCard(SmartCard):
         return cls(im1=z, im2=z, d1=z, d2=z)
 
 
-@dataclass(frozen=True)
-class Transcript:
+class Transcript(Frozen):
     """Time-ordered record of the messages an eavesdropper intercepted."""
 
-    events: tuple
+    __slots__ = __match_args__ = ("events",)
 
-    def __post_init__(self):
-        object.__setattr__(self, "events", tuple(self.events))
-        times = [e.delivered_at.ticks for e in self.events]
+    def __init__(self, events: tuple):
+        events = tuple(events)
+        times = [e.delivered_at.ticks for e in events]
         if times != sorted(times):
             raise ValueError("transcript events must be ordered by delivery time")
+        _set(self, "events", events)
 
     @classmethod
     def from_events(cls, events: list[ChannelEvent]) -> "Transcript":
@@ -75,17 +77,16 @@ class Transcript:
         return [e.message for e in self.events if isinstance(e.message, LoginResponse)]
 
 
-@dataclass(frozen=True)
-class Dictionary:
+class Dictionary(Frozen):
     """Finite candidate-password list, scanned in fixed order, no duplicates."""
 
-    candidates: tuple
+    __slots__ = __match_args__ = ("candidates",)
 
-    def __post_init__(self):
-        candidates = tuple(c if type(c) is bytes else as_bytes(c) for c in self.candidates)
-        object.__setattr__(self, "candidates", candidates)
-        if len(set(self.candidates)) != len(self.candidates):
+    def __init__(self, candidates: tuple):
+        candidates = tuple(c if type(c) is bytes else as_bytes(c) for c in candidates)
+        if len(set(candidates)) != len(candidates):
             raise ValueError("dictionary contains duplicate candidates")
+        _set(self, "candidates", candidates)
 
     @classmethod
     def from_file(cls, path) -> "Dictionary":
@@ -108,18 +109,33 @@ class Dictionary:
         return iter(self.candidates)
 
 
-@dataclass
-class AttackReport:
-    """Outcome and cost accounting of one attack run."""
+class AttackReport(Record):
+    """Outcome and cost accounting of one attack run; counts default to a fresh OpCounts."""
 
-    recovered: bytes | None = None
-    guesses: int = 0
-    multiple_matches: bool = False
-    server_rejected: bool | None = None
-    dos_confirmed: bool | None = None
-    probes: dict | None = None
-    counts: OpCounts = field(default_factory=OpCounts)
-    wall_time_s: float = 0.0
+    __slots__ = __match_args__ = (
+        "recovered", "guesses", "multiple_matches", "server_rejected",
+        "dos_confirmed", "probes", "counts", "wall_time_s",
+    )
+
+    def __init__(
+        self,
+        recovered: bytes | None = None,
+        guesses: int = 0,
+        multiple_matches: bool = False,
+        server_rejected: bool | None = None,
+        dos_confirmed: bool | None = None,
+        probes: dict | None = None,
+        counts: OpCounts | None = None,
+        wall_time_s: float = 0.0,
+    ):
+        self.recovered = recovered
+        self.guesses = guesses
+        self.multiple_matches = multiple_matches
+        self.server_rejected = server_rejected
+        self.dos_confirmed = dos_confirmed
+        self.probes = probes
+        self.counts = OpCounts() if counts is None else counts
+        self.wall_time_s = wall_time_s
 
 
 def guess_predicate(

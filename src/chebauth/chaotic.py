@@ -13,7 +13,7 @@ _cheb_pure keeps the T-form fast-doubling kernel as the reference the tests
 compare it against.
 """
 
-from dataclasses import dataclass
+from ._value import Frozen, _set
 
 #: Name of the evaluation kernel. There is one; the CLI reports carry it.
 backend_name: str = "pure"
@@ -24,8 +24,7 @@ backend_name: str = "pure"
 DEFAULT_PRIME = 0xFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFEFFFFFC2F
 
 
-@dataclass(frozen=True)
-class FieldElement:
+class FieldElement(Frozen):
     """An integer in [0, p) with its modulus attached.
 
     The modulus is assumed prime; primality is validated once at parameter
@@ -34,14 +33,15 @@ class FieldElement:
     invertible, which the V-form kernel's final halving needs.
     """
 
-    value: int
-    p: int
+    __slots__ = __match_args__ = ("value", "p")
 
-    def __post_init__(self):
-        if self.p <= 3 or self.p % 2 == 0:
+    def __init__(self, value: int, p: int):
+        if p <= 3 or p % 2 == 0:
             raise ValueError("modulus must be a prime greater than 3")
-        if not 0 <= self.value < self.p:
+        if not 0 <= value < p:
             raise ValueError("value out of range [0, p)")
+        _set(self, "value", value)
+        _set(self, "p", p)
 
     @property
     def byte_width(self) -> int:

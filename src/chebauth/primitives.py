@@ -7,8 +7,9 @@ big-endian encodings so concatenations hash identically everywhere.
 
 import hashlib
 import random
-from dataclasses import dataclass
+from functools import total_ordering
 
+from ._value import Frozen, Record, _set
 from .chaotic import FieldElement
 
 #: Default system width l in bits. Must be a multiple of 8 and at most 256
@@ -37,15 +38,20 @@ def as_bytes(value) -> bytes:
     return bytes(value)
 
 
-@dataclass(frozen=True)
-class BitString:
+class BitString(Frozen):
     """Immutable bit vector; width is len(data) * 8, most significant bit first."""
 
-    data: bytes
+    __slots__ = __match_args__ = ("data",)
 
+    def __init__(self, data: bytes):
+        _set(self, "data", data)
+        self.__post_init__()
+
+    # A method of its own, looked up on the class per construction:
+    # perfbench/tracer.py counts constructions by replacing it.
     def __post_init__(self):
         if not isinstance(self.data, bytes):
-            object.__setattr__(self, "data", bytes(self.data))
+            _set(self, "data", bytes(self.data))
         if len(self.data) == 0:
             raise ValueError("BitString may not be empty")
 
@@ -70,15 +76,21 @@ class BitString:
         return self.data.hex()
 
 
-@dataclass(frozen=True, order=True)
-class Timestamp:
+@total_ordering
+class Timestamp(Frozen):
     """Logical time instant, in non-negative integer ticks."""
 
-    ticks: int
+    __slots__ = __match_args__ = ("ticks",)
 
-    def __post_init__(self):
-        if self.ticks < 0:
+    def __init__(self, ticks: int):
+        if ticks < 0:
             raise ValueError("ticks must be non-negative")
+        _set(self, "ticks", ticks)
+
+    def __lt__(self, other):
+        if other.__class__ is self.__class__:
+            return self.ticks < other.ticks
+        return NotImplemented
 
     def to_bytes(self) -> bytes:
         return self.ticks.to_bytes(8, "big")
@@ -104,13 +116,15 @@ class LogicalClock:
         self.ticks += ticks
 
 
-@dataclass
-class OpCounts:
+class OpCounts(Record):
     """Tallies of hash, XOR, and Chebyshev-map evaluations."""
 
-    n_hash: int = 0
-    n_xor: int = 0
-    n_cheb: int = 0
+    __slots__ = __match_args__ = ("n_hash", "n_xor", "n_cheb")
+
+    def __init__(self, n_hash: int = 0, n_xor: int = 0, n_cheb: int = 0):
+        self.n_hash = n_hash
+        self.n_xor = n_xor
+        self.n_cheb = n_cheb
 
     def __add__(self, other: "OpCounts") -> "OpCounts":
         return OpCounts(

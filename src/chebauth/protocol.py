@@ -7,9 +7,9 @@ measure them: the card checks nothing locally at login time, and a password
 change is applied without verifying the old password.
 """
 
-from dataclasses import dataclass
 from enum import Enum
 
+from ._value import Frozen, Record, _set
 from .chaotic import DEFAULT_PRIME, FieldElement, bits_to_field, cheb_eval, is_probable_prime
 from .primitives import (
     DEFAULT_WIDTH,
@@ -38,88 +38,100 @@ class RejectReason(Enum):
     AUTH_FAILURE = "auth_failure"
 
 
-@dataclass(frozen=True)
-class Reject:
+class Reject(Frozen):
     """Terminal refusal of a protocol step; all party state is unchanged."""
 
-    reason: RejectReason
+    __slots__ = __match_args__ = ("reason",)
+
+    def __init__(self, reason: RejectReason):
+        _set(self, "reason", reason)
 
 
-@dataclass(frozen=True)
-class ServerState:
+class ServerState(Frozen):
     """Long-term server state: master key, modulus, freshness window.
 
     There is no per-user table; identities are recovered from the pseudonym
     pair carried in each login request.
     """
 
-    mk: BitString
-    p: int
-    delta_t: int
+    __slots__ = __match_args__ = ("mk", "p", "delta_t")
+
+    def __init__(self, mk: BitString, p: int, delta_t: int):
+        _set(self, "mk", mk)
+        _set(self, "p", p)
+        _set(self, "delta_t", delta_t)
 
     @property
     def width(self) -> int:
         return self.mk.width
 
 
-@dataclass(frozen=True)
-class SmartCard:
+class SmartCard(Frozen):
     """The card's stored tuple {IM1, IM2, D1, D2}, all of system width."""
 
-    im1: BitString
-    im2: BitString
-    d1: BitString
-    d2: BitString
+    __slots__ = __match_args__ = ("im1", "im2", "d1", "d2")
 
-    def __post_init__(self):
-        widths = {self.im1.width, self.im2.width, self.d1.width, self.d2.width}
+    def __init__(self, im1: BitString, im2: BitString, d1: BitString, d2: BitString):
+        widths = {im1.width, im2.width, d1.width, d2.width}
         if len(widths) != 1:
             raise ValueError(f"card fields disagree on width: {sorted(widths)}")
+        _set(self, "im1", im1)
+        _set(self, "im2", im2)
+        _set(self, "d1", d1)
+        _set(self, "d2", d2)
 
     @property
     def width(self) -> int:
         return self.im1.width
 
 
-@dataclass(frozen=True)
-class LoginRequest:
+class LoginRequest(Frozen):
     """First wire message M1 = {IM1, IM2, T_u(K), X1, T1}."""
 
-    im1: BitString
-    im2: BitString
-    tuk: FieldElement
-    x1: BitString
-    t1: Timestamp
+    __slots__ = __match_args__ = ("im1", "im2", "tuk", "x1", "t1")
+
+    def __init__(self, im1: BitString, im2: BitString, tuk: FieldElement, x1: BitString, t1: Timestamp):
+        _set(self, "im1", im1)
+        _set(self, "im2", im2)
+        _set(self, "tuk", tuk)
+        _set(self, "x1", x1)
+        _set(self, "t1", t1)
 
 
-@dataclass(frozen=True)
-class LoginResponse:
+class LoginResponse(Frozen):
     """Second wire message M2 = {Y1, Y2, Y3, T_v(K'), T2}."""
 
-    y1: BitString
-    y2: BitString
-    y3: BitString
-    tvk: FieldElement
-    t2: Timestamp
+    __slots__ = __match_args__ = ("y1", "y2", "y3", "tvk", "t2")
+
+    def __init__(self, y1: BitString, y2: BitString, y3: BitString, tvk: FieldElement, t2: Timestamp):
+        _set(self, "y1", y1)
+        _set(self, "y2", y2)
+        _set(self, "y3", y3)
+        _set(self, "tvk", tvk)
+        _set(self, "t2", t2)
 
 
-@dataclass(frozen=True)
-class UserLoginContext:
+class UserLoginContext(Frozen):
     """Card-side secrets held between sending M1 and handling M2."""
 
-    u: int
-    k: BitString
-    tuk: FieldElement
-    t1: Timestamp
+    __slots__ = __match_args__ = ("u", "k", "tuk", "t1")
+
+    def __init__(self, u: int, k: BitString, tuk: FieldElement, t1: Timestamp):
+        _set(self, "u", u)
+        _set(self, "k", k)
+        _set(self, "tuk", tuk)
+        _set(self, "t1", t1)
 
 
-@dataclass(frozen=True)
-class ServerLoginOutcome:
+class ServerLoginOutcome(Frozen):
     """Server-side result of an accepted login: session key, fresh pseudonyms."""
 
-    session_key: BitString
-    im1_new: BitString
-    im2_new: BitString
+    __slots__ = __match_args__ = ("session_key", "im1_new", "im2_new")
+
+    def __init__(self, session_key: BitString, im1_new: BitString, im2_new: BitString):
+        _set(self, "session_key", session_key)
+        _set(self, "im1_new", im1_new)
+        _set(self, "im2_new", im2_new)
 
 
 def _cheb(n: int, x: FieldElement, counts: OpCounts | None) -> FieldElement:
@@ -293,26 +305,44 @@ def change_password(
     return SmartCard(im1=card.im1, im2=card.im2, d1=d1, d2=d2)
 
 
-@dataclass(frozen=True)
-class ChannelEvent:
+class ChannelEvent(Frozen):
     """One message crossing the public channel, as an eavesdropper sees it."""
 
-    direction: str  # "user->server" or "server->user"
-    message: object  # LoginRequest | LoginResponse
-    sent_at: Timestamp
-    delivered_at: Timestamp
+    __slots__ = __match_args__ = ("direction", "message", "sent_at", "delivered_at")
+
+    def __init__(
+        self,
+        direction: str,  # "user->server" or "server->user"
+        message: object,  # LoginRequest | LoginResponse
+        sent_at: Timestamp,
+        delivered_at: Timestamp,
+    ):
+        _set(self, "direction", direction)
+        _set(self, "message", message)
+        _set(self, "sent_at", sent_at)
+        _set(self, "delivered_at", delivered_at)
 
 
-@dataclass
-class LoginSession:
+class LoginSession(Record):
     """Outcome of one driven login round trip."""
 
-    card: SmartCard
-    user_key: BitString | None
-    server_key: BitString | None
-    reject: Reject | None
-    rejected_by: str | None  # "server" | "user" | None
-    events: list
+    __slots__ = __match_args__ = ("card", "user_key", "server_key", "reject", "rejected_by", "events")
+
+    def __init__(
+        self,
+        card: SmartCard,
+        user_key: BitString | None,
+        server_key: BitString | None,
+        reject: Reject | None,
+        rejected_by: str | None,  # "server" | "user" | None
+        events: list,
+    ):
+        self.card = card
+        self.user_key = user_key
+        self.server_key = server_key
+        self.reject = reject
+        self.rejected_by = rejected_by
+        self.events = events
 
     @property
     def ok(self) -> bool:

@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import jsonschema
@@ -6,9 +9,8 @@ import pytest
 
 from chebauth import cli
 
-SCHEMA = json.loads(
-    (Path(__file__).resolve().parent.parent / "docs" / "report.schema.json").read_text()
-)
+ROOT = Path(__file__).resolve().parent.parent
+SCHEMA = json.loads((ROOT / "docs" / "report.schema.json").read_text())
 VALIDATOR = jsonschema.Draft202012Validator(SCHEMA)
 
 
@@ -227,3 +229,20 @@ class TestPlumbing:
 
     def test_schema_document_is_itself_valid(self):
         jsonschema.Draft202012Validator.check_schema(SCHEMA)
+
+    def test_schema_rejects_a_backend_other_than_pure(self, tmp_path):
+        status, report = run(tmp_path, "wrong-login-demo")
+        assert status == 0
+        validate(report)
+        with pytest.raises(jsonschema.ValidationError):
+            validate({**report, "backend": "compiled"})
+
+    def test_cli_import_loads_neither_dataclasses_nor_inspect(self):
+        # Each CLI run is a fresh interpreter, and these two cost it about 6 ms
+        # of import. Only what the package import adds counts, not site hooks.
+        code = ("import sys; before = set(sys.modules); import chebauth.cli; "
+                "print(sorted({'dataclasses', 'inspect'} & (set(sys.modules) - before)))")
+        env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+        result = subprocess.run([sys.executable, "-c", code], env=env,
+                                capture_output=True, text=True, check=True)
+        assert result.stdout == "[]\n"

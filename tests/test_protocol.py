@@ -1,5 +1,3 @@
-import dataclasses
-
 import pytest
 
 from chebauth.chaotic import DEFAULT_PRIME
@@ -14,6 +12,8 @@ from chebauth.primitives import (
 )
 from chebauth.protocol import (
     EmptyCredential,
+    LoginRequest,
+    LoginResponse,
     Reject,
     RejectReason,
     change_password,
@@ -139,12 +139,33 @@ class TestLogin:
         result = server_handle_login(fx.server, m1, fx.clock, fx.rng)
         assert not isinstance(result, Reject)
 
+    @pytest.mark.parametrize("ahead", [1, 990])
+    def test_future_dated_request_accepted(self, ahead):
+        # documented behaviour: the freshness check is one-sided, so an M1
+        # stamped by a clock running ahead of the server's always passes it
+        fx = make_fixture(31, delta_t=3)
+        user_clock, server_clock = LogicalClock(10 + ahead), LogicalClock(10)
+        m1, _ = user_login_start(fx.card, fx.password, user_clock, fx.rng, prime=fx.server.p)
+        result = server_handle_login(fx.server, m1, server_clock, fx.rng)
+        assert not isinstance(result, Reject)
+
+    def test_replayed_request_accepted_inside_window(self):
+        # documented behaviour: the server keeps no record of seen requests,
+        # so the same M1 delivered twice inside the window is accepted twice
+        fx = make_fixture(32)
+        m1, _ = user_login_start(fx.card, fx.password, fx.clock, fx.rng, prime=fx.server.p)
+        fx.clock.advance(1)
+        first = server_handle_login(fx.server, m1, fx.clock, fx.rng)
+        fx.clock.advance(1)
+        second = server_handle_login(fx.server, m1, fx.clock, fx.rng)
+        assert not isinstance(first, Reject) and not isinstance(second, Reject)
+
     def test_tampered_x1_rejected(self):
         fx = make_fixture(27)
         m1, _ = user_login_start(fx.card, fx.password, fx.clock, fx.rng, prime=fx.server.p)
         flipped = bytearray(m1.x1.data)
         flipped[0] ^= 0x80
-        tampered = dataclasses.replace(m1, x1=BitString(bytes(flipped)))
+        tampered = LoginRequest(m1.im1, m1.im2, m1.tuk, BitString(bytes(flipped)), m1.t1)
         fx.clock.advance(1)
         result = server_handle_login(fx.server, tampered, fx.clock, fx.rng)
         assert result == Reject(RejectReason.AUTH_FAILURE)
@@ -156,7 +177,7 @@ class TestLogin:
         m2, _ = server_handle_login(fx.server, m1, fx.clock, fx.rng)
         flipped = bytearray(m2.y3.data)
         flipped[-1] ^= 0x01
-        tampered = dataclasses.replace(m2, y3=BitString(bytes(flipped)))
+        tampered = LoginResponse(m2.y1, m2.y2, BitString(bytes(flipped)), m2.tvk, m2.t2)
         fx.clock.advance(1)
         result = user_handle_response(fx.card, ctx, tampered, fx.clock, delta_t=fx.server.delta_t)
         assert result == Reject(RejectReason.AUTH_FAILURE)
