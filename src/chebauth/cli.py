@@ -14,7 +14,6 @@ import sys
 import time
 
 from .adversary import (
-    AttackReport,
     Dictionary,
     ExperimentInvalid,
     ExtractedCard,
@@ -28,7 +27,6 @@ from .primitives import DEFAULT_WIDTH, LogicalClock, OpCounts, RandomSource
 from .protocol import (
     DEFAULT_DELTA_T,
     LoginRequest,
-    LoginSession,
     registration,
     run_login_session,
     server_setup,
@@ -48,69 +46,12 @@ class ConfigError(Exception):
     """Bad flags, unreadable files, or an invalid fixture."""
 
 
-class RunConfig:
-    """Resolved configuration of one CLI invocation, echoed into the report."""
-
-    def __init__(
-        self,
-        seed: int = 42,
-        width: int = DEFAULT_WIDTH,
-        prime: int = DEFAULT_PRIME,
-        delta_t: int = DEFAULT_DELTA_T,
-        channel_delay: int = 1,
-        dictionary: str | None = None,
-        identity: str = _DEFAULT_IDENTITY,
-        password: str = _DEFAULT_PASSWORD,
-        wrong_password: str | None = None,
-        wrong_old_password: str | None = None,
-        new_password: str | None = None,
-        correct_old_password: bool = False,
-        expect_miss: bool = False,
-        out: str | None = None,
-    ):
-        self.seed = seed
-        self.width = width
-        self.prime = prime
-        self.delta_t = delta_t
-        self.channel_delay = channel_delay
-        self.dictionary = dictionary
-        self.identity = identity
-        self.password = password
-        self.wrong_password = wrong_password if wrong_password is not None else password + "-typo"
-        self.wrong_old_password = (
-            wrong_old_password if wrong_old_password is not None else password + "-typo"
-        )
-        self.new_password = new_password if new_password is not None else password + "-new"
-        self.correct_old_password = correct_old_password
-        self.expect_miss = expect_miss
-        self.out = out
-
-    def echo(self, fixture_keys: tuple, extra: dict | None = None) -> dict:
-        fixture = {"identity": self.identity, "password": self.password}
-        for key in fixture_keys:
-            fixture[key] = getattr(self, key)
-        config = {
-            "seed": self.seed,
-            "width": self.width,
-            "prime": str(self.prime),
-            "delta_t": self.delta_t,
-            "channel_delay": self.channel_delay,
-            "dictionary": self.dictionary,
-            "fixture": fixture,
-        }
-        if extra:
-            config.update(extra)
-        return config
-
-
-def _setup(config: RunConfig):
+def _setup(args: argparse.Namespace):
     """Common fixture: server, protocol rng (a distinct stream), clock, card."""
-    server = server_setup(
-        config.seed, width=config.width, prime=config.prime, delta_t=config.delta_t
-    )
-    rng = RandomSource(config.seed + 1)
+    server = server_setup(args.seed, width=args.width, prime=args.prime, delta_t=args.delta_t)
+    rng = RandomSource(args.seed + 1)
     clock = LogicalClock()
-    card = registration(server, config.identity, config.password, rng)
+    card = registration(server, args.identity, args.password, rng)
     return server, rng, clock, card
 
 
@@ -146,8 +87,15 @@ def _transcript_json(events) -> list:
     ]
 
 
-def _session_json(index: int, session: LoginSession, user_counts: OpCounts, server_counts: OpCounts) -> dict:
-    return {
+def _login(index: int, args: argparse.Namespace, server, card, clock, rng):
+    """One honest login with per-party op counts: the session and its report entry."""
+    user_counts, server_counts = OpCounts(), OpCounts()
+    session = run_login_session(
+        server, card, args.password, clock, rng,
+        channel_delay=args.channel_delay,
+        user_counts=user_counts, server_counts=server_counts,
+    )
+    return session, {
         "index": index,
         "keys_match": session.keys_match,
         "user_key": session.user_key.hex() if session.user_key else None,
@@ -162,152 +110,139 @@ def _session_json(index: int, session: LoginSession, user_counts: OpCounts, serv
     }
 
 
-def _report_head(command: str, config_echo: dict) -> dict:
-    return {
-        "schema_version": SCHEMA_VERSION,
-        "command": command,
-        "config": config_echo,
-        "digest": "sha-256",
-        "backend": backend_name,
-    }
+# Each command checks its precondition, runs its experiment and returns the
+# report body, which ends with the verdict, and the verdict itself.
 
 
-def cmd_honest_run(config: RunConfig) -> dict:
+def cmd_honest_run(args: argparse.Namespace):
     """Setup, registration, and two consecutive logins (pseudonym refresh)."""
-    start = time.perf_counter()
-    server, rng, clock, card = _setup(config)
+    server, rng, clock, card = _setup(args)
     sessions = []
     all_ok = True
     for index in (1, 2):
-        user_counts, server_counts = OpCounts(), OpCounts()
-        session = run_login_session(
-            server, card, config.password, clock, rng,
-            channel_delay=config.channel_delay,
-            user_counts=user_counts, server_counts=server_counts,
-        )
+        session, entry = _login(index, args, server, card, clock, rng)
         card = session.card
-        sessions.append(_session_json(index, session, user_counts, server_counts))
+        sessions.append(entry)
         all_ok = all_ok and session.ok and session.keys_match
-    report = _report_head("honest-run", config.echo(()))
-    report["sessions"] = sessions
-    report["all_sessions_ok"] = all_ok
-    report["exit_status"] = EXIT_OK if all_ok else EXIT_CONTRADICTED
-    report["wall_time_s"] = time.perf_counter() - start
-    return report
+    return {"sessions": sessions, "all_sessions_ok": all_ok}, all_ok
 
 
-def cmd_guess_attack(config: RunConfig) -> dict:
+def cmd_guess_attack(args: argparse.Namespace):
     """Eavesdrop one honest login, extract the card, scan the dictionary."""
-    start = time.perf_counter()
-    if config.dictionary is None:
+    if args.dictionary is None:
         raise ConfigError("guess-attack requires --dict")
     try:
-        dictionary = Dictionary.from_file(config.dictionary)
+        dictionary = Dictionary.from_file(args.dictionary)
     except (OSError, ValueError) as exc:
         raise ConfigError(str(exc)) from exc
-    server, rng, clock, card = _setup(config)
+    server, rng, clock, card = _setup(args)
     extracted = ExtractedCard.from_card(card)  # same card state the login uses
-    user_counts, server_counts = OpCounts(), OpCounts()
-    session = run_login_session(
-        server, card, config.password, clock, rng,
-        channel_delay=config.channel_delay,
-        user_counts=user_counts, server_counts=server_counts,
-    )
-    transcript = Transcript.from_events(session.events)
-    m1 = transcript.login_requests()[0]
+    session, entry = _login(1, args, server, card, clock, rng)
+    m1 = Transcript.from_events(session.events).login_requests()[0]
     attack = offline_guess(extracted, m1, dictionary)
-    if config.expect_miss:
+    if args.expect_miss:
         as_expected = attack.recovered is None and attack.guesses == len(dictionary)
     else:
-        as_expected = attack.recovered == config.password.encode("utf-8")
-    report = _report_head("guess-attack", config.echo((), {"expect_miss": config.expect_miss}))
-    report["session"] = _session_json(1, session, user_counts, server_counts)
-    report["attack"] = {
-        "outcome": "recovered" if attack.recovered is not None else "none",
-        "recovered_password": (
-            attack.recovered.decode("utf-8") if attack.recovered is not None else None
-        ),
-        "guesses": attack.guesses,
-        "dictionary_size": len(dictionary),
-        "multiple_matches": attack.multiple_matches,
-        "op_counts": attack.counts.as_dict(),
-        "wall_time_s": attack.wall_time_s,
-    }
-    report["as_expected"] = as_expected
-    report["exit_status"] = EXIT_OK if as_expected else EXIT_CONTRADICTED
-    report["wall_time_s"] = time.perf_counter() - start
-    return report
+        as_expected = attack.recovered == args.password.encode("utf-8")
+    recovered = attack.recovered.decode("utf-8") if attack.recovered is not None else None
+    return {
+        "session": entry,
+        "attack": {
+            "outcome": "recovered" if recovered is not None else "none",
+            "recovered_password": recovered,
+            "guesses": attack.guesses,
+            "dictionary_size": len(dictionary),
+            "multiple_matches": attack.multiple_matches,
+            "op_counts": attack.counts.as_dict(),
+            "wall_time_s": attack.wall_time_s,
+        },
+        "as_expected": as_expected,
+    }, as_expected
 
 
 _WASTED_ROUND_COUNTS = {"hash": 6, "xor": 4, "cheb": 1}
 
 
-def cmd_wrong_login(config: RunConfig) -> dict:
+def cmd_wrong_login(args: argparse.Namespace):
     """One wasted login round with a wrong password, with op accounting."""
-    start = time.perf_counter()
-    if config.wrong_password == config.password:
+    if args.wrong_password == args.password:
         raise ConfigError("--wrong-password must differ from --password")
-    server, rng, clock, card = _setup(config)
+    server, rng, clock, card = _setup(args)
+    # raises ExperimentInvalid unless the server rejected the password
     experiment = wrong_login_experiment(
-        card, config.wrong_password, server, clock, rng, channel_delay=config.channel_delay
+        card, args.wrong_password, server, clock, rng, channel_delay=args.channel_delay
     )
-    as_expected = bool(experiment.server_rejected) and experiment.counts.as_dict() == _WASTED_ROUND_COUNTS
-    report = _report_head("wrong-login-demo", config.echo(("wrong_password",)))
-    report["experiment"] = {
-        "server_rejected": experiment.server_rejected,
-        "op_counts": experiment.counts.as_dict(),
-        "expected_op_counts": dict(_WASTED_ROUND_COUNTS),
-        "wall_time_s": experiment.wall_time_s,
-    }
-    report["as_expected"] = as_expected
-    report["exit_status"] = EXIT_OK if as_expected else EXIT_CONTRADICTED
-    report["wall_time_s"] = time.perf_counter() - start
-    return report
+    as_expected = experiment.counts.as_dict() == _WASTED_ROUND_COUNTS
+    return {
+        "experiment": {
+            "server_rejected": experiment.server_rejected,
+            "op_counts": experiment.counts.as_dict(),
+            "expected_op_counts": dict(_WASTED_ROUND_COUNTS),
+            "wall_time_s": experiment.wall_time_s,
+        },
+        "as_expected": as_expected,
+    }, as_expected
 
 
-def cmd_dos_demo(config: RunConfig) -> dict:
+def cmd_dos_demo(args: argparse.Namespace):
     """Password change with a wrong (or, as control, correct) old password."""
-    start = time.perf_counter()
-    server, rng, clock, card = _setup(config)
+    server, rng, clock, card = _setup(args)
     experiment = dos_experiment(
-        card,
-        config.password,
-        config.wrong_old_password,
-        config.new_password,
-        server,
-        clock,
-        rng,
-        channel_delay=config.channel_delay,
-        correct_old=config.correct_old_password,
+        card, args.password, args.wrong_old_password, args.new_password, server, clock, rng,
+        channel_delay=args.channel_delay, correct_old=args.correct_old_password,
     )
-    if config.correct_old_password:
+    if args.correct_old_password:
         as_expected = (
             not experiment.dos_confirmed and experiment.probes["new_password"] == "accepted"
         )
     else:
         as_expected = bool(experiment.dos_confirmed)
-    report = _report_head(
-        "dos-demo",
-        config.echo(("wrong_old_password", "new_password", "correct_old_password")),
-    )
-    report["experiment"] = {
-        "dos_confirmed": experiment.dos_confirmed,
-        "probes": experiment.probes,
-        "op_counts": experiment.counts.as_dict(),
-        "wall_time_s": experiment.wall_time_s,
-    }
-    report["as_expected"] = as_expected
-    report["exit_status"] = EXIT_OK if as_expected else EXIT_CONTRADICTED
-    report["wall_time_s"] = time.perf_counter() - start
-    return report
+    return {
+        "experiment": {
+            "dos_confirmed": experiment.dos_confirmed,
+            "probes": experiment.probes,
+            "op_counts": experiment.counts.as_dict(),
+            "wall_time_s": experiment.wall_time_s,
+        },
+        "as_expected": as_expected,
+    }, as_expected
 
 
+# command -> (function, fixture keys echoed beyond identity and password,
+#             further flags echoed at the end of the config)
 _COMMANDS = {
-    "honest-run": cmd_honest_run,
-    "guess-attack": cmd_guess_attack,
-    "wrong-login-demo": cmd_wrong_login,
-    "dos-demo": cmd_dos_demo,
+    "honest-run": (cmd_honest_run, (), ()),
+    "guess-attack": (cmd_guess_attack, (), ("expect_miss",)),
+    "wrong-login-demo": (cmd_wrong_login, ("wrong_password",), ()),
+    "dos-demo": (cmd_dos_demo, ("wrong_old_password", "new_password", "correct_old_password"), ()),
 }
+
+
+def run_command(args: argparse.Namespace) -> dict:
+    """Run the resolved command and wrap its body in the report head and verdict."""
+    start = time.perf_counter()
+    command, fixture_keys, extra_keys = _COMMANDS[args.command]
+    body, verdict = command(args)
+    config = {
+        "seed": args.seed,
+        "width": args.width,
+        "prime": str(args.prime),
+        "delta_t": args.delta_t,
+        "channel_delay": args.channel_delay,
+        "dictionary": args.dictionary,
+        "fixture": {key: getattr(args, key) for key in ("identity", "password", *fixture_keys)},
+    }
+    config.update((key, getattr(args, key)) for key in extra_keys)
+    return {
+        "schema_version": SCHEMA_VERSION,
+        "command": args.command,
+        "config": config,
+        "digest": "sha-256",
+        "backend": backend_name,
+        **body,
+        "exit_status": EXIT_OK if verdict else EXIT_CONTRADICTED,
+        "wall_time_s": time.perf_counter() - start,
+    }
 
 
 class _Parser(argparse.ArgumentParser):
@@ -322,6 +257,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     for command in _COMMANDS:
         p = sub.add_parser(command)
+        p.set_defaults(dictionary=None, expect_miss=False, correct_old_password=False)
         p.add_argument("--seed", type=int, default=42)
         p.add_argument("--width", type=int, default=DEFAULT_WIDTH, help="bit width l")
         p.add_argument("--prime", default=str(DEFAULT_PRIME), help="field modulus, decimal")
@@ -348,44 +284,39 @@ def build_parser() -> argparse.ArgumentParser:
 _FIXTURE_KEYS = ("identity", "password", "wrong_password", "wrong_old_password", "new_password")
 
 
-def _config_from_args(args: argparse.Namespace) -> RunConfig:
-    values = {}
-    if getattr(args, "fixture", None):
-        try:
-            with open(args.fixture, encoding="utf-8") as handle:
-                loaded = json.load(handle)
-        except (OSError, ValueError) as exc:
-            raise ConfigError(f"cannot read fixture file: {exc}") from exc
-        unknown = set(loaded) - set(_FIXTURE_KEYS)
-        if unknown:
-            raise ConfigError(f"unknown fixture keys: {sorted(unknown)}")
-        values.update(loaded)
-    for key in _FIXTURE_KEYS:
-        flag_value = getattr(args, key, None)
-        if flag_value is not None:
-            values[key] = flag_value
-    values.setdefault("identity", _DEFAULT_IDENTITY)
-    values.setdefault("password", _DEFAULT_PASSWORD)
+def _read_fixture(path: str) -> dict:
     try:
-        prime = int(args.prime)
+        with open(path, encoding="utf-8") as handle:
+            loaded = json.load(handle)
+    except (OSError, ValueError) as exc:
+        raise ConfigError(f"cannot read fixture file: {exc}") from exc
+    if not isinstance(loaded, dict):
+        raise ConfigError("fixture file must hold a JSON object")
+    unknown = set(loaded) - set(_FIXTURE_KEYS)
+    if unknown:
+        raise ConfigError(f"unknown fixture keys: {sorted(unknown)}")
+    not_text = sorted(key for key, value in loaded.items() if not isinstance(value, str))
+    if not_text:
+        raise ConfigError(f"fixture values must be strings: {not_text}")
+    return loaded
+
+
+def _config_from_args(args: argparse.Namespace) -> None:
+    """Resolve the fixture file, flag overrides, derived passwords and prime into args."""
+    values = {"identity": _DEFAULT_IDENTITY, "password": _DEFAULT_PASSWORD}
+    if args.fixture:
+        values.update(_read_fixture(args.fixture))
+    for key in _FIXTURE_KEYS:
+        if getattr(args, key, None) is not None:  # explicit flags win over the file
+            values[key] = getattr(args, key)
+    values.setdefault("wrong_password", values["password"] + "-typo")
+    values.setdefault("wrong_old_password", values["password"] + "-typo")
+    values.setdefault("new_password", values["password"] + "-new")
+    vars(args).update(values)
+    try:
+        args.prime = int(args.prime)
     except ValueError as exc:
         raise ConfigError(f"--prime must be a decimal integer: {args.prime!r}") from exc
-    return RunConfig(
-        seed=args.seed,
-        width=args.width,
-        prime=prime,
-        delta_t=args.delta_t,
-        channel_delay=args.channel_delay,
-        dictionary=getattr(args, "dictionary", None),
-        identity=values["identity"],
-        password=values["password"],
-        wrong_password=values.get("wrong_password"),
-        wrong_old_password=values.get("wrong_old_password"),
-        new_password=values.get("new_password"),
-        correct_old_password=getattr(args, "correct_old_password", False),
-        expect_miss=getattr(args, "expect_miss", False),
-        out=args.out,
-    )
 
 
 def _emit(report: dict, out: str | None):
@@ -400,8 +331,8 @@ def _emit(report: dict, out: str | None):
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        config = _config_from_args(args)
-        report = _COMMANDS[args.command](config)
+        _config_from_args(args)
+        report = run_command(args)
     except (ConfigError, ExperimentInvalid, ValueError) as exc:
         print(f"chebauth: error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
@@ -409,7 +340,7 @@ def main(argv=None) -> int:
         print(f"chebauth: i/o error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     try:
-        _emit(report, config.out)
+        _emit(report, args.out)
     except OSError as exc:
         print(f"chebauth: cannot write report: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -192,7 +192,7 @@ def user_login_start(
     password,
     clock: LogicalClock,
     rng: RandomSource,
-    prime: int = DEFAULT_PRIME,
+    prime: int,
     counts: OpCounts | None = None,
 ) -> tuple[LoginRequest, UserLoginContext]:
     """Build the login request M1 from the inserted card and typed password.
@@ -256,7 +256,7 @@ def user_handle_response(
     ctx: UserLoginContext,
     m2: LoginResponse,
     clock: LogicalClock,
-    delta_t: int = DEFAULT_DELTA_T,
+    delta_t: int,
     counts: OpCounts | None = None,
 ):
     """Check M2, derive the session key, and adopt the refreshed pseudonyms.

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -37,6 +38,40 @@ def write_dictionary(tmp_path, words, name="dict.txt"):
     path = tmp_path / name
     path.write_text("\n".join(words) + "\n", encoding="utf-8")
     return str(path)
+
+
+# The README's seven invocations plus a toy-size run, with the exit status and
+# the SHA-256 of each report (wall times stripped, emitter key order kept).
+# Any change to a report byte or to key order shows up here.
+GOLDEN_REPORTS = [
+    (("honest-run", "--seed", "42"), 0,
+     "7394b7e2160cd0e812aa830bfc47ad1de64aeaee652c7b936fa9240e8184b01c"),
+    (("honest-run", "--delta-t", "2", "--channel-delay", "3"), 2,
+     "01a0832c01294d7082fed19b87319a3992f33ef27a2c6e0570054dd62e94ad63"),
+    (("guess-attack", "--dict", "words.txt", "--password", "sunrise77"), 0,
+     "39bed1210395c617bc5870738fc6b70ab8fff5437c73bb5cc183a883c5b2e6aa"),
+    (("guess-attack", "--dict", "words.txt", "--password", "not-listed", "--expect-miss"), 0,
+     "251ff5d67d064643ea7faf064c7620b0854009c2a27f92d451ff724705a6ec57"),
+    (("wrong-login-demo",), 0,
+     "e250504a809b49f8e88a97a67a3d2b576b8e518896e6cb747eaf1f48379a1091"),
+    (("dos-demo",), 0,
+     "7d3018eb33f86bbe1f604ee4ab50a6ba60be6981b6a8dd932ffe6cce3903295c"),
+    (("dos-demo", "--correct-old-password"), 0,
+     "a6f35103eb8d803b330c4d008a42db548d764bf780505557b80a88fd9760486e"),
+    (("honest-run", "--width", "8", "--prime", "17"), 0,
+     "062b72dd636bba75486c8d034533c0a7bf7345edd7c4d2d5483c16609364009f"),
+]
+
+
+@pytest.mark.parametrize("argv, status, digest", GOLDEN_REPORTS,
+                         ids=[" ".join(argv) for argv, _, _ in GOLDEN_REPORTS])
+def test_report_bytes_are_pinned(tmp_path, monkeypatch, argv, status, digest):
+    monkeypatch.chdir(tmp_path)  # the dictionary path is echoed as given
+    (tmp_path / "words.txt").write_text("sunrise77\nhunter2\nletmein\n", encoding="utf-8")
+    got_status, report = run(tmp_path, *argv)
+    assert got_status == status
+    text = json.dumps(strip_wall_time(report), indent=2)
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == digest
 
 
 class TestHonestRun:
@@ -214,11 +249,19 @@ class TestPlumbing:
         assert status == 0
         assert report["config"]["fixture"]["password"] == "cliwins"
 
-    def test_unknown_fixture_key_rejected(self, tmp_path):
+    @pytest.mark.parametrize(
+        "content",
+        [{"user": "x"}, 5, {"password": 5}, {"identity": None}, ["identity"]],
+        ids=["unknown-key", "number", "number-value", "null-value", "array"],
+    )
+    def test_unknown_fixture_key_rejected(self, tmp_path, capsys, content):
+        # anything but a JSON object of known keys with string values
         fixture = tmp_path / "fixture.json"
-        fixture.write_text(json.dumps({"user": "x"}))
+        fixture.write_text(json.dumps(content))
         status, report = run(tmp_path, "honest-run", "--fixture", str(fixture))
         assert status == 3 and report is None
+        err = capsys.readouterr().err
+        assert err.startswith("chebauth: error: ") and "fixture" in err
 
     def test_small_width_small_prime_run(self, tmp_path):
         # the whole pipeline also works at toy sizes used by collision tests

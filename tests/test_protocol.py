@@ -191,6 +191,17 @@ class TestLogin:
         result = user_handle_response(fx.card, ctx, m2, fx.clock, delta_t=fx.server.delta_t)
         assert result == Reject(RejectReason.STALE_TIMESTAMP)
 
+    def test_card_side_takes_prime_and_delta_t_explicitly(self):
+        # a card-side default would silently disagree with a non-default server
+        fx = make_fixture(33, prime=17, width=8, delta_t=3)
+        with pytest.raises(TypeError):
+            user_login_start(fx.card, fx.password, fx.clock, fx.rng)
+        m1, ctx = user_login_start(fx.card, fx.password, fx.clock, fx.rng, prime=fx.server.p)
+        fx.clock.advance(1)
+        m2, _ = server_handle_login(fx.server, m1, fx.clock, fx.rng)
+        with pytest.raises(TypeError):
+            user_handle_response(fx.card, ctx, m2, fx.clock)
+
     def test_server_is_stateless(self):
         # the same request against equal clocks and equal rng states must
         # produce the identical response; nothing is remembered per user
