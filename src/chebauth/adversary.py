@@ -138,6 +138,25 @@ class AttackReport(Record):
         self.wall_time_s = wall_time_s
 
 
+# guess_predicate's one-entry memo: (card, m1, n, D1, D2, tail, X1, copier
+# of h's prefix state). It holds the card and M1 themselves, so their
+# identity stays a valid key while the entry lives, and it is replaced by
+# one assignment of a complete tuple, so a concurrent scan of another victim
+# reads either the old entry or the new one, never a mix of the two.
+_scan_memo = (None, None)
+
+
+def _scan_constants(card: ExtractedCard, m1: LoginRequest) -> tuple:
+    global _scan_memo
+    d1, d2 = card.d1.data, card.d2.data
+    _scan_memo = memo = (
+        card, m1, len(d1), int.from_bytes(d1, "big"), int.from_bytes(d2, "big"),
+        m1.im1.data + m1.im2.data + m1.tuk.to_bytes() + m1.t1.to_bytes(),
+        m1.x1.data, h_state().copy,
+    )
+    return memo
+
+
 def guess_predicate(
     candidate,
     card: ExtractedCard,
@@ -156,24 +175,30 @@ def guess_predicate(
     attacker's inner loop, so it works on bytes and ints: h(cand || b)
     continues the state that hashed cand, and the XORs are integer XORs at
     the card's byte width. The cost is still 3 hashes and 2 XORs.
+
+    What depends only on the card and M1 (the byte width n, D1 and D2 as
+    ints, the tail IM1 || IM2 || T_u(K) || T1 as one bytes value, X1 and a
+    copier of h's prefix state) is kept from the previous call in a
+    one-entry memo, keyed by the identity of card and m1 and holding
+    references to both. A scan that passes the same two objects for every
+    candidate, as offline_guess does, builds it once; equal but distinct
+    objects rebuild it and get the same verdicts.
     """
-    cand = as_bytes(candidate)
-    n = len(card.d1.data)
-    state = h_state()
-    state.update(cand)
-    b_guess = int.from_bytes(card.d2.data, "big") ^ int.from_bytes(state.digest()[:n], "big")
+    memo = _scan_memo
+    if memo[0] is not card or memo[1] is not m1:
+        memo = _scan_constants(card, m1)
+    _, _, n, d1, d2, tail, x1, fresh = memo
+    state = fresh()
+    state.update(candidate if type(candidate) is bytes else as_bytes(candidate))
+    b_guess = d2 ^ int.from_bytes(state.digest()[:n], "big")
     state.update(b_guess.to_bytes(n, "big"))
-    k_guess = int.from_bytes(card.d1.data, "big") ^ int.from_bytes(state.digest()[:n], "big")
-    check = h_state()
-    check.update(k_guess.to_bytes(n, "big"))
-    check.update(m1.im1.data)
-    check.update(m1.im2.data)
-    check.update(m1.tuk.to_bytes())
-    check.update(m1.t1.to_bytes())
+    k_guess = d1 ^ int.from_bytes(state.digest()[:n], "big")
+    check = fresh()
+    check.update(k_guess.to_bytes(n, "big") + tail)
     if counts is not None:
         counts.n_hash += 3
         counts.n_xor += 2
-    return check.digest()[:n] == m1.x1.data
+    return check.digest()[:n] == x1
 
 
 def offline_guess(
@@ -188,19 +213,20 @@ def offline_guess(
     dictionary size when the scan misses). By default the scan stops at the
     first hit, so predicate evaluations equal the guess count; pass
     exhaustive=True to keep scanning and expose multiple matching candidates
-    (only observable at small hash widths).
+    (only observable at small hash widths). The op counts, 3 hashes and 2
+    XORs per evaluation, are set once after the loop.
     """
-    counts = OpCounts()
     start = time.perf_counter()
     recovered = None
     first_index = 0
     matches = 0
-    for index, candidate in enumerate(dictionary, start=1):
-        if guess_predicate(candidate, card, m1, counts=counts):
+    evaluated = 0
+    for evaluated, candidate in enumerate(dictionary.candidates, start=1):
+        if guess_predicate(candidate, card, m1):
             matches += 1
             if recovered is None:
                 recovered = candidate
-                first_index = index
+                first_index = evaluated
                 if not exhaustive:
                     break
     guesses = first_index if recovered is not None else len(dictionary)
@@ -208,7 +234,7 @@ def offline_guess(
         recovered=recovered,
         guesses=guesses,
         multiple_matches=matches > 1,
-        counts=counts,
+        counts=OpCounts(n_hash=3 * evaluated, n_xor=2 * evaluated),
         wall_time_s=time.perf_counter() - start,
     )
 

@@ -313,6 +313,8 @@ def _config_from_args(args: argparse.Namespace) -> None:
     values.setdefault("wrong_old_password", values["password"] + "-typo")
     values.setdefault("new_password", values["password"] + "-new")
     vars(args).update(values)
+    if args.seed < 0:  # random.Random would seed from |seed|: -2 would rerun seed 2
+        raise ConfigError(f"--seed must be a non-negative integer: {args.seed}")
     try:
         args.prime = int(args.prime)
     except ValueError as exc:

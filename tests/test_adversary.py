@@ -1,7 +1,13 @@
+import pickle
+import random
+import sys
+import threading
+from functools import partial
 from itertools import product
 
 import pytest
 
+from chebauth import adversary
 from chebauth.adversary import (
     AttackReport,
     Dictionary,
@@ -91,37 +97,98 @@ class TestGuessPredicate:
         assert guess_predicate(fx.password.encode(), extracted, m1)
 
 
+class TestPredicateMemo:
+    """The predicate keeps its per-(card, M1) values between calls; verdicts must not care."""
+
+    @staticmethod
+    def victim(seed, width):
+        fx = make_fixture(seed, width=width, prime=17 if width == 8 else DEFAULT_PRIME,
+                          password=f"pâté-€-{seed}")
+        return fx.password, *intercepted_m1(fx)
+
+    def test_interleaved_and_equal_copies_agree_with_oracle(self):
+        steps = []
+        for width in (8, 64, 256):  # consecutive steps cross widths too
+            pw_a, card_a, m1_a = self.victim(100 + width, width)
+            pw_b, card_b, m1_b = self.victim(200 + width, width)
+            card_a2 = ExtractedCard.from_card(card_a)
+            m1_a2 = pickle.loads(pickle.dumps(m1_a))
+            assert card_a2 == card_a and card_a2 is not card_a
+            assert m1_a2 == m1_a and m1_a2 is not m1_a
+            pairs = ((card_a, m1_a), (card_b, m1_b), (card_a, m1_b), (card_a, m1_a),
+                     (card_a2, m1_a), (card_a, m1_a2), (card_a2, m1_a2), (card_b, m1_a))
+            candidates = (pw_a, pw_a.encode(), pw_b, b"", "", "naïve", "日本語".encode(), b"decoy")
+            steps += [(card, m1, cand) for (card, m1), cand in product(pairs, candidates)]
+        hits = 0
+        for card, m1, candidate in steps + steps[::-1]:
+            counts = OpCounts()
+            verdict = guess_predicate(candidate, card, m1, counts)
+            assert verdict == guess_predicate_oracle(candidate, card, m1), (card.width, candidate)
+            assert counts.as_dict() == {"hash": 3, "xor": 2, "cheb": 0}
+            hits += verdict
+        # at least pw_a, as str and as bytes, on the five (A, A) pairs of each
+        # width, in both directions; narrow widths add false positives
+        assert hits >= 2 * 5 * 3 * 2
+
+
+def scan_tally(evaluations):
+    return {"hash": 3 * evaluations, "xor": 2 * evaluations, "cheb": 0}
+
+
+@pytest.fixture
+def predicate_calls(monkeypatch):
+    """Candidates offline_guess passes to the module-level guess_predicate, in order."""
+    calls = []
+    predicate = adversary.guess_predicate
+
+    def counting(candidate, card, m1, counts=None):
+        calls.append(candidate)
+        return predicate(candidate, card, m1, counts)
+
+    monkeypatch.setattr(adversary, "guess_predicate", counting)
+    return calls
+
+
 class TestOfflineGuess:
+    # Acceptance criterion 3 at the call level: the scan calls the predicate
+    # once per candidate it evaluates, through the module-level name, and
+    # tallies 3 hashes and 2 XORs per call.
+
     def build_dict(self, fx, size, plant_at=None):
         words = [f"decoy-{i:05d}".encode() for i in range(size - (plant_at is not None))]
         if plant_at is not None:
             words.insert(plant_at - 1, fx.password)  # 1-based index
         return Dictionary(tuple(words))
 
-    def test_planted_password_found_at_exact_index(self):
+    def test_planted_password_found_at_exact_index(self, predicate_calls):
         fx = make_fixture(60)
         extracted, m1 = intercepted_m1(fx)
-        report = offline_guess(extracted, m1, self.build_dict(fx, 500, plant_at=321))
+        dictionary = self.build_dict(fx, 500, plant_at=321)
+        report = offline_guess(extracted, m1, dictionary)
         assert report.recovered == fx.password
         assert report.guesses == 321
-        # stop-at-hit: predicate evaluations == guesses (3 hashes per guess)
-        assert report.counts.n_hash == 3 * 321
+        # stop-at-hit: predicate evaluations == guesses
+        assert predicate_calls == list(dictionary.candidates[:321])
+        assert report.counts.as_dict() == scan_tally(321)
         assert not report.multiple_matches
 
-    def test_unplanted_dictionary_exhausts(self):
+    def test_unplanted_dictionary_exhausts(self, predicate_calls):
         fx = make_fixture(61)
         extracted, m1 = intercepted_m1(fx)
-        report = offline_guess(extracted, m1, self.build_dict(fx, 400))
+        dictionary = self.build_dict(fx, 400)
+        report = offline_guess(extracted, m1, dictionary)
         assert report.recovered is None
         assert report.guesses == 400
-        assert report.counts.n_hash == 3 * 400
+        assert predicate_calls == list(dictionary.candidates)
+        assert report.counts.as_dict() == scan_tally(400)
 
-    def test_empty_dictionary(self):
+    def test_empty_dictionary(self, predicate_calls):
         fx = make_fixture(62)
         extracted, m1 = intercepted_m1(fx)
         report = offline_guess(extracted, m1, Dictionary(()))
         assert report.recovered is None and report.guesses == 0
-        assert report.counts.n_hash == 0
+        assert predicate_calls == []
+        assert report.counts.as_dict() == scan_tally(0)
 
     def test_guess_count_bounded_by_dictionary(self):
         fx = make_fixture(63)
@@ -130,7 +197,7 @@ class TestOfflineGuess:
             report = offline_guess(extracted, m1, self.build_dict(fx, 500, plant_at=plant))
             assert report.guesses == plant <= 500
 
-    def test_narrow_hash_collisions_are_flagged(self):
+    def test_narrow_hash_collisions_are_flagged(self, predicate_calls):
         # At width 8 the final check is a single-byte comparison, so false
         # positives are common; pinned fixture: 33 candidates verify and the
         # first in dictionary order is a decoy sitting ahead of the real one.
@@ -144,16 +211,104 @@ class TestOfflineGuess:
         assert exhaustive.multiple_matches
         assert exhaustive.recovered == b"cand-0002"  # first match wins
         assert exhaustive.guesses == 3
-        assert exhaustive.counts.n_hash == 3 * len(dictionary)  # scanned everything
+        assert predicate_calls == list(dictionary.candidates)  # scanned everything
+        assert exhaustive.counts.as_dict() == scan_tally(len(dictionary))
+        predicate_calls.clear()
         quick = offline_guess(extracted, m1, dictionary)
         assert quick.recovered == b"cand-0002" and quick.guesses == 3
-        assert quick.counts.n_hash == 3 * 3  # stopped at the first hit
+        assert predicate_calls == list(dictionary.candidates[:3])  # stopped at the first hit
+        assert quick.counts.as_dict() == scan_tally(3)
 
     def test_full_width_has_no_false_positives(self):
         fx = make_fixture(64)
         extracted, m1 = intercepted_m1(fx)
         report = offline_guess(extracted, m1, self.build_dict(fx, 500, plant_at=77), exhaustive=True)
         assert report.recovered == fx.password and not report.multiple_matches
+
+
+def run_interleaved(*jobs, timeout=30.0):
+    """Run each job in its own thread, one thread at a time, switching at random lines.
+
+    Before each line the adversary module executes, the running thread
+    hands the turn to the next one with probability 1/2, drawn from a
+    seeded stream; since only the turn holder runs adversary code, the
+    schedule is the same on every run. A short sys.setswitchinterval cannot
+    give such fine interleavings on every host: where the threads share a
+    core, they switch only when the OS scheduler preempts one, every few
+    milliseconds. Strict alternation at every line is no substitute either:
+    threads running the same code settle into a fixed phase.
+    """
+    coin = random.Random(0)
+    cond = threading.Condition()
+    order = []  # idents of the threads still running, in turn order
+    turn = [None]
+
+    def wait_for_turn(me):
+        if not cond.wait_for(lambda: turn[0] == me, timeout):
+            raise TimeoutError("interleaved run stalled")
+
+    def step(frame, event, arg):
+        if event == "line":
+            me = threading.get_ident()
+            with cond:
+                wait_for_turn(me)
+                if coin.random() < 0.5:
+                    turn[0] = order[(order.index(me) + 1) % len(order)]
+                    cond.notify_all()
+                    wait_for_turn(me)
+        return step
+
+    def trace(frame, event, arg):
+        return step if frame.f_globals is vars(adversary) else None
+
+    def run(job):
+        me = threading.get_ident()
+        with cond:
+            wait_for_turn(me)
+        sys.settrace(trace)
+        try:
+            job()
+        finally:
+            sys.settrace(None)
+            with cond:
+                index = order.index(me)
+                order.remove(me)
+                turn[0] = order[index % len(order)] if order else None
+                cond.notify_all()
+
+    threads = [threading.Thread(target=run, args=(job,)) for job in jobs]
+    for thread in threads:
+        thread.start()
+    with cond:
+        order.extend(thread.ident for thread in threads)
+        turn[0] = order[0]
+        cond.notify_all()
+    for thread in threads:
+        thread.join(timeout)
+        assert not thread.is_alive(), "interleaved run stalled"
+
+
+class TestConcurrentScans:
+    def test_threads_recover_their_own_passwords(self):
+        # Three victims, one scan thread each, switching at random lines: the
+        # predicate's memo changes hands inside many calls, and each scan
+        # must still find its own password at its planted index.
+        scans, expected = [], []
+        for seed, plant_at in ((1, 3), (2, 5), (3, 8)):
+            fx = make_fixture(300 + seed)
+            extracted, m1 = intercepted_m1(fx)
+            words = [f"decoy-{seed}-{i}".encode() for i in range(7)]
+            words.insert(plant_at - 1, fx.password)
+            scans.append((extracted, m1, Dictionary(tuple(words)), []))
+            expected.append([(fx.password, plant_at)] * 50)
+
+        def scan(extracted, m1, dictionary, results):
+            for _ in range(50):
+                report = offline_guess(extracted, m1, dictionary)
+                results.append((report.recovered, report.guesses))
+
+        run_interleaved(*(partial(scan, *job) for job in scans))
+        assert [results for *_, results in scans] == expected
 
 
 class TestWrongLoginExperiment:

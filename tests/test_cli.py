@@ -249,6 +249,17 @@ class TestPlumbing:
         assert status == 0
         assert report["config"]["fixture"]["password"] == "cliwins"
 
+    def test_negative_seed_rejected(self, tmp_path, capsys):
+        # random.Random seeds from the absolute value, so --seed -2 would run
+        # as --seed 2 while its report echoed -2
+        status, report = run(tmp_path, "honest-run", "--seed", "-2")
+        assert status == 3 and report is None
+        assert capsys.readouterr().err == (
+            "chebauth: error: --seed must be a non-negative integer: -2\n"
+        )
+        status, report = run(tmp_path, "honest-run", "--seed", "0")
+        assert status == 0 and report["config"]["seed"] == 0
+
     @pytest.mark.parametrize(
         "content",
         [{"user": "x"}, 5, {"password": 5}, {"identity": None}, ["identity"]],
