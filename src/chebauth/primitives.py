@@ -3,6 +3,10 @@
 Every value a protocol message carries is either a BitString of the system
 width, a FieldElement, or a Timestamp; all three have canonical fixed-width
 big-endian encodings so concatenations hash identically everywhere.
+
+h_digest, H_digest and xor_bytes work on bytes and are what the protocol
+phases call; hash_h, hash_H and xor wrap them for BitString operands and
+count each call.
 """
 
 import hashlib
@@ -16,10 +20,10 @@ from .chaotic import FieldElement
 #: (digests are truncated SHA-256). Small widths exist for collision tests.
 DEFAULT_WIDTH = 256
 
-_DOMAIN_H = b"\x01"  # domain-separation prefix for h (byte-string hash)
-_DOMAIN_BIG_H = b"\x02"  # domain-separation prefix for H (field-element hash)
-
-_H_PREFIX = hashlib.sha256(_DOMAIN_H)  # never updated; h_state() hands out copies
+# SHA-256 states that have absorbed the domain-separation prefix of h (byte
+# strings) and of H (field elements). Never updated; users work on copies.
+_H_PREFIX = hashlib.sha256(b"\x01")
+_BIG_H_PREFIX = hashlib.sha256(b"\x02")
 
 
 class WidthMismatch(ValueError):
@@ -137,6 +141,14 @@ class OpCounts(Record):
         return {"hash": self.n_hash, "xor": self.n_xor, "cheb": self.n_cheb}
 
 
+def tally(counts: OpCounts | None, n_hash: int = 0, n_xor: int = 0, n_cheb: int = 0):
+    """Add one exit path's operations to counts, unless counts is None."""
+    if counts is not None:
+        counts.n_hash += n_hash
+        counts.n_xor += n_xor
+        counts.n_cheb += n_cheb
+
+
 class RandomSource:
     """Seeded deterministic random stream: same seed, same draw sequence."""
 
@@ -149,7 +161,11 @@ class RandomSource:
     def draw_bits(self, width: int = DEFAULT_WIDTH) -> BitString:
         """Next width-bit string from the stream."""
         _check_width(width)
-        return BitString.from_int(self._rng.getrandbits(width), width)
+        return BitString(self.draw_bytes(width // 8))
+
+    def draw_bytes(self, n: int) -> bytes:
+        """Next 8n-bit draw as n big-endian bytes: draw_bits(8 * n).data, unwrapped."""
+        return self._rng.getrandbits(8 * n).to_bytes(n, "big")
 
     def draw_exponent(self) -> int:
         """Next map exponent, uniform over [2, 2**64)."""
@@ -167,17 +183,36 @@ def h_state():
     return _H_PREFIX.copy()
 
 
+def h_digest(n: int, *parts: bytes) -> bytes:
+    """h of the concatenated parts, truncated to n bytes: the one h of the package."""
+    state = _H_PREFIX.copy()
+    state.update(b"".join(parts))
+    return state.digest()[:n]
+
+
+def H_digest(n: int, *parts: bytes) -> bytes:
+    """H of the concatenated field encodings, truncated to n bytes: the one H."""
+    state = _BIG_H_PREFIX.copy()
+    state.update(b"".join(parts))
+    return state.digest()[:n]
+
+
+def xor_bytes(a: bytes, b: bytes) -> bytes:
+    """Bitwise XOR of equal-length byte strings, as ints back to the full width."""
+    n = len(a)
+    if n != len(b):
+        raise WidthMismatch(f"cannot XOR widths {8 * n} and {8 * len(b)}")
+    return (int.from_bytes(a, "big") ^ int.from_bytes(b, "big")).to_bytes(n, "big")
+
+
 def hash_h(data, width: int = DEFAULT_WIDTH, counts: OpCounts | None = None) -> BitString:
     """One-way hash h of an arbitrary byte sequence to a width-bit string.
 
     Truncated SHA-256 with a domain prefix distinguishing h from H.
     """
     _check_width(width)
-    if counts is not None:
-        counts.n_hash += 1
-    state = h_state()
-    state.update(as_bytes(data))
-    return BitString(state.digest()[: width // 8])
+    tally(counts, n_hash=1)
+    return BitString(h_digest(width // 8, as_bytes(data)))
 
 
 def hash_H(
@@ -189,21 +224,15 @@ def hash_H(
 ) -> BitString:
     """One-way hash H of three field elements, order-sensitive."""
     _check_width(width)
-    if counts is not None:
-        counts.n_hash += 1
-    payload = _DOMAIN_BIG_H + a.to_bytes() + b.to_bytes() + c.to_bytes()
-    return BitString(hashlib.sha256(payload).digest()[: width // 8])
+    tally(counts, n_hash=1)
+    return BitString(H_digest(width // 8, a.to_bytes(), b.to_bytes(), c.to_bytes()))
 
 
 def xor(a: BitString, b: BitString, counts: OpCounts | None = None) -> BitString:
     """Bitwise exclusive-or of two equal-width strings."""
-    if a.width != b.width:
-        raise WidthMismatch(f"cannot XOR widths {a.width} and {b.width}")
-    if counts is not None:
-        counts.n_xor += 1
-    n = len(a.data)
-    value = int.from_bytes(a.data, "big") ^ int.from_bytes(b.data, "big")
-    return BitString(value.to_bytes(n, "big"))
+    value = xor_bytes(a.data, b.data)
+    tally(counts, n_xor=1)
+    return BitString(value)
 
 
 def concat(parts) -> bytes:

@@ -5,25 +5,21 @@ and return a new one, so a rejected step provably leaves state untouched.
 Two behaviors are reproduced on purpose because the adversary experiments
 measure them: the card checks nothing locally at login time, and a password
 change is applied without verifying the old password.
+
+The phases compute on bytes and ints: one join per hashed tuple into
+h_digest or H_digest, XOR through xor_bytes, and h(pw || b) continuing the
+state that hashed pw. BitString is built only for what crosses a boundary
+(card and message fields, the login context's K, session keys), and each
+phase tallies its exact operations once per exit path. hash_h, xor and
+concat stay the public primitives that tests, oracles and tracers use.
 """
 
 from enum import Enum
 
 from ._value import Frozen, Record, _set
 from .chaotic import DEFAULT_PRIME, FieldElement, bits_to_field, cheb_eval, is_probable_prime
-from .primitives import (
-    DEFAULT_WIDTH,
-    BitString,
-    LogicalClock,
-    OpCounts,
-    RandomSource,
-    Timestamp,
-    as_bytes,
-    concat,
-    hash_H,
-    hash_h,
-    xor,
-)
+from .primitives import (DEFAULT_WIDTH, BitString, H_digest, LogicalClock, OpCounts, RandomSource,
+                         Timestamp, as_bytes, h_digest, h_state, tally, xor_bytes)
 
 #: Default freshness window, in clock ticks.
 DEFAULT_DELTA_T = 5
@@ -134,10 +130,11 @@ class ServerLoginOutcome(Frozen):
         _set(self, "im2_new", im2_new)
 
 
-def _cheb(n: int, x: FieldElement, counts: OpCounts | None) -> FieldElement:
-    if counts is not None:
-        counts.n_cheb += 1
-    return cheb_eval(n, x)
+def _h_pw(password: bytes, n: int):
+    """h(pw), and the SHA-256 state that hashed pw, which h(pw || b) continues."""
+    state = h_state()
+    state.update(password)
+    return state.digest()[:n], state
 
 
 def server_setup(
@@ -168,23 +165,21 @@ def registration(
     the server's pseudonym nonce r. The identity is hashed to an l-bit value
     before masking so every XOR operand has the system width.
     """
-    identity = as_bytes(identity)
-    password = as_bytes(password)
+    identity, password = as_bytes(identity), as_bytes(password)
     if not identity or not password:
         raise EmptyCredential("identity and password must be non-empty")
-    w = server.width
-    b = rng.draw_bits(w)
-    r = rng.draw_bits(w)
-    id_l = hash_h(identity, w, counts)
-    im1 = xor(server.mk, r, counts)
-    im2 = xor(hash_h(concat([server.mk, r]), w, counts), id_l, counts)
-    d1 = xor(
-        hash_h(concat([id_l, server.mk]), w, counts),
-        hash_h(concat([password, b]), w, counts),
-        counts,
-    )
-    d2 = xor(hash_h(password, w, counts), b, counts)
-    return SmartCard(im1=im1, im2=im2, d1=d1, d2=d2)
+    mk = server.mk.data
+    n = len(mk)
+    b = rng.draw_bytes(n)
+    r = rng.draw_bytes(n)
+    id_l = h_digest(n, identity)
+    h_pw, state = _h_pw(password, n)
+    state.update(b)
+    d1 = xor_bytes(h_digest(n, id_l, mk), state.digest()[:n])
+    im2 = xor_bytes(h_digest(n, mk, r), id_l)
+    d2 = xor_bytes(h_pw, b)
+    tally(counts, 5, 4, 0)
+    return SmartCard(BitString(xor_bytes(mk, r)), BitString(im2), BitString(d1), BitString(d2))
 
 
 def user_login_start(
@@ -202,15 +197,17 @@ def user_login_start(
     only caught server-side, one wasted round trip later.
     """
     password = as_bytes(password)
-    w = card.width
     u = rng.draw_exponent()
-    b = xor(card.d2, hash_h(password, w, counts), counts)
-    k = xor(card.d1, hash_h(concat([password, b]), w, counts), counts)
-    tuk = _cheb(u, bits_to_field(k, prime), counts)
+    n = len(card.d2.data)
+    h_pw, state = _h_pw(password, n)
+    state.update(xor_bytes(card.d2.data, h_pw))  # b = D2 xor h(pw)
+    k = xor_bytes(card.d1.data, state.digest()[:n])
+    tuk = cheb_eval(u, bits_to_field(k, prime))
     t1 = clock.now()
-    x1 = hash_h(concat([k, card.im1, card.im2, tuk, t1]), w, counts)
-    request = LoginRequest(im1=card.im1, im2=card.im2, tuk=tuk, x1=x1, t1=t1)
-    return request, UserLoginContext(u=u, k=k, tuk=tuk, t1=t1)
+    x1 = h_digest(n, k, card.im1.data, card.im2.data, tuk.to_bytes(), t1.to_bytes())
+    tally(counts, 3, 2, 1)
+    request = LoginRequest(im1=card.im1, im2=card.im2, tuk=tuk, x1=BitString(x1), t1=t1)
+    return request, UserLoginContext(u=u, k=BitString(k), tuk=tuk, t1=t1)
 
 
 def server_handle_login(
@@ -229,26 +226,29 @@ def server_handle_login(
     t2 = clock.now()
     if t2 - m1.t1 > server.delta_t:
         return Reject(RejectReason.STALE_TIMESTAMP)
-    w = server.width
-    r_rec = xor(m1.im1, server.mk, counts)
-    id_rec = xor(m1.im2, hash_h(concat([server.mk, r_rec]), w, counts), counts)
-    k_rec = hash_h(concat([id_rec, server.mk]), w, counts)
-    expected_x1 = hash_h(concat([k_rec, m1.im1, m1.im2, m1.tuk, m1.t1]), w, counts)
-    if expected_x1 != m1.x1:
+    mk = server.mk.data
+    n = len(mk)
+    im1, im2 = m1.im1.data, m1.im2.data
+    id_rec = xor_bytes(im2, h_digest(n, mk, xor_bytes(im1, mk)))
+    k_rec = h_digest(n, id_rec, mk)
+    if h_digest(n, k_rec, im1, im2, m1.tuk.to_bytes(), m1.t1.to_bytes()) != m1.x1.data:
+        tally(counts, 3, 2, 0)
         return Reject(RejectReason.AUTH_FAILURE)
-    r_new = rng.draw_bits(w)
+    r_new = rng.draw_bytes(n)
     v = rng.draw_exponent()
-    im1_new = xor(server.mk, r_new, counts)
-    im2_new = xor(hash_h(concat([server.mk, r_new]), w, counts), id_rec, counts)
-    tvtuk = _cheb(v, m1.tuk, counts)
-    tvk = _cheb(v, bits_to_field(k_rec, server.p), counts)
-    session_key = hash_H(m1.tuk, tvk, tvtuk, w, counts)
-    pad = hash_h(concat([session_key, t2]), w, counts)
-    y1 = xor(im1_new, pad, counts)
-    y2 = xor(im2_new, pad, counts)
-    y3 = hash_h(concat([session_key, im1_new, im2_new, tvk, t2]), w, counts)
-    response = LoginResponse(y1=y1, y2=y2, y3=y3, tvk=tvk, t2=t2)
-    return response, ServerLoginOutcome(session_key=session_key, im1_new=im1_new, im2_new=im2_new)
+    im1_new = xor_bytes(mk, r_new)
+    im2_new = xor_bytes(h_digest(n, mk, r_new), id_rec)
+    tvtuk = cheb_eval(v, m1.tuk)
+    tvk = cheb_eval(v, bits_to_field(k_rec, server.p))
+    tvk_bytes, t2_bytes = tvk.to_bytes(), t2.to_bytes()
+    session_key = H_digest(n, m1.tuk.to_bytes(), tvk_bytes, tvtuk.to_bytes())
+    pad = h_digest(n, session_key, t2_bytes)
+    y3 = h_digest(n, session_key, im1_new, im2_new, tvk_bytes, t2_bytes)
+    tally(counts, 7, 6, 2)
+    y1, y2 = BitString(xor_bytes(im1_new, pad)), BitString(xor_bytes(im2_new, pad))
+    response = LoginResponse(y1=y1, y2=y2, y3=BitString(y3), tvk=tvk, t2=t2)
+    outcome = ServerLoginOutcome(BitString(session_key), BitString(im1_new), BitString(im2_new))
+    return response, outcome
 
 
 def user_handle_response(
@@ -267,16 +267,18 @@ def user_handle_response(
     t3 = clock.now()
     if t3 - m2.t2 > delta_t:
         return Reject(RejectReason.STALE_TIMESTAMP)
-    w = card.width
-    tutvk = _cheb(ctx.u, m2.tvk, counts)
-    session_key = hash_H(ctx.tuk, m2.tvk, tutvk, w, counts)
-    pad = hash_h(concat([session_key, m2.t2]), w, counts)
-    im1_new = xor(m2.y1, pad, counts)
-    im2_new = xor(m2.y2, pad, counts)
-    expected_y3 = hash_h(concat([session_key, im1_new, im2_new, m2.tvk, m2.t2]), w, counts)
-    if expected_y3 != m2.y3:
+    n = len(card.d1.data)
+    tvk_bytes, t2_bytes = m2.tvk.to_bytes(), m2.t2.to_bytes()
+    tutvk = cheb_eval(ctx.u, m2.tvk)
+    session_key = H_digest(n, ctx.tuk.to_bytes(), tvk_bytes, tutvk.to_bytes())
+    pad = h_digest(n, session_key, t2_bytes)
+    im1_new = xor_bytes(m2.y1.data, pad)
+    im2_new = xor_bytes(m2.y2.data, pad)
+    tally(counts, 3, 2, 1)
+    if h_digest(n, session_key, im1_new, im2_new, tvk_bytes, t2_bytes) != m2.y3.data:
         return Reject(RejectReason.AUTH_FAILURE)
-    return session_key, SmartCard(im1=im1_new, im2=im2_new, d1=card.d1, d2=card.d2)
+    refreshed = SmartCard(BitString(im1_new), BitString(im2_new), card.d1, card.d2)
+    return BitString(session_key), refreshed
 
 
 def change_password(
@@ -292,17 +294,15 @@ def change_password(
     fields are rewritten relative to a garbage blinding value and the card
     is permanently unable to produce a valid login, under any password.
     """
-    old = as_bytes(old_password)
-    new = as_bytes(new_password)
-    w = card.width
-    b = xor(card.d2, hash_h(old, w, counts), counts)
-    d1 = xor(
-        xor(card.d1, hash_h(concat([old, b]), w, counts), counts),
-        hash_h(concat([new, b]), w, counts),
-        counts,
-    )
-    d2 = xor(hash_h(new, w, counts), b, counts)
-    return SmartCard(im1=card.im1, im2=card.im2, d1=d1, d2=d2)
+    n = len(card.d2.data)
+    h_old, old_state = _h_pw(as_bytes(old_password), n)
+    h_new, new_state = _h_pw(as_bytes(new_password), n)
+    b = xor_bytes(card.d2.data, h_old)
+    old_state.update(b)
+    new_state.update(b)
+    d1 = xor_bytes(xor_bytes(card.d1.data, old_state.digest()[:n]), new_state.digest()[:n])
+    tally(counts, 4, 4, 0)
+    return SmartCard(card.im1, card.im2, BitString(d1), BitString(xor_bytes(h_new, b)))
 
 
 class ChannelEvent(Frozen):

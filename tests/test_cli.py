@@ -260,6 +260,20 @@ class TestPlumbing:
         status, report = run(tmp_path, "honest-run", "--seed", "0")
         assert status == 0 and report["config"]["seed"] == 0
 
+    def test_negative_channel_delay_rejected_before_any_protocol_work(self, tmp_path, capsys, monkeypatch):
+        def no_protocol_work(*args, **kwargs):
+            raise AssertionError("a negative --channel-delay reached the protocol")
+
+        with monkeypatch.context() as patch:
+            patch.setattr(cli, "server_setup", no_protocol_work)
+            status, report = run(tmp_path, "honest-run", "--channel-delay", "-1")
+        assert status == 3 and report is None
+        assert capsys.readouterr().err == (
+            "chebauth: error: --channel-delay must be a non-negative integer: -1\n"
+        )
+        status, report = run(tmp_path, "honest-run", "--channel-delay", "0")
+        assert status == 0 and report["config"]["channel_delay"] == 0
+
     @pytest.mark.parametrize(
         "content",
         [{"user": "x"}, 5, {"password": 5}, {"identity": None}, ["identity"]],

@@ -9,12 +9,15 @@ from chebauth.primitives import (
     OpCounts,
     RandomSource,
     Timestamp,
+    H_digest,
     WidthMismatch,
     as_bytes,
     concat,
+    h_digest,
     hash_H,
     hash_h,
     xor,
+    xor_bytes,
 )
 
 # Regression constants, computed once with the shipped digest configuration
@@ -63,6 +66,9 @@ class TestHashH:
         assert hash_h(b"a").hex() == H_OF_A
         assert hash_h(b"b").hex() == H_OF_B
         assert hash_h(b"a") != hash_h(b"b")
+        # the bytes form hashes the join of its parts
+        assert h_digest(32, b"a").hex() == h_digest(32, b"", b"a", b"").hex() == H_OF_A
+        assert h_digest(8, b"b") == bytes.fromhex(H_OF_B)[:8]
 
     def test_empty_input_has_full_width(self):
         digest = hash_h(b"")
@@ -90,6 +96,7 @@ class TestHashBigH:
         a, b, c = FieldElement(5, 101), FieldElement(9, 101), FieldElement(23, 101)
         assert hash_H(a, b, c).hex() == BIG_H_5_9_23
         assert hash_H(a, b, c) == hash_H(a, b, c)
+        assert H_digest(32, a.to_bytes(), b.to_bytes(), c.to_bytes()).hex() == BIG_H_5_9_23
 
     def test_argument_order_matters(self):
         a, b, c = FieldElement(5, 101), FieldElement(9, 101), FieldElement(23, 101)
@@ -149,8 +156,10 @@ class TestXor:
             assert result.data[: len(shared)] == bytes(len(shared))
 
     def test_width_mismatch(self):
-        with pytest.raises(WidthMismatch):
+        with pytest.raises(WidthMismatch, match=r"^cannot XOR widths 256 and 128$"):
             xor(BitString.zeros(256), BitString.zeros(128))
+        with pytest.raises(WidthMismatch, match=r"^cannot XOR widths 8 and 64$"):
+            xor_bytes(bytes(1), bytes(8))
 
     def test_counts_increment(self):
         counts = OpCounts()
@@ -229,6 +238,7 @@ class TestRandomSource:
     def test_pinned_first_draws(self):
         assert RandomSource(1).draw_bits().hex() == SEED1_FIRST_DRAW
         assert RandomSource(2).draw_bits().hex() == SEED2_FIRST_DRAW
+        assert RandomSource(1).draw_bytes(32).hex() == SEED1_FIRST_DRAW
 
     def test_exponent_range(self):
         rng = RandomSource(5)

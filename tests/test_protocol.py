@@ -6,6 +6,7 @@ from chebauth.primitives import (
     LogicalClock,
     OpCounts,
     RandomSource,
+    WidthMismatch,
     concat,
     hash_h,
     xor,
@@ -216,6 +217,136 @@ class TestLogin:
             fx = make_fixture(seed)
             session = run_login_session(fx.server, fx.card, fx.password, fx.clock, fx.rng)
             assert session.ok and session.keys_match, seed
+
+
+def tallied(phase, *args, **kwargs):
+    """(result, OpCounts) of one phase call with a fresh tally."""
+    counts = OpCounts()
+    return phase(*args, **kwargs, counts=counts), counts
+
+
+class TestTalliesPerExitPath:
+    """Every phase adds one exact tally on each way out."""
+
+    def test_registration(self):
+        fx = make_fixture(50)
+        _, counts = tallied(registration, fx.server, fx.identity, fx.password, fx.rng)
+        assert counts == OpCounts(5, 4, 0)
+
+    def test_server_stale(self):
+        fx = make_fixture(51, delta_t=3)
+        m1, _ = user_login_start(fx.card, fx.password, fx.clock, fx.rng, prime=fx.server.p)
+        fx.clock.advance(4)
+        result, counts = tallied(server_handle_login, fx.server, m1, fx.clock, fx.rng)
+        assert result == Reject(RejectReason.STALE_TIMESTAMP)
+        assert counts == OpCounts(0, 0, 0)
+
+    def test_server_auth_failure(self):
+        fx = make_fixture(52)
+        m1, _ = user_login_start(fx.card, b"typo", fx.clock, fx.rng, prime=fx.server.p)
+        result, counts = tallied(server_handle_login, fx.server, m1, fx.clock, fx.rng)
+        assert result == Reject(RejectReason.AUTH_FAILURE)
+        assert counts == OpCounts(3, 2, 0)
+
+    def test_server_accept(self):
+        fx = make_fixture(53)
+        m1, _ = user_login_start(fx.card, fx.password, fx.clock, fx.rng, prime=fx.server.p)
+        result, counts = tallied(server_handle_login, fx.server, m1, fx.clock, fx.rng)
+        assert not isinstance(result, Reject)
+        assert counts == OpCounts(7, 6, 2)
+
+    def _response(self, seed, delta_t=5):
+        fx = make_fixture(seed, delta_t=delta_t)
+        m1, ctx = user_login_start(fx.card, fx.password, fx.clock, fx.rng, prime=fx.server.p)
+        m2, _ = server_handle_login(fx.server, m1, fx.clock, fx.rng)
+        return fx, ctx, m2
+
+    def test_user_stale(self):
+        fx, ctx, m2 = self._response(54, delta_t=3)
+        fx.clock.advance(4)
+        result, counts = tallied(user_handle_response, fx.card, ctx, m2, fx.clock, delta_t=3)
+        assert result == Reject(RejectReason.STALE_TIMESTAMP)
+        assert counts == OpCounts(0, 0, 0)
+
+    def test_user_auth_failure(self):
+        fx, ctx, m2 = self._response(55)
+        flipped = BitString(bytes([m2.y3.data[0] ^ 1]) + m2.y3.data[1:])
+        tampered = LoginResponse(m2.y1, m2.y2, flipped, m2.tvk, m2.t2)
+        result, counts = tallied(user_handle_response, fx.card, ctx, tampered, fx.clock, delta_t=5)
+        assert result == Reject(RejectReason.AUTH_FAILURE)
+        assert counts == OpCounts(3, 2, 1)
+
+    def test_user_accept(self):
+        fx, ctx, m2 = self._response(56)
+        result, counts = tallied(user_handle_response, fx.card, ctx, m2, fx.clock, delta_t=5)
+        assert not isinstance(result, Reject)
+        assert counts == OpCounts(3, 2, 1)
+
+    @pytest.mark.parametrize("old", [b"pw-57-secret", b"wrong-old"])
+    def test_change_password(self, old):
+        fx = make_fixture(57)
+        _, counts = tallied(change_password, fx.card, old, b"brand-new-pw")
+        assert counts == OpCounts(4, 4, 0)
+
+
+class TestEdges:
+    """Edge behaviour pinned as it stands."""
+
+    def test_wrong_width_m1_raises_at_the_server(self):
+        # a planned Reject(MALFORMED) would replace this; until then the XOR raises
+        fx, narrow = make_fixture(60), make_fixture(61, width=64)
+        m1, _ = user_login_start(narrow.card, narrow.password, fx.clock, fx.rng, prime=fx.server.p)
+        with pytest.raises(WidthMismatch, match=r"^cannot XOR widths 64 and 256$"):
+            server_handle_login(fx.server, m1, fx.clock, fx.rng)
+        wide, _ = user_login_start(fx.card, fx.password, fx.clock, fx.rng, prime=fx.server.p)
+        mixed = LoginRequest(wide.im1, m1.im2, wide.tuk, wide.x1, wide.t1)
+        with pytest.raises(WidthMismatch, match=r"^cannot XOR widths 64 and 256$"):
+            server_handle_login(fx.server, mixed, fx.clock, fx.rng)
+        short_x1 = LoginRequest(wide.im1, wide.im2, wide.tuk, m1.x1, wide.t1)
+        assert server_handle_login(fx.server, short_x1, fx.clock, fx.rng) == Reject(
+            RejectReason.AUTH_FAILURE
+        )
+
+    def test_wrong_width_m2_raises_at_the_card(self):
+        fx = make_fixture(62)
+        m1, ctx = user_login_start(fx.card, fx.password, fx.clock, fx.rng, prime=fx.server.p)
+        m2, _ = server_handle_login(fx.server, m1, fx.clock, fx.rng)
+        short = BitString(m2.y1.data[:8])
+        for tampered in (
+            LoginResponse(short, m2.y2, m2.y3, m2.tvk, m2.t2),
+            LoginResponse(m2.y1, short, m2.y3, m2.tvk, m2.t2),
+        ):
+            with pytest.raises(WidthMismatch, match=r"^cannot XOR widths 64 and 256$"):
+                user_handle_response(fx.card, ctx, tampered, fx.clock, delta_t=5)
+        tampered = LoginResponse(m2.y1, m2.y2, short, m2.tvk, m2.t2)
+        assert user_handle_response(fx.card, ctx, tampered, fx.clock, delta_t=5) == Reject(
+            RejectReason.AUTH_FAILURE
+        )
+
+    def test_password_types_agree(self):
+        fx = make_fixture(63)
+        outputs = []
+        for password in (b"pw-\xc3\xa9", bytearray(b"pw-\xc3\xa9"), "pw-é"):
+            card = registration(fx.server, "id", password, RandomSource(9))
+            m1, _ = user_login_start(card, password, LogicalClock(), RandomSource(10), prime=fx.server.p)
+            changed = change_password(card, password, bytearray(b"new"))
+            outputs.append((card, m1, changed))
+        assert outputs[0] == outputs[1] == outputs[2]
+
+    def test_every_reject_returns_the_given_card(self):
+        fx = make_fixture(64, delta_t=3)
+        stale = run_login_session(fx.server, fx.card, fx.password, fx.clock, fx.rng, channel_delay=4)
+        wrong = run_login_session(fx.server, fx.card, b"typo", fx.clock, fx.rng)
+        assert stale.reject == Reject(RejectReason.STALE_TIMESTAMP) and stale.card is fx.card
+        assert wrong.reject == Reject(RejectReason.AUTH_FAILURE) and wrong.card is fx.card
+        # at width 8 some wrong password passes X1 by collision; the card's key
+        # is still garbage, so the user side rejects M2
+        for i in range(4096):
+            tiny = make_fixture(65, width=8, prime=17)
+            session = run_login_session(tiny.server, tiny.card, f"typo-{i}", tiny.clock, tiny.rng)
+            if session.rejected_by == "user":
+                break
+        assert session.reject == Reject(RejectReason.AUTH_FAILURE) and session.card is tiny.card
 
 
 class TestChangePassword:

@@ -1,0 +1,113 @@
+"""The package against the straight-line reference of the scheme, bit for bit.
+
+Each case runs registration, an optional password change and one login in
+both, from the same seeds, and compares every card, message, login context,
+session key and reject reason along the way.
+"""
+
+import random
+
+import pytest
+
+import reference_scheme as ref
+from chebauth.chaotic import DEFAULT_PRIME
+from chebauth.primitives import LogicalClock, RandomSource
+from chebauth.protocol import (
+    Reject,
+    change_password,
+    registration,
+    server_handle_login,
+    server_setup,
+    user_handle_response,
+    user_login_start,
+)
+
+DELTA_T = 3
+IDENTITY = b"patient-0042"
+PASSWORD = b"correct horse"
+NEW_PASSWORD = b"battery staple"
+
+# name -> (password typed at login, M1 delay, M2 delay, (old, new) of a change first)
+SCENARIOS = {
+    "honest": (PASSWORD, 1, 1, None),
+    "wrong_password": (PASSWORD + b"-typo", 1, 1, None),
+    "stale_m1": (PASSWORD, DELTA_T + 1, 1, None),
+    "stale_m2": (PASSWORD, 1, DELTA_T + 1, None),
+    "change_correct_old": (NEW_PASSWORD, 1, 1, (PASSWORD, NEW_PASSWORD)),
+    "change_wrong_old": (NEW_PASSWORD, 1, 1, (b"not the old one", NEW_PASSWORD)),
+}
+
+
+def card_fields(card) -> tuple:
+    return card.im1.data, card.im2.data, card.d1.data, card.d2.data
+
+
+def package_run(seed, width, prime, login_password, delay_m1, delay_m2, change) -> list:
+    server = server_setup(seed, width=width, prime=prime, delta_t=DELTA_T)
+    rng, clock = RandomSource(seed + 1), LogicalClock()
+    card = registration(server, IDENTITY, PASSWORD, rng)
+    trace = [("card", card_fields(card))]
+    if change is not None:
+        card = change_password(card, *change)
+        trace.append(("changed", card_fields(card)))
+    m1, ctx = user_login_start(card, login_password, clock, rng, prime=server.p)
+    trace.append(("m1", (m1.im1.data, m1.im2.data, m1.tuk.value, m1.x1.data, m1.t1.ticks)))
+    trace.append(("ctx", (ctx.u, ctx.k.data, ctx.tuk.value)))
+    clock.advance(delay_m1)
+    result = server_handle_login(server, m1, clock, rng)
+    if isinstance(result, Reject):
+        return trace + [("server reject", result.reason.value)]
+    m2, outcome = result
+    trace.append(("m2", (m2.y1.data, m2.y2.data, m2.y3.data, m2.tvk.value, m2.t2.ticks)))
+    trace.append(("server", (outcome.session_key.data, outcome.im1_new.data, outcome.im2_new.data)))
+    clock.advance(delay_m2)
+    result = user_handle_response(card, ctx, m2, clock, delta_t=server.delta_t)
+    if isinstance(result, Reject):
+        return trace + [("user reject", result.reason.value)]
+    key, refreshed = result
+    return trace + [("user", (key.data, card_fields(refreshed)))]
+
+
+def reference_run(seed, width, prime, login_password, delay_m1, delay_m2, change) -> list:
+    n = width // 8
+    mk = ref.draw(random.Random(seed), n)  # the server's first draw is its master key
+    rng, now = random.Random(seed + 1), 0
+    card = ref.register(mk, IDENTITY, PASSWORD, rng)
+    trace = [("card", card)]
+    if change is not None:
+        card = ref.change(card, *change)
+        trace.append(("changed", card))
+    m1, ctx = ref.login_start(card, login_password, rng, now, prime)
+    trace += [("m1", m1), ("ctx", ctx)]
+    now += delay_m1
+    result = ref.server_respond(mk, prime, DELTA_T, m1, now, rng)
+    if isinstance(result, str):
+        return trace + [("server reject", result)]
+    m2, server_side = result
+    trace += [("m2", m2), ("server", server_side)]
+    now += delay_m2
+    result = ref.user_verify(card, ctx, m2, now, DELTA_T, prime)
+    if isinstance(result, str):
+        return trace + [("user reject", result)]
+    return trace + [("user", result)]
+
+
+@pytest.mark.parametrize("scenario", SCENARIOS)
+@pytest.mark.parametrize("prime", [17, 101, DEFAULT_PRIME], ids=["p17", "p101", "p256"])
+@pytest.mark.parametrize("width", [8, 64, 136, 256])
+def test_package_matches_reference(width, prime, scenario):
+    for seed in (width + prime % 1000, 7 * width + 1):
+        args = (seed, width, prime, *SCENARIOS[scenario])
+        assert package_run(*args) == reference_run(*args), seed
+
+
+def test_scenarios_end_where_the_scheme_says():
+    # the reference itself must reproduce the scheme's outcomes at full width
+    def outcome(scenario):
+        return reference_run(5, 256, DEFAULT_PRIME, *SCENARIOS[scenario])[-1][0]
+
+    assert outcome("honest") == outcome("change_correct_old") == "user"
+    assert outcome("wrong_password") == outcome("change_wrong_old") == "server reject"
+    assert outcome("stale_m1") == "server reject"
+    assert outcome("stale_m2") == "user reject"
+    assert ref.cheb(6, 3, 101) == (32 * 3**6 - 48 * 3**4 + 18 * 3**2 - 1) % 101
