@@ -77,6 +77,9 @@ class Transcript(Frozen):
         return [e.message for e in self.events if isinstance(e.message, LoginResponse)]
 
 
+_DUPLICATES = "dictionary contains duplicate candidates"
+
+
 class Dictionary(Frozen):
     """Finite candidate-password list, scanned in fixed order, no duplicates."""
 
@@ -85,12 +88,17 @@ class Dictionary(Frozen):
     def __init__(self, candidates: tuple):
         candidates = tuple(c if type(c) is bytes else as_bytes(c) for c in candidates)
         if len(set(candidates)) != len(candidates):
-            raise ValueError("dictionary contains duplicate candidates")
+            raise ValueError(_DUPLICATES)
         _set(self, "candidates", candidates)
 
     @classmethod
     def from_file(cls, path) -> "Dictionary":
-        """Load a UTF-8 word list: one password per line, LF-terminated, no blanks."""
+        """Load a UTF-8 word list: one password per line, LF-terminated, no blanks.
+
+        One pass after the split: a single set of the lines answers both the
+        blank-line and the duplicate check, and the lines, already bytes, are
+        stored without going back through __init__'s per-candidate conversion.
+        """
         data = Path(path).read_bytes()  # no newline translation
         data.decode("utf-8")  # raises UnicodeDecodeError unless the whole file is UTF-8
         if b"\r" in data:
@@ -98,9 +106,14 @@ class Dictionary(Frozen):
         lines = data.split(b"\n")
         if lines[-1] == b"":
             lines.pop()  # the final LF terminator
-        if b"" in lines:
+        unique = set(lines)
+        if b"" in unique:
             raise ValueError(f"{path}: blank lines are not allowed")
-        return cls(tuple(lines))
+        if len(unique) != len(lines):
+            raise ValueError(_DUPLICATES)
+        dictionary = cls.__new__(cls)
+        _set(dictionary, "candidates", tuple(lines))
+        return dictionary
 
     def __len__(self):
         return len(self.candidates)

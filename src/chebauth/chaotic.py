@@ -88,10 +88,9 @@ def cheb_eval(n: int, x: FieldElement) -> FieldElement:
 def bits_to_field(bits, p: int) -> FieldElement:
     """Map a bit string to the field: big-endian unsigned integer, reduced mod p.
 
-    Accepts a BitString or raw bytes.
+    Accepts a BitString or any bytes-like value (bytes, bytearray, memoryview).
     """
-    data = bytes(getattr(bits, "data", bits))
-    return FieldElement(int.from_bytes(data, "big") % p, p)
+    return FieldElement(int.from_bytes(getattr(bits, "data", bits), "big") % p, p)
 
 
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)

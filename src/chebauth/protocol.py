@@ -68,9 +68,10 @@ class SmartCard(Frozen):
     __slots__ = __match_args__ = ("im1", "im2", "d1", "d2")
 
     def __init__(self, im1: BitString, im2: BitString, d1: BitString, d2: BitString):
-        widths = {im1.width, im2.width, d1.width, d2.width}
-        if len(widths) != 1:
-            raise ValueError(f"card fields disagree on width: {sorted(widths)}")
+        n = len(im1.data)
+        if len(im2.data) != n or len(d1.data) != n or len(d2.data) != n:
+            widths = sorted({im1.width, im2.width, d1.width, d2.width})
+            raise ValueError(f"card fields disagree on width: {widths}")
         _set(self, "im1", im1)
         _set(self, "im2", im2)
         _set(self, "d1", d1)
@@ -143,8 +144,12 @@ def server_setup(
     prime: int = DEFAULT_PRIME,
     delta_t: int = DEFAULT_DELTA_T,
 ) -> ServerState:
-    """Generate server parameters: a fresh master key plus run constants."""
-    if not is_probable_prime(prime) or prime <= 3:
+    """Generate server parameters: a fresh master key plus run constants.
+
+    Any modulus other than DEFAULT_PRIME, the published secp256k1 field
+    prime, is primality-tested on every call.
+    """
+    if prime != DEFAULT_PRIME and (not is_probable_prime(prime) or prime <= 3):
         raise ValueError("modulus must be a prime greater than 3")
     if delta_t < 0:
         raise ValueError("freshness window must be non-negative")
@@ -366,8 +371,11 @@ def run_login_session(
     """Drive one full login: M1 out, M2 back, each leg taking channel_delay ticks.
 
     On success the returned session carries the refreshed card; on any
-    rejection it carries the original card unchanged.
+    rejection it carries the original card unchanged. A negative
+    channel_delay raises before anything is drawn from rng.
     """
+    if channel_delay < 0:
+        raise ValueError("clock cannot move backwards")
     m1, ctx = user_login_start(card, password, clock, rng, prime=server.p, counts=user_counts)
     clock.advance(channel_delay)
     events = [ChannelEvent("user->server", m1, m1.t1, clock.now())]

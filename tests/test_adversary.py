@@ -1,5 +1,6 @@
 import pickle
 import random
+import re
 import sys
 import threading
 from functools import partial
@@ -434,9 +435,11 @@ class TestDictionary:
 
     def test_blank_line_rejected(self, tmp_path):
         path = tmp_path / "words.txt"
-        path.write_text("alpha\n\nbeta\n", encoding="utf-8")
-        with pytest.raises(ValueError):
-            Dictionary.from_file(path)
+        # a blank line is reported even where the file also repeats a line
+        for text in ("alpha\n\nbeta\n", "alpha\n\nalpha\n", "alpha\nalpha\n\n", "\nbeta\nbeta"):
+            path.write_text(text, encoding="utf-8")
+            with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: blank lines are not allowed$"):
+                Dictionary.from_file(path)
 
     def test_crlf_rejected(self, tmp_path):
         path = tmp_path / "words.txt"
@@ -450,9 +453,24 @@ class TestDictionary:
         with pytest.raises(UnicodeDecodeError):
             Dictionary.from_file(path)
 
-    def test_duplicates_rejected(self):
-        with pytest.raises(ValueError):
+    def test_duplicates_rejected(self, tmp_path):
+        with pytest.raises(ValueError, match=r"^dictionary contains duplicate candidates$"):
             Dictionary((b"a", b"b", b"a"))
+        path = tmp_path / "words.txt"
+        path.write_text("alpha\nbeta\nalpha\n", encoding="utf-8")
+        with pytest.raises(ValueError, match=r"^dictionary contains duplicate candidates$"):
+            Dictionary.from_file(path)
+
+    def test_loaded_equals_constructed(self, tmp_path):
+        lines = (b"alpha", "pässwörd".encode(), b"gamma", "密码".encode())
+        path = tmp_path / "words.txt"
+        path.write_bytes(b"\n".join(lines) + b"\n")
+        loaded = Dictionary.from_file(path)
+        built = Dictionary(lines)
+        assert type(loaded.candidates) is tuple and loaded.candidates == lines
+        assert loaded == built and hash(loaded) == hash(built)
+        restored = pickle.loads(pickle.dumps(loaded))
+        assert restored == built and restored.candidates == lines
 
     def test_report_defaults(self):
         report = AttackReport()

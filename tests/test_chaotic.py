@@ -146,6 +146,12 @@ class TestBitsToField:
 
     def test_accepts_raw_bytes(self):
         assert bits_to_field(b"\x00\x12", 101).value == 18 % 101
+        data = bytes(range(1, 33))
+        for p in (101, DEFAULT_PRIME):
+            expected = FieldElement(int.from_bytes(data, "big") % p, p)
+            for bits in (BitString(data), data, bytearray(data), memoryview(data)):
+                assert bits_to_field(bits, p) == expected, type(bits)
+            assert bits_to_field(memoryview(data)[::2], p) == bits_to_field(data[::2], p)
 
     def test_deterministic_big_endian(self):
         assert bits_to_field(b"\x01\x00", 1009).value == 256

@@ -1,5 +1,6 @@
 import pytest
 
+from chebauth import protocol
 from chebauth.chaotic import DEFAULT_PRIME
 from chebauth.primitives import (
     BitString,
@@ -17,6 +18,7 @@ from chebauth.protocol import (
     LoginResponse,
     Reject,
     RejectReason,
+    SmartCard,
     change_password,
     registration,
     run_login_session,
@@ -48,6 +50,20 @@ class TestServerSetup:
     def test_composite_modulus_rejected(self):
         with pytest.raises(ValueError):
             server_setup(1, prime=15)
+
+    def test_only_non_default_moduli_are_primality_tested(self, monkeypatch):
+        tested = []
+        real = protocol.is_probable_prime
+        monkeypatch.setattr(protocol, "is_probable_prime", lambda n: tested.append(n) or real(n))
+        server_setup(1)
+        server_setup(1, prime=DEFAULT_PRIME)
+        assert tested == []
+        server_setup(1, prime=101)
+        assert tested == [101]
+        for bad in (15, 3, DEFAULT_PRIME - 2):
+            with pytest.raises(ValueError, match=r"^modulus must be a prime greater than 3$"):
+                server_setup(1, prime=bad)
+        assert tested == [101, 15, 3, DEFAULT_PRIME - 2]
 
 
 class TestRegistration:
@@ -347,6 +363,17 @@ class TestEdges:
             if session.rejected_by == "user":
                 break
         assert session.reject == Reject(RejectReason.AUTH_FAILURE) and session.card is tiny.card
+
+    def test_mixed_width_card_names_its_widths(self):
+        with pytest.raises(ValueError, match=r"^card fields disagree on width: \[16, 64, 256\]$"):
+            SmartCard(BitString(bytes(32)), BitString(bytes(8)), BitString(bytes(32)), BitString(bytes(2)))
+
+    def test_negative_channel_delay_draws_nothing(self):
+        fx, replay = make_fixture(66), make_fixture(66)
+        with pytest.raises(ValueError, match=r"^clock cannot move backwards$"):
+            run_login_session(fx.server, fx.card, fx.password, fx.clock, fx.rng, channel_delay=-1)
+        assert fx.clock.now() == replay.clock.now()
+        assert fx.rng.draw_exponent() == replay.rng.draw_exponent()
 
 
 class TestChangePassword:
