@@ -41,10 +41,11 @@ from .protocol import (
     user_login_start,
 )
 from .adversary import (
-    AttackReport,
     Dictionary,
+    DosReport,
     ExperimentInvalid,
     ExtractedCard,
+    GuessReport,
     Transcript,
     dos_experiment,
     guess_predicate,

@@ -5,7 +5,6 @@ victim's card, and the messages of an eavesdropped login. Both are needed;
 either one alone validates nothing (the tests check this explicitly).
 """
 
-import time
 from pathlib import Path
 
 from ._value import Frozen, Record, _set
@@ -18,14 +17,11 @@ from .protocol import (
     ChannelEvent,
     LoginRequest,
     LoginResponse,
-    Reject,
     RejectReason,
     ServerState,
     SmartCard,
     change_password,
     run_login_session,
-    server_handle_login,
-    user_login_start,
 )
 
 
@@ -122,33 +118,33 @@ class Dictionary(Frozen):
         return iter(self.candidates)
 
 
-class AttackReport(Record):
-    """Outcome and cost accounting of one attack run; counts default to a fresh OpCounts."""
+class GuessReport(Record):
+    """Outcome and cost of one offline dictionary scan."""
 
-    __slots__ = __match_args__ = (
-        "recovered", "guesses", "multiple_matches", "server_rejected",
-        "dos_confirmed", "probes", "counts", "wall_time_s",
-    )
+    __slots__ = __match_args__ = ("recovered", "guesses", "multiple_matches", "counts")
 
     def __init__(
-        self,
-        recovered: bytes | None = None,
-        guesses: int = 0,
-        multiple_matches: bool = False,
-        server_rejected: bool | None = None,
-        dos_confirmed: bool | None = None,
-        probes: dict | None = None,
-        counts: OpCounts | None = None,
-        wall_time_s: float = 0.0,
+        self, recovered: bytes | None, guesses: int, multiple_matches: bool, counts: OpCounts
     ):
         self.recovered = recovered
         self.guesses = guesses
         self.multiple_matches = multiple_matches
-        self.server_rejected = server_rejected
-        self.dos_confirmed = dos_confirmed
+        self.counts = counts
+
+
+class DosReport(Record):
+    """Probe verdicts and cost of one password-change denial-of-service run."""
+
+    __slots__ = __match_args__ = ("probes", "counts")
+
+    def __init__(self, probes: dict, counts: OpCounts):
         self.probes = probes
-        self.counts = OpCounts() if counts is None else counts
-        self.wall_time_s = wall_time_s
+        self.counts = counts
+
+    @property
+    def dos_confirmed(self) -> bool:
+        """True exactly when every probe login was rejected."""
+        return all(verdict == "rejected" for verdict in self.probes.values())
 
 
 # guess_predicate's one-entry memo: (card, m1, n, D1, D2, tail, X1, copier
@@ -219,7 +215,7 @@ def offline_guess(
     m1: LoginRequest,
     dictionary: Dictionary,
     exhaustive: bool = False,
-) -> AttackReport:
+) -> GuessReport:
     """Scan the dictionary in order and report the first candidate that verifies.
 
     The reported guess count is the 1-based index of the first hit (or the
@@ -229,7 +225,6 @@ def offline_guess(
     (only observable at small hash widths). The op counts, 3 hashes and 2
     XORs per evaluation, are set once after the loop.
     """
-    start = time.perf_counter()
     recovered = None
     first_index = 0
     matches = 0
@@ -243,12 +238,8 @@ def offline_guess(
                 if not exhaustive:
                     break
     guesses = first_index if recovered is not None else len(dictionary)
-    return AttackReport(
-        recovered=recovered,
-        guesses=guesses,
-        multiple_matches=matches > 1,
-        counts=OpCounts(n_hash=3 * evaluated, n_xor=2 * evaluated),
-        wall_time_s=time.perf_counter() - start,
+    return GuessReport(
+        recovered, guesses, matches > 1, OpCounts(n_hash=3 * evaluated, n_xor=2 * evaluated)
     )
 
 
@@ -259,27 +250,25 @@ def wrong_login_experiment(
     clock: LogicalClock,
     rng: RandomSource,
     channel_delay: int = 1,
-) -> AttackReport:
-    """Run one login round with a wrong password and account the wasted work.
+) -> OpCounts:
+    """Run one login round with a wrong password and return the wasted work.
 
     The card emits M1 regardless, the server does its full recovery and
-    authenticator check before rejecting, and the report's OpCounts cover
-    both sides of the discarded round.
+    authenticator check before rejecting, and the returned OpCounts cover
+    both sides of the discarded round. Unless the server rejects for the
+    password mistake it raises ExperimentInvalid.
     """
     counts = OpCounts()
-    start = time.perf_counter()
-    m1, _ = user_login_start(card, wrong_password, clock, rng, prime=server.p, counts=counts)
-    clock.advance(channel_delay)
-    result = server_handle_login(server, m1, clock, rng, counts=counts)
-    if not isinstance(result, Reject):
-        raise ExperimentInvalid("server accepted the login; the supplied password was not wrong")
-    if result.reason is not RejectReason.AUTH_FAILURE:
-        raise ExperimentInvalid(f"rejected for {result.reason.value}, not the password mistake")
-    return AttackReport(
-        server_rejected=True,
-        counts=counts,
-        wall_time_s=time.perf_counter() - start,
+    session = run_login_session(
+        server, card, wrong_password, clock, rng,
+        channel_delay=channel_delay, user_counts=counts, server_counts=counts,
     )
+    if session.rejected_by != "server":
+        raise ExperimentInvalid("server accepted the login; the supplied password was not wrong")
+    reason = session.reject.reason
+    if reason is not RejectReason.AUTH_FAILURE:
+        raise ExperimentInvalid(f"rejected for {reason.value}, not the password mistake")
+    return counts
 
 
 def dos_experiment(
@@ -292,20 +281,19 @@ def dos_experiment(
     rng: RandomSource,
     channel_delay: int = 1,
     correct_old: bool = False,
-) -> AttackReport:
+) -> DosReport:
     """Corrupt a card through an unverified password change, then probe logins.
 
     Steps: (1) a baseline login with the true password must succeed, else the
     fixture is invalid; (2) the password change runs with the wrong old
     password (or, with correct_old=True, the true one as a control); (3) the
     new, true, and wrong-old passwords are each tried against the server.
-    dos_confirmed is True exactly when every probe is rejected. OpCounts
-    total all three stages.
+    The report's dos_confirmed is True exactly when every probe is rejected;
+    its OpCounts total all three stages.
     """
     if not correct_old and as_bytes(wrong_old_password) == as_bytes(true_password):
         raise ExperimentInvalid("wrong_old_password equals the true password")
     counts = OpCounts()
-    start = time.perf_counter()
     baseline = run_login_session(
         server, card, true_password, clock, rng,
         channel_delay=channel_delay, user_counts=counts, server_counts=counts,
@@ -327,9 +315,4 @@ def dos_experiment(
         )
         probes[label] = "accepted" if session.ok else "rejected"
         card = session.card
-    return AttackReport(
-        dos_confirmed=all(v == "rejected" for v in probes.values()),
-        probes=probes,
-        counts=counts,
-        wall_time_s=time.perf_counter() - start,
-    )
+    return DosReport(probes, counts)

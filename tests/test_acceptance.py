@@ -131,17 +131,14 @@ def test_criterion_4_both_leaks_necessary():
 def test_criterion_5_wrong_password_round_cost():
     start = time.perf_counter()
     fx = make_fixture(4242)
-    report = wrong_login_experiment(fx.card, b"typo-pw", fx.server, fx.clock, fx.rng)
+    # raises ExperimentInvalid unless the server rejects for the password mistake
+    counts = wrong_login_experiment(fx.card, b"typo-pw", fx.server, fx.clock, fx.rng)
     elapsed = time.perf_counter() - start
-    ok = (
-        report.server_rejected
-        and report.counts.as_dict() == {"hash": 6, "xor": 4, "cheb": 1}
-        and elapsed < 1.0
-    )
+    ok = counts.as_dict() == {"hash": 6, "xor": 4, "cheb": 1} and elapsed < 1.0
     report_line(
         "criterion 5: wasted round rejected with OpCounts exactly {hash:6, xor:4, cheb:1}",
         ok,
-        f"counts={report.counts.as_dict()} elapsed={elapsed:.2f}s",
+        f"counts={counts.as_dict()} elapsed={elapsed:.2f}s",
     )
 
 

@@ -10,7 +10,6 @@ import pytest
 
 from chebauth import adversary
 from chebauth.adversary import (
-    AttackReport,
     Dictionary,
     ExperimentInvalid,
     ExtractedCard,
@@ -315,19 +314,30 @@ class TestConcurrentScans:
 class TestWrongLoginExperiment:
     def test_wasted_round_costs(self):
         fx = make_fixture(70)
-        report = wrong_login_experiment(fx.card, b"oops", fx.server, fx.clock, fx.rng)
-        assert report.server_rejected
-        assert report.counts.as_dict() == {"hash": 6, "xor": 4, "cheb": 1}
+        counts = wrong_login_experiment(fx.card, b"oops", fx.server, fx.clock, fx.rng)
+        assert counts.as_dict() == {"hash": 6, "xor": 4, "cheb": 1}
 
     def test_correct_password_invalidates_experiment(self):
         fx = make_fixture(71)
-        with pytest.raises(ExperimentInvalid):
+        with pytest.raises(
+            ExperimentInvalid,
+            match=r"^server accepted the login; the supplied password was not wrong$",
+        ):
             wrong_login_experiment(fx.card, fx.password, fx.server, fx.clock, fx.rng)
 
     def test_stale_channel_invalidates_experiment(self):
         fx = make_fixture(72, delta_t=1)
-        with pytest.raises(ExperimentInvalid):
+        with pytest.raises(
+            ExperimentInvalid, match=r"^rejected for stale_timestamp, not the password mistake$"
+        ):
             wrong_login_experiment(fx.card, b"oops", fx.server, fx.clock, fx.rng, channel_delay=5)
+
+    def test_negative_delay_draws_nothing_and_keeps_the_clock(self):
+        fx, replay = make_fixture(73), make_fixture(73)
+        with pytest.raises(ValueError, match=r"^clock cannot move backwards$"):
+            wrong_login_experiment(fx.card, b"oops", fx.server, fx.clock, fx.rng, channel_delay=-1)
+        assert fx.clock.now() == replay.clock.now()
+        assert fx.rng.draw_exponent() == replay.rng.draw_exponent()
 
 
 class TestDosExperiment:
@@ -354,7 +364,7 @@ class TestDosExperiment:
 
     def test_equal_passwords_rejected_as_fixture_error(self):
         fx = make_fixture(82)
-        with pytest.raises(ExperimentInvalid):
+        with pytest.raises(ExperimentInvalid, match=r"^wrong_old_password equals the true password$"):
             dos_experiment(
                 fx.card, fx.password, fx.password, b"fresh-pw", fx.server, fx.clock, fx.rng
             )
@@ -362,7 +372,10 @@ class TestDosExperiment:
     def test_broken_baseline_rejected_as_fixture_error(self):
         fx = make_fixture(83)
         other = make_fixture(84)  # card from a different server: baseline fails
-        with pytest.raises(ExperimentInvalid):
+        with pytest.raises(
+            ExperimentInvalid,
+            match=r"^baseline login with the true password failed; fixture is broken$",
+        ):
             dos_experiment(
                 other.card, fx.password, b"mistyped-old", b"fresh-pw",
                 fx.server, fx.clock, fx.rng,
@@ -471,7 +484,3 @@ class TestDictionary:
         assert loaded == built and hash(loaded) == hash(built)
         restored = pickle.loads(pickle.dumps(loaded))
         assert restored == built and restored.candidates == lines
-
-    def test_report_defaults(self):
-        report = AttackReport()
-        assert report.guesses == 0 and report.recovered is None

@@ -191,6 +191,17 @@ class TestWrongLoginDemo:
         assert status == 3 and report is None
 
 
+@pytest.mark.parametrize("command, message", [
+    ("wrong-login-demo", "rejected for stale_timestamp, not the password mistake"),
+    ("dos-demo", "baseline login with the true password failed; fixture is broken"),
+])
+def test_invalid_experiment_exits_3_with_its_reason(tmp_path, capsys, command, message):
+    # M1 arrives 3 ticks late against a 2-tick window: the round never tests the password
+    status, report = run(tmp_path, command, "--delta-t", "2", "--channel-delay", "3")
+    assert status == 3 and report is None
+    assert capsys.readouterr().err == f"chebauth: error: {message}\n"
+
+
 class TestDosDemo:
     def test_default_demo_confirms_dos(self, tmp_path):
         status, report = run(tmp_path, "dos-demo")
@@ -304,6 +315,14 @@ class TestPlumbing:
         validate(report)
         with pytest.raises(jsonschema.ValidationError):
             validate({**report, "backend": "compiled"})
+
+    def test_schema_rejects_a_wrong_login_report_the_server_did_not_reject(self, tmp_path):
+        # wrong_login_experiment raises unless the server rejected, so only true is valid
+        status, report = run(tmp_path, "wrong-login-demo")
+        assert status == 0
+        validate(report)
+        with pytest.raises(jsonschema.ValidationError):
+            validate({**report, "experiment": {**report["experiment"], "server_rejected": False}})
 
     def test_cli_import_loads_neither_dataclasses_nor_inspect(self):
         # Each CLI run is a fresh interpreter, and these two cost it about 6 ms

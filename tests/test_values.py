@@ -10,7 +10,16 @@ import pickle
 
 import pytest
 
-from chebauth.adversary import AttackReport, Dictionary, ExtractedCard, Transcript
+from chebauth.adversary import (
+    Dictionary,
+    DosReport,
+    ExtractedCard,
+    GuessReport,
+    Transcript,
+    dos_experiment,
+    offline_guess,
+    wrong_login_experiment,
+)
 from chebauth.chaotic import FieldElement
 from chebauth.primitives import BitString, OpCounts, Timestamp
 from chebauth.protocol import (
@@ -24,7 +33,10 @@ from chebauth.protocol import (
     ServerState,
     SmartCard,
     UserLoginContext,
+    user_login_start,
 )
+
+from helpers import make_fixture
 
 A, B, C, D = (BitString(bytes([i, i + 1])) for i in (1, 3, 5, 7))
 F = FieldElement(3, 17)
@@ -53,9 +65,10 @@ CASES = [
     (ExtractedCard, CARD, dict(im1=D), True),
     (Transcript, dict(events=(EVENT,)), dict(events=()), True),
     (Dictionary, dict(candidates=(b"alpha", b"beta")), dict(candidates=(b"beta", b"alpha")), True),
-    (AttackReport, dict(recovered=b"pw", guesses=3, multiple_matches=True, server_rejected=None,
-                        dos_confirmed=False, probes={"new_password": "rejected"},
-                        counts=OpCounts(3, 2, 0), wall_time_s=0.5), dict(guesses=4), False),
+    (GuessReport, dict(recovered=b"pw", guesses=3, multiple_matches=True,
+                       counts=OpCounts(9, 6, 0)), dict(guesses=4), False),
+    (DosReport, dict(probes={"new_password": "rejected"}, counts=OpCounts(13, 10, 4)),
+     dict(probes={"new_password": "accepted"}), False),
 ]
 
 
@@ -104,8 +117,20 @@ def test_timestamp_ordering():
             compare()
 
 
-def test_attack_report_counts_are_fresh_per_instance():
-    first, second = AttackReport(), AttackReport()
-    assert first.counts == OpCounts() and first.counts is not second.counts
-    first.counts.n_hash += 1
-    assert second.counts == OpCounts()
+def test_experiment_results_are_equal_across_identical_fixtures():
+    # No wall time inside: an experiment's result is a function of its inputs.
+    def results(seed):
+        fx = make_fixture(seed)
+        m1, _ = user_login_start(fx.card, fx.password, fx.clock, fx.rng, prime=fx.server.p)
+        words = Dictionary((b"decoy-1", fx.password, b"decoy-2"))
+        guess = offline_guess(ExtractedCard.from_card(fx.card), m1, words, exhaustive=True)
+        wasted = wrong_login_experiment(fx.card, b"oops", fx.server, fx.clock, fx.rng)
+        dos = dos_experiment(
+            fx.card, fx.password, b"wrong-old", b"new-pw", fx.server, fx.clock, fx.rng
+        )
+        return guess, dos, wasted
+
+    first, second = results(90), results(90)
+    assert [type(value) for value in first] == [GuessReport, DosReport, OpCounts]
+    assert first == second
+    assert first[0].guesses == 2 and first[1].dos_confirmed
