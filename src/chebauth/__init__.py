@@ -28,7 +28,6 @@ from .protocol import (
     LoginResponse,
     Reject,
     RejectReason,
-    ServerLoginOutcome,
     ServerState,
     SmartCard,
     UserLoginContext,

@@ -16,7 +16,6 @@ from .primitives import hash_h  # noqa: F401
 from .protocol import (
     ChannelEvent,
     LoginRequest,
-    LoginResponse,
     RejectReason,
     ServerState,
     SmartCard,
@@ -68,9 +67,6 @@ class Transcript(Frozen):
 
     def login_requests(self) -> list[LoginRequest]:
         return [e.message for e in self.events if isinstance(e.message, LoginRequest)]
-
-    def login_responses(self) -> list[LoginResponse]:
-        return [e.message for e in self.events if isinstance(e.message, LoginResponse)]
 
 
 _DUPLICATES = "dictionary contains duplicate candidates"
@@ -166,12 +162,7 @@ def _scan_constants(card: ExtractedCard, m1: LoginRequest) -> tuple:
     return memo
 
 
-def guess_predicate(
-    candidate,
-    card: ExtractedCard,
-    m1: LoginRequest,
-    counts: OpCounts | None = None,
-) -> bool:
+def guess_predicate(candidate, card: ExtractedCard, m1: LoginRequest) -> bool:
     """Test one password candidate against the extracted card and intercepted M1.
 
     Recomputes the blinding value and long-term key the card would derive for
@@ -183,7 +174,8 @@ def guess_predicate(
     Pure: no server interaction, deterministic per candidate. This is the
     attacker's inner loop, so it works on bytes and ints: h(cand || b)
     continues the state that hashed cand, and the XORs are integer XORs at
-    the card's byte width. The cost is still 3 hashes and 2 XORs.
+    the card's byte width. The cost is 3 hashes and 2 XORs per call, which
+    offline_guess tallies once per scan; the predicate counts nothing.
 
     What depends only on the card and M1 (the byte width n, D1 and D2 as
     ints, the tail IM1 || IM2 || T_u(K) || T1 as one bytes value, X1 and a
@@ -204,9 +196,6 @@ def guess_predicate(
     k_guess = d1 ^ int.from_bytes(state.digest()[:n], "big")
     check = fresh()
     check.update(k_guess.to_bytes(n, "big") + tail)
-    if counts is not None:
-        counts.n_hash += 3
-        counts.n_xor += 2
     return check.digest()[:n] == x1
 
 

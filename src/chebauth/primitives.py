@@ -11,7 +11,6 @@ count each call.
 
 import hashlib
 import random
-from functools import total_ordering
 
 from ._value import Frozen, Record, _set
 from .chaotic import FieldElement
@@ -80,7 +79,6 @@ class BitString(Frozen):
         return self.data.hex()
 
 
-@total_ordering
 class Timestamp(Frozen):
     """Logical time instant, in non-negative integer ticks."""
 
@@ -90,11 +88,6 @@ class Timestamp(Frozen):
         if ticks < 0:
             raise ValueError("ticks must be non-negative")
         _set(self, "ticks", ticks)
-
-    def __lt__(self, other):
-        if other.__class__ is self.__class__:
-            return self.ticks < other.ticks
-        return NotImplemented
 
     def to_bytes(self) -> bytes:
         return self.ticks.to_bytes(8, "big")
@@ -129,13 +122,6 @@ class OpCounts(Record):
         self.n_hash = n_hash
         self.n_xor = n_xor
         self.n_cheb = n_cheb
-
-    def __add__(self, other: "OpCounts") -> "OpCounts":
-        return OpCounts(
-            self.n_hash + other.n_hash,
-            self.n_xor + other.n_xor,
-            self.n_cheb + other.n_cheb,
-        )
 
     def as_dict(self) -> dict:
         return {"hash": self.n_hash, "xor": self.n_xor, "cheb": self.n_cheb}

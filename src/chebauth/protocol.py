@@ -9,9 +9,9 @@ change is applied without verifying the old password.
 The phases compute on bytes and ints: one join per hashed tuple into
 h_digest or H_digest, XOR through xor_bytes, and h(pw || b) continuing the
 state that hashed pw. BitString is built only for what crosses a boundary
-(card and message fields, the login context's K, session keys), and each
-phase tallies its exact operations once per exit path. hash_h, xor and
-concat stay the public primitives that tests, oracles and tracers use.
+(card and message fields, session keys), and each phase tallies its exact
+operations once per exit path. hash_h, xor and concat stay the public
+primitives that tests, oracles and tracers use.
 """
 
 from enum import Enum
@@ -109,26 +109,13 @@ class LoginResponse(Frozen):
 
 
 class UserLoginContext(Frozen):
-    """Card-side secrets held between sending M1 and handling M2."""
+    """Card-side secrets held between sending M1 and handling M2: u and T_u(K)."""
 
-    __slots__ = __match_args__ = ("u", "k", "tuk", "t1")
+    __slots__ = __match_args__ = ("u", "tuk")
 
-    def __init__(self, u: int, k: BitString, tuk: FieldElement, t1: Timestamp):
+    def __init__(self, u: int, tuk: FieldElement):
         _set(self, "u", u)
-        _set(self, "k", k)
         _set(self, "tuk", tuk)
-        _set(self, "t1", t1)
-
-
-class ServerLoginOutcome(Frozen):
-    """Server-side result of an accepted login: session key, fresh pseudonyms."""
-
-    __slots__ = __match_args__ = ("session_key", "im1_new", "im2_new")
-
-    def __init__(self, session_key: BitString, im1_new: BitString, im2_new: BitString):
-        _set(self, "session_key", session_key)
-        _set(self, "im1_new", im1_new)
-        _set(self, "im2_new", im2_new)
 
 
 def _h_pw(password: bytes, n: int):
@@ -212,7 +199,7 @@ def user_login_start(
     x1 = h_digest(n, k, card.im1.data, card.im2.data, tuk.to_bytes(), t1.to_bytes())
     tally(counts, 3, 2, 1)
     request = LoginRequest(im1=card.im1, im2=card.im2, tuk=tuk, x1=BitString(x1), t1=t1)
-    return request, UserLoginContext(u=u, k=BitString(k), tuk=tuk, t1=t1)
+    return request, UserLoginContext(u=u, tuk=tuk)
 
 
 def server_handle_login(
@@ -222,11 +209,12 @@ def server_handle_login(
     rng: RandomSource,
     counts: OpCounts | None = None,
 ):
-    """Verify M1 and, on success, answer with M2 and refreshed pseudonyms.
+    """Verify M1 and, on success, answer with M2 carrying refreshed pseudonyms.
 
-    Returns (LoginResponse, ServerLoginOutcome) or a Reject that says which
-    check failed: freshness first (before any keyed computation), then the
-    X1 authenticator. Draw order on success is r_new, then v.
+    Returns (LoginResponse, session_key) or a Reject that says which check
+    failed: freshness first (before any keyed computation), then the X1
+    authenticator. The server keeps no state. Draw order on success is
+    r_new, then v.
     """
     t2 = clock.now()
     if t2 - m1.t1 > server.delta_t:
@@ -252,8 +240,7 @@ def server_handle_login(
     tally(counts, 7, 6, 2)
     y1, y2 = BitString(xor_bytes(im1_new, pad)), BitString(xor_bytes(im2_new, pad))
     response = LoginResponse(y1=y1, y2=y2, y3=BitString(y3), tvk=tvk, t2=t2)
-    outcome = ServerLoginOutcome(BitString(session_key), BitString(im1_new), BitString(im2_new))
-    return response, outcome
+    return response, BitString(session_key)
 
 
 def user_handle_response(
@@ -298,6 +285,9 @@ def change_password(
     card afterwards works with the new one; with a wrong old password both
     fields are rewritten relative to a garbage blinding value and the card
     is permanently unable to produce a valid login, under any password.
+    Nor is the new password checked: an empty one is accepted, although
+    registration raises EmptyCredential for it, and the card then logs in
+    with b"".
     """
     n = len(card.d2.data)
     h_old, old_state = _h_pw(as_bytes(old_password), n)
@@ -382,11 +372,11 @@ def run_login_session(
     result = server_handle_login(server, m1, clock, rng, counts=server_counts)
     if isinstance(result, Reject):
         return LoginSession(card, None, None, result, "server", events)
-    m2, outcome = result
+    m2, server_key = result
     clock.advance(channel_delay)
     events.append(ChannelEvent("server->user", m2, m2.t2, clock.now()))
     result = user_handle_response(card, ctx, m2, clock, delta_t=server.delta_t, counts=user_counts)
     if isinstance(result, Reject):
-        return LoginSession(card, None, outcome.session_key, result, "user", events)
+        return LoginSession(card, None, server_key, result, "user", events)
     user_key, refreshed = result
-    return LoginSession(refreshed, user_key, outcome.session_key, None, None, events)
+    return LoginSession(refreshed, user_key, server_key, None, None, events)

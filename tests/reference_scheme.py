@@ -62,7 +62,7 @@ def register(mk, identity, password, rng):
 
 
 def login_start(card, password, rng, t1, p):
-    """M1 (IM1, IM2, T_u(K), X1, T1) and the card's (u, K, T_u(K))."""
+    """M1 (IM1, IM2, T_u(K), X1, T1) and the card's (u, T_u(K))."""
     im1, im2, d1, d2 = card
     n = len(d1)
     u = exponent(rng)
@@ -70,11 +70,11 @@ def login_start(card, password, rng, t1, p):
     k = xor(d1, h(n, password, b))
     tuk = cheb(u, int.from_bytes(k, "big") % p, p)
     x1 = h(n, k, im1, im2, field(tuk, p), tick(t1))
-    return (im1, im2, tuk, x1, t1), (u, k, tuk)
+    return (im1, im2, tuk, x1, t1), (u, tuk)
 
 
 def server_respond(mk, p, delta_t, m1, t2, rng):
-    """M2 (Y1, Y2, Y3, T_v(K'), T2) and the server's (key, IM1new, IM2new), or a reject reason."""
+    """M2 (Y1, Y2, Y3, T_v(K'), T2) and the server's session key, or a reject reason."""
     im1, im2, tuk, x1, t1 = m1
     if t2 - t1 > delta_t:
         return "stale_timestamp"
@@ -91,7 +91,7 @@ def server_respond(mk, p, delta_t, m1, t2, rng):
     key = H(n, p, tuk, tvk, cheb(v, tuk, p))
     pad = h(n, key, tick(t2))
     y3 = h(n, key, im1_new, im2_new, field(tvk, p), tick(t2))
-    return (xor(im1_new, pad), xor(im2_new, pad), y3, tvk, t2), (key, im1_new, im2_new)
+    return (xor(im1_new, pad), xor(im2_new, pad), y3, tvk, t2), key
 
 
 def user_verify(card, ctx, m2, t3, delta_t, p):
@@ -99,7 +99,7 @@ def user_verify(card, ctx, m2, t3, delta_t, p):
     y1, y2, y3, tvk, t2 = m2
     if t3 - t2 > delta_t:
         return "stale_timestamp"
-    u, _, tuk = ctx
+    u, tuk = ctx
     n = len(card[0])
     key = H(n, p, tuk, tvk, cheb(u, tvk, p))
     pad = h(n, key, tick(t2))

@@ -73,11 +73,15 @@ class TestGuessPredicate:
             assert guess_predicate(fx.password, extracted, m1), seed
 
     def test_costs_three_hashes_two_xors(self):
+        # the oracle counts the scheme's operations per candidate, and
+        # offline_guess tallies the same for each candidate it evaluates
         fx = make_fixture(56)
         extracted, m1 = intercepted_m1(fx)
-        counts = OpCounts()
-        guess_predicate(fx.password, extracted, m1, counts=counts)
-        assert counts.as_dict() == {"hash": 3, "xor": 2, "cheb": 0}
+        oracle_counts = OpCounts()
+        guess_predicate_oracle(fx.password, extracted, m1, oracle_counts)
+        report = offline_guess(extracted, m1, Dictionary((fx.password,)))
+        assert report.recovered == fx.password
+        assert report.counts == oracle_counts == OpCounts(3, 2, 0)
 
     @pytest.mark.parametrize("prime", (17, DEFAULT_PRIME))
     @pytest.mark.parametrize("width", (8, 64, 256))
@@ -89,10 +93,8 @@ class TestGuessPredicate:
         candidates = (fx.password, fx.password.encode(), b"", "naïve", "日本語".encode())
         candidates += tuple(f"cand-{i}".encode() for i in range(40))
         for card, message, candidate in product(cards, (m1, foreign_m1), candidates):
-            counts, oracle_counts = OpCounts(), OpCounts()
-            verdict = guess_predicate(candidate, card, message, counts=counts)
-            assert verdict == guess_predicate_oracle(candidate, card, message, oracle_counts)
-            assert counts.as_dict() == oracle_counts.as_dict() == {"hash": 3, "xor": 2, "cheb": 0}
+            verdict = guess_predicate(candidate, card, message)
+            assert verdict == guess_predicate_oracle(candidate, card, message)
         assert guess_predicate(fx.password, extracted, m1)
         assert guess_predicate(fx.password.encode(), extracted, m1)
 
@@ -121,10 +123,8 @@ class TestPredicateMemo:
             steps += [(card, m1, cand) for (card, m1), cand in product(pairs, candidates)]
         hits = 0
         for card, m1, candidate in steps + steps[::-1]:
-            counts = OpCounts()
-            verdict = guess_predicate(candidate, card, m1, counts)
+            verdict = guess_predicate(candidate, card, m1)
             assert verdict == guess_predicate_oracle(candidate, card, m1), (card.width, candidate)
-            assert counts.as_dict() == {"hash": 3, "xor": 2, "cheb": 0}
             hits += verdict
         # at least pw_a, as str and as bytes, on the five (A, A) pairs of each
         # width, in both directions; narrow widths add false positives
@@ -141,9 +141,9 @@ def predicate_calls(monkeypatch):
     calls = []
     predicate = adversary.guess_predicate
 
-    def counting(candidate, card, m1, counts=None):
+    def counting(candidate, card, m1):
         calls.append(candidate)
-        return predicate(candidate, card, m1, counts)
+        return predicate(candidate, card, m1)
 
     monkeypatch.setattr(adversary, "guess_predicate", counting)
     return calls
@@ -421,10 +421,8 @@ class TestTranscript:
         fx = make_fixture(91)
         session = run_login_session(fx.server, fx.card, fx.password, fx.clock, fx.rng)
         transcript = Transcript.from_events(session.events)
-        assert len(transcript.login_requests()) == 1
-        assert len(transcript.login_responses()) == 1
-        assert transcript.events[0].direction == "user->server"
-        assert transcript.events[1].direction == "server->user"
+        assert transcript.login_requests() == [session.events[0].message]
+        assert [e.direction for e in transcript.events] == ["user->server", "server->user"]
 
     def test_out_of_order_events_rejected(self):
         fx = make_fixture(92)

@@ -204,10 +204,6 @@ class TestConcat:
 
 
 class TestOpCounts:
-    def test_addition(self):
-        total = OpCounts(1, 2, 3) + OpCounts(10, 20, 30)
-        assert (total.n_hash, total.n_xor, total.n_cheb) == (11, 22, 33)
-
     def test_as_dict(self):
         assert OpCounts(6, 4, 1).as_dict() == {"hash": 6, "xor": 4, "cheb": 1}
 
@@ -225,8 +221,8 @@ class TestOpCounts:
 
         first, second = OpCounts(), OpCounts()
         stage_two(second, stage_one(first))
-        combined = first + second
-        assert whole == combined
+        combined = {kind: first.as_dict()[kind] + second.as_dict()[kind] for kind in first.as_dict()}
+        assert whole.as_dict() == combined == {"hash": 3, "xor": 2, "cheb": 0}
 
 
 class TestRandomSource:
@@ -252,8 +248,11 @@ class TestRandomSource:
 
 class TestTime:
     def test_timestamp_arithmetic_and_order(self):
+        # freshness is a difference of ticks; timestamps define no ordering
         assert Timestamp(7) - Timestamp(3) == 4
-        assert Timestamp(3) < Timestamp(7)
+        assert Timestamp(3) - Timestamp(7) == -4
+        with pytest.raises(TypeError):
+            Timestamp(3) < Timestamp(7)
 
     def test_timestamp_serialization(self):
         assert Timestamp(1).to_bytes() == b"\x00" * 7 + b"\x01"

@@ -405,3 +405,12 @@ class TestChangePassword:
         card = change_password(fx.card, b"garbage", b"whatever")
         assert card.im1 == fx.card.im1  # pseudonyms untouched
         assert card.d1 != fx.card.d1 and card.d2 != fx.card.d2
+
+    def test_empty_new_password_accepted_though_registration_refuses_it(self):
+        # the card checks neither password; only registration refuses b""
+        fx = make_fixture(44)
+        card = change_password(fx.card, fx.password, b"")
+        session = run_login_session(fx.server, card, b"", fx.clock, fx.rng)
+        assert session.ok and session.keys_match
+        with pytest.raises(EmptyCredential):
+            registration(fx.server, fx.identity, b"", fx.rng)

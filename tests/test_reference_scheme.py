@@ -2,7 +2,8 @@
 
 Each case runs registration, an optional password change and one login in
 both, from the same seeds, and compares every card, message, login context,
-session key and reject reason along the way.
+session key and reject reason along the way. The card's K is compared
+through X1, which hashes it.
 """
 
 import random
@@ -52,14 +53,14 @@ def package_run(seed, width, prime, login_password, delay_m1, delay_m2, change) 
         trace.append(("changed", card_fields(card)))
     m1, ctx = user_login_start(card, login_password, clock, rng, prime=server.p)
     trace.append(("m1", (m1.im1.data, m1.im2.data, m1.tuk.value, m1.x1.data, m1.t1.ticks)))
-    trace.append(("ctx", (ctx.u, ctx.k.data, ctx.tuk.value)))
+    trace.append(("ctx", (ctx.u, ctx.tuk.value)))
     clock.advance(delay_m1)
     result = server_handle_login(server, m1, clock, rng)
     if isinstance(result, Reject):
         return trace + [("server reject", result.reason.value)]
-    m2, outcome = result
+    m2, server_key = result
     trace.append(("m2", (m2.y1.data, m2.y2.data, m2.y3.data, m2.tvk.value, m2.t2.ticks)))
-    trace.append(("server", (outcome.session_key.data, outcome.im1_new.data, outcome.im2_new.data)))
+    trace.append(("server", server_key.data))
     clock.advance(delay_m2)
     result = user_handle_response(card, ctx, m2, clock, delta_t=server.delta_t)
     if isinstance(result, Reject):
@@ -83,8 +84,8 @@ def reference_run(seed, width, prime, login_password, delay_m1, delay_m2, change
     result = ref.server_respond(mk, prime, DELTA_T, m1, now, rng)
     if isinstance(result, str):
         return trace + [("server reject", result)]
-    m2, server_side = result
-    trace += [("m2", m2), ("server", server_side)]
+    m2, server_key = result
+    trace += [("m2", m2), ("server", server_key)]
     now += delay_m2
     result = ref.user_verify(card, ctx, m2, now, DELTA_T, prime)
     if isinstance(result, str):
