@@ -117,14 +117,11 @@ class Dictionary(Frozen):
 class GuessReport(Record):
     """Outcome and cost of one offline dictionary scan."""
 
-    __slots__ = __match_args__ = ("recovered", "guesses", "multiple_matches", "counts")
+    __slots__ = __match_args__ = ("recovered", "guesses", "counts")
 
-    def __init__(
-        self, recovered: bytes | None, guesses: int, multiple_matches: bool, counts: OpCounts
-    ):
+    def __init__(self, recovered: bytes | None, guesses: int, counts: OpCounts):
         self.recovered = recovered
         self.guesses = guesses
-        self.multiple_matches = multiple_matches
         self.counts = counts
 
 
@@ -199,37 +196,21 @@ def guess_predicate(candidate, card: ExtractedCard, m1: LoginRequest) -> bool:
     return check.digest()[:n] == x1
 
 
-def offline_guess(
-    card: ExtractedCard,
-    m1: LoginRequest,
-    dictionary: Dictionary,
-    exhaustive: bool = False,
-) -> GuessReport:
-    """Scan the dictionary in order and report the first candidate that verifies.
+def offline_guess(card: ExtractedCard, m1: LoginRequest, dictionary: Dictionary) -> GuessReport:
+    """Scan the dictionary in order and stop at the first candidate that verifies.
 
-    The reported guess count is the 1-based index of the first hit (or the
-    dictionary size when the scan misses). By default the scan stops at the
-    first hit, so predicate evaluations equal the guess count; pass
-    exhaustive=True to keep scanning and expose multiple matching candidates
-    (only observable at small hash widths). The op counts, 3 hashes and 2
-    XORs per evaluation, are set once after the loop.
+    The reported guess count is the 1-based index of that candidate (or the
+    dictionary size when the scan misses), so predicate evaluations equal
+    the guess count. The op counts, 3 hashes and 2 XORs per evaluation, are
+    set once after the loop.
     """
     recovered = None
-    first_index = 0
-    matches = 0
-    evaluated = 0
-    for evaluated, candidate in enumerate(dictionary.candidates, start=1):
+    guesses = 0
+    for guesses, candidate in enumerate(dictionary.candidates, start=1):
         if guess_predicate(candidate, card, m1):
-            matches += 1
-            if recovered is None:
-                recovered = candidate
-                first_index = evaluated
-                if not exhaustive:
-                    break
-    guesses = first_index if recovered is not None else len(dictionary)
-    return GuessReport(
-        recovered, guesses, matches > 1, OpCounts(n_hash=3 * evaluated, n_xor=2 * evaluated)
-    )
+            recovered = candidate
+            break
+    return GuessReport(recovered, guesses, OpCounts(n_hash=3 * guesses, n_xor=2 * guesses))
 
 
 def wrong_login_experiment(
@@ -245,7 +226,8 @@ def wrong_login_experiment(
     The card emits M1 regardless, the server does its full recovery and
     authenticator check before rejecting, and the returned OpCounts cover
     both sides of the discarded round. Unless the server rejects for the
-    password mistake it raises ExperimentInvalid.
+    password mistake it raises ExperimentInvalid, also when a wrong password
+    passes X1 by truncation collision, about 2^(1-w) of them at width w.
     """
     counts = OpCounts()
     session = run_login_session(
@@ -253,7 +235,8 @@ def wrong_login_experiment(
         channel_delay=channel_delay, user_counts=counts, server_counts=counts,
     )
     if session.rejected_by != "server":
-        raise ExperimentInvalid("server accepted the login; the supplied password was not wrong")
+        raise ExperimentInvalid("server accepted the login: the supplied password is the"
+                                f" true one or collides with it at width {card.width}")
     reason = session.reject.reason
     if reason is not RejectReason.AUTH_FAILURE:
         raise ExperimentInvalid(f"rejected for {reason.value}, not the password mistake")

@@ -75,16 +75,19 @@ def _message_json(message) -> dict:
     }
 
 
-def _transcript_json(events) -> list:
-    return [
-        {
-            "direction": e.direction,
-            "sent_at": e.sent_at.ticks,
-            "delivered_at": e.delivered_at.ticks,
-            "message": _message_json(e.message),
-        }
-        for e in events
-    ]
+def _event_json(event) -> dict:
+    """One transcript entry: M1 goes user to server at T1, M2 back at T2."""
+    message = event.message
+    if isinstance(message, LoginRequest):
+        direction, sent_at = "user->server", message.t1
+    else:
+        direction, sent_at = "server->user", message.t2
+    return {
+        "direction": direction,
+        "sent_at": sent_at.ticks,
+        "delivered_at": event.delivered_at.ticks,
+        "message": _message_json(message),
+    }
 
 
 def _login(index: int, args: argparse.Namespace, server, card, clock, rng):
@@ -106,7 +109,7 @@ def _login(index: int, args: argparse.Namespace, server, card, clock, rng):
             else {"by": session.rejected_by, "reason": session.reject.reason.value}
         ),
         "op_counts": {"user": user_counts.as_dict(), "server": server_counts.as_dict()},
-        "transcript": _transcript_json(session.events),
+        "transcript": [_event_json(event) for event in session.events],
     }
 
 
@@ -159,7 +162,7 @@ def cmd_guess_attack(args: argparse.Namespace):
             "recovered_password": recovered,
             "guesses": attack.guesses,
             "dictionary_size": len(dictionary),
-            "multiple_matches": attack.multiple_matches,
+            "multiple_matches": False,  # the scan stops at its first match
             "op_counts": attack.counts.as_dict(),
             "wall_time_s": wall_time_s,
         },

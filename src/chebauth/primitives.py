@@ -35,10 +35,10 @@ def _check_width(width: int):
 
 
 def as_bytes(value) -> bytes:
-    """Coerce str (UTF-8) or bytes-like input to bytes."""
+    """Coerce str (UTF-8) or bytes-like input to bytes; an int or any other type is a TypeError."""
     if isinstance(value, str):
         return value.encode("utf-8")
-    return bytes(value)
+    return bytes(memoryview(value))
 
 
 class BitString(Frozen):
@@ -54,7 +54,7 @@ class BitString(Frozen):
     # perfbench/tracer.py counts constructions by replacing it.
     def __post_init__(self):
         if not isinstance(self.data, bytes):
-            _set(self, "data", bytes(self.data))
+            _set(self, "data", bytes(memoryview(self.data)))  # TypeError unless bytes-like
         if len(self.data) == 0:
             raise ValueError("BitString may not be empty")
 
@@ -99,10 +99,8 @@ class Timestamp(Frozen):
 class LogicalClock:
     """Monotone tick counter shared by the simulated parties."""
 
-    def __init__(self, start: int = 0):
-        if start < 0:
-            raise ValueError("clock cannot start before tick 0")
-        self.ticks = start
+    def __init__(self):
+        self.ticks = 0
 
     def now(self) -> Timestamp:
         return Timestamp(self.ticks)
@@ -141,7 +139,6 @@ class RandomSource:
     EXPONENT_RANGE = (2, 1 << 64)  # degenerate exponents 0 and 1 excluded
 
     def __init__(self, seed: int):
-        self.seed = seed
         self._rng = random.Random(seed)
 
     def draw_bits(self, width: int = DEFAULT_WIDTH) -> BitString:
@@ -162,9 +159,9 @@ def h_state():
     """A fresh SHA-256 state that has absorbed h's domain prefix.
 
     h(data) at width w is ``state.update(data)`` followed by
-    ``state.digest()[: w // 8]``. Callers that hash many inputs sharing a
-    leading part update one state with that part and read ``digest()``,
-    which leaves the state usable, instead of rehashing it per input.
+    ``state.digest()[: w // 8]``. Only the guess predicate uses it: per
+    candidate it reads ``digest()``, which leaves the state usable, after
+    cand and again after cand || b instead of rehashing cand.
     """
     return _H_PREFIX.copy()
 

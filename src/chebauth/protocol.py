@@ -7,10 +7,10 @@ measure them: the card checks nothing locally at login time, and a password
 change is applied without verifying the old password.
 
 The phases compute on bytes and ints: one join per hashed tuple into
-h_digest or H_digest, XOR through xor_bytes, and h(pw || b) continuing the
-state that hashed pw. BitString is built only for what crosses a boundary
-(card and message fields, session keys), and each phase tallies its exact
-operations once per exit path. hash_h, xor and concat stay the public
+h_digest or H_digest, so h(pw) and h(pw || b) are one call each as the
+scheme writes them, and XOR through xor_bytes. BitString is built only for
+what crosses a boundary (card and message fields, session keys), and each
+phase tallies its exact operations once per exit path. hash_h, xor and concat stay the public
 primitives that tests, oracles and tracers use.
 """
 
@@ -19,7 +19,7 @@ from enum import Enum
 from ._value import Frozen, Record, _set
 from .chaotic import DEFAULT_PRIME, FieldElement, bits_to_field, cheb_eval, is_probable_prime
 from .primitives import (DEFAULT_WIDTH, BitString, H_digest, LogicalClock, OpCounts, RandomSource,
-                         Timestamp, as_bytes, h_digest, h_state, tally, xor_bytes)
+                         Timestamp, as_bytes, h_digest, tally, xor_bytes)
 
 #: Default freshness window, in clock ticks.
 DEFAULT_DELTA_T = 5
@@ -118,13 +118,6 @@ class UserLoginContext(Frozen):
         _set(self, "tuk", tuk)
 
 
-def _h_pw(password: bytes, n: int):
-    """h(pw), and the SHA-256 state that hashed pw, which h(pw || b) continues."""
-    state = h_state()
-    state.update(password)
-    return state.digest()[:n], state
-
-
 def server_setup(
     seed: int,
     width: int = DEFAULT_WIDTH,
@@ -165,11 +158,9 @@ def registration(
     b = rng.draw_bytes(n)
     r = rng.draw_bytes(n)
     id_l = h_digest(n, identity)
-    h_pw, state = _h_pw(password, n)
-    state.update(b)
-    d1 = xor_bytes(h_digest(n, id_l, mk), state.digest()[:n])
+    d1 = xor_bytes(h_digest(n, id_l, mk), h_digest(n, password, b))
     im2 = xor_bytes(h_digest(n, mk, r), id_l)
-    d2 = xor_bytes(h_pw, b)
+    d2 = xor_bytes(h_digest(n, password), b)
     tally(counts, 5, 4, 0)
     return SmartCard(BitString(xor_bytes(mk, r)), BitString(im2), BitString(d1), BitString(d2))
 
@@ -191,9 +182,8 @@ def user_login_start(
     password = as_bytes(password)
     u = rng.draw_exponent()
     n = len(card.d2.data)
-    h_pw, state = _h_pw(password, n)
-    state.update(xor_bytes(card.d2.data, h_pw))  # b = D2 xor h(pw)
-    k = xor_bytes(card.d1.data, state.digest()[:n])
+    b = xor_bytes(card.d2.data, h_digest(n, password))
+    k = xor_bytes(card.d1.data, h_digest(n, password, b))
     tuk = cheb_eval(u, bits_to_field(k, prime))
     t1 = clock.now()
     x1 = h_digest(n, k, card.im1.data, card.im2.data, tuk.to_bytes(), t1.to_bytes())
@@ -289,32 +279,26 @@ def change_password(
     registration raises EmptyCredential for it, and the card then logs in
     with b"".
     """
+    old_password, new_password = as_bytes(old_password), as_bytes(new_password)
     n = len(card.d2.data)
-    h_old, old_state = _h_pw(as_bytes(old_password), n)
-    h_new, new_state = _h_pw(as_bytes(new_password), n)
-    b = xor_bytes(card.d2.data, h_old)
-    old_state.update(b)
-    new_state.update(b)
-    d1 = xor_bytes(xor_bytes(card.d1.data, old_state.digest()[:n]), new_state.digest()[:n])
+    b = xor_bytes(card.d2.data, h_digest(n, old_password))
+    k = xor_bytes(card.d1.data, h_digest(n, old_password, b))
+    d1 = xor_bytes(k, h_digest(n, new_password, b))
+    d2 = xor_bytes(h_digest(n, new_password), b)
     tally(counts, 4, 4, 0)
-    return SmartCard(card.im1, card.im2, BitString(d1), BitString(xor_bytes(h_new, b)))
+    return SmartCard(card.im1, card.im2, BitString(d1), BitString(d2))
 
 
 class ChannelEvent(Frozen):
-    """One message crossing the public channel, as an eavesdropper sees it."""
+    """One message crossing the public channel, as an eavesdropper sees it.
 
-    __slots__ = __match_args__ = ("direction", "message", "sent_at", "delivered_at")
+    The message's type gives the direction and its T1 or T2 the send time.
+    """
 
-    def __init__(
-        self,
-        direction: str,  # "user->server" or "server->user"
-        message: object,  # LoginRequest | LoginResponse
-        sent_at: Timestamp,
-        delivered_at: Timestamp,
-    ):
-        _set(self, "direction", direction)
+    __slots__ = __match_args__ = ("message", "delivered_at")
+
+    def __init__(self, message: LoginRequest | LoginResponse, delivered_at: Timestamp):
         _set(self, "message", message)
-        _set(self, "sent_at", sent_at)
         _set(self, "delivered_at", delivered_at)
 
 
@@ -368,13 +352,13 @@ def run_login_session(
         raise ValueError("clock cannot move backwards")
     m1, ctx = user_login_start(card, password, clock, rng, prime=server.p, counts=user_counts)
     clock.advance(channel_delay)
-    events = [ChannelEvent("user->server", m1, m1.t1, clock.now())]
+    events = [ChannelEvent(m1, clock.now())]
     result = server_handle_login(server, m1, clock, rng, counts=server_counts)
     if isinstance(result, Reject):
         return LoginSession(card, None, None, result, "server", events)
     m2, server_key = result
     clock.advance(channel_delay)
-    events.append(ChannelEvent("server->user", m2, m2.t2, clock.now()))
+    events.append(ChannelEvent(m2, clock.now()))
     result = user_handle_response(card, ctx, m2, clock, delta_t=server.delta_t, counts=user_counts)
     if isinstance(result, Reject):
         return LoginSession(card, None, server_key, result, "user", events)

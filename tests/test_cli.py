@@ -202,6 +202,17 @@ def test_invalid_experiment_exits_3_with_its_reason(tmp_path, capsys, command, m
     assert capsys.readouterr().err == f"chebauth: error: {message}\n"
 
 
+def test_wrong_password_colliding_at_toy_width_exits_3(tmp_path, capsys):
+    # at width 8 about 0.78% of wrong passwords pass X1 (tests/test_rates.py);
+    # seed 47's "sunrise77-typo" is one, and the message must not call it right
+    status, report = run(tmp_path, "wrong-login-demo", "--width", "8", "--seed", "47")
+    assert status == 3 and report is None
+    assert capsys.readouterr().err == (
+        "chebauth: error: server accepted the login: the supplied password is the true one"
+        " or collides with it at width 8\n"
+    )
+
+
 class TestDosDemo:
     def test_default_demo_confirms_dos(self, tmp_path):
         status, report = run(tmp_path, "dos-demo")

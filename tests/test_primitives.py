@@ -52,6 +52,12 @@ class TestBitString:
     def test_hex(self):
         assert BitString(b"\xab\xcd").hex() == "abcd"
 
+    def test_data_must_be_bytes_like(self):
+        assert type(BitString(bytearray(b"ab")).data) is bytes
+        for data in (4, [1, 2], "ab"):
+            with pytest.raises(TypeError):
+                BitString(data)
+
     def test_bad_widths_rejected(self):
         for width in (0, 4, 12, 264):
             with pytest.raises(ValueError):
@@ -276,3 +282,13 @@ class TestAsBytes:
 
     def test_bytes_passthrough(self):
         assert as_bytes(b"\x00\xff") == b"\x00\xff"
+
+    def test_bytes_like_copied_to_bytes(self):
+        for value in (bytearray(b"ab"), memoryview(b"ab")):
+            assert type(as_bytes(value)) is bytes and as_bytes(value) == b"ab"
+
+    @pytest.mark.parametrize("value", [3, 0, [97, 98], None, 2.5])
+    def test_other_types_rejected(self, value):
+        # bytes(3) is three zero bytes and bytes([97, 98]) is b"ab"; neither is text
+        with pytest.raises(TypeError):
+            as_bytes(value)

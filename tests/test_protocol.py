@@ -35,6 +35,13 @@ MK_SEED1 = "1e2feb89414c343c1027c4d1c386bbc4cd613e30d8f16adf91b7584a2265b1f5"
 MK_SEED2 = "5c6e433715ba2bdd177219d30e7a269fd95bafc8f2a4d27bdcf4bb99f4bea973"
 
 
+def clock_at(ticks: int) -> LogicalClock:
+    """A fresh clock advanced to the given tick."""
+    clock = LogicalClock()
+    clock.advance(ticks)
+    return clock
+
+
 class TestServerSetup:
     def test_deterministic(self):
         assert server_setup(7).mk == server_setup(7).mk
@@ -161,7 +168,7 @@ class TestLogin:
         # documented behaviour: the freshness check is one-sided, so an M1
         # stamped by a clock running ahead of the server's always passes it
         fx = make_fixture(31, delta_t=3)
-        user_clock, server_clock = LogicalClock(10 + ahead), LogicalClock(10)
+        user_clock, server_clock = clock_at(10 + ahead), clock_at(10)
         m1, _ = user_login_start(fx.card, fx.password, user_clock, fx.rng, prime=fx.server.p)
         result = server_handle_login(fx.server, m1, server_clock, fx.rng)
         assert not isinstance(result, Reject)
@@ -224,8 +231,8 @@ class TestLogin:
         # produce the identical response; nothing is remembered per user
         fx = make_fixture(30)
         m1, _ = user_login_start(fx.card, fx.password, fx.clock, fx.rng, prime=fx.server.p)
-        first = server_handle_login(fx.server, m1, LogicalClock(1), RandomSource(77))
-        second = server_handle_login(fx.server, m1, LogicalClock(1), RandomSource(77))
+        first = server_handle_login(fx.server, m1, clock_at(1), RandomSource(77))
+        second = server_handle_login(fx.server, m1, clock_at(1), RandomSource(77))
         assert first == second
 
     def test_key_agreement_over_many_seeds(self):
@@ -348,6 +355,21 @@ class TestEdges:
             changed = change_password(card, password, bytearray(b"new"))
             outputs.append((card, m1, changed))
         assert outputs[0] == outputs[1] == outputs[2]
+
+    def test_integer_credentials_rejected(self):
+        # bytes(3) would be three zero bytes: a card issued for, or a login
+        # with, a password nobody typed
+        fx = make_fixture(66)
+        with pytest.raises(TypeError):
+            registration(fx.server, 7, b"pw", RandomSource(9))
+        with pytest.raises(TypeError):
+            registration(fx.server, b"id", 3, RandomSource(9))
+        with pytest.raises(TypeError):
+            user_login_start(fx.card, 3, fx.clock, fx.rng, prime=fx.server.p)
+        with pytest.raises(TypeError):
+            change_password(fx.card, 3, b"new")
+        with pytest.raises(TypeError):
+            change_password(fx.card, fx.password, [110, 101, 119])
 
     def test_every_reject_returns_the_given_card(self):
         fx = make_fixture(64, delta_t=3)

@@ -1,4 +1,4 @@
-"""Failure rates of two weaknesses at a toy width, against their predictions.
+"""Failure rates of the three weaknesses at a toy width, against their predictions.
 
 At width w every hash is truncated to w bits, so a wrong password passes a
 check by collision with probability 2^-w per check. The predictions below
@@ -12,11 +12,15 @@ follow from the scheme's algebra, and each test's bounds are set from them
   service with probability 1 - (1 - 2^-w)^3.
 * Offline guessing. A decoy verifies when its derived k equals K or, if
   not, when its X1 collides with M1's: probability 1 - (1 - 2^-w)^2.
+* Wasted wrong-password login. The server accepts a wrong password on the
+  same two paths, so with the same probability, and wrong_login_experiment
+  then has no rejected round to report.
 """
 
 import math
 
-from chebauth.adversary import ExtractedCard, dos_experiment, guess_predicate
+from chebauth.adversary import (ExperimentInvalid, ExtractedCard, dos_experiment, guess_predicate,
+                                wrong_login_experiment)
 from chebauth.protocol import user_login_start
 
 from helpers import make_fixture
@@ -30,7 +34,7 @@ def dos_miss_rate(width: int) -> float:
 
 
 def false_match_rate(width: int) -> float:
-    """Probability that one decoy candidate passes the guess predicate."""
+    """Probability that one wrong password passes X1: a decoy in the scan, a typo at login."""
     return 1 - (1 - 2.0**-width) ** 2
 
 
@@ -67,3 +71,18 @@ def test_decoys_match_at_the_predicted_rate():
         assert guess_predicate(fx.password, card, m1)
         matches += sum(guess_predicate(f"decoy-{i}", card, m1) for i in range(decoys))
     assert bounds[0] <= matches <= bounds[1], matches
+
+
+def test_wrong_password_is_accepted_at_the_predicted_rate():
+    runs = 6000
+    bounds = four_sigma_bounds(runs, false_match_rate(WIDTH))
+    assert bounds == (20, 74)
+    accepted = 0
+    for seed in range(runs):
+        fx = make_fixture(seed, width=WIDTH, prime=PRIME)
+        try:
+            wrong_login_experiment(fx.card, fx.password + b"-typo", fx.server, fx.clock, fx.rng)
+        except ExperimentInvalid as exc:
+            assert str(exc).startswith("server accepted the login: "), exc
+            accepted += 1
+    assert bounds[0] <= accepted <= bounds[1], accepted
