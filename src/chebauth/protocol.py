@@ -10,8 +10,8 @@ The phases compute on bytes and ints: one join per hashed tuple into
 h_digest or H_digest, so h(pw) and h(pw || b) are one call each as the
 scheme writes them, and XOR through xor_bytes. BitString is built only for
 what crosses a boundary (card and message fields, session keys), and each
-phase tallies its exact operations once per exit path. hash_h, xor and concat stay the public
-primitives that tests, oracles and tracers use.
+phase tallies its exact operations once per exit path. hash_h, xor and
+concat stay the public primitives that tests, oracles and tracers use.
 """
 
 from enum import Enum
