@@ -4,14 +4,28 @@ The value types are plain ``__slots__`` classes, not dataclasses: importing
 ``dataclasses`` (which pulls in ``inspect``) and generating the methods of each
 class at import time cost every fresh CLI process about 14 ms, several times
 the work of a command. A subclass names its fields once, as
-``__slots__ = __match_args__ = (...)``, and takes them in that order in its
-``__init__``, which sets each one (through ``_set`` on a frozen type);
-equality, hashing, repr and pickling follow from that tuple.
+``__slots__ = __match_args__ = (...)``, and equality, hashing, repr, pickling
+and ``__init__`` follow from that tuple. The ``__init__`` is compiled once per
+class, as ``collections.namedtuple`` compiles its ``__new__``: it takes every
+field, in order, and sets each through ``_set``, so Python binds the arguments
+and raises the usual ``TypeError`` on a bad call. Only the classes that
+validate their input or have defaults write their own, taking the fields in
+the same order: ``FieldElement``, ``BitString``, ``Timestamp``, ``OpCounts``,
+``SmartCard``, ``Transcript`` and ``Dictionary``.
 """
 
 from operator import attrgetter
 
 _set = object.__setattr__  # frozen types set their fields through this in __init__
+
+
+def _compiled_init(cls, fields):
+    """``def __init__(self, a, b): _set(self, "a", a); _set(self, "b", b)``."""
+    body = "".join(f"\n    _set(self, {name!r}, {name})" for name in fields)
+    namespace = {"_set": _set, "__name__": cls.__module__}
+    exec(f"def __init__(self, {', '.join(fields)}):{body}", namespace)
+    namespace["__init__"].__qualname__ = f"{cls.__qualname__}.__init__"  # as TypeErrors name it
+    return namespace["__init__"]
 
 
 class Record:
@@ -23,9 +37,12 @@ class Record:
     __slots__ = ()
 
     def __init_subclass__(cls):
-        if "__match_args__" in vars(cls):
+        fields = vars(cls).get("__match_args__")
+        if fields is not None:
             # The fields read at C speed: a tuple of them, or the only one.
-            cls._key = property(attrgetter(*cls.__match_args__))
+            cls._key = property(attrgetter(*fields))
+            if "__init__" not in vars(cls):
+                cls.__init__ = _compiled_init(cls, fields)
 
     def __eq__(self, other):
         if other.__class__ is self.__class__:

@@ -85,14 +85,19 @@ class Dictionary(Frozen):
 
     @classmethod
     def from_file(cls, path) -> "Dictionary":
-        """Load a UTF-8 word list: one password per line, LF-terminated, no blanks.
+        """Load a UTF-8 word list: one password per line, LF-terminated, no blanks, no BOM.
 
         One pass after the split: a single set of the lines answers both the
         blank-line and the duplicate check, and the lines, already bytes, are
         stored without going back through __init__'s per-candidate conversion.
         """
         data = Path(path).read_bytes()  # no newline translation
-        data.decode("utf-8")  # raises UnicodeDecodeError unless the whole file is UTF-8
+        if data.startswith(b"\xef\xbb\xbf"):  # it would become part of the first candidate
+            raise ValueError(f"{path}: starts with a UTF-8 byte-order mark; remove it")
+        try:
+            data.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise ValueError(f"{path}: not UTF-8 at byte {exc.start}") from exc
         if b"\r" in data:
             raise ValueError(f"{path}: CR characters found; lines must be LF-terminated")
         lines = data.split(b"\n")
@@ -115,24 +120,15 @@ class Dictionary(Frozen):
 
 
 class GuessReport(Record):
-    """Outcome and cost of one offline dictionary scan."""
+    """Outcome and cost of one offline dictionary scan; recovered is None on a miss."""
 
     __slots__ = __match_args__ = ("recovered", "guesses", "counts")
-
-    def __init__(self, recovered: bytes | None, guesses: int, counts: OpCounts):
-        self.recovered = recovered
-        self.guesses = guesses
-        self.counts = counts
 
 
 class DosReport(Record):
     """Probe verdicts and cost of one password-change denial-of-service run."""
 
     __slots__ = __match_args__ = ("probes", "counts")
-
-    def __init__(self, probes: dict, counts: OpCounts):
-        self.probes = probes
-        self.counts = counts
 
     @property
     def dos_confirmed(self) -> bool:

@@ -22,8 +22,8 @@ from .adversary import (
     offline_guess,
     wrong_login_experiment,
 )
-from .chaotic import DEFAULT_PRIME, backend_name
-from .primitives import DEFAULT_WIDTH, LogicalClock, OpCounts, RandomSource
+from .chaotic import DEFAULT_PRIME, FieldElement, backend_name
+from .primitives import DEFAULT_WIDTH, BitString, LogicalClock, OpCounts, RandomSource, Timestamp
 from .protocol import (
     DEFAULT_DELTA_T,
     LoginRequest,
@@ -55,38 +55,26 @@ def _setup(args: argparse.Namespace):
     return server, rng, clock, card
 
 
+_FIELD_JSON = {BitString: BitString.hex, FieldElement: str, Timestamp: lambda stamp: stamp.ticks}
+
+
 def _message_json(message) -> dict:
-    if isinstance(message, LoginRequest):
-        return {
-            "type": "login_request",
-            "im1": message.im1.hex(),
-            "im2": message.im2.hex(),
-            "tuk": str(message.tuk),
-            "x1": message.x1.hex(),
-            "t1": message.t1.ticks,
-        }
-    return {
-        "type": "login_response",
-        "y1": message.y1.hex(),
-        "y2": message.y2.hex(),
-        "y3": message.y3.hex(),
-        "tvk": str(message.tvk),
-        "t2": message.t2.ticks,
-    }
+    """M1 or M2, its fields in declared order, each encoded by its type."""
+    encoded = {"type": "login_request" if isinstance(message, LoginRequest) else "login_response"}
+    for name in message.__match_args__:
+        value = getattr(message, name)
+        encoded[name] = _FIELD_JSON[type(value)](value)
+    return encoded
 
 
 def _event_json(event) -> dict:
-    """One transcript entry: M1 goes user to server at T1, M2 back at T2."""
-    message = event.message
-    if isinstance(message, LoginRequest):
-        direction, sent_at = "user->server", message.t1
-    else:
-        direction, sent_at = "server->user", message.t2
+    """One transcript entry: M1 goes user to server, M2 back, each sent at its last field, T1 or T2."""
+    message = _message_json(event.message)
     return {
-        "direction": direction,
-        "sent_at": sent_at.ticks,
+        "direction": "user->server" if message["type"] == "login_request" else "server->user",
+        "sent_at": message[event.message.__match_args__[-1]],
         "delivered_at": event.delivered_at.ticks,
-        "message": _message_json(message),
+        "message": message,
     }
 
 

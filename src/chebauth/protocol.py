@@ -17,9 +17,9 @@ concat stay the public primitives that tests, oracles and tracers use.
 from enum import Enum
 
 from ._value import Frozen, Record, _set
-from .chaotic import DEFAULT_PRIME, FieldElement, bits_to_field, cheb_eval, is_probable_prime
+from .chaotic import DEFAULT_PRIME, bits_to_field, cheb_eval, is_probable_prime
 from .primitives import (DEFAULT_WIDTH, BitString, H_digest, LogicalClock, OpCounts, RandomSource,
-                         Timestamp, as_bytes, h_digest, tally, xor_bytes)
+                         as_bytes, h_digest, tally, xor_bytes)
 
 #: Default freshness window, in clock ticks.
 DEFAULT_DELTA_T = 5
@@ -39,9 +39,6 @@ class Reject(Frozen):
 
     __slots__ = __match_args__ = ("reason",)
 
-    def __init__(self, reason: RejectReason):
-        _set(self, "reason", reason)
-
 
 class ServerState(Frozen):
     """Long-term server state: master key, modulus, freshness window.
@@ -51,11 +48,6 @@ class ServerState(Frozen):
     """
 
     __slots__ = __match_args__ = ("mk", "p", "delta_t")
-
-    def __init__(self, mk: BitString, p: int, delta_t: int):
-        _set(self, "mk", mk)
-        _set(self, "p", p)
-        _set(self, "delta_t", delta_t)
 
     @property
     def width(self) -> int:
@@ -83,39 +75,21 @@ class SmartCard(Frozen):
 
 
 class LoginRequest(Frozen):
-    """First wire message M1 = {IM1, IM2, T_u(K), X1, T1}."""
+    """First wire message M1 = {IM1, IM2, T_u(K), X1, T1}: BitStrings, a FieldElement, a Timestamp."""
 
     __slots__ = __match_args__ = ("im1", "im2", "tuk", "x1", "t1")
 
-    def __init__(self, im1: BitString, im2: BitString, tuk: FieldElement, x1: BitString, t1: Timestamp):
-        _set(self, "im1", im1)
-        _set(self, "im2", im2)
-        _set(self, "tuk", tuk)
-        _set(self, "x1", x1)
-        _set(self, "t1", t1)
-
 
 class LoginResponse(Frozen):
-    """Second wire message M2 = {Y1, Y2, Y3, T_v(K'), T2}."""
+    """Second wire message M2 = {Y1, Y2, Y3, T_v(K'), T2}: BitStrings, a FieldElement, a Timestamp."""
 
     __slots__ = __match_args__ = ("y1", "y2", "y3", "tvk", "t2")
-
-    def __init__(self, y1: BitString, y2: BitString, y3: BitString, tvk: FieldElement, t2: Timestamp):
-        _set(self, "y1", y1)
-        _set(self, "y2", y2)
-        _set(self, "y3", y3)
-        _set(self, "tvk", tvk)
-        _set(self, "t2", t2)
 
 
 class UserLoginContext(Frozen):
     """Card-side secrets held between sending M1 and handling M2: u and T_u(K)."""
 
     __slots__ = __match_args__ = ("u", "tuk")
-
-    def __init__(self, u: int, tuk: FieldElement):
-        _set(self, "u", u)
-        _set(self, "tuk", tuk)
 
 
 def server_setup(
@@ -297,31 +271,11 @@ class ChannelEvent(Frozen):
 
     __slots__ = __match_args__ = ("message", "delivered_at")
 
-    def __init__(self, message: LoginRequest | LoginResponse, delivered_at: Timestamp):
-        _set(self, "message", message)
-        _set(self, "delivered_at", delivered_at)
-
 
 class LoginSession(Record):
-    """Outcome of one driven login round trip."""
+    """Outcome of one driven login round trip; rejected_by is "server", "user" or None."""
 
     __slots__ = __match_args__ = ("card", "user_key", "server_key", "reject", "rejected_by", "events")
-
-    def __init__(
-        self,
-        card: SmartCard,
-        user_key: BitString | None,
-        server_key: BitString | None,
-        reject: Reject | None,
-        rejected_by: str | None,  # "server" | "user" | None
-        events: list,
-    ):
-        self.card = card
-        self.user_key = user_key
-        self.server_key = server_key
-        self.reject = reject
-        self.rejected_by = rejected_by
-        self.events = events
 
     @property
     def ok(self) -> bool:

@@ -467,7 +467,15 @@ class TestDictionary:
     def test_invalid_utf8_rejected(self, tmp_path):
         path = tmp_path / "words.txt"
         path.write_bytes(b"alpha\nbeta\ngam\xffma\n")
-        with pytest.raises(UnicodeDecodeError):
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: not UTF-8 at byte 14$") as exc:
+            Dictionary.from_file(path)
+        assert isinstance(exc.value.__cause__, UnicodeDecodeError)
+
+    def test_byte_order_mark_rejected(self, tmp_path):
+        # loaded, the BOM would be part of the first candidate, which then never matches
+        path = tmp_path / "words.txt"
+        path.write_bytes(b"\xef\xbb\xbfsunrise77\n")
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: starts with a UTF-8 byte-order mark"):
             Dictionary.from_file(path)
 
     def test_duplicates_rejected(self, tmp_path):

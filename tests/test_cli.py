@@ -173,6 +173,18 @@ class TestGuessAttack:
         status, report = run(tmp_path, "guess-attack", "--dict", str(path))
         assert status == 3 and report is None
 
+    @pytest.mark.parametrize("content, reason", [
+        (b"\xef\xbb\xbfsunrise77\n", "starts with a UTF-8 byte-order mark; remove it"),
+        (b"alpha\nsun\xffrise77\n", "not UTF-8 at byte 9"),
+    ], ids=["byte-order-mark", "not-utf-8"])
+    def test_undecodable_dictionary_error_names_the_file(self, tmp_path, capsys, content, reason):
+        # behind a BOM the true password would be missed, with exit 2
+        path = tmp_path / "words.txt"
+        path.write_bytes(content)
+        status, report = run(tmp_path, "guess-attack", "--dict", str(path))
+        assert status == 3 and report is None
+        assert capsys.readouterr().err == f"chebauth: error: {path}: {reason}\n"
+
 
 class TestWrongLoginDemo:
     def test_default_demo(self, tmp_path):
@@ -334,6 +346,15 @@ class TestPlumbing:
         validate(report)
         with pytest.raises(jsonschema.ValidationError):
             validate({**report, "experiment": {**report["experiment"], "server_rejected": False}})
+
+    def test_schema_rejects_a_guess_report_with_multiple_matches(self, tmp_path):
+        # offline_guess stops at its first match, so only false is valid
+        dict_path = write_dictionary(tmp_path, ["decoy", "sunrise77"])
+        status, report = run(tmp_path, "guess-attack", "--dict", dict_path)
+        assert status == 0
+        validate(report)
+        with pytest.raises(jsonschema.ValidationError):
+            validate({**report, "attack": {**report["attack"], "multiple_matches": True}})
 
     def test_cli_import_loads_neither_dataclasses_nor_inspect(self):
         # Each CLI run is a fresh interpreter, and these two cost it about 6 ms

@@ -1,8 +1,8 @@
 """The value-type contract shared by every record the package defines.
 
-Positional and keyword construction, field order, equality by class and
-fields, hashing and immutability of the frozen types, repr, pickle and
-deepcopy round trips.
+Positional and keyword construction, field order, the TypeError of a bad
+call, equality by class and fields, hashing and immutability of the frozen
+types, repr, pickle and deepcopy round trips.
 """
 
 import copy
@@ -10,6 +10,8 @@ import pickle
 
 import pytest
 
+import chebauth.cli  # noqa: F401  (every module loaded, for the Record walk)
+from chebauth._value import Frozen, Record
 from chebauth.adversary import (
     Dictionary,
     DosReport,
@@ -92,6 +94,36 @@ def test_value_type_contract(cls, fields, changed, frozen):
             hash(value)
         setattr(value, name, changed[name])
         assert value == cls(**{**fields, **changed})
+
+
+@pytest.mark.parametrize("cls, fields, changed, frozen", CASES, ids=[c[0].__name__ for c in CASES])
+def test_constructor_rejects_a_bad_call(cls, fields, changed, frozen):
+    # __reduce__ rebuilds through __init__, so it must take exactly the fields, in order
+    values = list(fields.values())
+    first = next(iter(fields))
+    bad_calls = {
+        "extra positional": lambda: cls(*values, values[0]),
+        "unknown keyword": lambda: cls(*values, unknown=values[0]),
+        "field given twice": lambda: cls(*values, **{first: values[0]}),
+    }
+    if cls is not OpCounts:  # which defaults every count to 0
+        bad_calls["missing field"] = lambda: cls(*values[:-1])
+    for label, call in bad_calls.items():
+        try:
+            call()
+        except TypeError:
+            continue
+        pytest.fail(f"{cls.__name__} accepted a call with a {label}")
+
+
+def test_every_value_type_has_a_case():
+    def subclasses(cls):
+        for sub in cls.__subclasses__():
+            yield sub
+            yield from subclasses(sub)
+
+    defined = {cls for cls in subclasses(Record) if cls.__module__.startswith("chebauth.")}
+    assert defined - {Frozen} == {case[0] for case in CASES}
 
 
 def test_repr_literal():
