@@ -8,7 +8,7 @@ either one alone validates nothing (the tests check this explicitly).
 from pathlib import Path
 
 from ._value import Frozen, Record, _set
-from .primitives import BitString, LogicalClock, OpCounts, RandomSource, as_bytes, h_state
+from .primitives import LogicalClock, OpCounts, RandomSource, as_bytes, h_state
 
 # Not called here. It stays bound because perfbench/tracer.py wraps hash_h
 # under every module name bound to it, and its tests expect this one.
@@ -41,12 +41,6 @@ class ExtractedCard(SmartCard):
     @classmethod
     def from_card(cls, card: SmartCard) -> "ExtractedCard":
         return cls(im1=card.im1, im2=card.im2, d1=card.d1, d2=card.d2)
-
-    @classmethod
-    def zeroed(cls, width: int) -> "ExtractedCard":
-        """All-zero stand-in used to show the card leak is necessary."""
-        z = BitString.zeros(width)
-        return cls(im1=z, im2=z, d1=z, d2=z)
 
 
 class Transcript(Frozen):

@@ -11,6 +11,15 @@ computation of full Lucas sequences", Electronics Letters 32(6), 1996),
 which costs one squaring and one multiplication per exponent bit.
 _cheb_pure keeps the T-form fast-doubling kernel as the reference the tests
 compare it against.
+
+A base evaluated again and again, an authenticated user's long-term key K,
+is read instead from a fixed-base table (Brickell, Gordon, McCurley and
+Wilson, "Fast exponentiation with precomputation", EUROCRYPT '92): T_n(x)
+is the real part of alpha^n in F_p[t]/(t^2 - d), d = x^2 - 1, alpha = x + t.
+alpha has norm 1, so alpha^(-m) is the conjugate of alpha^m, and an exponent
+below 2^64 in 33 signed base-4 digits in [-1, 2] costs about 25 ring
+products, 50 modular reductions against the ladder's 128. Only _tabulate
+fills the process-wide memo of tables.
 """
 
 from ._value import Frozen, _set
@@ -55,13 +64,67 @@ class FieldElement(Frozen):
         return str(self.value)
 
 
+# Tables cover RandomSource.EXPONENT_RANGE (primitives imports this module):
+# one row per signed base-4 digit below 2^64, plus the carry row. The plain
+# base-4 digits of n + _ONES are the signed digits of n, each plus one.
+_TABLE_LIMIT = 1 << 64
+_ROWS = 33
+_ONES = int("1" * _ROWS, 4)
+_tables: dict = {}  # (value, p) -> table
+
+
+def _tabulate(x: FieldElement) -> None:
+    """Store the fixed-base table of x, which cheb_eval reads from then on.
+
+    Row i is the flat tuple (a_1, b_1, db_1, a_2, b_2, db_2) with a_j + b_j*t
+    = alpha^(j*4^i) and db_j = d*b_j mod p; the carry row holds j = 1 only.
+    A build costs about two ladders. There is no eviction: a table is 195
+    field elements, about 12 KB at the 256-bit prime.
+    """
+    key = (x.value, x.p)
+    if key in _tables:
+        return
+    a, p = key
+    b, db = 1, (a * a - 1) % p
+    rows = []
+    for _ in range(_ROWS - 1):
+        # z^2 = 2*Re(z)*z - 1 for z of norm 1: alpha^(2*4^i), then alpha^(4^(i+1))
+        c = 2 * a
+        a2, b2, db2 = (c * a - 1) % p, c * b % p, c * db % p
+        rows.append((a, b, db, a2, b2, db2))
+        c = 2 * a2
+        a, b, db = (c * a2 - 1) % p, c * b2 % p, c * db2 % p
+    rows.append((a, b, db))
+    _tables[key] = tuple(rows)
+
+
+def _table_eval(n: int, rows: tuple, p: int) -> int:
+    """T_n(x) mod p for 0 <= n < _TABLE_LIMIT from the table rows of x."""
+    m = n + _ONES
+    ra, rb = 1, 0
+    for row in rows:
+        digit = (m & 3) - 1
+        m >>= 2
+        if digit > 0:
+            i = 3 * digit
+            a, b, db = row[i - 3], row[i - 2], row[i - 1]
+            ra, rb = (ra * a + rb * db) % p, (ra * b + rb * a) % p
+        elif digit:  # -1: the conjugate of alpha^(4^i)
+            a, b, db = row[0], row[1], row[2]
+            ra, rb = (ra * a - rb * db) % p, (rb * a - ra * b) % p
+    return ra
+
+
 def cheb_eval(n: int, x: FieldElement) -> FieldElement:
     """Evaluate T_n(x) mod p in O(log n) field multiplications.
 
     T_0(x) = 1, T_1(x) = x, T_n(x) = 2*x*T_{n-1}(x) - T_{n-2}(x). n = 0 is
     accepted (and returns 1) even though the protocol never samples it.
 
-    Works on V_k = 2*T_k: from the top bit of n down it carries
+    A base that _tabulate has stored is read from its table when n < 2^64:
+    one ring product (four multiplications, two reductions) per nonzero
+    signed digit, the same value. Any other base or exponent runs the
+    ladder on V_k = 2*T_k: from the top bit of n down it carries
     (V_k, V_{k+1}) and per bit applies
         V_{2k}   = V_k^2 - 2
         V_{2k+1} = V_k*V_{k+1} - V_1
@@ -74,6 +137,9 @@ def cheb_eval(n: int, x: FieldElement) -> FieldElement:
     p = x.p
     if n == 0:
         return FieldElement(1, p)
+    rows = _tables.get((x.value, p))
+    if rows is not None and n < _TABLE_LIMIT:
+        return FieldElement(_table_eval(n, rows, p), p)
     v1 = 2 * x.value % p
     v, w = v1, (v1 * v1 - 2) % p
     for bit in bin(n)[3:]:

@@ -12,12 +12,18 @@ scheme writes them, and XOR through xor_bytes. BitString is built only for
 what crosses a boundary (card and message fields, session keys), and each
 phase tallies its exact operations once per exit path. hash_h, xor and
 concat stay the public primitives that tests, oracles and tracers use.
+
+Once X1 verifies, the server has the chaotic kernel tabulate the recovered
+K, so that T_v(K) here and the card's T_u(K) in later logins are read from
+a fixed-base table. That memo is not protocol state: no decision reads it,
+and every value is the one the ladder gives. Bases that fail X1 and the
+per-session bases T_u(K) and T_v(K) are never tabulated.
 """
 
 from enum import Enum
 
 from ._value import Frozen, Record, _set
-from .chaotic import DEFAULT_PRIME, bits_to_field, cheb_eval, is_probable_prime
+from .chaotic import DEFAULT_PRIME, _tabulate, bits_to_field, cheb_eval, is_probable_prime
 from .primitives import (DEFAULT_WIDTH, BitString, H_digest, LogicalClock, OpCounts, RandomSource,
                          as_bytes, h_digest, tally, xor_bytes)
 
@@ -195,8 +201,10 @@ def server_handle_login(
     v = rng.draw_exponent()
     im1_new = xor_bytes(mk, r_new)
     im2_new = xor_bytes(h_digest(n, mk, r_new), id_rec)
+    k = bits_to_field(k_rec, server.p)
+    _tabulate(k)
     tvtuk = cheb_eval(v, m1.tuk)
-    tvk = cheb_eval(v, bits_to_field(k_rec, server.p))
+    tvk = cheb_eval(v, k)
     tvk_bytes, t2_bytes = tvk.to_bytes(), t2.to_bytes()
     session_key = H_digest(n, m1.tuk.to_bytes(), tvk_bytes, tvtuk.to_bytes())
     pad = h_digest(n, session_key, t2_bytes)

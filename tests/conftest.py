@@ -1,0 +1,13 @@
+"""Fixtures shared by the test modules."""
+
+import pytest
+
+from chebauth import chaotic
+
+
+@pytest.fixture
+def cold_memo():
+    """The kernel's fixed-base memo, emptied before and after the test."""
+    chaotic._tables.clear()
+    yield chaotic._tables
+    chaotic._tables.clear()

@@ -2,8 +2,10 @@
 
 from types import SimpleNamespace
 
+from chebauth.adversary import ExtractedCard
 from chebauth.chaotic import DEFAULT_PRIME
-from chebauth.primitives import DEFAULT_WIDTH, LogicalClock, RandomSource, as_bytes, concat, hash_h, xor
+from chebauth.primitives import (DEFAULT_WIDTH, BitString, LogicalClock, RandomSource, as_bytes, concat,
+                                 hash_h, xor)
 from chebauth.protocol import DEFAULT_DELTA_T, registration, server_setup
 
 
@@ -42,6 +44,12 @@ def guess_predicate_oracle(candidate, card, m1, counts=None) -> bool:
     k_guess = xor(card.d1, hash_h(concat([cand, b_guess]), w, counts), counts)
     check = hash_h(concat([k_guess, m1.im1, m1.im2, m1.tuk, m1.t1]), w, counts)
     return check == m1.x1
+
+
+def zeroed_card(width: int) -> ExtractedCard:
+    """All-zero stand-in for an extracted card, used to show the card leak is necessary."""
+    z = BitString.zeros(width)
+    return ExtractedCard(im1=z, im2=z, d1=z, d2=z)
 
 
 def make_fixture(

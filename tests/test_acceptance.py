@@ -20,7 +20,7 @@ from chebauth.adversary import (
 from chebauth.chaotic import DEFAULT_PRIME, FieldElement, cheb_eval
 from chebauth.protocol import registration, run_login_session, user_login_start
 
-from helpers import cheb_naive_sequence, make_fixture
+from helpers import cheb_naive_sequence, make_fixture, zeroed_card
 
 
 def report_line(name, ok, detail=""):
@@ -110,7 +110,7 @@ def test_criterion_4_both_leaks_necessary():
     false_validations = 0
     for seed in range(100):
         fx, extracted, m1 = _attack_fixture(seed)
-        if guess_predicate(fx.password, ExtractedCard.zeroed(fx.card.width), m1):
+        if guess_predicate(fx.password, zeroed_card(fx.card.width), m1):
             false_validations += 1
         # a request by a different user of the same server
         other_card = registration(fx.server, f"other-{seed}".encode(), fx.password, fx.rng)

@@ -23,7 +23,7 @@ from chebauth.chaotic import DEFAULT_PRIME
 from chebauth.primitives import BitString, OpCounts
 from chebauth.protocol import LoginRequest, LoginResponse, SmartCard, run_login_session, user_login_start
 
-from helpers import guess_predicate_oracle, make_fixture
+from helpers import guess_predicate_oracle, make_fixture, zeroed_card
 
 
 def intercepted_m1(fx):
@@ -55,7 +55,7 @@ class TestGuessPredicate:
     def test_card_leak_is_necessary(self):
         fx = make_fixture(53)
         _, m1 = intercepted_m1(fx)
-        zeroed = ExtractedCard.zeroed(fx.card.width)
+        zeroed = zeroed_card(fx.card.width)
         assert not guess_predicate(fx.password, zeroed, m1)
 
     def test_transcript_leak_is_necessary(self):
@@ -97,7 +97,7 @@ class TestGuessPredicate:
         fx = make_fixture(57, width=width, prime=prime, password="pâté-€-57")
         extracted, m1 = intercepted_m1(fx)
         _, foreign_m1 = intercepted_m1(make_fixture(58, width=width, prime=prime))
-        cards = (extracted, ExtractedCard.zeroed(width))
+        cards = (extracted, zeroed_card(width))
         candidates = (fx.password, fx.password.encode(), b"", "naïve", "日本語".encode())
         candidates += tuple(f"cand-{i}".encode() for i in range(40))
         for card, message, candidate in product(cards, (m1, foreign_m1), candidates):
@@ -412,8 +412,8 @@ class TestExtractedCard:
         )
 
     def test_zeroed(self):
-        z = ExtractedCard.zeroed(256)
-        assert z.im1.to_int() == 0 and z.width == 256
+        z = zeroed_card(256)
+        assert isinstance(z, ExtractedCard) and z.im1.to_int() == 0 and z.width == 256
 
     def test_mixed_widths_rejected_as_on_the_card(self):
         narrow, wide = BitString.zeros(64), BitString.zeros(128)

@@ -5,7 +5,7 @@ import pytest
 from chebauth import chaotic
 from chebauth._cheb_pure import cheb_eval_int as pure_eval
 from chebauth.chaotic import DEFAULT_PRIME, FieldElement, bits_to_field, cheb_eval, is_probable_prime
-from chebauth.primitives import BitString
+from chebauth.primitives import BitString, RandomSource
 
 from helpers import cheb_naive, cheb_naive_sequence
 
@@ -132,6 +132,62 @@ class TestBackends:
 
     def test_selected_backend_is_exposed(self):
         assert chaotic.backend_name == "pure"
+
+
+# The signed base-4 digits' edges: 2 is the largest digit, 3 carries, and
+# from 2^64 - 2 up the carry reaches the last row; 8, 9, 15, 16, 17 and
+# 2^64 - 8 are the same edges in base 16.
+EDGE_EXPONENTS = (0, 1, 2, 3, 4, 5, 8, 9, 15, 16, 17, 1 << 63, (1 << 64) - 8, (1 << 64) - 2,
+                  (1 << 64) - 1)
+
+
+class TestFixedBaseTable:
+    def test_table_path_matches_ladder_and_reference(self, cold_memo):
+        rng = random.Random(64)
+        for p in (17, 101, DEFAULT_PRIME):
+            for value in (0, 1, 2, p - 1, *(rng.randrange(p) for _ in range(4))):
+                x = fe(value, p)
+                exponents = EDGE_EXPONENTS + tuple(rng.randrange(1 << 64) for _ in range(30))
+                ladder = [cheb_eval(n, x) for n in exponents]
+                chaotic._tabulate(x)
+                assert (value, p) in cold_memo
+                for n, expected in zip(exponents, ladder):
+                    got = cheb_eval(n, x)
+                    assert got == expected and got.value == pure_eval(n, value, p), (n, value, p)
+
+    def test_table_matches_oracle_exhaustively_small_prime(self, cold_memo):
+        rng = random.Random(102)
+        for value in (0, 1, 2, 100, *(rng.randrange(101) for _ in range(4))):
+            x = fe(value, 101)
+            chaotic._tabulate(x)
+            seq = cheb_naive_sequence(2000, value, 101)
+            for n in range(2001):
+                assert cheb_eval(n, x).value == seq[n], (n, value)
+
+    def test_which_path_runs(self, cold_memo, monkeypatch):
+        x = fe(123456789, DEFAULT_PRIME)
+        chaotic._tabulate(x)
+        table_reads = []
+        table_eval = chaotic._table_eval
+        monkeypatch.setattr(chaotic, "_table_eval", lambda *a: table_reads.append(a[0]) or table_eval(*a))
+        # exponents from 2^64 up fall back to the ladder, and still agree
+        for n in (1 << 64, (1 << 64) + 1, (1 << 100) + 12345, (1 << 128) - 1):
+            assert cheb_eval(n, x).value == pure_eval(n, x.value, DEFAULT_PRIME), n
+        assert table_reads == []
+        cheb_eval((1 << 64) - 1, x)
+        cheb_eval(5, fe(123456788, DEFAULT_PRIME))  # an untabulated base
+        assert table_reads == [(1 << 64) - 1]
+
+    def test_tabulate_keeps_the_first_table(self, cold_memo):
+        x = fe(5, 101)
+        chaotic._tabulate(x)
+        table = cold_memo[(5, 101)]
+        chaotic._tabulate(fe(5, 101))
+        assert list(cold_memo) == [(5, 101)] and cold_memo[(5, 101)] is table
+        assert [len(row) for row in table] == [6] * (chaotic._ROWS - 1) + [3]
+
+    def test_table_covers_the_protocol_exponents(self):
+        assert chaotic._TABLE_LIMIT == RandomSource.EXPONENT_RANGE[1] == 4 ** (chaotic._ROWS - 1)
 
 
 class TestBitsToField:

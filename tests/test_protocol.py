@@ -1,7 +1,7 @@
 import pytest
 
 from chebauth import protocol
-from chebauth.chaotic import DEFAULT_PRIME
+from chebauth.chaotic import DEFAULT_PRIME, bits_to_field
 from chebauth.primitives import (
     BitString,
     LogicalClock,
@@ -9,6 +9,7 @@ from chebauth.primitives import (
     RandomSource,
     WidthMismatch,
     concat,
+    h_digest,
     hash_h,
     xor,
 )
@@ -226,12 +227,14 @@ class TestLogin:
         with pytest.raises(TypeError):
             user_handle_response(fx.card, ctx, m2, fx.clock)
 
-    def test_server_is_stateless(self):
+    def test_server_is_stateless(self, cold_memo):
         # the same request against equal clocks and equal rng states must
-        # produce the identical response; nothing is remembered per user
+        # produce the identical response; nothing is remembered per user.
+        # The first call runs with K untabulated, the second reads its table.
         fx = make_fixture(30)
         m1, _ = user_login_start(fx.card, fx.password, fx.clock, fx.rng, prime=fx.server.p)
         first = server_handle_login(fx.server, m1, clock_at(1), RandomSource(77))
+        assert cold_memo
         second = server_handle_login(fx.server, m1, clock_at(1), RandomSource(77))
         assert first == second
 
@@ -240,6 +243,50 @@ class TestLogin:
             fx = make_fixture(seed)
             session = run_login_session(fx.server, fx.card, fx.password, fx.clock, fx.rng)
             assert session.ok and session.keys_match, seed
+
+
+def memo_key(fx) -> tuple:
+    """(K, p) for the fixture's user, K = h(h(ID) || mk) as a field element."""
+    mk = fx.server.mk.data
+    k = h_digest(len(mk), h_digest(len(mk), fx.identity), mk)
+    return bits_to_field(k, fx.server.p).value, fx.server.p
+
+
+class TestFixedBaseMemo:
+    """Only an authenticated user's K gets a table in the kernel's memo."""
+
+    def test_honest_login_adds_exactly_k(self, cold_memo):
+        fx = make_fixture(34)
+        session = run_login_session(fx.server, fx.card, fx.password, fx.clock, fx.rng)
+        assert session.ok and session.keys_match
+        assert list(cold_memo) == [memo_key(fx)]
+        table = cold_memo[memo_key(fx)]
+        # later logins, after a password change and on a re-issued card, reuse that table
+        changed = change_password(session.card, fx.password, b"new-pw")
+        reissued = registration(fx.server, fx.identity, fx.password, fx.rng)
+        for card, password in ((session.card, fx.password), (changed, b"new-pw"), (reissued, fx.password)):
+            session = run_login_session(fx.server, card, password, fx.clock, fx.rng)
+            assert session.ok and session.keys_match
+        assert list(cold_memo) == [memo_key(fx)] and cold_memo[memo_key(fx)] is table
+
+    def test_unauthenticated_bases_add_nothing(self, cold_memo):
+        fx = make_fixture(35, delta_t=3)
+        wrong = run_login_session(fx.server, fx.card, b"typo", fx.clock, fx.rng)
+        assert wrong.reject == Reject(RejectReason.AUTH_FAILURE)
+        m1, ctx = user_login_start(fx.card, fx.password, fx.clock, fx.rng, prime=fx.server.p)
+        flipped = bytearray(m1.x1.data)
+        flipped[0] ^= 1
+        tampered = LoginRequest(m1.im1, m1.im2, m1.tuk, BitString(bytes(flipped)), m1.t1)
+        rejected = server_handle_login(fx.server, tampered, fx.clock, fx.rng)
+        assert rejected == Reject(RejectReason.AUTH_FAILURE)
+        stale = server_handle_login(fx.server, m1, clock_at(m1.t1.ticks + 4), fx.rng)
+        assert stale == Reject(RejectReason.STALE_TIMESTAMP)
+        assert not cold_memo
+        m2, _ = server_handle_login(fx.server, m1, fx.clock, fx.rng)
+        assert list(cold_memo) == [memo_key(fx)]
+        result = user_handle_response(fx.card, ctx, m2, fx.clock, delta_t=fx.server.delta_t)
+        assert not isinstance(result, Reject)
+        assert list(cold_memo) == [memo_key(fx)]
 
 
 def tallied(phase, *args, **kwargs):
