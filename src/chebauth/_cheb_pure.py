@@ -1,6 +1,6 @@
 """Reference kernel for Chebyshev evaluation mod p: T-form fast doubling.
 
-chaotic.cheb_eval runs the faster V-form ladder. This kernel stays as the
+chaotic.cheb_eval runs the faster V-form recurrence. This kernel stays as the
 independent reference it is compared against, by the tests and by the
 benchmark's kernel-agreement gate; nothing in the package calls it.
 """

@@ -5,21 +5,18 @@ identity T_u(T_v(x)) = T_v(T_u(x)) = T_{u*v}(x) holds bit for bit. That
 identity is what the key-agreement protocol and its attacks rest on;
 floating-point chaotic dynamics are deliberately out of scope.
 
-The evaluation kernel is the hot loop of every simulation. It runs the
-Lucas V-form ladder (V_n = 2*T_n; Joye and Quisquater, "Efficient
-computation of full Lucas sequences", Electronics Letters 32(6), 1996),
-which costs one squaring and one multiplication per exponent bit.
-_cheb_pure keeps the T-form fast-doubling kernel as the reference the tests
-compare it against.
+The evaluation kernel is the hot loop of every simulation. It runs one
+right-to-left recurrence on the Lucas sequence V_n = 2*T_n, built from the
+addition rule V_{a+b} = V_a*V_b - V_{a-b} (Joye and Quisquater, "Efficient
+computation of full Lucas sequences", Electronics Letters 32(6), 1996). Per
+exponent bit it costs one product and one squaring (V_{2^(j+1)} =
+V_{2^j}^2 - 2). _cheb_pure keeps the T-form fast-doubling kernel as the
+reference the tests compare it against.
 
-A base evaluated again and again, an authenticated user's long-term key K,
-is read instead from a fixed-base table (Brickell, Gordon, McCurley and
-Wilson, "Fast exponentiation with precomputation", EUROCRYPT '92): T_n(x)
-is the real part of alpha^n in F_p[t]/(t^2 - d), d = x^2 - 1, alpha = x + t.
-alpha has norm 1, so alpha^(-m) is the conjugate of alpha^m, and an exponent
-below 2^64 in 33 signed base-4 digits in [-1, 2] costs about 25 ring
-products, 50 modular reductions against the ladder's 128. Only _tabulate
-fills the process-wide memo of tables.
+The squarings depend on the base alone. A base evaluated again and again,
+an authenticated user's long-term key K, has them stored once: 64 values,
+after which an exponent below 2^64 costs one product per bit. Only
+_tabulate fills that process-wide memo.
 """
 
 from ._value import Frozen, _set
@@ -64,55 +61,30 @@ class FieldElement(Frozen):
         return str(self.value)
 
 
-# Tables cover RandomSource.EXPONENT_RANGE (primitives imports this module):
-# one row per signed base-4 digit below 2^64, plus the carry row. The plain
-# base-4 digits of n + _ONES are the signed digits of n, each plus one.
+# Memo entries cover RandomSource.EXPONENT_RANGE (primitives imports this
+# module): one V_{2^j} per bit of an exponent below 2^64.
 _TABLE_LIMIT = 1 << 64
-_ROWS = 33
-_ONES = int("1" * _ROWS, 4)
-_tables: dict = {}  # (value, p) -> table
+_tables: dict = {}  # (value, p) -> (V_1, V_2, V_4, ..., V_{2^63})
 
 
 def _tabulate(x: FieldElement) -> None:
-    """Store the fixed-base table of x, which cheb_eval reads from then on.
+    """Store the squaring chain of x, which cheb_eval reads from then on.
 
-    Row i is the flat tuple (a_1, b_1, db_1, a_2, b_2, db_2) with a_j + b_j*t
-    = alpha^(j*4^i) and db_j = d*b_j mod p; the carry row holds j = 1 only.
-    A build costs about two ladders. There is no eviction: a table is 195
-    field elements, about 12 KB at the 256-bit prime.
+    Entry j is V_{2^j} = 2*T_{2^j}(x) mod p, each the previous one squared
+    minus 2: 63 squarings, about half an evaluation without the chain. There
+    is no eviction: a chain is 64 field elements, about 4.5 KB at the
+    256-bit prime.
     """
     key = (x.value, x.p)
     if key in _tables:
         return
-    a, p = key
-    b, db = 1, (a * a - 1) % p
-    rows = []
-    for _ in range(_ROWS - 1):
-        # z^2 = 2*Re(z)*z - 1 for z of norm 1: alpha^(2*4^i), then alpha^(4^(i+1))
-        c = 2 * a
-        a2, b2, db2 = (c * a - 1) % p, c * b % p, c * db % p
-        rows.append((a, b, db, a2, b2, db2))
-        c = 2 * a2
-        a, b, db = (c * a2 - 1) % p, c * b2 % p, c * db2 % p
-    rows.append((a, b, db))
-    _tables[key] = tuple(rows)
-
-
-def _table_eval(n: int, rows: tuple, p: int) -> int:
-    """T_n(x) mod p for 0 <= n < _TABLE_LIMIT from the table rows of x."""
-    m = n + _ONES
-    ra, rb = 1, 0
-    for row in rows:
-        digit = (m & 3) - 1
-        m >>= 2
-        if digit > 0:
-            i = 3 * digit
-            a, b, db = row[i - 3], row[i - 2], row[i - 1]
-            ra, rb = (ra * a + rb * db) % p, (ra * b + rb * a) % p
-        elif digit:  # -1: the conjugate of alpha^(4^i)
-            a, b, db = row[0], row[1], row[2]
-            ra, rb = (ra * a - rb * db) % p, (rb * a - ra * b) % p
-    return ra
+    p = x.p
+    c = 2 * x.value % p
+    chain = [c]
+    for _ in range(_TABLE_LIMIT.bit_length() - 2):
+        c = (c * c - 2) % p
+        chain.append(c)
+    _tables[key] = tuple(chain)
 
 
 def cheb_eval(n: int, x: FieldElement) -> FieldElement:
@@ -121,32 +93,39 @@ def cheb_eval(n: int, x: FieldElement) -> FieldElement:
     T_0(x) = 1, T_1(x) = x, T_n(x) = 2*x*T_{n-1}(x) - T_{n-2}(x). n = 0 is
     accepted (and returns 1) even though the protocol never samples it.
 
-    A base that _tabulate has stored is read from its table when n < 2^64:
-    one ring product (four multiplications, two reductions) per nonzero
-    signed digit, the same value. Any other base or exponent runs the
-    ladder on V_k = 2*T_k: from the top bit of n down it carries
-    (V_k, V_{k+1}) and per bit applies
-        V_{2k}   = V_k^2 - 2
-        V_{2k+1} = V_k*V_{k+1} - V_1
-        V_{2k+2} = V_{k+1}^2 - 2
-    then halves V_n once. Unlike the T-form no operand is doubled, so each
-    square is a self-multiplication and takes CPython's squaring path.
+    Works on V_k = 2*T_k from the low bit of n up, by V_{a+b} = V_a*V_b -
+    V_{a-b}. With s = n mod 2^j it carries v = V_s and w = V_{2^j - s}, and
+    at bit j, with c = V_{2^j}, sets
+        v = v*c - w   on a 1 (s grows by 2^j),
+        w = w*c - v   on a 0,
+    then halves V_n once. A base that _tabulate has stored reads c from its
+    chain when n < 2^64: one product per bit. Any other base or exponent
+    squares c = c^2 - 2 as it goes, two products per bit.
     """
     if n < 0:
         raise ValueError("exponent must be non-negative")
     p = x.p
     if n == 0:
         return FieldElement(1, p)
-    rows = _tables.get((x.value, p))
-    if rows is not None and n < _TABLE_LIMIT:
-        return FieldElement(_table_eval(n, rows, p), p)
-    v1 = 2 * x.value % p
-    v, w = v1, (v1 * v1 - 2) % p
-    for bit in bin(n)[3:]:
-        if bit == "1":
-            v, w = (v * w - v1) % p, (w * w - 2) % p
-        else:
-            v, w = (v * v - 2) % p, (v * w - v1) % p
+    v, w = 2, 2 * x.value % p
+    bits = bin(n)[:2:-1]  # below the top bit, least significant first
+    chain = _tables.get((x.value, p)) if n < _TABLE_LIMIT else None
+    if chain:
+        for bit, c in zip(bits, chain):
+            if bit == "1":
+                v = (v * c - w) % p
+            else:
+                w = (w * c - v) % p
+        c = chain[len(bits)]
+    else:
+        c = w
+        for bit in bits:
+            if bit == "1":
+                v = (v * c - w) % p
+            else:
+                w = (w * c - v) % p
+            c = (c * c - 2) % p
+    v = (v * c - w) % p  # the top bit is a 1
     # p is odd, so V_n/2 mod p is V_n >> 1 or (V_n + p) >> 1, whichever is exact.
     return FieldElement((v + p) >> 1 if v & 1 else v >> 1, p)
 

@@ -5,7 +5,9 @@ dos-demo. Every run emits a JSON report (schema in docs/report.schema.json)
 whose fields, wall time aside, are a pure function of the configuration.
 
 Exit codes: 0 the expected outcome reproduced, 2 the experiment ran but
-contradicted the expected outcome, 3 configuration or I/O error.
+contradicted the expected outcome, 3 configuration or I/O error, or an
+invalid fixture: one that violates the experiment's precondition, such as a
+wrong password that passes X1 by truncation collision at a toy width.
 """
 
 import argparse

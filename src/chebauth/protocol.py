@@ -14,10 +14,11 @@ phase tallies its exact operations once per exit path. hash_h, xor and
 concat stay the public primitives that tests, oracles and tracers use.
 
 Once X1 verifies, the server has the chaotic kernel tabulate the recovered
-K, so that T_v(K) here and the card's T_u(K) in later logins are read from
-a fixed-base table. That memo is not protocol state: no decision reads it,
-and every value is the one the ladder gives. Bases that fail X1 and the
-per-session bases T_u(K) and T_v(K) are never tabulated.
+K, so that T_v(K) here and the card's T_u(K) in later logins read K's
+squaring chain instead of computing it. That memo is not protocol state: no
+decision reads it, and every value is the one an evaluation without it
+gives. Bases that fail X1 and the per-session bases T_u(K) and T_v(K) are
+never tabulated.
 """
 
 from enum import Enum
@@ -194,7 +195,8 @@ def server_handle_login(
     im1, im2 = m1.im1.data, m1.im2.data
     id_rec = xor_bytes(im2, h_digest(n, mk, xor_bytes(im1, mk)))
     k_rec = h_digest(n, id_rec, mk)
-    if h_digest(n, k_rec, im1, im2, m1.tuk.to_bytes(), m1.t1.to_bytes()) != m1.x1.data:
+    tuk_bytes = m1.tuk.to_bytes()
+    if h_digest(n, k_rec, im1, im2, tuk_bytes, m1.t1.to_bytes()) != m1.x1.data:
         tally(counts, 3, 2, 0)
         return Reject(RejectReason.AUTH_FAILURE)
     r_new = rng.draw_bytes(n)
@@ -206,7 +208,7 @@ def server_handle_login(
     tvtuk = cheb_eval(v, m1.tuk)
     tvk = cheb_eval(v, k)
     tvk_bytes, t2_bytes = tvk.to_bytes(), t2.to_bytes()
-    session_key = H_digest(n, m1.tuk.to_bytes(), tvk_bytes, tvtuk.to_bytes())
+    session_key = H_digest(n, tuk_bytes, tvk_bytes, tvtuk.to_bytes())
     pad = h_digest(n, session_key, t2_bytes)
     y3 = h_digest(n, session_key, im1_new, im2_new, tvk_bytes, t2_bytes)
     tally(counts, 7, 6, 2)

@@ -116,7 +116,7 @@ class TestBackends:
         with pytest.raises(ValueError):
             pure_eval(3, 0, 1)
 
-    def test_kernel_agrees_with_reference(self):
+    def test_kernel_agrees_with_reference(self, cold_memo):
         rng = random.Random(42)
         moduli = [5, 17, 101, (1 << 31) - 1, (1 << 61) - 1, (1 << 64) - 59, DEFAULT_PRIME]
         for _ in range(500):
@@ -124,21 +124,32 @@ class TestBackends:
             n = rng.randrange(0, 1 << rng.choice([3, 10, 33, 64, 128]))
             x = rng.randrange(p)
             assert cheb_eval(n, fe(x, p)).value == pure_eval(n, x, p), (n, x, p)
-        # the ladder's start values, and p - 1 where V_1 = 2x mod p is odd
+        # the recurrence's start values, and p - 1 where V_1 = 2x mod p is odd
         for p in moduli:
             for n in (0, 1, 2):
                 for x in (0, 1, p - 1):
                     assert cheb_eval(n, fe(x, p)).value == pure_eval(n, x, p), (n, x, p)
+        # degenerate bases (V_1 = 0, 2 and p - 2) at exponents of 1, 2, 63, 64
+        # and 65 bits, without and then with a memo entry; 65 bits is past it
+        for p in (17, 101, DEFAULT_PRIME):
+            for bits in (1, 2, 63, 64, 65):
+                exponents = (1 << (bits - 1), (1 << bits) - 1, rng.randrange(1 << (bits - 1), 1 << bits))
+                for x in (0, 1, p - 1):
+                    for memo in (False, True):
+                        if memo:
+                            chaotic._tabulate(fe(x, p))
+                        for n in exponents:
+                            assert cheb_eval(n, fe(x, p)).value == pure_eval(n, x, p), (n, x, p, memo)
 
     def test_selected_backend_is_exposed(self):
         assert chaotic.backend_name == "pure"
 
 
-# The signed base-4 digits' edges: 2 is the largest digit, 3 carries, and
-# from 2^64 - 2 up the carry reaches the last row; 8, 9, 15, 16, 17 and
-# 2^64 - 8 are the same edges in base 16.
-EDGE_EXPONENTS = (0, 1, 2, 3, 4, 5, 8, 9, 15, 16, 17, 1 << 63, (1 << 64) - 8, (1 << 64) - 2,
-                  (1 << 64) - 1)
+# Bit-length edges: 2^k - 1 sets v at every bit, 2^k sets w at every bit
+# below the top one, 2^k + 1 mixes both; 2^63 reads the chain's last entry
+# and 2^64 - 1 is the memo's top exponent.
+EDGE_EXPONENTS = (0, 1, 2, 3, 4, 5, 8, 9, 15, 16, 17, (1 << 63) - 1, 1 << 63, (1 << 63) + 1,
+                  (1 << 64) - 8, (1 << 64) - 2, (1 << 64) - 1)
 
 
 class TestFixedBaseTable:
@@ -148,10 +159,10 @@ class TestFixedBaseTable:
             for value in (0, 1, 2, p - 1, *(rng.randrange(p) for _ in range(4))):
                 x = fe(value, p)
                 exponents = EDGE_EXPONENTS + tuple(rng.randrange(1 << 64) for _ in range(30))
-                ladder = [cheb_eval(n, x) for n in exponents]
+                cold = [cheb_eval(n, x) for n in exponents]
                 chaotic._tabulate(x)
                 assert (value, p) in cold_memo
-                for n, expected in zip(exponents, ladder):
+                for n, expected in zip(exponents, cold):
                     got = cheb_eval(n, x)
                     assert got == expected and got.value == pure_eval(n, value, p), (n, value, p)
 
@@ -164,30 +175,35 @@ class TestFixedBaseTable:
             for n in range(2001):
                 assert cheb_eval(n, x).value == seq[n], (n, value)
 
-    def test_which_path_runs(self, cold_memo, monkeypatch):
+    def test_which_path_runs(self, cold_memo):
         x = fe(123456789, DEFAULT_PRIME)
-        chaotic._tabulate(x)
-        table_reads = []
-        table_eval = chaotic._table_eval
-        monkeypatch.setattr(chaotic, "_table_eval", lambda *a: table_reads.append(a[0]) or table_eval(*a))
-        # exponents from 2^64 up fall back to the ladder, and still agree
+        # plant another base's chain under x: an exponent that reads it goes wrong
+        chaotic._tabulate(fe(987654321, DEFAULT_PRIME))
+        cold_memo[(x.value, DEFAULT_PRIME)] = cold_memo.popitem()[1]
+        below = (1, 2, 5, 1 << 63, (1 << 64) - 1)
+        for n in below:
+            assert cheb_eval(n, x).value != pure_eval(n, x.value, DEFAULT_PRIME), n
+        # exponents from 2^64 up square their own chain, and still agree
         for n in (1 << 64, (1 << 64) + 1, (1 << 100) + 12345, (1 << 128) - 1):
             assert cheb_eval(n, x).value == pure_eval(n, x.value, DEFAULT_PRIME), n
-        assert table_reads == []
-        cheb_eval((1 << 64) - 1, x)
-        cheb_eval(5, fe(123456788, DEFAULT_PRIME))  # an untabulated base
-        assert table_reads == [(1 << 64) - 1]
+        # and so does every exponent once x has no memo entry
+        del cold_memo[(x.value, DEFAULT_PRIME)]
+        for n in below:
+            assert cheb_eval(n, x).value == pure_eval(n, x.value, DEFAULT_PRIME), n
 
     def test_tabulate_keeps_the_first_table(self, cold_memo):
         x = fe(5, 101)
         chaotic._tabulate(x)
-        table = cold_memo[(5, 101)]
+        chain = cold_memo[(5, 101)]
         chaotic._tabulate(fe(5, 101))
-        assert list(cold_memo) == [(5, 101)] and cold_memo[(5, 101)] is table
-        assert [len(row) for row in table] == [6] * (chaotic._ROWS - 1) + [3]
+        assert list(cold_memo) == [(5, 101)] and cold_memo[(5, 101)] is chain
+        assert len(chain) == 64
+        assert list(chain) == [2 * pure_eval(1 << j, 5, 101) % 101 for j in range(64)]
 
-    def test_table_covers_the_protocol_exponents(self):
-        assert chaotic._TABLE_LIMIT == RandomSource.EXPONENT_RANGE[1] == 4 ** (chaotic._ROWS - 1)
+    def test_table_covers_the_protocol_exponents(self, cold_memo):
+        chaotic._tabulate(fe(5, 101))
+        chain = cold_memo[(5, 101)]
+        assert 2 ** len(chain) == chaotic._TABLE_LIMIT == RandomSource.EXPONENT_RANGE[1]
 
 
 class TestBitsToField:

@@ -1,8 +1,8 @@
 """Property test: the semigroup identity holds on both evaluation paths.
 
 T_u(T_v(x)) = T_v(T_u(x)) = T_uv(x), with x tabulated or not. u and v are
-below 2^64, the table's range, so uv reaches 2^128, where a tabulated base
-falls back to the ladder.
+below 2^64, the memo's range, so uv reaches 2^128, where a tabulated base
+squares its own chain as an untabulated one does.
 """
 
 import pytest
