@@ -31,9 +31,9 @@ class ExperimentInvalid(RuntimeError):
 class ExtractedCard(SmartCard):
     """Attacker's copy of the card's stored tuple at extraction time.
 
-    It inherits the card's fields and their equal-width check, which the
-    guess predicate relies on because it XORs the fields as integers. It is
-    never equal to a SmartCard, whatever the fields.
+    It inherits the card's bytes fields and their checks, which the guess
+    predicate relies on because it XORs the fields as integers. It is never
+    equal to a SmartCard, whatever the fields.
     """
 
     __slots__ = ()
@@ -140,11 +140,11 @@ _scan_memo = (None, None)
 
 def _scan_constants(card: ExtractedCard, m1: LoginRequest) -> tuple:
     global _scan_memo
-    d1, d2 = card.d1.data, card.d2.data
+    d1, d2 = card.d1, card.d2
     _scan_memo = memo = (
         card, m1, len(d1), int.from_bytes(d1, "big"), int.from_bytes(d2, "big"),
-        m1.im1.data + m1.im2.data + m1.tuk.to_bytes() + m1.t1.to_bytes(),
-        m1.x1.data, h_state().copy,
+        m1.im1 + m1.im2 + m1.tuk.to_bytes() + m1.t1.to_bytes(),
+        m1.x1, h_state().copy,
     )
     return memo
 

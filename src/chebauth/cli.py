@@ -25,7 +25,7 @@ from .adversary import (
     wrong_login_experiment,
 )
 from .chaotic import DEFAULT_PRIME, FieldElement, backend_name
-from .primitives import DEFAULT_WIDTH, BitString, LogicalClock, OpCounts, RandomSource, Timestamp
+from .primitives import DEFAULT_WIDTH, LogicalClock, OpCounts, RandomSource, Timestamp
 from .protocol import (
     DEFAULT_DELTA_T,
     LoginRequest,
@@ -57,7 +57,7 @@ def _setup(args: argparse.Namespace):
     return server, rng, clock, card
 
 
-_FIELD_JSON = {BitString: BitString.hex, FieldElement: str, Timestamp: lambda stamp: stamp.ticks}
+_FIELD_JSON = {bytes: bytes.hex, FieldElement: str, Timestamp: lambda stamp: stamp.ticks}
 
 
 def _message_json(message) -> dict:

@@ -1,12 +1,12 @@
 """Fixed-width bit strings, hashing, randomness, logical time, op counters.
 
-Every value a protocol message carries is either a BitString of the system
-width, a FieldElement, or a Timestamp; all three have canonical fixed-width
+Every value a protocol message carries is either bytes of the system width,
+a FieldElement, or a Timestamp; all three have canonical fixed-width
 big-endian encodings so concatenations hash identically everywhere.
 
 h_digest, H_digest and xor_bytes work on bytes and are what the protocol
-phases call; hash_h, hash_H and xor wrap them for BitString operands and
-count each call.
+phases call; hash_h, hash_H and xor wrap them for BitString operands, which
+no card, message or key holds, and count each call.
 """
 
 import hashlib
@@ -23,6 +23,14 @@ DEFAULT_WIDTH = 256
 # strings) and of H (field elements). Never updated; users work on copies.
 _H_PREFIX = hashlib.sha256(b"\x01")
 _BIG_H_PREFIX = hashlib.sha256(b"\x02")
+
+#: A fresh copy of h's prefix state: h(data) at width w is ``state.update(data)``
+#: then ``state.digest()[: w // 8]``. Only the guess predicate uses it: ``digest()``
+#: leaves the state usable, so it hashes cand || b by continuing from h(cand).
+h_state = _H_PREFIX.copy
+
+# Bound once: reading the classmethod int.from_bytes builds a bound method each time.
+_from_bytes = int.from_bytes
 
 
 class WidthMismatch(ValueError):
@@ -155,17 +163,6 @@ class RandomSource:
         return self._rng.randrange(*self.EXPONENT_RANGE)
 
 
-def h_state():
-    """A fresh SHA-256 state that has absorbed h's domain prefix.
-
-    h(data) at width w is ``state.update(data)`` followed by
-    ``state.digest()[: w // 8]``. Only the guess predicate uses it: per
-    candidate it reads ``digest()``, which leaves the state usable, after
-    cand and again after cand || b instead of rehashing cand.
-    """
-    return _H_PREFIX.copy()
-
-
 def h_digest(n: int, *parts: bytes) -> bytes:
     """h of the concatenated parts, truncated to n bytes: the one h of the package."""
     state = _H_PREFIX.copy()
@@ -185,7 +182,7 @@ def xor_bytes(a: bytes, b: bytes) -> bytes:
     n = len(a)
     if n != len(b):
         raise WidthMismatch(f"cannot XOR widths {8 * n} and {8 * len(b)}")
-    return (int.from_bytes(a, "big") ^ int.from_bytes(b, "big")).to_bytes(n, "big")
+    return (_from_bytes(a, "big") ^ _from_bytes(b, "big")).to_bytes(n, "big")
 
 
 def hash_h(data, width: int = DEFAULT_WIDTH, counts: OpCounts | None = None) -> BitString:

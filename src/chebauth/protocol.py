@@ -8,9 +8,9 @@ change is applied without verifying the old password.
 
 The phases compute on bytes and ints: one join per hashed tuple into
 h_digest or H_digest, so h(pw) and h(pw || b) are one call each as the
-scheme writes them, and XOR through xor_bytes. BitString is built only for
-what crosses a boundary (card and message fields, session keys), and each
-phase tallies its exact operations once per exit path. hash_h, xor and
+scheme writes them, and XOR through xor_bytes. What they store and send
+(master key, card and message fields, session keys) is plain bytes, and
+each phase tallies its exact operations once per exit path. hash_h, xor and
 concat stay the public primitives that tests, oracles and tracers use.
 
 Once X1 verifies, the server has the chaotic kernel tabulate the recovered
@@ -25,7 +25,7 @@ from enum import Enum
 
 from ._value import Frozen, Record, _set
 from .chaotic import DEFAULT_PRIME, _tabulate, bits_to_field, cheb_eval, is_probable_prime
-from .primitives import (DEFAULT_WIDTH, BitString, H_digest, LogicalClock, OpCounts, RandomSource,
+from .primitives import (DEFAULT_WIDTH, H_digest, LogicalClock, OpCounts, RandomSource, _check_width,
                          as_bytes, h_digest, tally, xor_bytes)
 
 #: Default freshness window, in clock ticks.
@@ -48,7 +48,7 @@ class Reject(Frozen):
 
 
 class ServerState(Frozen):
-    """Long-term server state: master key, modulus, freshness window.
+    """Long-term server state: master key (bytes), modulus, freshness window.
 
     There is no per-user table; identities are recovered from the pseudonym
     pair carried in each login request.
@@ -58,19 +58,22 @@ class ServerState(Frozen):
 
     @property
     def width(self) -> int:
-        return self.mk.width
+        return len(self.mk) * 8
 
 
 class SmartCard(Frozen):
-    """The card's stored tuple {IM1, IM2, D1, D2}, all of system width."""
+    """The card's stored tuple {IM1, IM2, D1, D2}: exact bytes, non-empty, all of one width."""
 
     __slots__ = __match_args__ = ("im1", "im2", "d1", "d2")
 
-    def __init__(self, im1: BitString, im2: BitString, d1: BitString, d2: BitString):
-        n = len(im1.data)
-        if len(im2.data) != n or len(d1.data) != n or len(d2.data) != n:
-            widths = sorted({im1.width, im2.width, d1.width, d2.width})
-            raise ValueError(f"card fields disagree on width: {widths}")
+    def __init__(self, im1: bytes, im2: bytes, d1: bytes, d2: bytes):
+        if not (type(im1) is type(im2) is type(d1) is type(d2) is bytes):
+            raise TypeError(f"card fields must be bytes: {[type(f).__name__ for f in (im1, im2, d1, d2)]}")
+        n = len(im1)
+        if not n or len(im2) != n or len(d1) != n or len(d2) != n:
+            widths = sorted({8 * len(im1), 8 * len(im2), 8 * len(d1), 8 * len(d2)})
+            problem = "may not be empty" if 0 in widths else "disagree on width"
+            raise ValueError(f"card fields {problem}: {widths}")
         _set(self, "im1", im1)
         _set(self, "im2", im2)
         _set(self, "d1", d1)
@@ -78,17 +81,17 @@ class SmartCard(Frozen):
 
     @property
     def width(self) -> int:
-        return self.im1.width
+        return len(self.im1) * 8
 
 
 class LoginRequest(Frozen):
-    """First wire message M1 = {IM1, IM2, T_u(K), X1, T1}: BitStrings, a FieldElement, a Timestamp."""
+    """First wire message M1 = {IM1, IM2, T_u(K), X1, T1}: bytes, a FieldElement, a Timestamp."""
 
     __slots__ = __match_args__ = ("im1", "im2", "tuk", "x1", "t1")
 
 
 class LoginResponse(Frozen):
-    """Second wire message M2 = {Y1, Y2, Y3, T_v(K'), T2}: BitStrings, a FieldElement, a Timestamp."""
+    """Second wire message M2 = {Y1, Y2, Y3, T_v(K'), T2}: bytes, a FieldElement, a Timestamp."""
 
     __slots__ = __match_args__ = ("y1", "y2", "y3", "tvk", "t2")
 
@@ -114,8 +117,8 @@ def server_setup(
         raise ValueError("modulus must be a prime greater than 3")
     if delta_t < 0:
         raise ValueError("freshness window must be non-negative")
-    mk = RandomSource(seed).draw_bits(width)
-    return ServerState(mk=mk, p=prime, delta_t=delta_t)
+    _check_width(width)
+    return ServerState(mk=RandomSource(seed).draw_bytes(width // 8), p=prime, delta_t=delta_t)
 
 
 def registration(
@@ -134,7 +137,7 @@ def registration(
     identity, password = as_bytes(identity), as_bytes(password)
     if not identity or not password:
         raise EmptyCredential("identity and password must be non-empty")
-    mk = server.mk.data
+    mk = server.mk
     n = len(mk)
     b = rng.draw_bytes(n)
     r = rng.draw_bytes(n)
@@ -143,7 +146,7 @@ def registration(
     im2 = xor_bytes(h_digest(n, mk, r), id_l)
     d2 = xor_bytes(h_digest(n, password), b)
     tally(counts, 5, 4, 0)
-    return SmartCard(BitString(xor_bytes(mk, r)), BitString(im2), BitString(d1), BitString(d2))
+    return SmartCard(xor_bytes(mk, r), im2, d1, d2)
 
 
 def user_login_start(
@@ -162,15 +165,14 @@ def user_login_start(
     """
     password = as_bytes(password)
     u = rng.draw_exponent()
-    n = len(card.d2.data)
-    b = xor_bytes(card.d2.data, h_digest(n, password))
-    k = xor_bytes(card.d1.data, h_digest(n, password, b))
+    n = len(card.d2)
+    b = xor_bytes(card.d2, h_digest(n, password))
+    k = xor_bytes(card.d1, h_digest(n, password, b))
     tuk = cheb_eval(u, bits_to_field(k, prime))
     t1 = clock.now()
-    x1 = h_digest(n, k, card.im1.data, card.im2.data, tuk.to_bytes(), t1.to_bytes())
+    x1 = h_digest(n, k, card.im1, card.im2, tuk.to_bytes(), t1.to_bytes())
     tally(counts, 3, 2, 1)
-    request = LoginRequest(im1=card.im1, im2=card.im2, tuk=tuk, x1=BitString(x1), t1=t1)
-    return request, UserLoginContext(u=u, tuk=tuk)
+    return LoginRequest(card.im1, card.im2, tuk, x1, t1), UserLoginContext(u, tuk)
 
 
 def server_handle_login(
@@ -190,13 +192,13 @@ def server_handle_login(
     t2 = clock.now()
     if t2 - m1.t1 > server.delta_t:
         return Reject(RejectReason.STALE_TIMESTAMP)
-    mk = server.mk.data
+    mk = server.mk
     n = len(mk)
-    im1, im2 = m1.im1.data, m1.im2.data
+    im1, im2 = m1.im1, m1.im2
     id_rec = xor_bytes(im2, h_digest(n, mk, xor_bytes(im1, mk)))
     k_rec = h_digest(n, id_rec, mk)
     tuk_bytes = m1.tuk.to_bytes()
-    if h_digest(n, k_rec, im1, im2, tuk_bytes, m1.t1.to_bytes()) != m1.x1.data:
+    if h_digest(n, k_rec, im1, im2, tuk_bytes, m1.t1.to_bytes()) != m1.x1:
         tally(counts, 3, 2, 0)
         return Reject(RejectReason.AUTH_FAILURE)
     r_new = rng.draw_bytes(n)
@@ -212,9 +214,8 @@ def server_handle_login(
     pad = h_digest(n, session_key, t2_bytes)
     y3 = h_digest(n, session_key, im1_new, im2_new, tvk_bytes, t2_bytes)
     tally(counts, 7, 6, 2)
-    y1, y2 = BitString(xor_bytes(im1_new, pad)), BitString(xor_bytes(im2_new, pad))
-    response = LoginResponse(y1=y1, y2=y2, y3=BitString(y3), tvk=tvk, t2=t2)
-    return response, BitString(session_key)
+    y1, y2 = xor_bytes(im1_new, pad), xor_bytes(im2_new, pad)
+    return LoginResponse(y1=y1, y2=y2, y3=y3, tvk=tvk, t2=t2), session_key
 
 
 def user_handle_response(
@@ -233,18 +234,17 @@ def user_handle_response(
     t3 = clock.now()
     if t3 - m2.t2 > delta_t:
         return Reject(RejectReason.STALE_TIMESTAMP)
-    n = len(card.d1.data)
+    n = len(card.d1)
     tvk_bytes, t2_bytes = m2.tvk.to_bytes(), m2.t2.to_bytes()
     tutvk = cheb_eval(ctx.u, m2.tvk)
     session_key = H_digest(n, ctx.tuk.to_bytes(), tvk_bytes, tutvk.to_bytes())
     pad = h_digest(n, session_key, t2_bytes)
-    im1_new = xor_bytes(m2.y1.data, pad)
-    im2_new = xor_bytes(m2.y2.data, pad)
+    im1_new = xor_bytes(m2.y1, pad)
+    im2_new = xor_bytes(m2.y2, pad)
     tally(counts, 3, 2, 1)
-    if h_digest(n, session_key, im1_new, im2_new, tvk_bytes, t2_bytes) != m2.y3.data:
+    if h_digest(n, session_key, im1_new, im2_new, tvk_bytes, t2_bytes) != m2.y3:
         return Reject(RejectReason.AUTH_FAILURE)
-    refreshed = SmartCard(BitString(im1_new), BitString(im2_new), card.d1, card.d2)
-    return BitString(session_key), refreshed
+    return session_key, SmartCard(im1_new, im2_new, card.d1, card.d2)
 
 
 def change_password(
@@ -264,13 +264,13 @@ def change_password(
     with b"".
     """
     old_password, new_password = as_bytes(old_password), as_bytes(new_password)
-    n = len(card.d2.data)
-    b = xor_bytes(card.d2.data, h_digest(n, old_password))
-    k = xor_bytes(card.d1.data, h_digest(n, old_password, b))
+    n = len(card.d2)
+    b = xor_bytes(card.d2, h_digest(n, old_password))
+    k = xor_bytes(card.d1, h_digest(n, old_password, b))
     d1 = xor_bytes(k, h_digest(n, new_password, b))
     d2 = xor_bytes(h_digest(n, new_password), b)
     tally(counts, 4, 4, 0)
-    return SmartCard(card.im1, card.im2, BitString(d1), BitString(d2))
+    return SmartCard(card.im1, card.im2, d1, d2)
 
 
 class ChannelEvent(Frozen):

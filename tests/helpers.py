@@ -35,20 +35,20 @@ def guess_predicate_oracle(candidate, card, m1, counts=None) -> bool:
     """Reference oracle for the offline-guess predicate, on the counted primitives.
 
     The scheme's formula written with BitString values, hash_h, xor and
-    concat; the production predicate works on bytes and ints and must agree
-    with it, op counts included.
+    concat over the card's and M1's bytes fields; the production predicate
+    works on bytes and ints and must agree with it, op counts included.
     """
     cand = as_bytes(candidate)
     w = card.width
-    b_guess = xor(card.d2, hash_h(cand, w, counts), counts)
-    k_guess = xor(card.d1, hash_h(concat([cand, b_guess]), w, counts), counts)
+    b_guess = xor(BitString(card.d2), hash_h(cand, w, counts), counts)
+    k_guess = xor(BitString(card.d1), hash_h(concat([cand, b_guess]), w, counts), counts)
     check = hash_h(concat([k_guess, m1.im1, m1.im2, m1.tuk, m1.t1]), w, counts)
-    return check == m1.x1
+    return check.data == m1.x1
 
 
 def zeroed_card(width: int) -> ExtractedCard:
     """All-zero stand-in for an extracted card, used to show the card leak is necessary."""
-    z = BitString.zeros(width)
+    z = BitString.zeros(width).data
     return ExtractedCard(im1=z, im2=z, d1=z, d2=z)
 
 

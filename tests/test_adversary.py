@@ -20,7 +20,7 @@ from chebauth.adversary import (
     wrong_login_experiment,
 )
 from chebauth.chaotic import DEFAULT_PRIME
-from chebauth.primitives import BitString, OpCounts
+from chebauth.primitives import OpCounts
 from chebauth.protocol import LoginRequest, LoginResponse, SmartCard, run_login_session, user_login_start
 
 from helpers import guess_predicate_oracle, make_fixture, zeroed_card
@@ -413,10 +413,10 @@ class TestExtractedCard:
 
     def test_zeroed(self):
         z = zeroed_card(256)
-        assert isinstance(z, ExtractedCard) and z.im1.to_int() == 0 and z.width == 256
+        assert isinstance(z, ExtractedCard) and int.from_bytes(z.im1, "big") == 0 and z.width == 256
 
     def test_mixed_widths_rejected_as_on_the_card(self):
-        narrow, wide = BitString.zeros(64), BitString.zeros(128)
+        narrow, wide = bytes(8), bytes(16)
         for card_type in (SmartCard, ExtractedCard):
             with pytest.raises(ValueError, match=r"card fields disagree on width: \[64, 128\]"):
                 card_type(im1=narrow, im2=narrow, d1=narrow, d2=wide)

@@ -1,6 +1,9 @@
+import re
+
 import pytest
 
 from chebauth import protocol
+from chebauth.adversary import ExtractedCard
 from chebauth.chaotic import DEFAULT_PRIME, bits_to_field
 from chebauth.primitives import (
     BitString,
@@ -53,7 +56,7 @@ class TestServerSetup:
 
     def test_master_key_width(self):
         assert server_setup(1).width == 256
-        assert server_setup(1, width=64).mk.width == 64
+        assert len(server_setup(1, width=64).mk) * 8 == 64
 
     def test_composite_modulus_rejected(self):
         with pytest.raises(ValueError):
@@ -77,17 +80,18 @@ class TestServerSetup:
 class TestRegistration:
     def test_card_field_inversions(self):
         fx = make_fixture(11)
+        card, mk = fx.card, BitString(fx.server.mk)
         # replay the draw order (b first, then r) to recover the nonces
         replay = RandomSource(12)
         b = replay.draw_bits(256)
         r = replay.draw_bits(256)
-        assert xor(fx.card.d2, hash_h(fx.password)) == b
-        assert xor(fx.card.im1, fx.server.mk) == r
+        assert xor(BitString(card.d2), hash_h(fx.password)).data == b.data
+        assert xor(BitString(card.im1), mk).data == r.data
         id_l = hash_h(fx.identity)
-        assert xor(fx.card.im2, hash_h(concat([fx.server.mk, r]))) == id_l
-        assert xor(fx.card.d1, hash_h(concat([fx.password, b]))) == hash_h(
-            concat([id_l, fx.server.mk])
-        )
+        assert xor(BitString(card.im2), hash_h(concat([mk, r]))).data == id_l.data
+        assert xor(BitString(card.d1), hash_h(concat([fx.password, b]))).data == hash_h(
+            concat([id_l, mk])
+        ).data
 
     def test_empty_credentials_rejected(self):
         fx = make_fixture(1)
@@ -108,7 +112,7 @@ class TestLogin:
         session = run_login_session(fx.server, fx.card, fx.password, fx.clock, fx.rng)
         assert session.ok
         assert session.user_key == session.server_key
-        assert session.user_key.width == 256
+        assert type(session.user_key) is bytes and len(session.user_key) * 8 == 256
 
     def test_pseudonym_refresh_consistency(self):
         fx = make_fixture(21)
@@ -120,10 +124,10 @@ class TestLogin:
         r_new = replay.draw_bits(256)
         session = run_login_session(fx.server, fx.card, fx.password, fx.clock, fx.rng)
         assert session.ok
-        refreshed = session.card
+        refreshed, mk = session.card, BitString(fx.server.mk)
         assert refreshed.im1 != fx.card.im1 and refreshed.im2 != fx.card.im2
-        assert xor(refreshed.im1, fx.server.mk) == r_new
-        assert xor(refreshed.im2, hash_h(concat([fx.server.mk, r_new]))) == hash_h(fx.identity)
+        assert xor(BitString(refreshed.im1), mk).data == r_new.data
+        assert xor(BitString(refreshed.im2), hash_h(concat([mk, r_new]))).data == hash_h(fx.identity).data
         # d1/d2 are password material and must survive the refresh untouched
         assert refreshed.d1 == fx.card.d1 and refreshed.d2 == fx.card.d2
 
@@ -188,9 +192,9 @@ class TestLogin:
     def test_tampered_x1_rejected(self):
         fx = make_fixture(27)
         m1, _ = user_login_start(fx.card, fx.password, fx.clock, fx.rng, prime=fx.server.p)
-        flipped = bytearray(m1.x1.data)
+        flipped = bytearray(m1.x1)
         flipped[0] ^= 0x80
-        tampered = LoginRequest(m1.im1, m1.im2, m1.tuk, BitString(bytes(flipped)), m1.t1)
+        tampered = LoginRequest(m1.im1, m1.im2, m1.tuk, bytes(flipped), m1.t1)
         fx.clock.advance(1)
         result = server_handle_login(fx.server, tampered, fx.clock, fx.rng)
         assert result == Reject(RejectReason.AUTH_FAILURE)
@@ -200,9 +204,9 @@ class TestLogin:
         m1, ctx = user_login_start(fx.card, fx.password, fx.clock, fx.rng, prime=fx.server.p)
         fx.clock.advance(1)
         m2, _ = server_handle_login(fx.server, m1, fx.clock, fx.rng)
-        flipped = bytearray(m2.y3.data)
+        flipped = bytearray(m2.y3)
         flipped[-1] ^= 0x01
-        tampered = LoginResponse(m2.y1, m2.y2, BitString(bytes(flipped)), m2.tvk, m2.t2)
+        tampered = LoginResponse(m2.y1, m2.y2, bytes(flipped), m2.tvk, m2.t2)
         fx.clock.advance(1)
         result = user_handle_response(fx.card, ctx, tampered, fx.clock, delta_t=fx.server.delta_t)
         assert result == Reject(RejectReason.AUTH_FAILURE)
@@ -247,7 +251,7 @@ class TestLogin:
 
 def memo_key(fx) -> tuple:
     """(K, p) for the fixture's user, K = h(h(ID) || mk) as a field element."""
-    mk = fx.server.mk.data
+    mk = fx.server.mk
     k = h_digest(len(mk), h_digest(len(mk), fx.identity), mk)
     return bits_to_field(k, fx.server.p).value, fx.server.p
 
@@ -274,9 +278,9 @@ class TestFixedBaseMemo:
         wrong = run_login_session(fx.server, fx.card, b"typo", fx.clock, fx.rng)
         assert wrong.reject == Reject(RejectReason.AUTH_FAILURE)
         m1, ctx = user_login_start(fx.card, fx.password, fx.clock, fx.rng, prime=fx.server.p)
-        flipped = bytearray(m1.x1.data)
+        flipped = bytearray(m1.x1)
         flipped[0] ^= 1
-        tampered = LoginRequest(m1.im1, m1.im2, m1.tuk, BitString(bytes(flipped)), m1.t1)
+        tampered = LoginRequest(m1.im1, m1.im2, m1.tuk, bytes(flipped), m1.t1)
         rejected = server_handle_login(fx.server, tampered, fx.clock, fx.rng)
         assert rejected == Reject(RejectReason.AUTH_FAILURE)
         stale = server_handle_login(fx.server, m1, clock_at(m1.t1.ticks + 4), fx.rng)
@@ -340,7 +344,7 @@ class TestTalliesPerExitPath:
 
     def test_user_auth_failure(self):
         fx, ctx, m2 = self._response(55)
-        flipped = BitString(bytes([m2.y3.data[0] ^ 1]) + m2.y3.data[1:])
+        flipped = bytes([m2.y3[0] ^ 1]) + m2.y3[1:]
         tampered = LoginResponse(m2.y1, m2.y2, flipped, m2.tvk, m2.t2)
         result, counts = tallied(user_handle_response, fx.card, ctx, tampered, fx.clock, delta_t=5)
         assert result == Reject(RejectReason.AUTH_FAILURE)
@@ -381,7 +385,7 @@ class TestEdges:
         fx = make_fixture(62)
         m1, ctx = user_login_start(fx.card, fx.password, fx.clock, fx.rng, prime=fx.server.p)
         m2, _ = server_handle_login(fx.server, m1, fx.clock, fx.rng)
-        short = BitString(m2.y1.data[:8])
+        short = m2.y1[:8]
         for tampered in (
             LoginResponse(short, m2.y2, m2.y3, m2.tvk, m2.t2),
             LoginResponse(m2.y1, short, m2.y3, m2.tvk, m2.t2),
@@ -435,7 +439,7 @@ class TestEdges:
 
     def test_mixed_width_card_names_its_widths(self):
         with pytest.raises(ValueError, match=r"^card fields disagree on width: \[16, 64, 256\]$"):
-            SmartCard(BitString(bytes(32)), BitString(bytes(8)), BitString(bytes(32)), BitString(bytes(2)))
+            SmartCard(bytes(32), bytes(8), bytes(32), bytes(2))
 
     def test_negative_channel_delay_draws_nothing(self):
         fx, replay = make_fixture(66), make_fixture(66)
@@ -483,3 +487,69 @@ class TestChangePassword:
         assert session.ok and session.keys_match
         with pytest.raises(EmptyCredential):
             registration(fx.server, fx.identity, b"", fx.rng)
+
+
+class TestBytesFields:
+    """Cards, messages and session keys hold plain bytes; the phases build no BitString."""
+
+    @pytest.mark.parametrize("card_type", [SmartCard, ExtractedCard])
+    @pytest.mark.parametrize("bad", [BitString(bytes(4)), bytearray(4), "abcd"], ids=type)
+    def test_card_field_that_is_not_bytes_is_a_type_error(self, card_type, bad):
+        for position in range(4):
+            fields = [bytes(4)] * 4
+            fields[position] = bad
+            names = ["bytes"] * 4
+            names[position] = type(bad).__name__
+            with pytest.raises(TypeError, match=re.escape(f"card fields must be bytes: {names}")):
+                card_type(*fields)
+
+    @pytest.mark.parametrize("card_type", [SmartCard, ExtractedCard])
+    def test_empty_or_unequal_fields_are_a_value_error_in_bits(self, card_type):
+        with pytest.raises(ValueError, match=r"^card fields may not be empty: \[0\]$"):
+            card_type(b"", b"", b"", b"")
+        with pytest.raises(ValueError, match=r"^card fields may not be empty: \[0, 32\]$"):
+            card_type(bytes(4), bytes(4), b"", bytes(4))
+        with pytest.raises(ValueError, match=r"^card fields disagree on width: \[32, 40\]$"):
+            card_type(bytes(4), bytes(4), bytes(4), bytes(5))
+        assert card_type(bytes(1), bytes(1), bytes(1), bytes(1)).width == 8
+
+    @pytest.mark.parametrize("width", [8, 256])
+    def test_every_stored_and_sent_string_is_exact_bytes_of_the_width(self, width):
+        fx = make_fixture(70, width=width, prime=101 if width == 8 else DEFAULT_PRIME)
+        n = width // 8
+
+        def assert_exact(*values):
+            assert [type(value) for value in values] == [bytes] * len(values)
+            assert [len(value) for value in values] == [n] * len(values)
+
+        def fields(card):
+            return card.im1, card.im2, card.d1, card.d2
+
+        assert_exact(fx.server.mk, *fields(fx.card))
+        m1, ctx = user_login_start(fx.card, fx.password, fx.clock, fx.rng, prime=fx.server.p)
+        assert_exact(m1.im1, m1.im2, m1.x1)
+        m2, server_key = server_handle_login(fx.server, m1, fx.clock, fx.rng)
+        assert_exact(m2.y1, m2.y2, m2.y3, server_key)
+        user_key, refreshed = user_handle_response(fx.card, ctx, m2, fx.clock, delta_t=fx.server.delta_t)
+        assert user_key == server_key
+        assert_exact(user_key, *fields(refreshed), *fields(change_password(refreshed, fx.password, b"new")))
+
+    def test_phases_construct_no_bitstring(self, monkeypatch):
+        built = []
+        original = BitString.__post_init__
+
+        def counting(self):
+            built.append(self)
+            original(self)
+
+        fx = make_fixture(71, delta_t=3)
+        monkeypatch.setattr(BitString, "__post_init__", counting)  # as the benchmark's tracer counts
+        card = registration(fx.server, fx.identity, fx.password, fx.rng)
+        honest = run_login_session(fx.server, card, fx.password, fx.clock, fx.rng)
+        wrong = run_login_session(fx.server, honest.card, b"typo", fx.clock, fx.rng)
+        changed = change_password(wrong.card, fx.password, b"new-pw")
+        assert honest.ok and honest.keys_match and wrong.reject == Reject(RejectReason.AUTH_FAILURE)
+        assert isinstance(changed, SmartCard)
+        assert built == []
+        BitString(b"x")  # the counter itself works
+        assert len(built) == 1

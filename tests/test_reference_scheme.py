@@ -40,7 +40,7 @@ SCENARIOS = {
 
 
 def card_fields(card) -> tuple:
-    return card.im1.data, card.im2.data, card.d1.data, card.d2.data
+    return card.im1, card.im2, card.d1, card.d2
 
 
 def package_run(seed, width, prime, login_password, delay_m1, delay_m2, change) -> list:
@@ -52,21 +52,21 @@ def package_run(seed, width, prime, login_password, delay_m1, delay_m2, change) 
         card = change_password(card, *change)
         trace.append(("changed", card_fields(card)))
     m1, ctx = user_login_start(card, login_password, clock, rng, prime=server.p)
-    trace.append(("m1", (m1.im1.data, m1.im2.data, m1.tuk.value, m1.x1.data, m1.t1.ticks)))
+    trace.append(("m1", (m1.im1, m1.im2, m1.tuk.value, m1.x1, m1.t1.ticks)))
     trace.append(("ctx", (ctx.u, ctx.tuk.value)))
     clock.advance(delay_m1)
     result = server_handle_login(server, m1, clock, rng)
     if isinstance(result, Reject):
         return trace + [("server reject", result.reason.value)]
     m2, server_key = result
-    trace.append(("m2", (m2.y1.data, m2.y2.data, m2.y3.data, m2.tvk.value, m2.t2.ticks)))
-    trace.append(("server", server_key.data))
+    trace.append(("m2", (m2.y1, m2.y2, m2.y3, m2.tvk.value, m2.t2.ticks)))
+    trace.append(("server", server_key))
     clock.advance(delay_m2)
     result = user_handle_response(card, ctx, m2, clock, delta_t=server.delta_t)
     if isinstance(result, Reject):
         return trace + [("user reject", result.reason.value)]
     key, refreshed = result
-    return trace + [("user", (key.data, card_fields(refreshed)))]
+    return trace + [("user", (key, card_fields(refreshed)))]
 
 
 def reference_run(seed, width, prime, login_password, delay_m1, delay_m2, change) -> list:

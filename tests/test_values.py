@@ -39,7 +39,7 @@ from chebauth.protocol import (
 
 from helpers import make_fixture
 
-A, B, C, D = (BitString(bytes([i, i + 1])) for i in (1, 3, 5, 7))
+A, B, C, D = (bytes([i, i + 1]) for i in (1, 3, 5, 7))
 F = FieldElement(3, 17)
 T1, T2 = Timestamp(4), Timestamp(5)
 CARD = dict(im1=A, im2=B, d1=C, d2=D)
