@@ -10,7 +10,6 @@ and permanent card corruption through unverified password change).
 from .chaotic import DEFAULT_PRIME, FieldElement, backend_name, bits_to_field, cheb_eval
 from .primitives import (
     DEFAULT_WIDTH,
-    BitString,
     LogicalClock,
     OpCounts,
     RandomSource,

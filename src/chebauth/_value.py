@@ -10,8 +10,9 @@ class, as ``collections.namedtuple`` compiles its ``__new__``: it takes every
 field, in order, and sets each through ``_set``, so Python binds the arguments
 and raises the usual ``TypeError`` on a bad call. Only the classes that
 validate their input or have defaults write their own, taking the fields in
-the same order: ``FieldElement``, ``BitString``, ``Timestamp``, ``OpCounts``,
-``SmartCard``, ``Transcript`` and ``Dictionary``.
+the same order: ``FieldElement``, ``Timestamp``, ``OpCounts``, ``SmartCard``,
+``Transcript`` and ``Dictionary``, and ``BitString``, whose ``__init__`` calls
+the ``__post_init__`` hook that the benchmark's tracer replaces.
 """
 
 from operator import attrgetter

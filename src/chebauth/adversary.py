@@ -8,7 +8,7 @@ either one alone validates nothing (the tests check this explicitly).
 from pathlib import Path
 
 from ._value import Frozen, Record, _set
-from .primitives import LogicalClock, OpCounts, RandomSource, as_bytes, h_state
+from .primitives import LogicalClock, OpCounts, RandomSource, _from_bytes, as_bytes, h_state
 
 # Not called here. It stays bound because perfbench/tracer.py wraps hash_h
 # under every module name bound to it, and its tests expect this one.
@@ -142,7 +142,7 @@ def _scan_constants(card: ExtractedCard, m1: LoginRequest) -> tuple:
     global _scan_memo
     d1, d2 = card.d1, card.d2
     _scan_memo = memo = (
-        card, m1, len(d1), int.from_bytes(d1, "big"), int.from_bytes(d2, "big"),
+        card, m1, len(d1), _from_bytes(d1, "big"), _from_bytes(d2, "big"),
         m1.im1 + m1.im2 + m1.tuk.to_bytes() + m1.t1.to_bytes(),
         m1.x1, h_state().copy,
     )
@@ -178,9 +178,9 @@ def guess_predicate(candidate, card: ExtractedCard, m1: LoginRequest) -> bool:
     _, _, n, d1, d2, tail, x1, fresh = memo
     state = fresh()
     state.update(candidate if type(candidate) is bytes else as_bytes(candidate))
-    b_guess = d2 ^ int.from_bytes(state.digest()[:n], "big")
+    b_guess = d2 ^ _from_bytes(state.digest()[:n], "big")
     state.update(b_guess.to_bytes(n, "big"))
-    k_guess = d1 ^ int.from_bytes(state.digest()[:n], "big")
+    k_guess = d1 ^ _from_bytes(state.digest()[:n], "big")
     check = fresh()
     check.update(k_guess.to_bytes(n, "big") + tail)
     return check.digest()[:n] == x1

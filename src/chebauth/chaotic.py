@@ -130,12 +130,12 @@ def cheb_eval(n: int, x: FieldElement) -> FieldElement:
     return FieldElement((v + p) >> 1 if v & 1 else v >> 1, p)
 
 
-def bits_to_field(bits, p: int) -> FieldElement:
+def bits_to_field(bits: bytes, p: int) -> FieldElement:
     """Map a bit string to the field: big-endian unsigned integer, reduced mod p.
 
-    Accepts a BitString or any bytes-like value (bytes, bytearray, memoryview).
+    Accepts any bytes-like value (bytes, bytearray, memoryview).
     """
-    return FieldElement(int.from_bytes(getattr(bits, "data", bits), "big") % p, p)
+    return FieldElement(int.from_bytes(bits, "big") % p, p)
 
 
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)

@@ -1,12 +1,15 @@
-"""Fixed-width bit strings, hashing, randomness, logical time, op counters.
+"""Bit strings as bytes, hashing, randomness, logical time, op counters.
 
 Every value a protocol message carries is either bytes of the system width,
 a FieldElement, or a Timestamp; all three have canonical fixed-width
 big-endian encodings so concatenations hash identically everywhere.
 
-h_digest, H_digest and xor_bytes work on bytes and are what the protocol
-phases call; hash_h, hash_H and xor wrap them for BitString operands, which
-no card, message or key holds, and count each call.
+h_digest, H_digest and xor_bytes are what the protocol phases call, and
+each phase tallies its own operations once per exit path: that tally is the
+package's one count. hash_h, hash_H, xor and concat are the public forms at
+a width in bits; they take and return bytes and count nothing. BitString is
+only the shell of a retired bit-string type, kept for the constructor hook
+that perfbench/tracer.py replaces; nothing in the package builds one.
 """
 
 import hashlib
@@ -50,7 +53,7 @@ def as_bytes(value) -> bytes:
 
 
 class BitString(Frozen):
-    """Immutable bit vector; width is len(data) * 8, most significant bit first."""
+    """A non-empty bytes value in a class of its own; no phase builds one."""
 
     __slots__ = __match_args__ = ("data",)
 
@@ -65,26 +68,6 @@ class BitString(Frozen):
             _set(self, "data", bytes(memoryview(self.data)))  # TypeError unless bytes-like
         if len(self.data) == 0:
             raise ValueError("BitString may not be empty")
-
-    @classmethod
-    def zeros(cls, width: int) -> "BitString":
-        _check_width(width)
-        return cls(bytes(width // 8))
-
-    @classmethod
-    def from_int(cls, value: int, width: int) -> "BitString":
-        _check_width(width)
-        return cls(value.to_bytes(width // 8, "big"))
-
-    @property
-    def width(self) -> int:
-        return len(self.data) * 8
-
-    def to_int(self) -> int:
-        return int.from_bytes(self.data, "big")
-
-    def hex(self) -> str:
-        return self.data.hex()
 
 
 class Timestamp(Frozen):
@@ -149,13 +132,8 @@ class RandomSource:
     def __init__(self, seed: int):
         self._rng = random.Random(seed)
 
-    def draw_bits(self, width: int = DEFAULT_WIDTH) -> BitString:
-        """Next width-bit string from the stream."""
-        _check_width(width)
-        return BitString(self.draw_bytes(width // 8))
-
     def draw_bytes(self, n: int) -> bytes:
-        """Next 8n-bit draw as n big-endian bytes: draw_bits(8 * n).data, unwrapped."""
+        """Next 8n-bit draw from the stream, as n big-endian bytes."""
         return self._rng.getrandbits(8 * n).to_bytes(n, "big")
 
     def draw_exponent(self) -> int:
@@ -185,38 +163,28 @@ def xor_bytes(a: bytes, b: bytes) -> bytes:
     return (_from_bytes(a, "big") ^ _from_bytes(b, "big")).to_bytes(n, "big")
 
 
-def hash_h(data, width: int = DEFAULT_WIDTH, counts: OpCounts | None = None) -> BitString:
-    """One-way hash h of an arbitrary byte sequence to a width-bit string.
+def hash_h(data, width: int = DEFAULT_WIDTH) -> bytes:
+    """One-way hash h of an arbitrary byte sequence to width bits, as bytes.
 
     Truncated SHA-256 with a domain prefix distinguishing h from H.
     """
     _check_width(width)
-    tally(counts, n_hash=1)
-    return BitString(h_digest(width // 8, as_bytes(data)))
+    return h_digest(width // 8, as_bytes(data))
 
 
-def hash_H(
-    a: FieldElement,
-    b: FieldElement,
-    c: FieldElement,
-    width: int = DEFAULT_WIDTH,
-    counts: OpCounts | None = None,
-) -> BitString:
-    """One-way hash H of three field elements, order-sensitive."""
+def hash_H(a: FieldElement, b: FieldElement, c: FieldElement, width: int = DEFAULT_WIDTH) -> bytes:
+    """One-way hash H of three field elements to width bits, order-sensitive."""
     _check_width(width)
-    tally(counts, n_hash=1)
-    return BitString(H_digest(width // 8, a.to_bytes(), b.to_bytes(), c.to_bytes()))
+    return H_digest(width // 8, a.to_bytes(), b.to_bytes(), c.to_bytes())
 
 
-def xor(a: BitString, b: BitString, counts: OpCounts | None = None) -> BitString:
-    """Bitwise exclusive-or of two equal-width strings."""
-    value = xor_bytes(a.data, b.data)
-    tally(counts, n_xor=1)
-    return BitString(value)
+def xor(a: bytes, b: bytes) -> bytes:
+    """Bitwise exclusive-or of two equal-width byte strings."""
+    return xor_bytes(a, b)
 
 
 def concat(parts) -> bytes:
-    """Join canonical encodings of BitString / FieldElement / Timestamp / bytes.
+    """Join canonical encodings of bytes / FieldElement / Timestamp.
 
     Every protocol-carried component has a fixed width, which is what makes
     the (prefix-free) concatenation injective. Raw bytes (passwords,
@@ -225,9 +193,7 @@ def concat(parts) -> bytes:
     """
     out = bytearray()
     for part in parts:
-        if isinstance(part, BitString):
-            out += part.data
-        elif isinstance(part, (FieldElement, Timestamp)):
+        if isinstance(part, (FieldElement, Timestamp)):
             out += part.to_bytes()
         elif isinstance(part, (bytes, bytearray)):
             out += part

@@ -10,8 +10,10 @@ The phases compute on bytes and ints: one join per hashed tuple into
 h_digest or H_digest, so h(pw) and h(pw || b) are one call each as the
 scheme writes them, and XOR through xor_bytes. What they store and send
 (master key, card and message fields, session keys) is plain bytes, and
-each phase tallies its exact operations once per exit path. hash_h, xor and
-concat stay the public primitives that tests, oracles and tracers use.
+each phase tallies its exact operations once per exit path, the package's
+only count. A message whose byte fields do not have the receiver's width,
+or whose field element lies in another field, is rejected as malformed
+before any other check or computation.
 
 Once X1 verifies, the server has the chaotic kernel tabulate the recovered
 K, so that T_v(K) here and the card's T_u(K) in later logins read K's
@@ -37,6 +39,7 @@ class EmptyCredential(ValueError):
 
 
 class RejectReason(Enum):
+    MALFORMED = "malformed"
     STALE_TIMESTAMP = "stale_timestamp"
     AUTH_FAILURE = "auth_failure"
 
@@ -55,10 +58,6 @@ class ServerState(Frozen):
     """
 
     __slots__ = __match_args__ = ("mk", "p", "delta_t")
-
-    @property
-    def width(self) -> int:
-        return len(self.mk) * 8
 
 
 class SmartCard(Frozen):
@@ -185,16 +184,19 @@ def server_handle_login(
     """Verify M1 and, on success, answer with M2 carrying refreshed pseudonyms.
 
     Returns (LoginResponse, session_key) or a Reject that says which check
-    failed: freshness first (before any keyed computation), then the X1
-    authenticator. The server keeps no state. Draw order on success is
-    r_new, then v.
+    failed: the message's shape first (IM1, IM2 and X1 of the master key's
+    width, T_u(K) in the server's field), then freshness, both before any
+    keyed computation, then the X1 authenticator. The server keeps no
+    state. Draw order on success is r_new, then v.
     """
-    t2 = clock.now()
-    if t2 - m1.t1 > server.delta_t:
-        return Reject(RejectReason.STALE_TIMESTAMP)
     mk = server.mk
     n = len(mk)
     im1, im2 = m1.im1, m1.im2
+    if len(im1) != n or len(im2) != n or len(m1.x1) != n or m1.tuk.p != server.p:
+        return Reject(RejectReason.MALFORMED)
+    t2 = clock.now()
+    if t2 - m1.t1 > server.delta_t:
+        return Reject(RejectReason.STALE_TIMESTAMP)
     id_rec = xor_bytes(im2, h_digest(n, mk, xor_bytes(im1, mk)))
     k_rec = h_digest(n, id_rec, mk)
     tuk_bytes = m1.tuk.to_bytes()
@@ -229,12 +231,16 @@ def user_handle_response(
     """Check M2, derive the session key, and adopt the refreshed pseudonyms.
 
     Returns (session_key, updated card) or a Reject; on any Reject the card
-    passed in remains the caller's current card, bit for bit.
+    passed in remains the caller's current card, bit for bit. Y1, Y2 and Y3
+    must have the card's width and T_v(K) must lie in T_u(K)'s field, else
+    the Reject is MALFORMED, before the freshness check.
     """
+    n = len(card.d1)
+    if len(m2.y1) != n or len(m2.y2) != n or len(m2.y3) != n or m2.tvk.p != ctx.tuk.p:
+        return Reject(RejectReason.MALFORMED)
     t3 = clock.now()
     if t3 - m2.t2 > delta_t:
         return Reject(RejectReason.STALE_TIMESTAMP)
-    n = len(card.d1)
     tvk_bytes, t2_bytes = m2.tvk.to_bytes(), m2.t2.to_bytes()
     tutvk = cheb_eval(ctx.u, m2.tvk)
     session_key = H_digest(n, ctx.tuk.to_bytes(), tvk_bytes, tutvk.to_bytes())

@@ -4,9 +4,9 @@ from types import SimpleNamespace
 
 from chebauth.adversary import ExtractedCard
 from chebauth.chaotic import DEFAULT_PRIME
-from chebauth.primitives import (DEFAULT_WIDTH, BitString, LogicalClock, RandomSource, as_bytes, concat,
-                                 hash_h, xor)
+from chebauth.primitives import DEFAULT_WIDTH, LogicalClock, RandomSource
 from chebauth.protocol import DEFAULT_DELTA_T, registration, server_setup
+from reference_scheme import field, h, tick, xor
 
 
 def cheb_naive(n: int, x: int, p: int) -> int:
@@ -31,24 +31,25 @@ def cheb_naive_sequence(limit: int, x: int, p: int) -> list:
     return values[: limit + 1]
 
 
-def guess_predicate_oracle(candidate, card, m1, counts=None) -> bool:
-    """Reference oracle for the offline-guess predicate, on the counted primitives.
+def guess_predicate_oracle(candidate, card, m1) -> bool:
+    """Reference oracle for the offline-guess predicate, on the reference scheme.
 
-    The scheme's formula written with BitString values, hash_h, xor and
-    concat over the card's and M1's bytes fields; the production predicate
-    works on bytes and ints and must agree with it, op counts included.
+    The scheme's formula written with reference_scheme's h, xor and field
+    encoding over the card's and M1's bytes fields, independent of
+    chebauth.primitives; the production predicate works on bytes and ints
+    and must agree with it.
     """
-    cand = as_bytes(candidate)
-    w = card.width
-    b_guess = xor(BitString(card.d2), hash_h(cand, w, counts), counts)
-    k_guess = xor(BitString(card.d1), hash_h(concat([cand, b_guess]), w, counts), counts)
-    check = hash_h(concat([k_guess, m1.im1, m1.im2, m1.tuk, m1.t1]), w, counts)
-    return check.data == m1.x1
+    cand = candidate.encode("utf-8") if isinstance(candidate, str) else bytes(candidate)
+    n = len(card.d1)
+    b_guess = xor(card.d2, h(n, cand))
+    k_guess = xor(card.d1, h(n, cand, b_guess))
+    tuk = field(m1.tuk.value, m1.tuk.p)
+    return h(n, k_guess, m1.im1, m1.im2, tuk, tick(m1.t1.ticks)) == m1.x1
 
 
 def zeroed_card(width: int) -> ExtractedCard:
     """All-zero stand-in for an extracted card, used to show the card leak is necessary."""
-    z = BitString.zeros(width).data
+    z = bytes(width // 8)
     return ExtractedCard(im1=z, im2=z, d1=z, d2=z)
 
 

@@ -81,15 +81,14 @@ class TestGuessPredicate:
             assert guess_predicate(fx.password, extracted, m1), seed
 
     def test_costs_three_hashes_two_xors(self):
-        # the oracle counts the scheme's operations per candidate, and
+        # the scheme's formula costs 3 hashes and 2 XORs per candidate, and
         # offline_guess tallies the same for each candidate it evaluates
         fx = make_fixture(56)
         extracted, m1 = intercepted_m1(fx)
-        oracle_counts = OpCounts()
-        guess_predicate_oracle(fx.password, extracted, m1, oracle_counts)
+        assert guess_predicate_oracle(fx.password, extracted, m1)
         report = offline_guess(extracted, m1, Dictionary((fx.password,)))
         assert report.recovered == fx.password
-        assert report.counts == oracle_counts == OpCounts(3, 2, 0)
+        assert report.counts == OpCounts(3, 2, 0)
 
     @pytest.mark.parametrize("prime", (17, DEFAULT_PRIME))
     @pytest.mark.parametrize("width", (8, 64, 256))

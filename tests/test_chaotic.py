@@ -5,7 +5,7 @@ import pytest
 from chebauth import chaotic
 from chebauth._cheb_pure import cheb_eval_int as pure_eval
 from chebauth.chaotic import DEFAULT_PRIME, FieldElement, bits_to_field, cheb_eval, is_probable_prime
-from chebauth.primitives import BitString, RandomSource
+from chebauth.primitives import RandomSource
 
 from helpers import cheb_naive, cheb_naive_sequence
 
@@ -208,20 +208,20 @@ class TestFixedBaseTable:
 
 class TestBitsToField:
     def test_zero_bits(self):
-        assert bits_to_field(BitString.zeros(256), 17).value == 0
+        assert bits_to_field(bytes(32), 17).value == 0
 
     def test_value_equal_to_modulus_reduces_to_zero(self):
-        assert bits_to_field(BitString.from_int(17, 256), 17).value == 0
+        assert bits_to_field((17).to_bytes(32, "big"), 17).value == 0
 
     def test_small_value_passthrough(self):
-        assert bits_to_field(BitString.from_int(1, 256), 17).value == 1
+        assert bits_to_field((1).to_bytes(32, "big"), 17).value == 1
 
     def test_accepts_raw_bytes(self):
         assert bits_to_field(b"\x00\x12", 101).value == 18 % 101
         data = bytes(range(1, 33))
         for p in (101, DEFAULT_PRIME):
             expected = FieldElement(int.from_bytes(data, "big") % p, p)
-            for bits in (BitString(data), data, bytearray(data), memoryview(data)):
+            for bits in (data, bytearray(data), memoryview(data)):
                 assert bits_to_field(bits, p) == expected, type(bits)
             assert bits_to_field(memoryview(data)[::2], p) == bits_to_field(data[::2], p)
 

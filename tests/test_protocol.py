@@ -4,13 +4,12 @@ import pytest
 
 from chebauth import protocol
 from chebauth.adversary import ExtractedCard
-from chebauth.chaotic import DEFAULT_PRIME, bits_to_field
+from chebauth.chaotic import DEFAULT_PRIME, FieldElement, bits_to_field
 from chebauth.primitives import (
     BitString,
     LogicalClock,
     OpCounts,
     RandomSource,
-    WidthMismatch,
     concat,
     h_digest,
     hash_h,
@@ -55,7 +54,7 @@ class TestServerSetup:
         assert server_setup(2).mk.hex() == MK_SEED2
 
     def test_master_key_width(self):
-        assert server_setup(1).width == 256
+        assert len(server_setup(1).mk) * 8 == 256
         assert len(server_setup(1, width=64).mk) * 8 == 64
 
     def test_composite_modulus_rejected(self):
@@ -80,18 +79,16 @@ class TestServerSetup:
 class TestRegistration:
     def test_card_field_inversions(self):
         fx = make_fixture(11)
-        card, mk = fx.card, BitString(fx.server.mk)
+        card, mk = fx.card, fx.server.mk
         # replay the draw order (b first, then r) to recover the nonces
         replay = RandomSource(12)
-        b = replay.draw_bits(256)
-        r = replay.draw_bits(256)
-        assert xor(BitString(card.d2), hash_h(fx.password)).data == b.data
-        assert xor(BitString(card.im1), mk).data == r.data
+        b = replay.draw_bytes(32)
+        r = replay.draw_bytes(32)
+        assert xor(card.d2, hash_h(fx.password)) == b
+        assert xor(card.im1, mk) == r
         id_l = hash_h(fx.identity)
-        assert xor(BitString(card.im2), hash_h(concat([mk, r]))).data == id_l.data
-        assert xor(BitString(card.d1), hash_h(concat([fx.password, b]))).data == hash_h(
-            concat([id_l, mk])
-        ).data
+        assert xor(card.im2, hash_h(concat([mk, r]))) == id_l
+        assert xor(card.d1, hash_h(concat([fx.password, b]))) == hash_h(concat([id_l, mk]))
 
     def test_empty_credentials_rejected(self):
         fx = make_fixture(1)
@@ -119,15 +116,15 @@ class TestLogin:
         # session draw order: u (user), then r_new, then v (server)
         replay = RandomSource(22)
         for _ in range(2):  # registration drew b and r from the same stream
-            replay.draw_bits(256)
+            replay.draw_bytes(32)
         replay.draw_exponent()  # u
-        r_new = replay.draw_bits(256)
+        r_new = replay.draw_bytes(32)
         session = run_login_session(fx.server, fx.card, fx.password, fx.clock, fx.rng)
         assert session.ok
-        refreshed, mk = session.card, BitString(fx.server.mk)
+        refreshed, mk = session.card, fx.server.mk
         assert refreshed.im1 != fx.card.im1 and refreshed.im2 != fx.card.im2
-        assert xor(BitString(refreshed.im1), mk).data == r_new.data
-        assert xor(BitString(refreshed.im2), hash_h(concat([mk, r_new]))).data == hash_h(fx.identity).data
+        assert xor(refreshed.im1, mk) == r_new
+        assert xor(refreshed.im2, hash_h(concat([mk, r_new]))) == hash_h(fx.identity)
         # d1/d2 are password material and must survive the refresh untouched
         assert refreshed.d1 == fx.card.d1 and refreshed.d2 == fx.card.d2
 
@@ -366,36 +363,57 @@ class TestTalliesPerExitPath:
 class TestEdges:
     """Edge behaviour pinned as it stands."""
 
-    def test_wrong_width_m1_raises_at_the_server(self):
-        # a planned Reject(MALFORMED) would replace this; until then the XOR raises
+    def test_wrong_width_m1_is_malformed_at_the_server(self, cold_memo):
+        # rejected before freshness and before any hash, XOR, draw or memo write
         fx, narrow = make_fixture(60), make_fixture(61, width=64)
         m1, _ = user_login_start(narrow.card, narrow.password, fx.clock, fx.rng, prime=fx.server.p)
-        with pytest.raises(WidthMismatch, match=r"^cannot XOR widths 64 and 256$"):
-            server_handle_login(fx.server, m1, fx.clock, fx.rng)
         wide, _ = user_login_start(fx.card, fx.password, fx.clock, fx.rng, prime=fx.server.p)
-        mixed = LoginRequest(wide.im1, m1.im2, wide.tuk, wide.x1, wide.t1)
-        with pytest.raises(WidthMismatch, match=r"^cannot XOR widths 64 and 256$"):
-            server_handle_login(fx.server, mixed, fx.clock, fx.rng)
-        short_x1 = LoginRequest(wide.im1, wide.im2, wide.tuk, m1.x1, wide.t1)
-        assert server_handle_login(fx.server, short_x1, fx.clock, fx.rng) == Reject(
-            RejectReason.AUTH_FAILURE
-        )
+        stale_clock = clock_at(wide.t1.ticks + fx.server.delta_t + 1)
+        for malformed in (
+            m1,
+            LoginRequest(wide.im1, m1.im2, wide.tuk, wide.x1, wide.t1),
+            LoginRequest(m1.im1, wide.im2, wide.tuk, wide.x1, wide.t1),
+            LoginRequest(wide.im1, wide.im2, wide.tuk, m1.x1, wide.t1),
+        ):
+            rng = RandomSource(77)
+            for clock in (fx.clock, stale_clock):
+                result, counts = tallied(server_handle_login, fx.server, malformed, clock, rng)
+                assert result == Reject(RejectReason.MALFORMED) and counts == OpCounts(0, 0, 0)
+            assert rng.draw_exponent() == RandomSource(77).draw_exponent()
+        assert not cold_memo
+        assert not isinstance(server_handle_login(fx.server, wide, fx.clock, fx.rng), Reject)
 
-    def test_wrong_width_m2_raises_at_the_card(self):
+    def test_wrong_width_m2_is_malformed_at_the_card(self):
         fx = make_fixture(62)
         m1, ctx = user_login_start(fx.card, fx.password, fx.clock, fx.rng, prime=fx.server.p)
         m2, _ = server_handle_login(fx.server, m1, fx.clock, fx.rng)
         short = m2.y1[:8]
+        stale_clock = clock_at(m2.t2.ticks + 6)
         for tampered in (
             LoginResponse(short, m2.y2, m2.y3, m2.tvk, m2.t2),
             LoginResponse(m2.y1, short, m2.y3, m2.tvk, m2.t2),
+            LoginResponse(m2.y1, m2.y2, short, m2.tvk, m2.t2),
         ):
-            with pytest.raises(WidthMismatch, match=r"^cannot XOR widths 64 and 256$"):
-                user_handle_response(fx.card, ctx, tampered, fx.clock, delta_t=5)
-        tampered = LoginResponse(m2.y1, m2.y2, short, m2.tvk, m2.t2)
-        assert user_handle_response(fx.card, ctx, tampered, fx.clock, delta_t=5) == Reject(
-            RejectReason.AUTH_FAILURE
-        )
+            for clock in (fx.clock, stale_clock):
+                result, counts = tallied(user_handle_response, fx.card, ctx, tampered, clock, delta_t=5)
+                assert result == Reject(RejectReason.MALFORMED) and counts == OpCounts(0, 0, 0)
+        assert not isinstance(user_handle_response(fx.card, ctx, m2, fx.clock, delta_t=5), Reject)
+
+    def test_foreign_modulus_is_malformed_at_both_ends(self, cold_memo):
+        # a card started with another prime gets no M2, and an M2 whose
+        # T_v(K) lies in another field than T_u(K) is refused by the card
+        fx = make_fixture(67)
+        m1, _ = user_login_start(fx.card, fx.password, fx.clock, fx.rng, prime=101)
+        rng = RandomSource(77)
+        result, counts = tallied(server_handle_login, fx.server, m1, fx.clock, rng)
+        assert result == Reject(RejectReason.MALFORMED) and counts == OpCounts(0, 0, 0)
+        assert not cold_memo
+        assert rng.draw_exponent() == RandomSource(77).draw_exponent()
+        m1, ctx = user_login_start(fx.card, fx.password, fx.clock, fx.rng, prime=fx.server.p)
+        m2, _ = server_handle_login(fx.server, m1, fx.clock, fx.rng)
+        foreign = LoginResponse(m2.y1, m2.y2, m2.y3, FieldElement(m2.tvk.value % 101, 101), m2.t2)
+        result, counts = tallied(user_handle_response, fx.card, ctx, foreign, fx.clock, delta_t=5)
+        assert result == Reject(RejectReason.MALFORMED) and counts == OpCounts(0, 0, 0)
 
     def test_password_types_agree(self):
         fx = make_fixture(63)
@@ -534,16 +552,9 @@ class TestBytesFields:
         assert user_key == server_key
         assert_exact(user_key, *fields(refreshed), *fields(change_password(refreshed, fx.password, b"new")))
 
-    def test_phases_construct_no_bitstring(self, monkeypatch):
-        built = []
-        original = BitString.__post_init__
-
-        def counting(self):
-            built.append(self)
-            original(self)
-
+    def test_phases_construct_no_bitstring(self, bitstrings_built):
         fx = make_fixture(71, delta_t=3)
-        monkeypatch.setattr(BitString, "__post_init__", counting)  # as the benchmark's tracer counts
+        built = bitstrings_built
         card = registration(fx.server, fx.identity, fx.password, fx.rng)
         honest = run_login_session(fx.server, card, fx.password, fx.clock, fx.rng)
         wrong = run_login_session(fx.server, honest.card, b"typo", fx.clock, fx.rng)
