@@ -5,28 +5,25 @@ The value types are plain ``__slots__`` classes, not dataclasses: importing
 class at import time cost every fresh CLI process about 14 ms, several times
 the work of a command. A subclass names its fields once, as
 ``__slots__ = __match_args__ = (...)``, and equality, hashing, repr, pickling
-and ``__init__`` follow from that tuple. The ``__init__`` is compiled once per
-class, as ``collections.namedtuple`` compiles its ``__new__``: it takes every
-field, in order, and sets each through ``_set``, so Python binds the arguments
-and raises the usual ``TypeError`` on a bad call. Only the classes that
-validate their input or have defaults write their own, taking the fields in
-the same order: ``FieldElement``, ``Timestamp``, ``OpCounts``, ``SmartCard``,
-``Transcript`` and ``Dictionary``, and ``BitString``, whose ``__init__`` calls
-the ``__post_init__`` hook that the benchmark's tracer replaces.
+and ``__init__`` follow from that tuple. Each class gets a ``_fill`` compiled
+once, as ``collections.namedtuple`` compiles its ``__new__``: it takes every
+field, in order, and stores each through its slot's ``__set__``, so Python
+binds the arguments and raises the usual ``TypeError`` on a bad call. It is
+the ``__init__`` of a class that writes none. ``FieldElement``, ``Timestamp``,
+``SmartCard``, ``Transcript``, ``Dictionary`` and ``BitString`` validate their
+input and store it with one ``_fill``; ``OpCounts``, mutable, with defaults,
+keeps plain attribute stores, which the interpreter specialises.
 """
 
 from operator import attrgetter
 
-_set = object.__setattr__  # frozen types set their fields through this in __init__
 
-
-def _compiled_init(cls, fields):
-    """``def __init__(self, a, b): _set(self, "a", a); _set(self, "b", b)``."""
-    body = "".join(f"\n    _set(self, {name!r}, {name})" for name in fields)
-    namespace = {"_set": _set, "__name__": cls.__module__}
-    exec(f"def __init__(self, {', '.join(fields)}):{body}", namespace)
-    namespace["__init__"].__qualname__ = f"{cls.__qualname__}.__init__"  # as TypeErrors name it
-    return namespace["__init__"]
+def _compiled_filler(cls, fields):
+    """``def _fill(self, a, b): set_a(self, a); set_b(self, b)``, set_a the bound ``__set__`` of slot a."""
+    namespace = {f"set_{name}": vars(cls)[name].__set__ for name in fields} | {"__name__": cls.__module__}
+    body = "".join(f"\n    set_{name}(self, {name})" for name in fields)
+    exec(f"def _fill(self, {', '.join(fields)}):{body}", namespace)
+    return namespace["_fill"]
 
 
 class Record:
@@ -42,8 +39,10 @@ class Record:
         if fields is not None:
             # The fields read at C speed: a tuple of them, or the only one.
             cls._key = property(attrgetter(*fields))
+            cls._fill = _compiled_filler(cls, fields)
             if "__init__" not in vars(cls):
-                cls.__init__ = _compiled_init(cls, fields)
+                cls.__init__ = cls._fill
+                cls.__init__.__qualname__ = f"{cls.__qualname__}.__init__"  # as TypeErrors name it
 
     def __eq__(self, other):
         if other.__class__ is self.__class__:
@@ -61,7 +60,7 @@ class Record:
 
 
 class Frozen(Record):
-    """Immutable, hashable value whose fields are set once, in ``__init__``."""
+    """Immutable, hashable value whose fields are set once, by ``_fill``."""
 
     __slots__ = ()
 

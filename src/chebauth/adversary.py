@@ -7,7 +7,7 @@ either one alone validates nothing (the tests check this explicitly).
 
 from pathlib import Path
 
-from ._value import Frozen, Record, _set
+from ._value import Frozen, Record
 from .primitives import LogicalClock, OpCounts, RandomSource, _from_bytes, as_bytes, h_state
 
 # Not called here. It stays bound because perfbench/tracer.py wraps hash_h
@@ -53,7 +53,7 @@ class Transcript(Frozen):
         times = [e.delivered_at.ticks for e in events]
         if times != sorted(times):
             raise ValueError("transcript events must be ordered by delivery time")
-        _set(self, "events", events)
+        self._fill(events)
 
     @classmethod
     def from_events(cls, events: list[ChannelEvent]) -> "Transcript":
@@ -75,7 +75,7 @@ class Dictionary(Frozen):
         candidates = tuple(c if type(c) is bytes else as_bytes(c) for c in candidates)
         if len(set(candidates)) != len(candidates):
             raise ValueError(_DUPLICATES)
-        _set(self, "candidates", candidates)
+        self._fill(candidates)
 
     @classmethod
     def from_file(cls, path) -> "Dictionary":
@@ -103,7 +103,7 @@ class Dictionary(Frozen):
         if len(unique) != len(lines):
             raise ValueError(_DUPLICATES)
         dictionary = cls.__new__(cls)
-        _set(dictionary, "candidates", tuple(lines))
+        dictionary._fill(tuple(lines))
         return dictionary
 
     def __len__(self):

@@ -19,7 +19,7 @@ after which an exponent below 2^64 costs one product per bit. Only
 _tabulate fills that process-wide memo.
 """
 
-from ._value import Frozen, _set
+from ._value import Frozen
 
 #: Name of the evaluation kernel. There is one; the CLI reports carry it.
 backend_name: str = "pure"
@@ -46,8 +46,7 @@ class FieldElement(Frozen):
             raise ValueError("modulus must be a prime greater than 3")
         if not 0 <= value < p:
             raise ValueError("value out of range [0, p)")
-        _set(self, "value", value)
-        _set(self, "p", p)
+        self._fill(value, p)
 
     @property
     def byte_width(self) -> int:

@@ -15,7 +15,7 @@ that perfbench/tracer.py replaces; nothing in the package builds one.
 import hashlib
 import random
 
-from ._value import Frozen, Record, _set
+from ._value import Frozen, Record
 from .chaotic import FieldElement
 
 #: Default system width l in bits. Must be a multiple of 8 and at most 256
@@ -58,14 +58,14 @@ class BitString(Frozen):
     __slots__ = __match_args__ = ("data",)
 
     def __init__(self, data: bytes):
-        _set(self, "data", data)
+        self._fill(data)
         self.__post_init__()
 
     # A method of its own, looked up on the class per construction:
     # perfbench/tracer.py counts constructions by replacing it.
     def __post_init__(self):
         if not isinstance(self.data, bytes):
-            _set(self, "data", bytes(memoryview(self.data)))  # TypeError unless bytes-like
+            self._fill(bytes(memoryview(self.data)))  # TypeError unless bytes-like
         if len(self.data) == 0:
             raise ValueError("BitString may not be empty")
 
@@ -78,7 +78,7 @@ class Timestamp(Frozen):
     def __init__(self, ticks: int):
         if ticks < 0:
             raise ValueError("ticks must be non-negative")
-        _set(self, "ticks", ticks)
+        self._fill(ticks)
 
     def to_bytes(self) -> bytes:
         return self.ticks.to_bytes(8, "big")

@@ -11,9 +11,9 @@ h_digest or H_digest, so h(pw) and h(pw || b) are one call each as the
 scheme writes them, and XOR through xor_bytes. What they store and send
 (master key, card and message fields, session keys) is plain bytes, and
 each phase tallies its exact operations once per exit path, the package's
-only count. A message whose byte fields do not have the receiver's width,
-or whose field element lies in another field, is rejected as malformed
-before any other check or computation.
+only count. A message with a field of the wrong type, a byte field not of
+the receiver's width, or a field element in another field, is rejected as
+malformed before any other check or computation.
 
 Once X1 verifies, the server has the chaotic kernel tabulate the recovered
 K, so that T_v(K) here and the card's T_u(K) in later logins read K's
@@ -25,10 +25,10 @@ never tabulated.
 
 from enum import Enum
 
-from ._value import Frozen, Record, _set
-from .chaotic import DEFAULT_PRIME, _tabulate, bits_to_field, cheb_eval, is_probable_prime
-from .primitives import (DEFAULT_WIDTH, H_digest, LogicalClock, OpCounts, RandomSource, _check_width,
-                         as_bytes, h_digest, tally, xor_bytes)
+from ._value import Frozen, Record
+from .chaotic import DEFAULT_PRIME, FieldElement, _tabulate, bits_to_field, cheb_eval, is_probable_prime
+from .primitives import (DEFAULT_WIDTH, H_digest, LogicalClock, OpCounts, RandomSource, Timestamp,
+                         _check_width, as_bytes, h_digest, tally, xor_bytes)
 
 #: Default freshness window, in clock ticks.
 DEFAULT_DELTA_T = 5
@@ -73,10 +73,7 @@ class SmartCard(Frozen):
             widths = sorted({8 * len(im1), 8 * len(im2), 8 * len(d1), 8 * len(d2)})
             problem = "may not be empty" if 0 in widths else "disagree on width"
             raise ValueError(f"card fields {problem}: {widths}")
-        _set(self, "im1", im1)
-        _set(self, "im2", im2)
-        _set(self, "d1", d1)
-        _set(self, "d2", d2)
+        self._fill(im1, im2, d1, d2)
 
     @property
     def width(self) -> int:
@@ -84,13 +81,13 @@ class SmartCard(Frozen):
 
 
 class LoginRequest(Frozen):
-    """First wire message M1 = {IM1, IM2, T_u(K), X1, T1}: bytes, a FieldElement, a Timestamp."""
+    """First wire message M1 = {IM1, IM2, T_u(K), X1, T1}: bytes, FieldElement, Timestamp, or MALFORMED."""
 
     __slots__ = __match_args__ = ("im1", "im2", "tuk", "x1", "t1")
 
 
 class LoginResponse(Frozen):
-    """Second wire message M2 = {Y1, Y2, Y3, T_v(K'), T2}: bytes, a FieldElement, a Timestamp."""
+    """Second wire message M2 = {Y1, Y2, Y3, T_v(K'), T2}: bytes, FieldElement, Timestamp, or MALFORMED."""
 
     __slots__ = __match_args__ = ("y1", "y2", "y3", "tvk", "t2")
 
@@ -184,23 +181,24 @@ def server_handle_login(
     """Verify M1 and, on success, answer with M2 carrying refreshed pseudonyms.
 
     Returns (LoginResponse, session_key) or a Reject that says which check
-    failed: the message's shape first (IM1, IM2 and X1 of the master key's
-    width, T_u(K) in the server's field), then freshness, both before any
-    keyed computation, then the X1 authenticator. The server keeps no
-    state. Draw order on success is r_new, then v.
+    failed: the message's shape first (field types, IM1, IM2 and X1 of the
+    master key's width, T_u(K) in the server's field), then freshness, both
+    before any keyed computation, then the X1 authenticator. The server
+    keeps no state. Draw order on success is r_new, then v.
     """
     mk = server.mk
     n = len(mk)
-    im1, im2 = m1.im1, m1.im2
-    if len(im1) != n or len(im2) != n or len(m1.x1) != n or m1.tuk.p != server.p:
+    im1, im2, tuk, x1, t1 = fields = m1.im1, m1.im2, m1.tuk, m1.x1, m1.t1
+    if (tuple(map(type, fields)) != (bytes, bytes, FieldElement, bytes, Timestamp)
+            or len(im1) != n or len(im2) != n or len(x1) != n or tuk.p != server.p):
         return Reject(RejectReason.MALFORMED)
     t2 = clock.now()
-    if t2 - m1.t1 > server.delta_t:
+    if t2 - t1 > server.delta_t:
         return Reject(RejectReason.STALE_TIMESTAMP)
     id_rec = xor_bytes(im2, h_digest(n, mk, xor_bytes(im1, mk)))
     k_rec = h_digest(n, id_rec, mk)
-    tuk_bytes = m1.tuk.to_bytes()
-    if h_digest(n, k_rec, im1, im2, tuk_bytes, m1.t1.to_bytes()) != m1.x1:
+    tuk_bytes = tuk.to_bytes()
+    if h_digest(n, k_rec, im1, im2, tuk_bytes, t1.to_bytes()) != x1:
         tally(counts, 3, 2, 0)
         return Reject(RejectReason.AUTH_FAILURE)
     r_new = rng.draw_bytes(n)
@@ -209,7 +207,7 @@ def server_handle_login(
     im2_new = xor_bytes(h_digest(n, mk, r_new), id_rec)
     k = bits_to_field(k_rec, server.p)
     _tabulate(k)
-    tvtuk = cheb_eval(v, m1.tuk)
+    tvtuk = cheb_eval(v, tuk)
     tvk = cheb_eval(v, k)
     tvk_bytes, t2_bytes = tvk.to_bytes(), t2.to_bytes()
     session_key = H_digest(n, tuk_bytes, tvk_bytes, tvtuk.to_bytes())
@@ -231,24 +229,26 @@ def user_handle_response(
     """Check M2, derive the session key, and adopt the refreshed pseudonyms.
 
     Returns (session_key, updated card) or a Reject; on any Reject the card
-    passed in remains the caller's current card, bit for bit. Y1, Y2 and Y3
-    must have the card's width and T_v(K) must lie in T_u(K)'s field, else
-    the Reject is MALFORMED, before the freshness check.
+    passed in remains the caller's current card, bit for bit. A field of
+    the wrong type, a Y1, Y2 or Y3 not of the card's width, or a T_v(K)
+    outside T_u(K)'s field is MALFORMED, before the freshness check.
     """
     n = len(card.d1)
-    if len(m2.y1) != n or len(m2.y2) != n or len(m2.y3) != n or m2.tvk.p != ctx.tuk.p:
+    y1, y2, y3, tvk, t2 = fields = m2.y1, m2.y2, m2.y3, m2.tvk, m2.t2
+    if (tuple(map(type, fields)) != (bytes, bytes, bytes, FieldElement, Timestamp)
+            or len(y1) != n or len(y2) != n or len(y3) != n or tvk.p != ctx.tuk.p):
         return Reject(RejectReason.MALFORMED)
     t3 = clock.now()
-    if t3 - m2.t2 > delta_t:
+    if t3 - t2 > delta_t:
         return Reject(RejectReason.STALE_TIMESTAMP)
-    tvk_bytes, t2_bytes = m2.tvk.to_bytes(), m2.t2.to_bytes()
-    tutvk = cheb_eval(ctx.u, m2.tvk)
+    tvk_bytes, t2_bytes = tvk.to_bytes(), t2.to_bytes()
+    tutvk = cheb_eval(ctx.u, tvk)
     session_key = H_digest(n, ctx.tuk.to_bytes(), tvk_bytes, tutvk.to_bytes())
     pad = h_digest(n, session_key, t2_bytes)
-    im1_new = xor_bytes(m2.y1, pad)
-    im2_new = xor_bytes(m2.y2, pad)
+    im1_new = xor_bytes(y1, pad)
+    im2_new = xor_bytes(y2, pad)
     tally(counts, 3, 2, 1)
-    if h_digest(n, session_key, im1_new, im2_new, tvk_bytes, t2_bytes) != m2.y3:
+    if h_digest(n, session_key, im1_new, im2_new, tvk_bytes, t2_bytes) != y3:
         return Reject(RejectReason.AUTH_FAILURE)
     return session_key, SmartCard(im1_new, im2_new, card.d1, card.d2)
 

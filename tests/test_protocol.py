@@ -364,7 +364,8 @@ class TestEdges:
     """Edge behaviour pinned as it stands."""
 
     def test_wrong_width_m1_is_malformed_at_the_server(self, cold_memo):
-        # rejected before freshness and before any hash, XOR, draw or memo write
+        # rejected before freshness and before any hash, XOR, draw or memo
+        # write, as is a byte field or T1 of the wrong type
         fx, narrow = make_fixture(60), make_fixture(61, width=64)
         m1, _ = user_login_start(narrow.card, narrow.password, fx.clock, fx.rng, prime=fx.server.p)
         wide, _ = user_login_start(fx.card, fx.password, fx.clock, fx.rng, prime=fx.server.p)
@@ -374,6 +375,10 @@ class TestEdges:
             LoginRequest(wide.im1, m1.im2, wide.tuk, wide.x1, wide.t1),
             LoginRequest(m1.im1, wide.im2, wide.tuk, wide.x1, wide.t1),
             LoginRequest(wide.im1, wide.im2, wide.tuk, m1.x1, wide.t1),
+            LoginRequest(None, wide.im2, wide.tuk, wide.x1, wide.t1),
+            LoginRequest(bytearray(wide.im1), wide.im2, wide.tuk, wide.x1, wide.t1),
+            LoginRequest(wide.im1, wide.im2, wide.tuk, "x" * 32, wide.t1),
+            LoginRequest(wide.im1, wide.im2, wide.tuk, wide.x1, wide.t1.ticks),
         ):
             rng = RandomSource(77)
             for clock in (fx.clock, stale_clock):
@@ -384,6 +389,7 @@ class TestEdges:
         assert not isinstance(server_handle_login(fx.server, wide, fx.clock, fx.rng), Reject)
 
     def test_wrong_width_m2_is_malformed_at_the_card(self):
+        # and a byte field or T2 of the wrong type
         fx = make_fixture(62)
         m1, ctx = user_login_start(fx.card, fx.password, fx.clock, fx.rng, prime=fx.server.p)
         m2, _ = server_handle_login(fx.server, m1, fx.clock, fx.rng)
@@ -393,6 +399,10 @@ class TestEdges:
             LoginResponse(short, m2.y2, m2.y3, m2.tvk, m2.t2),
             LoginResponse(m2.y1, short, m2.y3, m2.tvk, m2.t2),
             LoginResponse(m2.y1, m2.y2, short, m2.tvk, m2.t2),
+            LoginResponse(None, m2.y2, m2.y3, m2.tvk, m2.t2),
+            LoginResponse(m2.y1, bytearray(m2.y2), m2.y3, m2.tvk, m2.t2),
+            LoginResponse(m2.y1, m2.y2, "y" * 32, m2.tvk, m2.t2),
+            LoginResponse(m2.y1, m2.y2, m2.y3, m2.tvk, m2.t2.ticks),
         ):
             for clock in (fx.clock, stale_clock):
                 result, counts = tallied(user_handle_response, fx.card, ctx, tampered, clock, delta_t=5)
@@ -401,19 +411,24 @@ class TestEdges:
 
     def test_foreign_modulus_is_malformed_at_both_ends(self, cold_memo):
         # a card started with another prime gets no M2, and an M2 whose
-        # T_v(K) lies in another field than T_u(K) is refused by the card
+        # T_v(K) lies in another field than T_u(K) is refused by the card;
+        # so is a T_u(K) or T_v(K) that is not a FieldElement at all
         fx = make_fixture(67)
         m1, _ = user_login_start(fx.card, fx.password, fx.clock, fx.rng, prime=101)
-        rng = RandomSource(77)
-        result, counts = tallied(server_handle_login, fx.server, m1, fx.clock, rng)
-        assert result == Reject(RejectReason.MALFORMED) and counts == OpCounts(0, 0, 0)
-        assert not cold_memo
-        assert rng.draw_exponent() == RandomSource(77).draw_exponent()
+        honest, _ = user_login_start(fx.card, fx.password, fx.clock, fx.rng, prime=fx.server.p)
+        bare = LoginRequest(honest.im1, honest.im2, honest.tuk.value, honest.x1, honest.t1)
+        for malformed in (m1, bare):
+            rng = RandomSource(77)
+            result, counts = tallied(server_handle_login, fx.server, malformed, fx.clock, rng)
+            assert result == Reject(RejectReason.MALFORMED) and counts == OpCounts(0, 0, 0)
+            assert not cold_memo
+            assert rng.draw_exponent() == RandomSource(77).draw_exponent()
         m1, ctx = user_login_start(fx.card, fx.password, fx.clock, fx.rng, prime=fx.server.p)
         m2, _ = server_handle_login(fx.server, m1, fx.clock, fx.rng)
-        foreign = LoginResponse(m2.y1, m2.y2, m2.y3, FieldElement(m2.tvk.value % 101, 101), m2.t2)
-        result, counts = tallied(user_handle_response, fx.card, ctx, foreign, fx.clock, delta_t=5)
-        assert result == Reject(RejectReason.MALFORMED) and counts == OpCounts(0, 0, 0)
+        for tvk in (FieldElement(m2.tvk.value % 101, 101), m2.tvk.value):
+            foreign = LoginResponse(m2.y1, m2.y2, m2.y3, tvk, m2.t2)
+            result, counts = tallied(user_handle_response, fx.card, ctx, foreign, fx.clock, delta_t=5)
+            assert result == Reject(RejectReason.MALFORMED) and counts == OpCounts(0, 0, 0)
 
     def test_password_types_agree(self):
         fx = make_fixture(63)

@@ -2,7 +2,9 @@
 
 Positional and keyword construction, field order, the TypeError of a bad
 call, equality by class and fields, hashing and immutability of the frozen
-types, repr, pickle and deepcopy round trips.
+types, repr, pickle and deepcopy round trips. Each class's compiled _fill
+stores exactly what a slot-by-slot object.__setattr__ stores, and is the
+__init__ of every class that writes none.
 """
 
 import copy
@@ -69,6 +71,11 @@ CASES = [
      dict(probes={"new_password": "accepted"}), False),
 ]
 
+# The classes whose __init__ checks its input or has defaults, and ExtractedCard,
+# which inherits SmartCard's; every other class's __init__ is its _fill.
+WRITE_THEIR_OWN_INIT = {FieldElement, BitString, Timestamp, OpCounts, SmartCard, ExtractedCard,
+                        Transcript, Dictionary}
+
 
 @pytest.mark.parametrize("cls, fields, changed, frozen", CASES, ids=[c[0].__name__ for c in CASES])
 def test_value_type_contract(cls, fields, changed, frozen):
@@ -77,10 +84,17 @@ def test_value_type_contract(cls, fields, changed, frozen):
     assert [getattr(value, name) for name in fields] == list(fields.values())
     assert value == cls(**fields)
     assert value != cls(**{**fields, **changed})
+    assert (cls.__init__ is cls._fill) == (cls not in WRITE_THEIR_OWN_INIT)
+    filled, set_by_name = cls.__new__(cls), cls.__new__(cls)
+    filled._fill(*fields.values())
+    for name, field in fields.items():
+        object.__setattr__(set_by_name, name, field)
+    assert filled == value == set_by_name
     assert value != object()
     shown = ", ".join(f"{name}={field!r}" for name, field in fields.items())
     assert repr(value) == f"{cls.__name__}({shown})"
-    for restored in (pickle.loads(pickle.dumps(value)), copy.deepcopy(value)):
+    pickled = [pickle.loads(pickle.dumps(value, protocol)) for protocol in range(pickle.HIGHEST_PROTOCOL + 1)]
+    for restored in (*pickled, copy.deepcopy(value)):
         assert type(restored) is cls and restored == value
     name = next(iter(changed))
     if frozen:
@@ -89,6 +103,7 @@ def test_value_type_contract(cls, fields, changed, frozen):
             setattr(value, name, changed[name])
         with pytest.raises(AttributeError):
             delattr(value, name)
+        assert value == cls(**fields) and getattr(value, name) == fields[name]
     else:
         with pytest.raises(TypeError):
             hash(value)
