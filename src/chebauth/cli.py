@@ -19,7 +19,6 @@ from .adversary import (
     Dictionary,
     ExperimentInvalid,
     ExtractedCard,
-    Transcript,
     dos_experiment,
     offline_guess,
     wrong_login_experiment,
@@ -63,8 +62,7 @@ _FIELD_JSON = {bytes: bytes.hex, FieldElement: str, Timestamp: lambda stamp: sta
 def _message_json(message) -> dict:
     """M1 or M2, its fields in declared order, each encoded by its type."""
     encoded = {"type": "login_request" if isinstance(message, LoginRequest) else "login_response"}
-    for name in message.__match_args__:
-        value = getattr(message, name)
+    for name, value in zip(message.__match_args__, message._key):
         encoded[name] = _FIELD_JSON[type(value)](value)
     return encoded
 
@@ -74,7 +72,7 @@ def _event_json(event) -> dict:
     message = _message_json(event.message)
     return {
         "direction": "user->server" if message["type"] == "login_request" else "server->user",
-        "sent_at": message[event.message.__match_args__[-1]],
+        "sent_at": event.message._key[-1].ticks,
         "delivered_at": event.delivered_at.ticks,
         "message": message,
     }
@@ -138,7 +136,7 @@ def cmd_guess_attack(args: argparse.Namespace):
     server, rng, clock, card = _setup(args)
     extracted = ExtractedCard.from_card(card)  # same card state the login uses
     session, entry = _login(1, args, server, card, clock, rng)
-    m1 = Transcript.from_events(session.events).login_requests()[0]
+    m1 = session.events[0].message
     attack, wall_time_s = _timed(offline_guess, extracted, m1, dictionary)
     if args.expect_miss:
         as_expected = attack.recovered is None and attack.guesses == len(dictionary)

@@ -11,9 +11,9 @@ h_digest or H_digest, so h(pw) and h(pw || b) are one call each as the
 scheme writes them, and XOR through xor_bytes. What they store and send
 (master key, card and message fields, session keys) is plain bytes, and
 each phase tallies its exact operations once per exit path, the package's
-only count. A message with a field of the wrong type, a byte field not of
-the receiver's width, or a field element in another field, is rejected as
-malformed before any other check or computation.
+only count. A receiver rejects as malformed, before all else, anything not
+of its message class (an M2, None or a tuple at the server, an M1 at the
+card), a field of the wrong type or width, or an element mod another prime.
 
 Once X1 verifies, the server has the chaotic kernel tabulate the recovered
 K, so that T_v(K) here and the card's T_u(K) in later logins read K's
@@ -81,13 +81,13 @@ class SmartCard(Frozen):
 
 
 class LoginRequest(Frozen):
-    """First wire message M1 = {IM1, IM2, T_u(K), X1, T1}: bytes, FieldElement, Timestamp, or MALFORMED."""
+    """Wire message M1 = {IM1, IM2, T_u(K), X1, T1}; at the server anything else (M2, None) is MALFORMED."""
 
     __slots__ = __match_args__ = ("im1", "im2", "tuk", "x1", "t1")
 
 
 class LoginResponse(Frozen):
-    """Second wire message M2 = {Y1, Y2, Y3, T_v(K'), T2}: bytes, FieldElement, Timestamp, or MALFORMED."""
+    """Wire message M2 = {Y1, Y2, Y3, T_v(K'), T2}; at the card anything else (M1, None) is MALFORMED."""
 
     __slots__ = __match_args__ = ("y1", "y2", "y3", "tvk", "t2")
 
@@ -180,15 +180,15 @@ def server_handle_login(
 ):
     """Verify M1 and, on success, answer with M2 carrying refreshed pseudonyms.
 
-    Returns (LoginResponse, session_key) or a Reject that says which check
-    failed: the message's shape first (field types, IM1, IM2 and X1 of the
-    master key's width, T_u(K) in the server's field), then freshness, both
-    before any keyed computation, then the X1 authenticator. The server
-    keeps no state. Draw order on success is r_new, then v.
+    Returns (LoginResponse, session_key) or a Reject naming the failed check:
+    MALFORMED first, for anything but a LoginRequest (an M2, None, a tuple),
+    a field of the wrong type, IM1, IM2 or X1 not of the master key's width,
+    or T_u(K) outside the server's field; then freshness, both before keyed
+    work; then X1. The server keeps no state; it draws r_new, then v.
     """
     mk = server.mk
     n = len(mk)
-    im1, im2, tuk, x1, t1 = fields = m1.im1, m1.im2, m1.tuk, m1.x1, m1.t1
+    im1, im2, tuk, x1, t1 = fields = m1._key if type(m1) is LoginRequest else (None,) * 5
     if (tuple(map(type, fields)) != (bytes, bytes, FieldElement, bytes, Timestamp)
             or len(im1) != n or len(im2) != n or len(x1) != n or tuk.p != server.p):
         return Reject(RejectReason.MALFORMED)
@@ -228,13 +228,13 @@ def user_handle_response(
 ):
     """Check M2, derive the session key, and adopt the refreshed pseudonyms.
 
-    Returns (session_key, updated card) or a Reject; on any Reject the card
-    passed in remains the caller's current card, bit for bit. A field of
-    the wrong type, a Y1, Y2 or Y3 not of the card's width, or a T_v(K)
-    outside T_u(K)'s field is MALFORMED, before the freshness check.
+    Returns (session_key, updated card) or a Reject, which leaves the card
+    passed in the caller's card, bit for bit. MALFORMED comes first: anything
+    but a LoginResponse (an M1, None, a tuple), a field of the wrong type,
+    Y1, Y2 or Y3 not of the card's width, or T_v(K) outside T_u(K)'s field.
     """
     n = len(card.d1)
-    y1, y2, y3, tvk, t2 = fields = m2.y1, m2.y2, m2.y3, m2.tvk, m2.t2
+    y1, y2, y3, tvk, t2 = fields = m2._key if type(m2) is LoginResponse else (None,) * 5
     if (tuple(map(type, fields)) != (bytes, bytes, bytes, FieldElement, Timestamp)
             or len(y1) != n or len(y2) != n or len(y3) != n or tvk.p != ctx.tuk.p):
         return Reject(RejectReason.MALFORMED)

@@ -1,0 +1,210 @@
+"""Model-based test: long interleavings of the protocol against the reference scheme.
+
+A hypothesis state machine drives two users and one server through logins
+with the right and a wrong password, password changes with the right and a
+wrong old password, card re-issues, clock jumps past the freshness window,
+a replayed M1, and messages delivered to the wrong receiver. Each step runs
+on chebauth and on tests/reference_scheme.py, which gets a random.Random
+with the same seed and draws in the package's order. After every step the
+cards, session keys and reject reasons are bit-equal to the reference, a
+reject has left the card as it was, each party's OpCounts is the exact tally
+of the exit it took, and the two random streams and clocks are in step.
+"""
+
+import copy
+import random
+
+import pytest
+
+pytest.importorskip("hypothesis")
+from hypothesis import settings, strategies as st  # noqa: E402
+from hypothesis.stateful import (  # noqa: E402
+    RuleBasedStateMachine,
+    initialize,
+    invariant,
+    precondition,
+    rule,
+    run_state_machine_as_test,
+)
+
+import reference_scheme as ref  # noqa: E402
+from chebauth.chaotic import DEFAULT_PRIME, FieldElement  # noqa: E402
+from chebauth.primitives import LogicalClock, OpCounts, RandomSource  # noqa: E402
+from chebauth.protocol import (  # noqa: E402
+    DEFAULT_DELTA_T,
+    Reject,
+    RejectReason,
+    UserLoginContext,
+    change_password,
+    registration,
+    run_login_session,
+    server_handle_login,
+    server_setup,
+    user_handle_response,
+)
+
+CONFIGS = [(8, 101), (8, DEFAULT_PRIME), (256, 101), (256, DEFAULT_PRIME)]
+USERS = (0, 1)
+
+# The exact tally of each exit: the server's check, by the reject reason it
+# returns or "accept", and the user's side of a login that ends at the
+# server or at the card (whose M2, sent one tick after M1, is always fresh).
+SERVER_TALLY = {"malformed": OpCounts(), "stale_timestamp": OpCounts(), "auth_failure": OpCounts(3, 2, 0),
+                "accept": OpCounts(7, 6, 2)}
+M1_ONLY, M1_AND_M2 = OpCounts(3, 2, 1), OpCounts(6, 4, 2)
+
+passwords = st.binary(min_size=1, max_size=6)
+
+
+def card_fields(card) -> tuple:
+    return card.im1, card.im2, card.d1, card.d2
+
+
+def m1_fields(m1) -> tuple:
+    return m1.im1, m1.im2, m1.tuk.value, m1.x1, m1.t1.ticks
+
+
+def m2_fields(m2) -> tuple:
+    return m2.y1, m2.y2, m2.y3, m2.tvk.value, m2.t2.ticks
+
+
+def outcome(result) -> str:
+    return result.reason.value if isinstance(result, Reject) else "accept"
+
+
+class PackageFollowsReference(RuleBasedStateMachine):
+    def __init__(self, width: int, prime: int):
+        super().__init__()
+        self.width, self.prime = width, prime
+        self.delta_t = DEFAULT_DELTA_T
+        self.last_m1 = None  # (package M1, reference M1, reference login context)
+        self.last_m2 = None
+
+    @initialize(seed=st.integers(0, 1 << 16))
+    def setup(self, seed):
+        self.server = server_setup(seed, width=self.width, prime=self.prime, delta_t=self.delta_t)
+        self.rng, self.clock = RandomSource(seed + 1), LogicalClock()
+        self.ref_mk = ref.draw(random.Random(seed), self.width // 8)  # the server's first draw
+        self.ref_rng, self.ref_now = random.Random(seed + 1), 0
+        assert self.server.mk == self.ref_mk
+        self.identities = [f"user-{user}".encode() for user in USERS]
+        self.passwords = [f"pw-{user}".encode() for user in USERS]
+        self.cards, self.ref_cards = [None, None], [None, None]
+        for user in USERS:
+            self.issue(user)
+
+    def issue(self, user):
+        counts = OpCounts()
+        self.cards[user] = registration(
+            self.server, self.identities[user], self.passwords[user], self.rng, counts=counts)
+        self.ref_cards[user] = ref.register(self.ref_mk, self.identities[user], self.passwords[user], self.ref_rng)
+        assert counts == OpCounts(5, 4, 0)
+
+    def login(self, user, typed):
+        card, ref_card = self.cards[user], self.ref_cards[user]
+        user_counts, server_counts = OpCounts(), OpCounts()
+        session = run_login_session(self.server, card, typed, self.clock, self.rng,
+                                    user_counts=user_counts, server_counts=server_counts)
+        ref_m1, ref_ctx = ref.login_start(ref_card, typed, self.ref_rng, self.ref_now, self.prime)
+        self.ref_now += 1
+        m1 = session.events[0].message
+        assert m1_fields(m1) == ref_m1
+        self.last_m1 = m1, ref_m1, ref_ctx
+        server_result = ref.server_respond(self.ref_mk, self.prime, self.delta_t, ref_m1, self.ref_now, self.ref_rng)
+        if isinstance(server_result, str):
+            assert (session.rejected_by, session.reject) == ("server", Reject(RejectReason(server_result)))
+            assert session.card is card
+            assert (user_counts, server_counts) == (M1_ONLY, SERVER_TALLY[server_result])
+            return
+        self.ref_now += 1
+        ref_m2, ref_server_key = server_result
+        m2 = session.events[1].message
+        assert m2_fields(m2) == ref_m2 and session.server_key == ref_server_key
+        assert (user_counts, server_counts) == (M1_AND_M2, SERVER_TALLY["accept"])
+        self.last_m2 = m2
+        user_result = ref.user_verify(ref_card, ref_ctx, ref_m2, self.ref_now, self.delta_t, self.prime)
+        if isinstance(user_result, str):
+            assert (session.rejected_by, session.reject) == ("user", Reject(RejectReason(user_result)))
+            assert session.card is card and session.user_key is None
+            return
+        ref_user_key, self.ref_cards[user] = user_result
+        assert session.ok and session.user_key == ref_user_key
+        self.cards[user] = session.card
+
+    @rule(user=st.sampled_from(USERS))
+    def honest_login(self, user):
+        self.login(user, self.passwords[user])
+
+    @rule(user=st.sampled_from(USERS), typo=passwords)
+    def wrong_password_login(self, user, typo):
+        self.login(user, self.passwords[user] + b"~" + typo)
+
+    @rule(user=st.sampled_from(USERS), new=passwords, right_old=st.booleans())
+    def change(self, user, new, right_old):
+        # the card checks no old password: a wrong one corrupts D1 and D2
+        old = self.passwords[user] if right_old else self.passwords[user] + b"~"
+        counts = OpCounts()
+        self.cards[user] = change_password(self.cards[user], old, new, counts=counts)
+        self.ref_cards[user] = ref.change(self.ref_cards[user], old, new)
+        self.passwords[user] = new
+        assert counts == OpCounts(4, 4, 0)
+
+    @rule(user=st.sampled_from(USERS))
+    def reissue(self, user):
+        self.issue(user)
+
+    @rule()
+    def advance_past_window(self):
+        self.clock.advance(self.delta_t + 1)
+        self.ref_now += self.delta_t + 1
+
+    @precondition(lambda self: self.last_m1 is not None)
+    @rule()
+    def replay_last_m1(self):
+        # the server keeps no record of seen requests: inside the window a
+        # replay is answered, with fresh draws, as the first delivery was
+        m1, ref_m1, _ = self.last_m1
+        counts = OpCounts()
+        result = server_handle_login(self.server, m1, self.clock, self.rng, counts=counts)
+        ref_result = ref.server_respond(self.ref_mk, self.prime, self.delta_t, ref_m1, self.ref_now, self.ref_rng)
+        if isinstance(ref_result, str):
+            assert result == Reject(RejectReason(ref_result))
+        else:
+            m2, server_key = result
+            assert (m2_fields(m2), server_key) == ref_result
+            self.last_m2 = m2
+        assert counts == SERVER_TALLY[outcome(result)]
+
+    @precondition(lambda self: self.last_m2 is not None)
+    @rule()
+    def deliver_m2_to_server(self):
+        counts = OpCounts()
+        result = server_handle_login(self.server, self.last_m2, self.clock, self.rng, counts=counts)
+        assert result == Reject(RejectReason.MALFORMED) and counts == SERVER_TALLY["malformed"]
+
+    @precondition(lambda self: self.last_m1 is not None)
+    @rule(user=st.sampled_from(USERS))
+    def deliver_m1_to_card(self, user):
+        m1, _, (u, tuk) = self.last_m1
+        ctx, counts = UserLoginContext(u, FieldElement(tuk, self.prime)), OpCounts()
+        result = user_handle_response(self.cards[user], ctx, m1, self.clock, self.delta_t, counts=counts)
+        assert result == Reject(RejectReason.MALFORMED) and counts == OpCounts()
+
+    @invariant()
+    def cards_match_reference(self):
+        assert [card_fields(card) for card in self.cards] == self.ref_cards
+
+    @invariant()
+    def streams_and_clocks_in_step(self):
+        assert self.clock.now().ticks == self.ref_now
+        rng, ref_rng = copy.deepcopy(self.rng), copy.deepcopy(self.ref_rng)
+        assert rng.draw_exponent() == ref.exponent(ref_rng)
+
+
+@pytest.mark.parametrize("width, prime", CONFIGS, ids=["w8-p101", "w8-p256", "w256-p101", "w256-p256"])
+def test_package_follows_reference(width, prime):
+    run_state_machine_as_test(
+        lambda: PackageFollowsReference(width, prime),
+        settings=settings(max_examples=10, stateful_step_count=20, deadline=None, derandomize=True,
+                          database=None),
+    )

@@ -430,6 +430,38 @@ class TestEdges:
             result, counts = tallied(user_handle_response, fx.card, ctx, foreign, fx.clock, delta_t=5)
             assert result == Reject(RejectReason.MALFORMED) and counts == OpCounts(0, 0, 0)
 
+    def test_anything_but_m1_is_malformed_at_the_server(self, cold_memo):
+        # the channel adversary chooses what arrives: M2, None, M1's fields
+        # as a bare tuple, a card; fresh or stale, none is hashed or drawn for
+        fx = make_fixture(68)
+        m1, _ = user_login_start(fx.card, fx.password, fx.clock, fx.rng, prime=fx.server.p)
+        m2, _ = server_handle_login(fx.server, m1, fx.clock, fx.rng)
+        cold_memo.clear()
+        stale_clock = clock_at(m1.t1.ticks + fx.server.delta_t + 1)
+        for delivered in (m2, None, (m1.im1, m1.im2, m1.tuk, m1.x1, m1.t1), fx.card):
+            rng = RandomSource(77)
+            for clock in (fx.clock, stale_clock):
+                result, counts = tallied(server_handle_login, fx.server, delivered, clock, rng)
+                assert result == Reject(RejectReason.MALFORMED) and counts == OpCounts(0, 0, 0)
+            assert rng.draw_exponent() == RandomSource(77).draw_exponent()
+        assert not cold_memo
+
+    def test_anything_but_m2_is_malformed_at_the_card(self, cold_memo):
+        fx = make_fixture(69)
+        card = fx.card
+        before = (card.im1, card.im2, card.d1, card.d2)
+        m1, ctx = user_login_start(card, fx.password, fx.clock, fx.rng, prime=fx.server.p)
+        m2, _ = server_handle_login(fx.server, m1, fx.clock, fx.rng)
+        cold_memo.clear()
+        stale_clock = clock_at(m2.t2.ticks + fx.server.delta_t + 1)
+        for delivered in (m1, None, (m2.y1, m2.y2, m2.y3, m2.tvk, m2.t2), card):
+            for clock in (fx.clock, stale_clock):
+                result, counts = tallied(user_handle_response, card, ctx, delivered, clock, delta_t=5)
+                assert result == Reject(RejectReason.MALFORMED) and counts == OpCounts(0, 0, 0)
+        assert not cold_memo
+        assert (card.im1, card.im2, card.d1, card.d2) == before
+        assert not isinstance(user_handle_response(card, ctx, m2, fx.clock, delta_t=5), Reject)
+
     def test_password_types_agree(self):
         fx = make_fixture(63)
         outputs = []

@@ -1,7 +1,8 @@
-"""Property test: the message boundary rejects every malformed field alike.
+"""Property test: the message boundary rejects every malformed message alike.
 
 Replace any one field of an honest M1 or M2 with a byte string of another
-width, a field element of another field, or a value of another type: the
+width, a field element of another field, or a value of another type, or
+replace the whole message by the other message class or by None: the
 receiver returns Reject(MALFORMED), counts nothing, draws nothing, writes no
 memo entry and leaves the card as it was. The untouched message, handed to
 the same receiver afterwards, still completes the round trip with matching
@@ -84,11 +85,14 @@ def malformed(value):
 
 @st.composite
 def tampered(draw):
-    """(honest round trip, the honest message, a copy with one field replaced)."""
+    """(honest round trip, the honest message, a copy with one field replaced or another object)."""
     session = honest(*draw(st.sampled_from(CONFIGS)))
     message = draw(st.sampled_from((session.m1, session.m2)))
+    name = draw(st.sampled_from((*message.__match_args__, "whole message")))
+    if name == "whole message":
+        other = session.m2 if message is session.m1 else session.m1
+        return session, message, draw(st.sampled_from((other, None)))
     fields = {name: getattr(message, name) for name in message.__match_args__}
-    name = draw(st.sampled_from(message.__match_args__))
     fields[name] = draw(malformed(fields[name]))
     return session, message, type(message)(**fields)
 
