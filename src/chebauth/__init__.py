@@ -25,6 +25,7 @@ from .protocol import (
     EmptyCredential,
     LoginRequest,
     LoginResponse,
+    Params,
     Reject,
     RejectReason,
     ServerState,

@@ -138,7 +138,7 @@ class DosReport(Record):
 _scan_memo = (None, None)
 
 
-def _scan_constants(card: ExtractedCard, m1: LoginRequest) -> tuple:
+def _scan_constants(card: SmartCard, m1: LoginRequest) -> tuple:
     global _scan_memo
     d1, d2 = card.d1, card.d2
     _scan_memo = memo = (
@@ -149,7 +149,7 @@ def _scan_constants(card: ExtractedCard, m1: LoginRequest) -> tuple:
     return memo
 
 
-def guess_predicate(candidate, card: ExtractedCard, m1: LoginRequest) -> bool:
+def guess_predicate(candidate, card: SmartCard, m1: LoginRequest) -> bool:
     """Test one password candidate against the extracted card and intercepted M1.
 
     Recomputes the blinding value and long-term key the card would derive for
@@ -186,7 +186,7 @@ def guess_predicate(candidate, card: ExtractedCard, m1: LoginRequest) -> bool:
     return check.digest()[:n] == x1
 
 
-def offline_guess(card: ExtractedCard, m1: LoginRequest, dictionary: Dictionary) -> GuessReport:
+def offline_guess(card: SmartCard, m1: LoginRequest, dictionary: Dictionary) -> GuessReport:
     """Scan the dictionary in order and stop at the first candidate that verifies.
 
     The reported guess count is the 1-based index of that candidate (or the
@@ -226,7 +226,7 @@ def wrong_login_experiment(
     )
     if session.rejected_by != "server":
         raise ExperimentInvalid("server accepted the login: the supplied password is the"
-                                f" true one or collides with it at width {card.width}")
+                                f" true one or collides with it at width {server.params.width}")
     reason = session.reject.reason
     if reason is not RejectReason.AUTH_FAILURE:
         raise ExperimentInvalid(f"rejected for {reason.value}, not the password mistake")

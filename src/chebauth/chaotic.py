@@ -33,8 +33,8 @@ DEFAULT_PRIME = 0xFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFEFFFFFC
 class FieldElement(Frozen):
     """An integer in [0, p) with its modulus attached.
 
-    The modulus is assumed prime; primality is validated once at parameter
-    setup (see is_probable_prime), not on every element. An odd p > 3 keeps
+    The modulus is assumed prime; protocol.Params validates primality once
+    (see is_probable_prime), not on every element. An odd p > 3 keeps
     T_0, T_1 and the doubling identities non-degenerate and makes 2
     invertible, which the V-form kernel's final halving needs.
     """

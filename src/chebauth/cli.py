@@ -18,7 +18,6 @@ import time
 from .adversary import (
     Dictionary,
     ExperimentInvalid,
-    ExtractedCard,
     dos_experiment,
     offline_guess,
     wrong_login_experiment,
@@ -28,6 +27,7 @@ from .primitives import DEFAULT_WIDTH, LogicalClock, OpCounts, RandomSource, Tim
 from .protocol import (
     DEFAULT_DELTA_T,
     LoginRequest,
+    Params,
     registration,
     run_login_session,
     server_setup,
@@ -49,7 +49,7 @@ class ConfigError(Exception):
 
 def _setup(args: argparse.Namespace):
     """Common fixture: server, protocol rng (a distinct stream), clock, card."""
-    server = server_setup(args.seed, width=args.width, prime=args.prime, delta_t=args.delta_t)
+    server = server_setup(args.seed, Params(args.prime, args.width, args.delta_t))
     rng = RandomSource(args.seed + 1)
     clock = LogicalClock()
     card = registration(server, args.identity, args.password, rng)
@@ -134,10 +134,9 @@ def cmd_guess_attack(args: argparse.Namespace):
     except (OSError, ValueError) as exc:
         raise ConfigError(str(exc)) from exc
     server, rng, clock, card = _setup(args)
-    extracted = ExtractedCard.from_card(card)  # same card state the login uses
     session, entry = _login(1, args, server, card, clock, rng)
     m1 = session.events[0].message
-    attack, wall_time_s = _timed(offline_guess, extracted, m1, dictionary)
+    attack, wall_time_s = _timed(offline_guess, card, m1, dictionary)  # the card state the login used
     if args.expect_miss:
         as_expected = attack.recovered is None and attack.guesses == len(dictionary)
     else:

@@ -2,6 +2,8 @@
 
 All state is explicit and immutable: operations take a card or server value
 and return a new one, so a rejected step provably leaves state untouched.
+Card and server share one Params (prime p, width l, freshness window),
+validated once when built, so no phase runs with values setup would refuse.
 Two behaviors are reproduced on purpose because the adversary experiments
 measure them: the card checks nothing locally at login time, and a password
 change is applied without verifying the old password.
@@ -50,14 +52,28 @@ class Reject(Frozen):
     __slots__ = __match_args__ = ("reason",)
 
 
+class Params(Frozen):
+    """Prime p, width l of h and freshness window, shared by card and server and validated once, here."""
+
+    __slots__ = __match_args__ = ("p", "width", "delta_t")
+
+    def __init__(self, p: int = DEFAULT_PRIME, width: int = DEFAULT_WIDTH, delta_t: int = DEFAULT_DELTA_T):
+        if p != DEFAULT_PRIME and (not is_probable_prime(p) or p <= 3):
+            raise ValueError("modulus must be a prime greater than 3")
+        if delta_t < 0:
+            raise ValueError("freshness window must be non-negative")
+        _check_width(width)
+        self._fill(p, width, delta_t)
+
+
 class ServerState(Frozen):
-    """Long-term server state: master key (bytes), modulus, freshness window.
+    """Long-term server state: master key (bytes) and the run's Params.
 
     There is no per-user table; identities are recovered from the pseudonym
     pair carried in each login request.
     """
 
-    __slots__ = __match_args__ = ("mk", "p", "delta_t")
+    __slots__ = __match_args__ = ("mk", "params")
 
 
 class SmartCard(Frozen):
@@ -74,10 +90,6 @@ class SmartCard(Frozen):
             problem = "may not be empty" if 0 in widths else "disagree on width"
             raise ValueError(f"card fields {problem}: {widths}")
         self._fill(im1, im2, d1, d2)
-
-    @property
-    def width(self) -> int:
-        return len(self.im1) * 8
 
 
 class LoginRequest(Frozen):
@@ -98,23 +110,9 @@ class UserLoginContext(Frozen):
     __slots__ = __match_args__ = ("u", "tuk")
 
 
-def server_setup(
-    seed: int,
-    width: int = DEFAULT_WIDTH,
-    prime: int = DEFAULT_PRIME,
-    delta_t: int = DEFAULT_DELTA_T,
-) -> ServerState:
-    """Generate server parameters: a fresh master key plus run constants.
-
-    Any modulus other than DEFAULT_PRIME, the published secp256k1 field
-    prime, is primality-tested on every call.
-    """
-    if prime != DEFAULT_PRIME and (not is_probable_prime(prime) or prime <= 3):
-        raise ValueError("modulus must be a prime greater than 3")
-    if delta_t < 0:
-        raise ValueError("freshness window must be non-negative")
-    _check_width(width)
-    return ServerState(mk=RandomSource(seed).draw_bytes(width // 8), p=prime, delta_t=delta_t)
+def server_setup(seed: int, params: Params = Params()) -> ServerState:
+    """Draw a fresh master key of params.width bits; params were validated when built."""
+    return ServerState(RandomSource(seed).draw_bytes(params.width // 8), params)
 
 
 def registration(
@@ -150,7 +148,7 @@ def user_login_start(
     password,
     clock: LogicalClock,
     rng: RandomSource,
-    prime: int,
+    params: Params,
     counts: OpCounts | None = None,
 ) -> tuple[LoginRequest, UserLoginContext]:
     """Build the login request M1 from the inserted card and typed password.
@@ -164,7 +162,7 @@ def user_login_start(
     n = len(card.d2)
     b = xor_bytes(card.d2, h_digest(n, password))
     k = xor_bytes(card.d1, h_digest(n, password, b))
-    tuk = cheb_eval(u, bits_to_field(k, prime))
+    tuk = cheb_eval(u, bits_to_field(k, params.p))
     t1 = clock.now()
     x1 = h_digest(n, k, card.im1, card.im2, tuk.to_bytes(), t1.to_bytes())
     tally(counts, 3, 2, 1)
@@ -186,14 +184,14 @@ def server_handle_login(
     or T_u(K) outside the server's field; then freshness, both before keyed
     work; then X1. The server keeps no state; it draws r_new, then v.
     """
-    mk = server.mk
+    mk, params = server.mk, server.params
     n = len(mk)
     im1, im2, tuk, x1, t1 = fields = m1._key if type(m1) is LoginRequest else (None,) * 5
     if (tuple(map(type, fields)) != (bytes, bytes, FieldElement, bytes, Timestamp)
-            or len(im1) != n or len(im2) != n or len(x1) != n or tuk.p != server.p):
+            or len(im1) != n or len(im2) != n or len(x1) != n or tuk.p != params.p):
         return Reject(RejectReason.MALFORMED)
     t2 = clock.now()
-    if t2 - t1 > server.delta_t:
+    if t2 - t1 > params.delta_t:
         return Reject(RejectReason.STALE_TIMESTAMP)
     id_rec = xor_bytes(im2, h_digest(n, mk, xor_bytes(im1, mk)))
     k_rec = h_digest(n, id_rec, mk)
@@ -205,7 +203,7 @@ def server_handle_login(
     v = rng.draw_exponent()
     im1_new = xor_bytes(mk, r_new)
     im2_new = xor_bytes(h_digest(n, mk, r_new), id_rec)
-    k = bits_to_field(k_rec, server.p)
+    k = bits_to_field(k_rec, params.p)
     _tabulate(k)
     tvtuk = cheb_eval(v, tuk)
     tvk = cheb_eval(v, k)
@@ -223,7 +221,7 @@ def user_handle_response(
     ctx: UserLoginContext,
     m2: LoginResponse,
     clock: LogicalClock,
-    delta_t: int,
+    params: Params,
     counts: OpCounts | None = None,
 ):
     """Check M2, derive the session key, and adopt the refreshed pseudonyms.
@@ -239,7 +237,7 @@ def user_handle_response(
             or len(y1) != n or len(y2) != n or len(y3) != n or tvk.p != ctx.tuk.p):
         return Reject(RejectReason.MALFORMED)
     t3 = clock.now()
-    if t3 - t2 > delta_t:
+    if t3 - t2 > params.delta_t:
         return Reject(RejectReason.STALE_TIMESTAMP)
     tvk_bytes, t2_bytes = tvk.to_bytes(), t2.to_bytes()
     tutvk = cheb_eval(ctx.u, tvk)
@@ -320,7 +318,7 @@ def run_login_session(
     """
     if channel_delay < 0:
         raise ValueError("clock cannot move backwards")
-    m1, ctx = user_login_start(card, password, clock, rng, prime=server.p, counts=user_counts)
+    m1, ctx = user_login_start(card, password, clock, rng, server.params, counts=user_counts)
     clock.advance(channel_delay)
     events = [ChannelEvent(m1, clock.now())]
     result = server_handle_login(server, m1, clock, rng, counts=server_counts)
@@ -329,7 +327,7 @@ def run_login_session(
     m2, server_key = result
     clock.advance(channel_delay)
     events.append(ChannelEvent(m2, clock.now()))
-    result = user_handle_response(card, ctx, m2, clock, delta_t=server.delta_t, counts=user_counts)
+    result = user_handle_response(card, ctx, m2, clock, server.params, counts=user_counts)
     if isinstance(result, Reject):
         return LoginSession(card, None, server_key, result, "user", events)
     user_key, refreshed = result

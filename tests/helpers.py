@@ -5,7 +5,7 @@ from types import SimpleNamespace
 from chebauth.adversary import ExtractedCard
 from chebauth.chaotic import DEFAULT_PRIME
 from chebauth.primitives import DEFAULT_WIDTH, LogicalClock, RandomSource
-from chebauth.protocol import DEFAULT_DELTA_T, registration, server_setup
+from chebauth.protocol import DEFAULT_DELTA_T, Params, registration, server_setup
 from reference_scheme import field, h, tick, xor
 
 
@@ -64,7 +64,7 @@ def make_fixture(
     """A registered user against a fresh server, fully determined by seed."""
     identity = identity if identity is not None else f"user-{seed}".encode()
     password = password if password is not None else f"pw-{seed}-secret".encode()
-    server = server_setup(seed, width=width, prime=prime, delta_t=delta_t)
+    server = server_setup(seed, Params(prime, width, delta_t))
     rng = RandomSource(seed + 1)
     clock = LogicalClock()
     card = registration(server, identity, password, rng)

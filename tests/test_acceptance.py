@@ -80,7 +80,7 @@ def test_criterion_2_semigroup_and_oracle_agreement():
 def _attack_fixture(seed):
     fx = make_fixture(seed)
     extracted = ExtractedCard.from_card(fx.card)
-    m1, _ = user_login_start(fx.card, fx.password, fx.clock, fx.rng, prime=fx.server.p)
+    m1, _ = user_login_start(fx.card, fx.password, fx.clock, fx.rng, fx.server.params)
     return fx, extracted, m1
 
 
@@ -110,12 +110,12 @@ def test_criterion_4_both_leaks_necessary():
     false_validations = 0
     for seed in range(100):
         fx, extracted, m1 = _attack_fixture(seed)
-        if guess_predicate(fx.password, zeroed_card(fx.card.width), m1):
+        if guess_predicate(fx.password, zeroed_card(fx.server.params.width), m1):
             false_validations += 1
         # a request by a different user of the same server
         other_card = registration(fx.server, f"other-{seed}".encode(), fx.password, fx.rng)
         foreign_m1, _ = user_login_start(
-            other_card, fx.password, fx.clock, fx.rng, prime=fx.server.p
+            other_card, fx.password, fx.clock, fx.rng, fx.server.params
         )
         if guess_predicate(fx.password, extracted, foreign_m1):
             false_validations += 1

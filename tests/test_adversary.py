@@ -29,7 +29,7 @@ from helpers import guess_predicate_oracle, make_fixture, zeroed_card
 def intercepted_m1(fx):
     """Extract the card, then eavesdrop M1 from a login in that same state."""
     extracted = ExtractedCard.from_card(fx.card)
-    m1, _ = user_login_start(fx.card, fx.password, fx.clock, fx.rng, prime=fx.server.p)
+    m1, _ = user_login_start(fx.card, fx.password, fx.clock, fx.rng, fx.server.params)
     return extracted, m1
 
 
@@ -55,7 +55,7 @@ class TestGuessPredicate:
     def test_card_leak_is_necessary(self):
         fx = make_fixture(53)
         _, m1 = intercepted_m1(fx)
-        zeroed = zeroed_card(fx.card.width)
+        zeroed = zeroed_card(fx.server.params.width)
         assert not guess_predicate(fx.password, zeroed, m1)
 
     def test_transcript_leak_is_necessary(self):
@@ -131,7 +131,7 @@ class TestPredicateMemo:
         hits = 0
         for card, m1, candidate in steps + steps[::-1]:
             verdict = guess_predicate(candidate, card, m1)
-            assert verdict == guess_predicate_oracle(candidate, card, m1), (card.width, candidate)
+            assert verdict == guess_predicate_oracle(candidate, card, m1), (len(card.d1), candidate)
             hits += verdict
         # at least pw_a, as str and as bytes, on the five (A, A) pairs of each
         # width, in both directions; narrow widths add false positives
@@ -209,7 +209,7 @@ class TestOfflineGuess:
         # first in dictionary order is a decoy sitting ahead of the real one.
         fx = make_fixture(0, width=8, prime=17)
         extracted = ExtractedCard.from_card(fx.card)
-        m1, _ = user_login_start(fx.card, fx.password, fx.clock, fx.rng, prime=17)
+        m1, _ = user_login_start(fx.card, fx.password, fx.clock, fx.rng, fx.server.params)
         words = [f"cand-{i:04d}".encode() for i in range(2000)]
         words.insert(1500, fx.password)
         dictionary = Dictionary(tuple(words))
@@ -412,7 +412,7 @@ class TestExtractedCard:
 
     def test_zeroed(self):
         z = zeroed_card(256)
-        assert isinstance(z, ExtractedCard) and int.from_bytes(z.im1, "big") == 0 and z.width == 256
+        assert isinstance(z, ExtractedCard) and int.from_bytes(z.im1, "big") == 0 and len(z.d1) == 32
 
     def test_mixed_widths_rejected_as_on_the_card(self):
         narrow, wide = bytes(8), bytes(16)

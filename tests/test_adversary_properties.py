@@ -29,8 +29,8 @@ def victims(width):
     prime = 17 if width == 8 else DEFAULT_PRIME
     fx_a = make_fixture(400 + width, width=width, prime=prime, password=f"pâté-€-{width}")
     fx_b = make_fixture(500 + width, width=width, prime=prime)
-    m1_a, _ = user_login_start(fx_a.card, fx_a.password, fx_a.clock, fx_a.rng, prime=prime)
-    m1_b, _ = user_login_start(fx_b.card, fx_b.password, fx_b.clock, fx_b.rng, prime=prime)
+    m1_a, _ = user_login_start(fx_a.card, fx_a.password, fx_a.clock, fx_a.rng, fx_a.server.params)
+    m1_b, _ = user_login_start(fx_b.card, fx_b.password, fx_b.clock, fx_b.rng, fx_b.server.params)
     return SimpleNamespace(
         cards=tuple(ExtractedCard.from_card(fx.card) for fx in (fx_a, fx_a, fx_b)),
         m1s=(m1_a, pickle.loads(pickle.dumps(m1_a)), m1_b),

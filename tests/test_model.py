@@ -3,12 +3,16 @@
 A hypothesis state machine drives two users and one server through logins
 with the right and a wrong password, password changes with the right and a
 wrong old password, card re-issues, clock jumps past the freshness window,
-a replayed M1, and messages delivered to the wrong receiver. Each step runs
+a replayed M1, an accepted M2 replayed to its card under a fresh login, and
+messages delivered to the wrong receiver. Each step runs
 on chebauth and on tests/reference_scheme.py, which gets a random.Random
 with the same seed and draws in the package's order. After every step the
 cards, session keys and reject reasons are bit-equal to the reference, a
 reject has left the card as it was, each party's OpCounts is the exact tally
 of the exit it took, and the two random streams and clocks are in step.
+
+A failing run is reported as found, without shrinking: shrinking a 20-step
+run of the four configurations took 28-94 s, against about 1 s to pass.
 """
 
 import copy
@@ -17,7 +21,7 @@ import random
 import pytest
 
 pytest.importorskip("hypothesis")
-from hypothesis import settings, strategies as st  # noqa: E402
+from hypothesis import Phase, settings, strategies as st  # noqa: E402
 from hypothesis.stateful import (  # noqa: E402
     RuleBasedStateMachine,
     initialize,
@@ -32,6 +36,7 @@ from chebauth.chaotic import DEFAULT_PRIME, FieldElement  # noqa: E402
 from chebauth.primitives import LogicalClock, OpCounts, RandomSource  # noqa: E402
 from chebauth.protocol import (  # noqa: E402
     DEFAULT_DELTA_T,
+    Params,
     Reject,
     RejectReason,
     UserLoginContext,
@@ -41,6 +46,7 @@ from chebauth.protocol import (  # noqa: E402
     server_handle_login,
     server_setup,
     user_handle_response,
+    user_login_start,
 )
 
 CONFIGS = [(8, 101), (8, DEFAULT_PRIME), (256, 101), (256, DEFAULT_PRIME)]
@@ -77,12 +83,14 @@ class PackageFollowsReference(RuleBasedStateMachine):
         super().__init__()
         self.width, self.prime = width, prime
         self.delta_t = DEFAULT_DELTA_T
+        self.params = Params(prime, width, self.delta_t)
         self.last_m1 = None  # (package M1, reference M1, reference login context)
         self.last_m2 = None
+        self.accepted_m2 = None  # (user, package M2, reference M2) of the last login a card accepted
 
     @initialize(seed=st.integers(0, 1 << 16))
     def setup(self, seed):
-        self.server = server_setup(seed, width=self.width, prime=self.prime, delta_t=self.delta_t)
+        self.server = server_setup(seed, self.params)
         self.rng, self.clock = RandomSource(seed + 1), LogicalClock()
         self.ref_mk = ref.draw(random.Random(seed), self.width // 8)  # the server's first draw
         self.ref_rng, self.ref_now = random.Random(seed + 1), 0
@@ -130,6 +138,7 @@ class PackageFollowsReference(RuleBasedStateMachine):
         ref_user_key, self.ref_cards[user] = user_result
         assert session.ok and session.user_key == ref_user_key
         self.cards[user] = session.card
+        self.accepted_m2 = user, m2, ref_m2
 
     @rule(user=st.sampled_from(USERS))
     def honest_login(self, user):
@@ -187,8 +196,30 @@ class PackageFollowsReference(RuleBasedStateMachine):
     def deliver_m1_to_card(self, user):
         m1, _, (u, tuk) = self.last_m1
         ctx, counts = UserLoginContext(u, FieldElement(tuk, self.prime)), OpCounts()
-        result = user_handle_response(self.cards[user], ctx, m1, self.clock, self.delta_t, counts=counts)
+        result = user_handle_response(self.cards[user], ctx, m1, self.clock, self.params, counts=counts)
         assert result == Reject(RejectReason.MALFORMED) and counts == OpCounts()
+
+    @precondition(lambda self: self.accepted_m2 is not None)
+    @rule()
+    def replay_accepted_m2(self):
+        # the card keeps no record of answered logins: an M2 it accepted once,
+        # delivered again under a fresh login, is checked against the new u,
+        # so Y3 fails unless the window has passed first; on a reject the card
+        # is kept, which cards_match_reference checks against the reference's
+        user, m2, ref_m2 = self.accepted_m2
+        card, ref_card, typed = self.cards[user], self.ref_cards[user], self.passwords[user]
+        counts = OpCounts()
+        _, ctx = user_login_start(card, typed, self.clock, self.rng, self.params, counts=counts)
+        _, ref_ctx = ref.login_start(ref_card, typed, self.ref_rng, self.ref_now, self.prime)
+        result = user_handle_response(card, ctx, m2, self.clock, self.params, counts=counts)
+        ref_result = ref.user_verify(ref_card, ref_ctx, ref_m2, self.ref_now, self.delta_t, self.prime)
+        assert counts == (M1_ONLY if ref_result == "stale_timestamp" else M1_AND_M2)
+        if isinstance(ref_result, str):
+            assert result == Reject(RejectReason(ref_result))
+        else:  # a toy prime's short map period can repeat the key, or w = 8 truncate Y3 to a match
+            assert (self.width, self.prime) != (256, DEFAULT_PRIME)
+            (user_key, self.cards[user]), (ref_user_key, self.ref_cards[user]) = result, ref_result
+            assert user_key == ref_user_key
 
     @invariant()
     def cards_match_reference(self):
@@ -206,5 +237,5 @@ def test_package_follows_reference(width, prime):
     run_state_machine_as_test(
         lambda: PackageFollowsReference(width, prime),
         settings=settings(max_examples=10, stateful_step_count=20, deadline=None, derandomize=True,
-                          database=None),
+                          database=None, phases=[phase for phase in Phase if phase is not Phase.shrink]),
     )

@@ -1,3 +1,4 @@
+import copy
 import re
 
 import pytest
@@ -6,6 +7,7 @@ from chebauth import protocol
 from chebauth.adversary import ExtractedCard
 from chebauth.chaotic import DEFAULT_PRIME, FieldElement, bits_to_field
 from chebauth.primitives import (
+    DEFAULT_WIDTH,
     BitString,
     LogicalClock,
     OpCounts,
@@ -16,9 +18,11 @@ from chebauth.primitives import (
     xor,
 )
 from chebauth.protocol import (
+    DEFAULT_DELTA_T,
     EmptyCredential,
     LoginRequest,
     LoginResponse,
+    Params,
     Reject,
     RejectReason,
     SmartCard,
@@ -55,25 +59,59 @@ class TestServerSetup:
 
     def test_master_key_width(self):
         assert len(server_setup(1).mk) * 8 == 256
-        assert len(server_setup(1, width=64).mk) * 8 == 64
+        assert len(server_setup(1, Params(width=64)).mk) * 8 == 64
+
+    def test_keeps_the_params_it_is_given(self):
+        params = Params(101, 64, 3)
+        assert server_setup(1, params).params is params
+        assert server_setup(1).params == Params() == Params(DEFAULT_PRIME, DEFAULT_WIDTH, DEFAULT_DELTA_T)
+
+    def test_params_are_primality_tested_once_not_per_setup(self, monkeypatch):
+        tested = []
+        real = protocol.is_probable_prime
+        monkeypatch.setattr(protocol, "is_probable_prime", lambda n: tested.append(n) or real(n))
+        params = Params(101)
+        first, second = server_setup(1, params), server_setup(2, params)
+        assert tested == [101]
+        assert first.params is second.params is params and first.mk != second.mk
+
+
+class TestParams:
+    """Params is the one place the prime, the width and the window are checked."""
 
     def test_composite_modulus_rejected(self):
-        with pytest.raises(ValueError):
-            server_setup(1, prime=15)
+        for p in (9, 15, 3, DEFAULT_PRIME - 2, 2**256 - 1):
+            with pytest.raises(ValueError, match=r"^modulus must be a prime greater than 3$"):
+                Params(p)
 
     def test_only_non_default_moduli_are_primality_tested(self, monkeypatch):
         tested = []
         real = protocol.is_probable_prime
         monkeypatch.setattr(protocol, "is_probable_prime", lambda n: tested.append(n) or real(n))
-        server_setup(1)
-        server_setup(1, prime=DEFAULT_PRIME)
+        Params()
+        Params(DEFAULT_PRIME)
         assert tested == []
-        server_setup(1, prime=101)
+        Params(101)
         assert tested == [101]
         for bad in (15, 3, DEFAULT_PRIME - 2):
             with pytest.raises(ValueError, match=r"^modulus must be a prime greater than 3$"):
-                server_setup(1, prime=bad)
+                Params(bad)
         assert tested == [101, 15, 3, DEFAULT_PRIME - 2]
+
+    def test_negative_window_rejected(self):
+        with pytest.raises(ValueError, match=r"^freshness window must be non-negative$"):
+            Params(delta_t=-1)
+        assert Params(delta_t=0).delta_t == 0
+
+    @pytest.mark.parametrize("width", [0, 12, 264])
+    def test_bad_width_rejected(self, width):
+        with pytest.raises(ValueError, match=rf"^width must be a multiple of 8 in \[8, 256\], got {width}$"):
+            Params(width=width)
+
+    def test_edges_accepted(self):
+        params = Params(5, 8, 0)  # the smallest prime, width and window
+        assert (params.p, params.width, params.delta_t) == (5, 8, 0)
+        assert Params(width=256).width == 256  # the largest width
 
 
 class TestRegistration:
@@ -138,7 +176,7 @@ class TestLogin:
 
     def test_wrong_password_still_emits_request(self):
         fx = make_fixture(23)
-        m1, ctx = user_login_start(fx.card, b"not-the-password", fx.clock, fx.rng, prime=fx.server.p)
+        m1, ctx = user_login_start(fx.card, b"not-the-password", fx.clock, fx.rng, fx.server.params)
         assert m1.im1 == fx.card.im1 and ctx.u >= 2
         fx.clock.advance(1)
         result = server_handle_login(fx.server, m1, fx.clock, fx.rng)
@@ -148,19 +186,19 @@ class TestLogin:
     def test_login_start_op_counts(self):
         fx = make_fixture(24)
         counts = OpCounts()
-        user_login_start(fx.card, fx.password, fx.clock, fx.rng, prime=fx.server.p, counts=counts)
+        user_login_start(fx.card, fx.password, fx.clock, fx.rng, fx.server.params, counts=counts)
         assert counts.as_dict() == {"hash": 3, "xor": 2, "cheb": 1}
 
     def test_stale_request_rejected(self):
         fx = make_fixture(25, delta_t=3)
-        m1, _ = user_login_start(fx.card, fx.password, fx.clock, fx.rng, prime=fx.server.p)
+        m1, _ = user_login_start(fx.card, fx.password, fx.clock, fx.rng, fx.server.params)
         fx.clock.advance(4)
         result = server_handle_login(fx.server, m1, fx.clock, fx.rng)
         assert result == Reject(RejectReason.STALE_TIMESTAMP)
 
     def test_delivery_at_window_edge_accepted(self):
         fx = make_fixture(26, delta_t=3)
-        m1, _ = user_login_start(fx.card, fx.password, fx.clock, fx.rng, prime=fx.server.p)
+        m1, _ = user_login_start(fx.card, fx.password, fx.clock, fx.rng, fx.server.params)
         fx.clock.advance(3)
         result = server_handle_login(fx.server, m1, fx.clock, fx.rng)
         assert not isinstance(result, Reject)
@@ -171,7 +209,7 @@ class TestLogin:
         # stamped by a clock running ahead of the server's always passes it
         fx = make_fixture(31, delta_t=3)
         user_clock, server_clock = clock_at(10 + ahead), clock_at(10)
-        m1, _ = user_login_start(fx.card, fx.password, user_clock, fx.rng, prime=fx.server.p)
+        m1, _ = user_login_start(fx.card, fx.password, user_clock, fx.rng, fx.server.params)
         result = server_handle_login(fx.server, m1, server_clock, fx.rng)
         assert not isinstance(result, Reject)
 
@@ -179,7 +217,7 @@ class TestLogin:
         # documented behaviour: the server keeps no record of seen requests,
         # so the same M1 delivered twice inside the window is accepted twice
         fx = make_fixture(32)
-        m1, _ = user_login_start(fx.card, fx.password, fx.clock, fx.rng, prime=fx.server.p)
+        m1, _ = user_login_start(fx.card, fx.password, fx.clock, fx.rng, fx.server.params)
         fx.clock.advance(1)
         first = server_handle_login(fx.server, m1, fx.clock, fx.rng)
         fx.clock.advance(1)
@@ -188,7 +226,7 @@ class TestLogin:
 
     def test_tampered_x1_rejected(self):
         fx = make_fixture(27)
-        m1, _ = user_login_start(fx.card, fx.password, fx.clock, fx.rng, prime=fx.server.p)
+        m1, _ = user_login_start(fx.card, fx.password, fx.clock, fx.rng, fx.server.params)
         flipped = bytearray(m1.x1)
         flipped[0] ^= 0x80
         tampered = LoginRequest(m1.im1, m1.im2, m1.tuk, bytes(flipped), m1.t1)
@@ -198,23 +236,23 @@ class TestLogin:
 
     def test_tampered_y3_leaves_card_unchanged(self):
         fx = make_fixture(28)
-        m1, ctx = user_login_start(fx.card, fx.password, fx.clock, fx.rng, prime=fx.server.p)
+        m1, ctx = user_login_start(fx.card, fx.password, fx.clock, fx.rng, fx.server.params)
         fx.clock.advance(1)
         m2, _ = server_handle_login(fx.server, m1, fx.clock, fx.rng)
         flipped = bytearray(m2.y3)
         flipped[-1] ^= 0x01
         tampered = LoginResponse(m2.y1, m2.y2, bytes(flipped), m2.tvk, m2.t2)
         fx.clock.advance(1)
-        result = user_handle_response(fx.card, ctx, tampered, fx.clock, delta_t=fx.server.delta_t)
+        result = user_handle_response(fx.card, ctx, tampered, fx.clock, fx.server.params)
         assert result == Reject(RejectReason.AUTH_FAILURE)
 
     def test_stale_response_leaves_card_unchanged(self):
         fx = make_fixture(29)
-        m1, ctx = user_login_start(fx.card, fx.password, fx.clock, fx.rng, prime=fx.server.p)
+        m1, ctx = user_login_start(fx.card, fx.password, fx.clock, fx.rng, fx.server.params)
         fx.clock.advance(1)
         m2, _ = server_handle_login(fx.server, m1, fx.clock, fx.rng)
-        fx.clock.advance(fx.server.delta_t + 1)
-        result = user_handle_response(fx.card, ctx, m2, fx.clock, delta_t=fx.server.delta_t)
+        fx.clock.advance(fx.server.params.delta_t + 1)
+        result = user_handle_response(fx.card, ctx, m2, fx.clock, fx.server.params)
         assert result == Reject(RejectReason.STALE_TIMESTAMP)
 
     def test_card_side_takes_prime_and_delta_t_explicitly(self):
@@ -222,18 +260,37 @@ class TestLogin:
         fx = make_fixture(33, prime=17, width=8, delta_t=3)
         with pytest.raises(TypeError):
             user_login_start(fx.card, fx.password, fx.clock, fx.rng)
-        m1, ctx = user_login_start(fx.card, fx.password, fx.clock, fx.rng, prime=fx.server.p)
+        m1, ctx = user_login_start(fx.card, fx.password, fx.clock, fx.rng, fx.server.params)
         fx.clock.advance(1)
         m2, _ = server_handle_login(fx.server, m1, fx.clock, fx.rng)
         with pytest.raises(TypeError):
             user_handle_response(fx.card, ctx, m2, fx.clock)
+
+    def test_card_side_cannot_run_with_a_prime_or_window_setup_refuses(self):
+        # prime 9 would send an M1 mod a composite and window -1 would mark
+        # an honest M2 stale; the card takes both only inside a Params, which
+        # refuses them before anything is drawn
+        fx = make_fixture(36)
+        m1, ctx = user_login_start(fx.card, fx.password, fx.clock, fx.rng, fx.server.params)
+        m2, _ = server_handle_login(fx.server, m1, fx.clock, fx.rng)
+        rng_before = copy.deepcopy(fx.rng)
+        with pytest.raises(TypeError):
+            user_login_start(fx.card, fx.password, fx.clock, fx.rng, prime=9)
+        with pytest.raises(TypeError):
+            user_handle_response(fx.card, ctx, m2, fx.clock, delta_t=-1)
+        with pytest.raises(ValueError, match=r"^modulus must be a prime greater than 3$"):
+            user_login_start(fx.card, fx.password, fx.clock, fx.rng, Params(9))
+        with pytest.raises(ValueError, match=r"^freshness window must be non-negative$"):
+            user_handle_response(fx.card, ctx, m2, fx.clock, Params(delta_t=-1))
+        assert fx.rng.draw_exponent() == rng_before.draw_exponent()
+        assert not isinstance(user_handle_response(fx.card, ctx, m2, fx.clock, fx.server.params), Reject)
 
     def test_server_is_stateless(self, cold_memo):
         # the same request against equal clocks and equal rng states must
         # produce the identical response; nothing is remembered per user.
         # The first call runs with K untabulated, the second reads its table.
         fx = make_fixture(30)
-        m1, _ = user_login_start(fx.card, fx.password, fx.clock, fx.rng, prime=fx.server.p)
+        m1, _ = user_login_start(fx.card, fx.password, fx.clock, fx.rng, fx.server.params)
         first = server_handle_login(fx.server, m1, clock_at(1), RandomSource(77))
         assert cold_memo
         second = server_handle_login(fx.server, m1, clock_at(1), RandomSource(77))
@@ -250,7 +307,7 @@ def memo_key(fx) -> tuple:
     """(K, p) for the fixture's user, K = h(h(ID) || mk) as a field element."""
     mk = fx.server.mk
     k = h_digest(len(mk), h_digest(len(mk), fx.identity), mk)
-    return bits_to_field(k, fx.server.p).value, fx.server.p
+    return bits_to_field(k, fx.server.params.p).value, fx.server.params.p
 
 
 class TestFixedBaseMemo:
@@ -274,7 +331,7 @@ class TestFixedBaseMemo:
         fx = make_fixture(35, delta_t=3)
         wrong = run_login_session(fx.server, fx.card, b"typo", fx.clock, fx.rng)
         assert wrong.reject == Reject(RejectReason.AUTH_FAILURE)
-        m1, ctx = user_login_start(fx.card, fx.password, fx.clock, fx.rng, prime=fx.server.p)
+        m1, ctx = user_login_start(fx.card, fx.password, fx.clock, fx.rng, fx.server.params)
         flipped = bytearray(m1.x1)
         flipped[0] ^= 1
         tampered = LoginRequest(m1.im1, m1.im2, m1.tuk, bytes(flipped), m1.t1)
@@ -285,7 +342,7 @@ class TestFixedBaseMemo:
         assert not cold_memo
         m2, _ = server_handle_login(fx.server, m1, fx.clock, fx.rng)
         assert list(cold_memo) == [memo_key(fx)]
-        result = user_handle_response(fx.card, ctx, m2, fx.clock, delta_t=fx.server.delta_t)
+        result = user_handle_response(fx.card, ctx, m2, fx.clock, fx.server.params)
         assert not isinstance(result, Reject)
         assert list(cold_memo) == [memo_key(fx)]
 
@@ -306,7 +363,7 @@ class TestTalliesPerExitPath:
 
     def test_server_stale(self):
         fx = make_fixture(51, delta_t=3)
-        m1, _ = user_login_start(fx.card, fx.password, fx.clock, fx.rng, prime=fx.server.p)
+        m1, _ = user_login_start(fx.card, fx.password, fx.clock, fx.rng, fx.server.params)
         fx.clock.advance(4)
         result, counts = tallied(server_handle_login, fx.server, m1, fx.clock, fx.rng)
         assert result == Reject(RejectReason.STALE_TIMESTAMP)
@@ -314,28 +371,28 @@ class TestTalliesPerExitPath:
 
     def test_server_auth_failure(self):
         fx = make_fixture(52)
-        m1, _ = user_login_start(fx.card, b"typo", fx.clock, fx.rng, prime=fx.server.p)
+        m1, _ = user_login_start(fx.card, b"typo", fx.clock, fx.rng, fx.server.params)
         result, counts = tallied(server_handle_login, fx.server, m1, fx.clock, fx.rng)
         assert result == Reject(RejectReason.AUTH_FAILURE)
         assert counts == OpCounts(3, 2, 0)
 
     def test_server_accept(self):
         fx = make_fixture(53)
-        m1, _ = user_login_start(fx.card, fx.password, fx.clock, fx.rng, prime=fx.server.p)
+        m1, _ = user_login_start(fx.card, fx.password, fx.clock, fx.rng, fx.server.params)
         result, counts = tallied(server_handle_login, fx.server, m1, fx.clock, fx.rng)
         assert not isinstance(result, Reject)
         assert counts == OpCounts(7, 6, 2)
 
     def _response(self, seed, delta_t=5):
         fx = make_fixture(seed, delta_t=delta_t)
-        m1, ctx = user_login_start(fx.card, fx.password, fx.clock, fx.rng, prime=fx.server.p)
+        m1, ctx = user_login_start(fx.card, fx.password, fx.clock, fx.rng, fx.server.params)
         m2, _ = server_handle_login(fx.server, m1, fx.clock, fx.rng)
         return fx, ctx, m2
 
     def test_user_stale(self):
         fx, ctx, m2 = self._response(54, delta_t=3)
         fx.clock.advance(4)
-        result, counts = tallied(user_handle_response, fx.card, ctx, m2, fx.clock, delta_t=3)
+        result, counts = tallied(user_handle_response, fx.card, ctx, m2, fx.clock, fx.server.params)
         assert result == Reject(RejectReason.STALE_TIMESTAMP)
         assert counts == OpCounts(0, 0, 0)
 
@@ -343,13 +400,13 @@ class TestTalliesPerExitPath:
         fx, ctx, m2 = self._response(55)
         flipped = bytes([m2.y3[0] ^ 1]) + m2.y3[1:]
         tampered = LoginResponse(m2.y1, m2.y2, flipped, m2.tvk, m2.t2)
-        result, counts = tallied(user_handle_response, fx.card, ctx, tampered, fx.clock, delta_t=5)
+        result, counts = tallied(user_handle_response, fx.card, ctx, tampered, fx.clock, fx.server.params)
         assert result == Reject(RejectReason.AUTH_FAILURE)
         assert counts == OpCounts(3, 2, 1)
 
     def test_user_accept(self):
         fx, ctx, m2 = self._response(56)
-        result, counts = tallied(user_handle_response, fx.card, ctx, m2, fx.clock, delta_t=5)
+        result, counts = tallied(user_handle_response, fx.card, ctx, m2, fx.clock, fx.server.params)
         assert not isinstance(result, Reject)
         assert counts == OpCounts(3, 2, 1)
 
@@ -367,9 +424,9 @@ class TestEdges:
         # rejected before freshness and before any hash, XOR, draw or memo
         # write, as is a byte field or T1 of the wrong type
         fx, narrow = make_fixture(60), make_fixture(61, width=64)
-        m1, _ = user_login_start(narrow.card, narrow.password, fx.clock, fx.rng, prime=fx.server.p)
-        wide, _ = user_login_start(fx.card, fx.password, fx.clock, fx.rng, prime=fx.server.p)
-        stale_clock = clock_at(wide.t1.ticks + fx.server.delta_t + 1)
+        m1, _ = user_login_start(narrow.card, narrow.password, fx.clock, fx.rng, fx.server.params)
+        wide, _ = user_login_start(fx.card, fx.password, fx.clock, fx.rng, fx.server.params)
+        stale_clock = clock_at(wide.t1.ticks + fx.server.params.delta_t + 1)
         for malformed in (
             m1,
             LoginRequest(wide.im1, m1.im2, wide.tuk, wide.x1, wide.t1),
@@ -391,7 +448,7 @@ class TestEdges:
     def test_wrong_width_m2_is_malformed_at_the_card(self):
         # and a byte field or T2 of the wrong type
         fx = make_fixture(62)
-        m1, ctx = user_login_start(fx.card, fx.password, fx.clock, fx.rng, prime=fx.server.p)
+        m1, ctx = user_login_start(fx.card, fx.password, fx.clock, fx.rng, fx.server.params)
         m2, _ = server_handle_login(fx.server, m1, fx.clock, fx.rng)
         short = m2.y1[:8]
         stale_clock = clock_at(m2.t2.ticks + 6)
@@ -405,17 +462,18 @@ class TestEdges:
             LoginResponse(m2.y1, m2.y2, m2.y3, m2.tvk, m2.t2.ticks),
         ):
             for clock in (fx.clock, stale_clock):
-                result, counts = tallied(user_handle_response, fx.card, ctx, tampered, clock, delta_t=5)
+                result, counts = tallied(
+                    user_handle_response, fx.card, ctx, tampered, clock, fx.server.params)
                 assert result == Reject(RejectReason.MALFORMED) and counts == OpCounts(0, 0, 0)
-        assert not isinstance(user_handle_response(fx.card, ctx, m2, fx.clock, delta_t=5), Reject)
+        assert not isinstance(user_handle_response(fx.card, ctx, m2, fx.clock, fx.server.params), Reject)
 
     def test_foreign_modulus_is_malformed_at_both_ends(self, cold_memo):
         # a card started with another prime gets no M2, and an M2 whose
         # T_v(K) lies in another field than T_u(K) is refused by the card;
         # so is a T_u(K) or T_v(K) that is not a FieldElement at all
         fx = make_fixture(67)
-        m1, _ = user_login_start(fx.card, fx.password, fx.clock, fx.rng, prime=101)
-        honest, _ = user_login_start(fx.card, fx.password, fx.clock, fx.rng, prime=fx.server.p)
+        m1, _ = user_login_start(fx.card, fx.password, fx.clock, fx.rng, Params(101))
+        honest, _ = user_login_start(fx.card, fx.password, fx.clock, fx.rng, fx.server.params)
         bare = LoginRequest(honest.im1, honest.im2, honest.tuk.value, honest.x1, honest.t1)
         for malformed in (m1, bare):
             rng = RandomSource(77)
@@ -423,21 +481,21 @@ class TestEdges:
             assert result == Reject(RejectReason.MALFORMED) and counts == OpCounts(0, 0, 0)
             assert not cold_memo
             assert rng.draw_exponent() == RandomSource(77).draw_exponent()
-        m1, ctx = user_login_start(fx.card, fx.password, fx.clock, fx.rng, prime=fx.server.p)
+        m1, ctx = user_login_start(fx.card, fx.password, fx.clock, fx.rng, fx.server.params)
         m2, _ = server_handle_login(fx.server, m1, fx.clock, fx.rng)
         for tvk in (FieldElement(m2.tvk.value % 101, 101), m2.tvk.value):
             foreign = LoginResponse(m2.y1, m2.y2, m2.y3, tvk, m2.t2)
-            result, counts = tallied(user_handle_response, fx.card, ctx, foreign, fx.clock, delta_t=5)
+            result, counts = tallied(user_handle_response, fx.card, ctx, foreign, fx.clock, fx.server.params)
             assert result == Reject(RejectReason.MALFORMED) and counts == OpCounts(0, 0, 0)
 
     def test_anything_but_m1_is_malformed_at_the_server(self, cold_memo):
         # the channel adversary chooses what arrives: M2, None, M1's fields
         # as a bare tuple, a card; fresh or stale, none is hashed or drawn for
         fx = make_fixture(68)
-        m1, _ = user_login_start(fx.card, fx.password, fx.clock, fx.rng, prime=fx.server.p)
+        m1, _ = user_login_start(fx.card, fx.password, fx.clock, fx.rng, fx.server.params)
         m2, _ = server_handle_login(fx.server, m1, fx.clock, fx.rng)
         cold_memo.clear()
-        stale_clock = clock_at(m1.t1.ticks + fx.server.delta_t + 1)
+        stale_clock = clock_at(m1.t1.ticks + fx.server.params.delta_t + 1)
         for delivered in (m2, None, (m1.im1, m1.im2, m1.tuk, m1.x1, m1.t1), fx.card):
             rng = RandomSource(77)
             for clock in (fx.clock, stale_clock):
@@ -450,24 +508,24 @@ class TestEdges:
         fx = make_fixture(69)
         card = fx.card
         before = (card.im1, card.im2, card.d1, card.d2)
-        m1, ctx = user_login_start(card, fx.password, fx.clock, fx.rng, prime=fx.server.p)
+        m1, ctx = user_login_start(card, fx.password, fx.clock, fx.rng, fx.server.params)
         m2, _ = server_handle_login(fx.server, m1, fx.clock, fx.rng)
         cold_memo.clear()
-        stale_clock = clock_at(m2.t2.ticks + fx.server.delta_t + 1)
+        stale_clock = clock_at(m2.t2.ticks + fx.server.params.delta_t + 1)
         for delivered in (m1, None, (m2.y1, m2.y2, m2.y3, m2.tvk, m2.t2), card):
             for clock in (fx.clock, stale_clock):
-                result, counts = tallied(user_handle_response, card, ctx, delivered, clock, delta_t=5)
+                result, counts = tallied(user_handle_response, card, ctx, delivered, clock, fx.server.params)
                 assert result == Reject(RejectReason.MALFORMED) and counts == OpCounts(0, 0, 0)
         assert not cold_memo
         assert (card.im1, card.im2, card.d1, card.d2) == before
-        assert not isinstance(user_handle_response(card, ctx, m2, fx.clock, delta_t=5), Reject)
+        assert not isinstance(user_handle_response(card, ctx, m2, fx.clock, fx.server.params), Reject)
 
     def test_password_types_agree(self):
         fx = make_fixture(63)
         outputs = []
         for password in (b"pw-\xc3\xa9", bytearray(b"pw-\xc3\xa9"), "pw-é"):
             card = registration(fx.server, "id", password, RandomSource(9))
-            m1, _ = user_login_start(card, password, LogicalClock(), RandomSource(10), prime=fx.server.p)
+            m1, _ = user_login_start(card, password, LogicalClock(), RandomSource(10), fx.server.params)
             changed = change_password(card, password, bytearray(b"new"))
             outputs.append((card, m1, changed))
         assert outputs[0] == outputs[1] == outputs[2]
@@ -481,7 +539,7 @@ class TestEdges:
         with pytest.raises(TypeError):
             registration(fx.server, b"id", 3, RandomSource(9))
         with pytest.raises(TypeError):
-            user_login_start(fx.card, 3, fx.clock, fx.rng, prime=fx.server.p)
+            user_login_start(fx.card, 3, fx.clock, fx.rng, fx.server.params)
         with pytest.raises(TypeError):
             change_password(fx.card, 3, b"new")
         with pytest.raises(TypeError):
@@ -576,12 +634,12 @@ class TestBytesFields:
             card_type(bytes(4), bytes(4), b"", bytes(4))
         with pytest.raises(ValueError, match=r"^card fields disagree on width: \[32, 40\]$"):
             card_type(bytes(4), bytes(4), bytes(4), bytes(5))
-        assert card_type(bytes(1), bytes(1), bytes(1), bytes(1)).width == 8
+        card_type(bytes(1), bytes(1), bytes(1), bytes(1))  # one byte a field, the narrowest width
 
     @pytest.mark.parametrize("width", [8, 256])
     def test_every_stored_and_sent_string_is_exact_bytes_of_the_width(self, width):
         fx = make_fixture(70, width=width, prime=101 if width == 8 else DEFAULT_PRIME)
-        n = width // 8
+        n = fx.server.params.width // 8  # the card works at the width the server's Params set
 
         def assert_exact(*values):
             assert [type(value) for value in values] == [bytes] * len(values)
@@ -591,11 +649,11 @@ class TestBytesFields:
             return card.im1, card.im2, card.d1, card.d2
 
         assert_exact(fx.server.mk, *fields(fx.card))
-        m1, ctx = user_login_start(fx.card, fx.password, fx.clock, fx.rng, prime=fx.server.p)
+        m1, ctx = user_login_start(fx.card, fx.password, fx.clock, fx.rng, fx.server.params)
         assert_exact(m1.im1, m1.im2, m1.x1)
         m2, server_key = server_handle_login(fx.server, m1, fx.clock, fx.rng)
         assert_exact(m2.y1, m2.y2, m2.y3, server_key)
-        user_key, refreshed = user_handle_response(fx.card, ctx, m2, fx.clock, delta_t=fx.server.delta_t)
+        user_key, refreshed = user_handle_response(fx.card, ctx, m2, fx.clock, fx.server.params)
         assert user_key == server_key
         assert_exact(user_key, *fields(refreshed), *fields(change_password(refreshed, fx.password, b"new")))
 

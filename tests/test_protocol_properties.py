@@ -48,11 +48,11 @@ def clock_at(ticks: int) -> LogicalClock:
 def honest(width: int, prime: int) -> SimpleNamespace:
     """One honest round trip at (width, prime): M1, M2, and what each receiver returned."""
     fx = make_fixture(700 + width + prime % 1000, width=width, prime=prime)
-    m1, ctx = user_login_start(fx.card, fx.password, fx.clock, fx.rng, prime=prime)
+    m1, ctx = user_login_start(fx.card, fx.password, fx.clock, fx.rng, fx.server.params)
     m2, server_key = server_handle_login(
         fx.server, m1, clock_at(m1.t1.ticks + 1), RandomSource(SERVER_SEED))
     user_key, refreshed = user_handle_response(
-        fx.card, ctx, m2, clock_at(m2.t2.ticks + 1), fx.server.delta_t)
+        fx.card, ctx, m2, clock_at(m2.t2.ticks + 1), fx.server.params)
     assert user_key == server_key
     return SimpleNamespace(fx=fx, ctx=ctx, m1=m1, m2=m2, server_key=server_key, refreshed=refreshed)
 
@@ -109,7 +109,7 @@ def test_one_bad_field_is_malformed_and_changes_nothing(case):
         assert rng.draw_exponent() == RandomSource(SERVER_SEED).draw_exponent()
     else:
         clock = clock_at(message.t2.ticks + 1)
-        result = user_handle_response(card, session.ctx, bad, clock, fx.server.delta_t, counts=counts)
+        result = user_handle_response(card, session.ctx, bad, clock, fx.server.params, counts=counts)
     assert result == Reject(RejectReason.MALFORMED)
     assert counts == OpCounts(0, 0, 0)
     assert set(chaotic._tables) == memo
@@ -119,5 +119,5 @@ def test_one_bad_field_is_malformed_and_changes_nothing(case):
         assert server_handle_login(fx.server, message, clock, RandomSource(SERVER_SEED)) == (
             session.m2, session.server_key)
     else:
-        assert user_handle_response(card, session.ctx, message, clock, fx.server.delta_t) == (
+        assert user_handle_response(card, session.ctx, message, clock, fx.server.params) == (
             session.server_key, session.refreshed)

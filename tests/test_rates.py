@@ -67,7 +67,7 @@ def test_decoys_match_at_the_predicted_rate():
     for seed in range(victims):
         fx = make_fixture(seed, width=WIDTH, prime=PRIME)
         card = ExtractedCard.from_card(fx.card)
-        m1, _ = user_login_start(fx.card, fx.password, fx.clock, fx.rng, prime=PRIME)
+        m1, _ = user_login_start(fx.card, fx.password, fx.clock, fx.rng, fx.server.params)
         assert guess_predicate(fx.password, card, m1)
         matches += sum(guess_predicate(f"decoy-{i}", card, m1) for i in range(decoys))
     assert bounds[0] <= matches <= bounds[1], matches

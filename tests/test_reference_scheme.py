@@ -14,6 +14,7 @@ import reference_scheme as ref
 from chebauth.chaotic import DEFAULT_PRIME
 from chebauth.primitives import LogicalClock, RandomSource
 from chebauth.protocol import (
+    Params,
     Reject,
     change_password,
     registration,
@@ -44,14 +45,14 @@ def card_fields(card) -> tuple:
 
 
 def package_run(seed, width, prime, login_password, delay_m1, delay_m2, change) -> list:
-    server = server_setup(seed, width=width, prime=prime, delta_t=DELTA_T)
+    server = server_setup(seed, Params(prime, width, DELTA_T))
     rng, clock = RandomSource(seed + 1), LogicalClock()
     card = registration(server, IDENTITY, PASSWORD, rng)
     trace = [("card", card_fields(card))]
     if change is not None:
         card = change_password(card, *change)
         trace.append(("changed", card_fields(card)))
-    m1, ctx = user_login_start(card, login_password, clock, rng, prime=server.p)
+    m1, ctx = user_login_start(card, login_password, clock, rng, server.params)
     trace.append(("m1", (m1.im1, m1.im2, m1.tuk.value, m1.x1, m1.t1.ticks)))
     trace.append(("ctx", (ctx.u, ctx.tuk.value)))
     clock.advance(delay_m1)
@@ -62,7 +63,7 @@ def package_run(seed, width, prime, login_password, delay_m1, delay_m2, change) 
     trace.append(("m2", (m2.y1, m2.y2, m2.y3, m2.tvk.value, m2.t2.ticks)))
     trace.append(("server", server_key))
     clock.advance(delay_m2)
-    result = user_handle_response(card, ctx, m2, clock, delta_t=server.delta_t)
+    result = user_handle_response(card, ctx, m2, clock, server.params)
     if isinstance(result, Reject):
         return trace + [("user reject", result.reason.value)]
     key, refreshed = result

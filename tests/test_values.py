@@ -31,6 +31,7 @@ from chebauth.protocol import (
     LoginRequest,
     LoginResponse,
     LoginSession,
+    Params,
     Reject,
     RejectReason,
     ServerState,
@@ -55,7 +56,8 @@ CASES = [
     (Timestamp, dict(ticks=4), dict(ticks=5), True),
     (OpCounts, dict(n_hash=6, n_xor=4, n_cheb=1), dict(n_cheb=2), False),
     (Reject, dict(reason=RejectReason.AUTH_FAILURE), dict(reason=RejectReason.STALE_TIMESTAMP), True),
-    (ServerState, dict(mk=A, p=17, delta_t=5), dict(delta_t=6), True),
+    (Params, dict(p=17, width=16, delta_t=5), dict(delta_t=6), True),
+    (ServerState, dict(mk=A, params=Params(17, 16, 5)), dict(params=Params(17, 16, 6)), True),
     (SmartCard, CARD, dict(d2=A), True),
     (LoginRequest, dict(im1=A, im2=B, tuk=F, x1=C, t1=T1), dict(x1=D), True),
     (LoginResponse, dict(y1=A, y2=B, y3=C, tvk=F, t2=T2), dict(y3=D), True),
@@ -73,7 +75,7 @@ CASES = [
 
 # The classes whose __init__ checks its input or has defaults, and ExtractedCard,
 # which inherits SmartCard's; every other class's __init__ is its _fill.
-WRITE_THEIR_OWN_INIT = {FieldElement, BitString, Timestamp, OpCounts, SmartCard, ExtractedCard,
+WRITE_THEIR_OWN_INIT = {FieldElement, BitString, Timestamp, OpCounts, Params, SmartCard, ExtractedCard,
                         Transcript, Dictionary}
 
 
@@ -121,7 +123,7 @@ def test_constructor_rejects_a_bad_call(cls, fields, changed, frozen):
         "unknown keyword": lambda: cls(*values, unknown=values[0]),
         "field given twice": lambda: cls(*values, **{first: values[0]}),
     }
-    if cls is not OpCounts:  # which defaults every count to 0
+    if cls not in (OpCounts, Params):  # which default every field
         bad_calls["missing field"] = lambda: cls(*values[:-1])
     for label, call in bad_calls.items():
         try:
@@ -156,7 +158,7 @@ def test_experiment_results_are_equal_across_identical_fixtures():
     # No wall time inside: an experiment's result is a function of its inputs.
     def results(seed):
         fx = make_fixture(seed)
-        m1, _ = user_login_start(fx.card, fx.password, fx.clock, fx.rng, prime=fx.server.p)
+        m1, _ = user_login_start(fx.card, fx.password, fx.clock, fx.rng, fx.server.params)
         words = Dictionary((b"decoy-1", fx.password, b"decoy-2"))
         guess = offline_guess(ExtractedCard.from_card(fx.card), m1, words)
         wasted = wrong_login_experiment(fx.card, b"oops", fx.server, fx.clock, fx.rng)
