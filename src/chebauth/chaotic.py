@@ -48,13 +48,9 @@ class FieldElement(Frozen):
             raise ValueError("value out of range [0, p)")
         self._fill(value, p)
 
-    @property
-    def byte_width(self) -> int:
-        return (self.p.bit_length() + 7) // 8
-
     def to_bytes(self) -> bytes:
         """Canonical fixed-width big-endian encoding, as hashed on the wire."""
-        return self.value.to_bytes(self.byte_width, "big")
+        return self.value.to_bytes((self.p.bit_length() + 7) // 8, "big")
 
     def __str__(self):
         return str(self.value)

@@ -162,8 +162,6 @@ _WASTED_ROUND_COUNTS = {"hash": 6, "xor": 4, "cheb": 1}
 
 def cmd_wrong_login(args: argparse.Namespace):
     """One wasted login round with a wrong password, with op accounting."""
-    if args.wrong_password == args.password:
-        raise ConfigError("--wrong-password must differ from --password")
     server, rng, clock, card = _setup(args)
     # raises ExperimentInvalid unless the server rejected the password, so the
     # report's server_rejected is always true

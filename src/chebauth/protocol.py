@@ -3,7 +3,8 @@
 All state is explicit and immutable: operations take a card or server value
 and return a new one, so a rejected step provably leaves state untouched.
 Card and server share one Params (prime p, width l, freshness window),
-validated once when built, so no phase runs with values setup would refuse.
+validated once when built: server_setup and user_login_start refuse anything
+else, and the login context carries the card and its Params from M1 to M2.
 Two behaviors are reproduced on purpose because the adversary experiments
 measure them: the card checks nothing locally at login time, and a password
 change is applied without verifying the old password.
@@ -58,6 +59,8 @@ class Params(Frozen):
     __slots__ = __match_args__ = ("p", "width", "delta_t")
 
     def __init__(self, p: int = DEFAULT_PRIME, width: int = DEFAULT_WIDTH, delta_t: int = DEFAULT_DELTA_T):
+        if not type(p) is type(width) is type(delta_t) is int:
+            raise TypeError(f"Params fields must be ints: {[type(f).__name__ for f in (p, width, delta_t)]}")
         if p != DEFAULT_PRIME and (not is_probable_prime(p) or p <= 3):
             raise ValueError("modulus must be a prime greater than 3")
         if delta_t < 0:
@@ -105,13 +108,15 @@ class LoginResponse(Frozen):
 
 
 class UserLoginContext(Frozen):
-    """Card-side secrets held between sending M1 and handling M2: u and T_u(K)."""
+    """Held from M1 to M2: the card and Params the login began with, u and T_u(K)."""
 
-    __slots__ = __match_args__ = ("u", "tuk")
+    __slots__ = __match_args__ = ("card", "params", "u", "tuk")
 
 
 def server_setup(seed: int, params: Params = Params()) -> ServerState:
     """Draw a fresh master key of params.width bits; params were validated when built."""
+    if type(params) is not Params:
+        raise TypeError(f"params must be a Params, got {type(params).__name__}")
     return ServerState(RandomSource(seed).draw_bytes(params.width // 8), params)
 
 
@@ -157,6 +162,8 @@ def user_login_start(
     a well-formed M1 (with a garbage key under the hood) and the mistake is
     only caught server-side, one wasted round trip later.
     """
+    if type(params) is not Params:  # a look-alike skips Params' checks
+        raise TypeError(f"params must be a Params, got {type(params).__name__}")
     password = as_bytes(password)
     u = rng.draw_exponent()
     n = len(card.d2)
@@ -166,7 +173,7 @@ def user_login_start(
     t1 = clock.now()
     x1 = h_digest(n, k, card.im1, card.im2, tuk.to_bytes(), t1.to_bytes())
     tally(counts, 3, 2, 1)
-    return LoginRequest(card.im1, card.im2, tuk, x1, t1), UserLoginContext(u, tuk)
+    return LoginRequest(card.im1, card.im2, tuk, x1, t1), UserLoginContext(card, params, u, tuk)
 
 
 def server_handle_login(
@@ -217,27 +224,25 @@ def server_handle_login(
 
 
 def user_handle_response(
-    card: SmartCard,
     ctx: UserLoginContext,
     m2: LoginResponse,
     clock: LogicalClock,
-    params: Params,
     counts: OpCounts | None = None,
 ):
-    """Check M2, derive the session key, and adopt the refreshed pseudonyms.
+    """Check M2 against the login ctx started, derive the session key, adopt the refreshed pseudonyms.
 
-    Returns (session_key, updated card) or a Reject, which leaves the card
-    passed in the caller's card, bit for bit. MALFORMED comes first: anything
-    but a LoginResponse (an M1, None, a tuple), a field of the wrong type,
-    Y1, Y2 or Y3 not of the card's width, or T_v(K) outside T_u(K)'s field.
+    Returns (session_key, ctx.card with the new pseudonyms) or a Reject, which
+    leaves ctx.card bit for bit as it was. MALFORMED comes first: anything but
+    a LoginResponse (an M1, None, a tuple), a field of the wrong type, Y1, Y2
+    or Y3 not of the card's width, or T_v(K) outside the login's field.
     """
-    n = len(card.d1)
+    n = len(ctx.card.d1)
     y1, y2, y3, tvk, t2 = fields = m2._key if type(m2) is LoginResponse else (None,) * 5
     if (tuple(map(type, fields)) != (bytes, bytes, bytes, FieldElement, Timestamp)
-            or len(y1) != n or len(y2) != n or len(y3) != n or tvk.p != ctx.tuk.p):
+            or len(y1) != n or len(y2) != n or len(y3) != n or tvk.p != ctx.params.p):
         return Reject(RejectReason.MALFORMED)
     t3 = clock.now()
-    if t3 - t2 > params.delta_t:
+    if t3 - t2 > ctx.params.delta_t:
         return Reject(RejectReason.STALE_TIMESTAMP)
     tvk_bytes, t2_bytes = tvk.to_bytes(), t2.to_bytes()
     tutvk = cheb_eval(ctx.u, tvk)
@@ -248,7 +253,7 @@ def user_handle_response(
     tally(counts, 3, 2, 1)
     if h_digest(n, session_key, im1_new, im2_new, tvk_bytes, t2_bytes) != y3:
         return Reject(RejectReason.AUTH_FAILURE)
-    return session_key, SmartCard(im1_new, im2_new, card.d1, card.d2)
+    return session_key, SmartCard(im1_new, im2_new, ctx.card.d1, ctx.card.d2)
 
 
 def change_password(
@@ -327,7 +332,7 @@ def run_login_session(
     m2, server_key = result
     clock.advance(channel_delay)
     events.append(ChannelEvent(m2, clock.now()))
-    result = user_handle_response(card, ctx, m2, clock, server.params, counts=user_counts)
+    result = user_handle_response(ctx, m2, clock, counts=user_counts)
     if isinstance(result, Reject):
         return LoginSession(card, None, server_key, result, "user", events)
     user_key, refreshed = result

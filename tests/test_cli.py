@@ -196,11 +196,15 @@ class TestWrongLoginDemo:
         assert experiment["op_counts"] == {"hash": 6, "xor": 4, "cheb": 1}
         assert report["as_expected"]
 
-    def test_wrong_password_must_differ(self, tmp_path):
+    def test_wrong_password_must_differ(self, tmp_path, capsys):
+        # the experiment itself refuses a round the server accepts
         status, report = run(
             tmp_path, "wrong-login-demo", "--password", "pw", "--wrong-password", "pw"
         )
         assert status == 3 and report is None
+        assert capsys.readouterr().err == (
+            "chebauth: error: server accepted the login: the supplied password is the true one"
+            " or collides with it at width 256\n")
 
 
 @pytest.mark.parametrize("command, message", [

@@ -3,8 +3,9 @@
 A hypothesis state machine drives two users and one server through logins
 with the right and a wrong password, password changes with the right and a
 wrong old password, card re-issues, clock jumps past the freshness window,
-a replayed M1, an accepted M2 replayed to its card under a fresh login, and
-messages delivered to the wrong receiver. Each step runs
+a replayed M1, an accepted M2 replayed to its card under a fresh login,
+messages delivered to the wrong receiver, and a cleared kernel memo, so that
+logins where K is tabulated mix with logins where it is not. Each step runs
 on chebauth and on tests/reference_scheme.py, which gets a random.Random
 with the same seed and draws in the package's order. After every step the
 cards, session keys and reject reasons are bit-equal to the reference, a
@@ -32,6 +33,7 @@ from hypothesis.stateful import (  # noqa: E402
 )
 
 import reference_scheme as ref  # noqa: E402
+from chebauth import chaotic  # noqa: E402
 from chebauth.chaotic import DEFAULT_PRIME, FieldElement  # noqa: E402
 from chebauth.primitives import LogicalClock, OpCounts, RandomSource  # noqa: E402
 from chebauth.protocol import (  # noqa: E402
@@ -195,8 +197,8 @@ class PackageFollowsReference(RuleBasedStateMachine):
     @rule(user=st.sampled_from(USERS))
     def deliver_m1_to_card(self, user):
         m1, _, (u, tuk) = self.last_m1
-        ctx, counts = UserLoginContext(u, FieldElement(tuk, self.prime)), OpCounts()
-        result = user_handle_response(self.cards[user], ctx, m1, self.clock, self.params, counts=counts)
+        ctx, counts = UserLoginContext(self.cards[user], self.params, u, FieldElement(tuk, self.prime)), OpCounts()
+        result = user_handle_response(ctx, m1, self.clock, counts=counts)
         assert result == Reject(RejectReason.MALFORMED) and counts == OpCounts()
 
     @precondition(lambda self: self.accepted_m2 is not None)
@@ -211,7 +213,7 @@ class PackageFollowsReference(RuleBasedStateMachine):
         counts = OpCounts()
         _, ctx = user_login_start(card, typed, self.clock, self.rng, self.params, counts=counts)
         _, ref_ctx = ref.login_start(ref_card, typed, self.ref_rng, self.ref_now, self.prime)
-        result = user_handle_response(card, ctx, m2, self.clock, self.params, counts=counts)
+        result = user_handle_response(ctx, m2, self.clock, counts=counts)
         ref_result = ref.user_verify(ref_card, ref_ctx, ref_m2, self.ref_now, self.delta_t, self.prime)
         assert counts == (M1_ONLY if ref_result == "stale_timestamp" else M1_AND_M2)
         if isinstance(ref_result, str):
@@ -220,6 +222,12 @@ class PackageFollowsReference(RuleBasedStateMachine):
             assert (self.width, self.prime) != (256, DEFAULT_PRIME)
             (user_key, self.cards[user]), (ref_user_key, self.ref_cards[user]) = result, ref_result
             assert user_key == ref_user_key
+
+    @rule()
+    def forget_tabulated_bases(self):
+        # as the cold_memo fixture does: the next login of each user computes
+        # T_u(K) and T_v(K) without K's squaring chain, until X1 tabulates K again
+        chaotic._tables.clear()
 
     @invariant()
     def cards_match_reference(self):

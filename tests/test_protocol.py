@@ -1,5 +1,7 @@
 import copy
+import inspect
 import re
+from types import SimpleNamespace
 
 import pytest
 
@@ -61,6 +63,13 @@ class TestServerSetup:
         assert len(server_setup(1).mk) * 8 == 256
         assert len(server_setup(1, Params(width=64)).mk) * 8 == 64
 
+    @pytest.mark.parametrize("look_alike", [SimpleNamespace(p=9, width=64, delta_t=-1), 101, None],
+                             ids=["namespace", "int", "None"])
+    def test_refuses_anything_but_params(self, look_alike):
+        # a look-alike skips Params' checks: the namespace would give a server with p = 9 and window -1
+        with pytest.raises(TypeError, match=rf"^params must be a Params, got {type(look_alike).__name__}$"):
+            server_setup(1, look_alike)
+
     def test_keeps_the_params_it_is_given(self):
         params = Params(101, 64, 3)
         assert server_setup(1, params).params is params
@@ -107,6 +116,17 @@ class TestParams:
     def test_bad_width_rejected(self, width):
         with pytest.raises(ValueError, match=rf"^width must be a multiple of 8 in \[8, 256\], got {width}$"):
             Params(width=width)
+
+    @pytest.mark.parametrize("fields, names", [
+        (dict(width=256.0), "['int', 'float', 'int']"),
+        (dict(delta_t=2.5), "['int', 'int', 'float']"),
+        (dict(delta_t=True), "['int', 'int', 'bool']"),
+        (dict(p=101.0), "['float', 'int', 'int']"),
+    ], ids=["width-float", "delta_t-float", "delta_t-bool", "p-float"])
+    def test_non_int_fields_rejected(self, fields, names):
+        # refused when built, not later inside draw_bytes or a window comparison
+        with pytest.raises(TypeError, match=rf"^Params fields must be ints: {re.escape(names)}$"):
+            Params(**fields)
 
     def test_edges_accepted(self):
         params = Params(5, 8, 0)  # the smallest prime, width and window
@@ -243,7 +263,7 @@ class TestLogin:
         flipped[-1] ^= 0x01
         tampered = LoginResponse(m2.y1, m2.y2, bytes(flipped), m2.tvk, m2.t2)
         fx.clock.advance(1)
-        result = user_handle_response(fx.card, ctx, tampered, fx.clock, fx.server.params)
+        result = user_handle_response(ctx, tampered, fx.clock)
         assert result == Reject(RejectReason.AUTH_FAILURE)
 
     def test_stale_response_leaves_card_unchanged(self):
@@ -252,19 +272,21 @@ class TestLogin:
         fx.clock.advance(1)
         m2, _ = server_handle_login(fx.server, m1, fx.clock, fx.rng)
         fx.clock.advance(fx.server.params.delta_t + 1)
-        result = user_handle_response(fx.card, ctx, m2, fx.clock, fx.server.params)
+        result = user_handle_response(ctx, m2, fx.clock)
         assert result == Reject(RejectReason.STALE_TIMESTAMP)
 
     def test_card_side_takes_prime_and_delta_t_explicitly(self):
-        # a card-side default would silently disagree with a non-default server
+        # a card-side default would silently disagree with a non-default server;
+        # the M2 check takes neither card nor Params, it reads both from ctx
         fx = make_fixture(33, prime=17, width=8, delta_t=3)
         with pytest.raises(TypeError):
             user_login_start(fx.card, fx.password, fx.clock, fx.rng)
         m1, ctx = user_login_start(fx.card, fx.password, fx.clock, fx.rng, fx.server.params)
+        assert ctx.card is fx.card and ctx.params is fx.server.params
         fx.clock.advance(1)
         m2, _ = server_handle_login(fx.server, m1, fx.clock, fx.rng)
-        with pytest.raises(TypeError):
-            user_handle_response(fx.card, ctx, m2, fx.clock)
+        assert list(inspect.signature(user_handle_response).parameters) == ["ctx", "m2", "clock", "counts"]
+        assert not isinstance(user_handle_response(ctx, m2, fx.clock), Reject)
 
     def test_card_side_cannot_run_with_a_prime_or_window_setup_refuses(self):
         # prime 9 would send an M1 mod a composite and window -1 would mark
@@ -277,13 +299,47 @@ class TestLogin:
         with pytest.raises(TypeError):
             user_login_start(fx.card, fx.password, fx.clock, fx.rng, prime=9)
         with pytest.raises(TypeError):
-            user_handle_response(fx.card, ctx, m2, fx.clock, delta_t=-1)
+            user_handle_response(ctx, m2, fx.clock, delta_t=-1)
         with pytest.raises(ValueError, match=r"^modulus must be a prime greater than 3$"):
             user_login_start(fx.card, fx.password, fx.clock, fx.rng, Params(9))
         with pytest.raises(ValueError, match=r"^freshness window must be non-negative$"):
-            user_handle_response(fx.card, ctx, m2, fx.clock, Params(delta_t=-1))
+            user_login_start(fx.card, fx.password, fx.clock, fx.rng, Params(delta_t=-1))
         assert fx.rng.draw_exponent() == rng_before.draw_exponent()
-        assert not isinstance(user_handle_response(fx.card, ctx, m2, fx.clock, fx.server.params), Reject)
+        assert not isinstance(user_handle_response(ctx, m2, fx.clock), Reject)
+
+    @pytest.mark.parametrize("look_alike", [
+        SimpleNamespace(p=9), SimpleNamespace(p=9, width=64, delta_t=-1), 101, None, (DEFAULT_PRIME, 256, 5),
+    ], ids=["namespace-p", "namespace", "int", "None", "tuple"])
+    def test_login_start_refuses_anything_but_params_before_any_draw(self, look_alike):
+        # a look-alike skips Params' checks: SimpleNamespace(p=9) would send an M1 mod 9
+        fx = make_fixture(38)
+        rng_before = copy.deepcopy(fx.rng)
+        with pytest.raises(TypeError, match=rf"^params must be a Params, got {type(look_alike).__name__}$"):
+            user_login_start(fx.card, fx.password, fx.clock, fx.rng, look_alike)
+        assert fx.rng.draw_exponent() == rng_before.draw_exponent()
+        assert fx.clock.now() == LogicalClock().now()
+
+    def test_a_login_ends_on_the_card_and_window_it_started_with(self):
+        # M2 arrives 50 ticks late: the window that judges it is the one of
+        # the Params the login started with, and every reject of the second
+        # half leaves ctx.card bit for bit as it was
+        fx = make_fixture(37, delta_t=3)
+        before = (fx.card.im1, fx.card.im2, fx.card.d1, fx.card.d2)
+
+        def late_m2(delta_t, tamper=False):
+            params = Params(fx.server.params.p, fx.server.params.width, delta_t)
+            m1, ctx = user_login_start(fx.card, fx.password, clock_at(0), fx.rng, params)
+            m2, server_key = server_handle_login(fx.server, m1, clock_at(1), fx.rng)
+            if tamper:
+                m2 = LoginResponse(m2.y1, m2.y2, bytes([m2.y3[0] ^ 1]) + m2.y3[1:], m2.tvk, m2.t2)
+            result = user_handle_response(ctx, m2, clock_at(51))
+            assert ctx.card is fx.card and (ctx.card.im1, ctx.card.im2, ctx.card.d1, ctx.card.d2) == before
+            return result, server_key
+
+        assert late_m2(3)[0] == Reject(RejectReason.STALE_TIMESTAMP)
+        assert late_m2(100, tamper=True)[0] == Reject(RejectReason.AUTH_FAILURE)
+        (user_key, refreshed), server_key = late_m2(100)
+        assert user_key == server_key and (refreshed.d1, refreshed.d2) == (fx.card.d1, fx.card.d2)
 
     def test_server_is_stateless(self, cold_memo):
         # the same request against equal clocks and equal rng states must
@@ -342,7 +398,7 @@ class TestFixedBaseMemo:
         assert not cold_memo
         m2, _ = server_handle_login(fx.server, m1, fx.clock, fx.rng)
         assert list(cold_memo) == [memo_key(fx)]
-        result = user_handle_response(fx.card, ctx, m2, fx.clock, fx.server.params)
+        result = user_handle_response(ctx, m2, fx.clock)
         assert not isinstance(result, Reject)
         assert list(cold_memo) == [memo_key(fx)]
 
@@ -392,7 +448,7 @@ class TestTalliesPerExitPath:
     def test_user_stale(self):
         fx, ctx, m2 = self._response(54, delta_t=3)
         fx.clock.advance(4)
-        result, counts = tallied(user_handle_response, fx.card, ctx, m2, fx.clock, fx.server.params)
+        result, counts = tallied(user_handle_response, ctx, m2, fx.clock)
         assert result == Reject(RejectReason.STALE_TIMESTAMP)
         assert counts == OpCounts(0, 0, 0)
 
@@ -400,13 +456,13 @@ class TestTalliesPerExitPath:
         fx, ctx, m2 = self._response(55)
         flipped = bytes([m2.y3[0] ^ 1]) + m2.y3[1:]
         tampered = LoginResponse(m2.y1, m2.y2, flipped, m2.tvk, m2.t2)
-        result, counts = tallied(user_handle_response, fx.card, ctx, tampered, fx.clock, fx.server.params)
+        result, counts = tallied(user_handle_response, ctx, tampered, fx.clock)
         assert result == Reject(RejectReason.AUTH_FAILURE)
         assert counts == OpCounts(3, 2, 1)
 
     def test_user_accept(self):
         fx, ctx, m2 = self._response(56)
-        result, counts = tallied(user_handle_response, fx.card, ctx, m2, fx.clock, fx.server.params)
+        result, counts = tallied(user_handle_response, ctx, m2, fx.clock)
         assert not isinstance(result, Reject)
         assert counts == OpCounts(3, 2, 1)
 
@@ -462,10 +518,9 @@ class TestEdges:
             LoginResponse(m2.y1, m2.y2, m2.y3, m2.tvk, m2.t2.ticks),
         ):
             for clock in (fx.clock, stale_clock):
-                result, counts = tallied(
-                    user_handle_response, fx.card, ctx, tampered, clock, fx.server.params)
+                result, counts = tallied(user_handle_response, ctx, tampered, clock)
                 assert result == Reject(RejectReason.MALFORMED) and counts == OpCounts(0, 0, 0)
-        assert not isinstance(user_handle_response(fx.card, ctx, m2, fx.clock, fx.server.params), Reject)
+        assert not isinstance(user_handle_response(ctx, m2, fx.clock), Reject)
 
     def test_foreign_modulus_is_malformed_at_both_ends(self, cold_memo):
         # a card started with another prime gets no M2, and an M2 whose
@@ -485,7 +540,7 @@ class TestEdges:
         m2, _ = server_handle_login(fx.server, m1, fx.clock, fx.rng)
         for tvk in (FieldElement(m2.tvk.value % 101, 101), m2.tvk.value):
             foreign = LoginResponse(m2.y1, m2.y2, m2.y3, tvk, m2.t2)
-            result, counts = tallied(user_handle_response, fx.card, ctx, foreign, fx.clock, fx.server.params)
+            result, counts = tallied(user_handle_response, ctx, foreign, fx.clock)
             assert result == Reject(RejectReason.MALFORMED) and counts == OpCounts(0, 0, 0)
 
     def test_anything_but_m1_is_malformed_at_the_server(self, cold_memo):
@@ -514,11 +569,11 @@ class TestEdges:
         stale_clock = clock_at(m2.t2.ticks + fx.server.params.delta_t + 1)
         for delivered in (m1, None, (m2.y1, m2.y2, m2.y3, m2.tvk, m2.t2), card):
             for clock in (fx.clock, stale_clock):
-                result, counts = tallied(user_handle_response, card, ctx, delivered, clock, fx.server.params)
+                result, counts = tallied(user_handle_response, ctx, delivered, clock)
                 assert result == Reject(RejectReason.MALFORMED) and counts == OpCounts(0, 0, 0)
         assert not cold_memo
         assert (card.im1, card.im2, card.d1, card.d2) == before
-        assert not isinstance(user_handle_response(card, ctx, m2, fx.clock, fx.server.params), Reject)
+        assert not isinstance(user_handle_response(ctx, m2, fx.clock), Reject)
 
     def test_password_types_agree(self):
         fx = make_fixture(63)
@@ -653,7 +708,7 @@ class TestBytesFields:
         assert_exact(m1.im1, m1.im2, m1.x1)
         m2, server_key = server_handle_login(fx.server, m1, fx.clock, fx.rng)
         assert_exact(m2.y1, m2.y2, m2.y3, server_key)
-        user_key, refreshed = user_handle_response(fx.card, ctx, m2, fx.clock, fx.server.params)
+        user_key, refreshed = user_handle_response(ctx, m2, fx.clock)
         assert user_key == server_key
         assert_exact(user_key, *fields(refreshed), *fields(change_password(refreshed, fx.password, b"new")))
 

@@ -51,8 +51,7 @@ def honest(width: int, prime: int) -> SimpleNamespace:
     m1, ctx = user_login_start(fx.card, fx.password, fx.clock, fx.rng, fx.server.params)
     m2, server_key = server_handle_login(
         fx.server, m1, clock_at(m1.t1.ticks + 1), RandomSource(SERVER_SEED))
-    user_key, refreshed = user_handle_response(
-        fx.card, ctx, m2, clock_at(m2.t2.ticks + 1), fx.server.params)
+    user_key, refreshed = user_handle_response(ctx, m2, clock_at(m2.t2.ticks + 1))
     assert user_key == server_key
     return SimpleNamespace(fx=fx, ctx=ctx, m1=m1, m2=m2, server_key=server_key, refreshed=refreshed)
 
@@ -102,14 +101,14 @@ def tampered(draw):
 def test_one_bad_field_is_malformed_and_changes_nothing(case):
     session, message, bad = case
     fx, counts, memo = session.fx, OpCounts(), set(chaotic._tables)
-    card, card_before = fx.card, pickle.loads(pickle.dumps(fx.card))
+    card, card_before = session.ctx.card, pickle.loads(pickle.dumps(session.ctx.card))
     if isinstance(message, LoginRequest):
         clock, rng = clock_at(message.t1.ticks + 1), RandomSource(SERVER_SEED)
         result = server_handle_login(fx.server, bad, clock, rng, counts=counts)
         assert rng.draw_exponent() == RandomSource(SERVER_SEED).draw_exponent()
     else:
         clock = clock_at(message.t2.ticks + 1)
-        result = user_handle_response(card, session.ctx, bad, clock, fx.server.params, counts=counts)
+        result = user_handle_response(session.ctx, bad, clock, counts=counts)
     assert result == Reject(RejectReason.MALFORMED)
     assert counts == OpCounts(0, 0, 0)
     assert set(chaotic._tables) == memo
@@ -119,5 +118,5 @@ def test_one_bad_field_is_malformed_and_changes_nothing(case):
         assert server_handle_login(fx.server, message, clock, RandomSource(SERVER_SEED)) == (
             session.m2, session.server_key)
     else:
-        assert user_handle_response(card, session.ctx, message, clock, fx.server.params) == (
+        assert user_handle_response(session.ctx, message, clock) == (
             session.server_key, session.refreshed)

@@ -63,7 +63,7 @@ def package_run(seed, width, prime, login_password, delay_m1, delay_m2, change) 
     trace.append(("m2", (m2.y1, m2.y2, m2.y3, m2.tvk.value, m2.t2.ticks)))
     trace.append(("server", server_key))
     clock.advance(delay_m2)
-    result = user_handle_response(card, ctx, m2, clock, server.params)
+    result = user_handle_response(ctx, m2, clock)
     if isinstance(result, Reject):
         return trace + [("user reject", result.reason.value)]
     key, refreshed = result

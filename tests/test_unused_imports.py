@@ -1,9 +1,10 @@
-"""Every name a module of src/chebauth imports is used in that module.
+"""Every name a module of src/chebauth or of the test suite imports is used in that module.
 
-Deleting code tends to leave its imports behind; this finds them with the
-standard library's ast instead of a linter. The package __init__ is exempt,
-because its imports are the re-exported public API, and so is any import
-line marked ``# noqa: F401``, which keeps a binding on purpose.
+Deleting code or rewriting call sites tends to leave imports behind; this
+finds them with the standard library's ast instead of a linter. The package
+__init__ is exempt, because its imports are the re-exported public API, and
+so is any import line marked ``# noqa: F401``, which keeps a binding on
+purpose (a module imported for its side effect, say).
 """
 
 import ast
@@ -12,7 +13,9 @@ from pathlib import Path
 import pytest
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "chebauth"
+TESTS = Path(__file__).resolve().parent
 MODULES = sorted(path for path in PACKAGE.glob("*.py") if path.name != "__init__.py")
+TEST_MODULES = sorted(TESTS.glob("*.py"))
 
 
 def unused_imports(source: str) -> list[str]:
@@ -32,6 +35,11 @@ def unused_imports(source: str) -> list[str]:
 
 @pytest.mark.parametrize("path", MODULES, ids=[path.name for path in MODULES])
 def test_every_import_is_used(path):
+    assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+@pytest.mark.parametrize("path", TEST_MODULES, ids=[path.name for path in TEST_MODULES])
+def test_every_test_module_import_is_used(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
 
 

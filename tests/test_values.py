@@ -61,7 +61,7 @@ CASES = [
     (SmartCard, CARD, dict(d2=A), True),
     (LoginRequest, dict(im1=A, im2=B, tuk=F, x1=C, t1=T1), dict(x1=D), True),
     (LoginResponse, dict(y1=A, y2=B, y3=C, tvk=F, t2=T2), dict(y3=D), True),
-    (UserLoginContext, dict(u=9, tuk=F), dict(u=10), True),
+    (UserLoginContext, dict(card=SmartCard(**CARD), params=Params(17, 16, 5), u=9, tuk=F), dict(u=10), True),
     (ChannelEvent, dict(message=M1, delivered_at=T2), dict(delivered_at=Timestamp(6)), True),
     (LoginSession, dict(card=SmartCard(**CARD), user_key=A, server_key=A, reject=None,
                         rejected_by=None, events=[EVENT]), dict(server_key=B), False),
