@@ -8,18 +8,7 @@ and permanent card corruption through unverified password change).
 """
 
 from .chaotic import DEFAULT_PRIME, FieldElement, backend_name, bits_to_field, cheb_eval
-from .primitives import (
-    DEFAULT_WIDTH,
-    LogicalClock,
-    OpCounts,
-    RandomSource,
-    Timestamp,
-    WidthMismatch,
-    concat,
-    hash_H,
-    hash_h,
-    xor,
-)
+from .primitives import DEFAULT_WIDTH, LogicalClock, OpCounts, RandomSource, Timestamp, WidthMismatch
 from .protocol import (
     DEFAULT_DELTA_T,
     EmptyCredential,
@@ -43,9 +32,7 @@ from .adversary import (
     Dictionary,
     DosReport,
     ExperimentInvalid,
-    ExtractedCard,
     GuessReport,
-    Transcript,
     dos_experiment,
     guess_predicate,
     offline_guess,

@@ -15,7 +15,8 @@ reference the tests compare it against.
 
 The squarings depend on the base alone. A base evaluated again and again,
 an authenticated user's long-term key K, has them stored once: 64 values,
-after which an exponent below 2^64 costs one product per bit. Only
+after which an exponent below EXPONENT_LIMIT = 2^64, the bound that
+RandomSource.draw_exponent draws below, costs one product per bit. Only
 _tabulate fills that process-wide memo.
 """
 
@@ -56,9 +57,9 @@ class FieldElement(Frozen):
         return str(self.value)
 
 
-# Memo entries cover RandomSource.EXPONENT_RANGE (primitives imports this
-# module): one V_{2^j} per bit of an exponent below 2^64.
-_TABLE_LIMIT = 1 << 64
+#: Every map exponent the protocol draws is below this bound, and a memo
+#: entry holds one V_{2^j} per bit of such an exponent.
+EXPONENT_LIMIT = 1 << 64
 _tables: dict = {}  # (value, p) -> (V_1, V_2, V_4, ..., V_{2^63})
 
 
@@ -76,7 +77,7 @@ def _tabulate(x: FieldElement) -> None:
     p = x.p
     c = 2 * x.value % p
     chain = [c]
-    for _ in range(_TABLE_LIMIT.bit_length() - 2):
+    for _ in range(EXPONENT_LIMIT.bit_length() - 2):
         c = (c * c - 2) % p
         chain.append(c)
     _tables[key] = tuple(chain)
@@ -94,8 +95,8 @@ def cheb_eval(n: int, x: FieldElement) -> FieldElement:
         v = v*c - w   on a 1 (s grows by 2^j),
         w = w*c - v   on a 0,
     then halves V_n once. A base that _tabulate has stored reads c from its
-    chain when n < 2^64: one product per bit. Any other base or exponent
-    squares c = c^2 - 2 as it goes, two products per bit.
+    chain when n < EXPONENT_LIMIT: one product per bit. Any other base or
+    exponent squares c = c^2 - 2 as it goes, two products per bit.
     """
     if n < 0:
         raise ValueError("exponent must be non-negative")
@@ -104,7 +105,7 @@ def cheb_eval(n: int, x: FieldElement) -> FieldElement:
         return FieldElement(1, p)
     v, w = 2, 2 * x.value % p
     bits = bin(n)[:2:-1]  # below the top bit, least significant first
-    chain = _tables.get((x.value, p)) if n < _TABLE_LIMIT else None
+    chain = _tables.get((x.value, p)) if n < EXPONENT_LIMIT else None
     if chain:
         for bit, c in zip(bits, chain):
             if bit == "1":

@@ -258,7 +258,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.set_defaults(dictionary=None, expect_miss=False, correct_old_password=False)
         p.add_argument("--seed", type=int, default=42)
         p.add_argument("--width", type=int, default=DEFAULT_WIDTH, help="bit width l")
-        p.add_argument("--prime", default=str(DEFAULT_PRIME), help="field modulus, decimal")
+        p.add_argument("--prime", type=int, default=DEFAULT_PRIME, help="field modulus, decimal")
         p.add_argument("--delta-t", type=int, default=DEFAULT_DELTA_T, help="freshness window, ticks")
         p.add_argument("--channel-delay", type=int, default=1, help="per-leg delivery delay, ticks")
         p.add_argument("--out", default=None, help="write the JSON report here instead of stdout")
@@ -300,7 +300,7 @@ def _read_fixture(path: str) -> dict:
 
 
 def _config_from_args(args: argparse.Namespace) -> None:
-    """Resolve the fixture file, flag overrides, derived passwords and prime into args."""
+    """Resolve the fixture file, flag overrides and derived passwords into args (argparse parsed the ints)."""
     values = {"identity": _DEFAULT_IDENTITY, "password": _DEFAULT_PASSWORD}
     if args.fixture:
         values.update(_read_fixture(args.fixture))
@@ -315,10 +315,6 @@ def _config_from_args(args: argparse.Namespace) -> None:
         raise ConfigError(f"--seed must be a non-negative integer: {args.seed}")
     if args.channel_delay < 0:  # the clock would refuse it only after M1 is built
         raise ConfigError(f"--channel-delay must be a non-negative integer: {args.channel_delay}")
-    try:
-        args.prime = int(args.prime)
-    except ValueError as exc:
-        raise ConfigError(f"--prime must be a decimal integer: {args.prime!r}") from exc
 
 
 def _emit(report: dict, out: str | None):

@@ -2,7 +2,9 @@
 
 Every value a protocol message carries is either bytes of the system width,
 a FieldElement, or a Timestamp; all three have canonical fixed-width
-big-endian encodings so concatenations hash identically everywhere.
+big-endian encodings so concatenations hash identically everywhere, and a
+Timestamp refuses ticks its 8 bytes cannot hold. Map exponents are drawn
+below chaotic.EXPONENT_LIMIT, the kernel's bound.
 
 h_digest, H_digest and xor_bytes are what the protocol phases call, and
 each phase tallies its own operations once per exit path: that tally is the
@@ -16,7 +18,7 @@ import hashlib
 import random
 
 from ._value import Frozen, Record
-from .chaotic import FieldElement
+from .chaotic import EXPONENT_LIMIT, FieldElement
 
 #: Default system width l in bits. Must be a multiple of 8 and at most 256
 #: (digests are truncated SHA-256). Small widths exist for collision tests.
@@ -71,13 +73,15 @@ class BitString(Frozen):
 
 
 class Timestamp(Frozen):
-    """Logical time instant, in non-negative integer ticks."""
+    """Logical time instant: an int of ticks in [0, 2^64), the range its 8-byte encoding holds."""
 
     __slots__ = __match_args__ = ("ticks",)
 
     def __init__(self, ticks: int):
-        if ticks < 0:
-            raise ValueError("ticks must be non-negative")
+        if type(ticks) is not int:
+            raise TypeError(f"ticks must be an int, got {type(ticks).__name__}")
+        if not 0 <= ticks < 1 << 64:
+            raise ValueError(f"ticks must be in [0, 2**64), got {ticks}")
         self._fill(ticks)
 
     def to_bytes(self) -> bytes:
@@ -127,8 +131,6 @@ def tally(counts: OpCounts | None, n_hash: int = 0, n_xor: int = 0, n_cheb: int 
 class RandomSource:
     """Seeded deterministic random stream: same seed, same draw sequence."""
 
-    EXPONENT_RANGE = (2, 1 << 64)  # degenerate exponents 0 and 1 excluded
-
     def __init__(self, seed: int):
         self._rng = random.Random(seed)
 
@@ -137,8 +139,8 @@ class RandomSource:
         return self._rng.getrandbits(8 * n).to_bytes(n, "big")
 
     def draw_exponent(self) -> int:
-        """Next map exponent, uniform over [2, 2**64)."""
-        return self._rng.randrange(*self.EXPONENT_RANGE)
+        """Next map exponent, uniform over [2, EXPONENT_LIMIT): 0 and 1 are degenerate."""
+        return self._rng.randrange(2, EXPONENT_LIMIT)
 
 
 def h_digest(n: int, *parts: bytes) -> bytes:

@@ -319,10 +319,12 @@ def run_login_session(
 
     On success the returned session carries the refreshed card; on any
     rejection it carries the original card unchanged. A negative
-    channel_delay raises before anything is drawn from rng.
+    channel_delay, or one that would carry M2's delivery past the
+    Timestamp range, raises ValueError before anything is drawn from rng.
     """
     if channel_delay < 0:
         raise ValueError("clock cannot move backwards")
+    Timestamp(clock.ticks + 2 * channel_delay)  # M2's delivery stamp, the last of the login
     m1, ctx = user_login_start(card, password, clock, rng, server.params, counts=user_counts)
     clock.advance(channel_delay)
     events = [ChannelEvent(m1, clock.now())]

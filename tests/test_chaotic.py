@@ -5,7 +5,6 @@ import pytest
 from chebauth import chaotic
 from chebauth._cheb_pure import cheb_eval_int as pure_eval
 from chebauth.chaotic import DEFAULT_PRIME, FieldElement, bits_to_field, cheb_eval, is_probable_prime
-from chebauth.primitives import RandomSource
 
 from helpers import cheb_naive, cheb_naive_sequence
 
@@ -202,8 +201,7 @@ class TestFixedBaseTable:
 
     def test_table_covers_the_protocol_exponents(self, cold_memo):
         chaotic._tabulate(fe(5, 101))
-        chain = cold_memo[(5, 101)]
-        assert 2 ** len(chain) == chaotic._TABLE_LIMIT == RandomSource.EXPONENT_RANGE[1]
+        assert 2 ** len(cold_memo[(5, 101)]) == chaotic.EXPONENT_LIMIT
 
 
 class TestBitsToField:

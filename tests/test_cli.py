@@ -267,9 +267,14 @@ class TestPlumbing:
         status, report = run(tmp_path, "honest-run", "--prime", "91")
         assert status == 3 and report is None
 
-    def test_non_decimal_prime_rejected(self, tmp_path):
-        status, report = run(tmp_path, "honest-run", "--prime", "0x11")
-        assert status == 3 and report is None
+    def test_non_decimal_prime_rejected(self, tmp_path, capsys):
+        # argparse parses --prime as it parses --seed: a usage error, exit 3
+        with pytest.raises(SystemExit) as exc:
+            run(tmp_path, "honest-run", "--prime", "0x11")
+        assert exc.value.code == 3 and not (tmp_path / "report.json").exists()
+        assert capsys.readouterr().err == (
+            "chebauth honest-run: error: argument --prime: invalid int value: '0x11'\n"
+        )
 
     def test_fixture_file(self, tmp_path):
         fixture = tmp_path / "fixture.json"
@@ -311,6 +316,14 @@ class TestPlumbing:
         )
         status, report = run(tmp_path, "honest-run", "--channel-delay", "0")
         assert status == 0 and report["config"]["channel_delay"] == 0
+
+    def test_channel_delay_past_the_last_tick_rejected(self, tmp_path, capsys):
+        # M1 would arrive at tick 2^64, past what a timestamp's 8 bytes hold
+        status, report = run(tmp_path, "honest-run", "--channel-delay", str(1 << 64))
+        assert status == 3 and report is None
+        assert capsys.readouterr().err == (
+            f"chebauth: error: ticks must be in [0, 2**64), got {1 << 65}\n"
+        )
 
     @pytest.mark.parametrize(
         "content",

@@ -4,19 +4,24 @@ A hypothesis state machine drives two users and one server through logins
 with the right and a wrong password, password changes with the right and a
 wrong old password, card re-issues, clock jumps past the freshness window,
 a replayed M1, an accepted M2 replayed to its card under a fresh login,
-messages delivered to the wrong receiver, and a cleared kernel memo, so that
-logins where K is tabulated mix with logins where it is not. Each step runs
-on chebauth and on tests/reference_scheme.py, which gets a random.Random
-with the same seed and draws in the package's order. After every step the
-cards, session keys and reject reasons are bit-equal to the reference, a
-reject has left the card as it was, each party's OpCounts is the exact tally
-of the exit it took, and the two random streams and clocks are in step.
+messages delivered to the wrong receiver, one bit flipped in one field of
+an M1 or M2 in flight, and a cleared kernel memo, so that logins where K is
+tabulated mix with logins where it is not. Each step runs on chebauth and on
+tests/reference_scheme.py, which gets a random.Random with the same seed and
+draws in the package's order. After every step the cards, session keys and
+reject reasons are bit-equal to the reference, a reject has left the card as
+it was, each party's OpCounts is the exact tally of the exit it took, and
+the two random streams and clocks are in step. At w = 256 two rules also
+hold outright: a flipped message is rejected, and a card corrupted by a
+wrong-old password change fails every login, under any password, until it
+is re-issued (the denial of service). At w = 8 a truncation collision can
+let either through, and agreement with the reference is the check.
 
 A failing run is reported as found, without shrinking: shrinking a 20-step
 run of the four configurations took 28-94 s, against about 1 s to pass.
 """
 
-import copy
+import pickle
 import random
 
 import pytest
@@ -35,7 +40,7 @@ from hypothesis.stateful import (  # noqa: E402
 import reference_scheme as ref  # noqa: E402
 from chebauth import chaotic  # noqa: E402
 from chebauth.chaotic import DEFAULT_PRIME, FieldElement  # noqa: E402
-from chebauth.primitives import LogicalClock, OpCounts, RandomSource  # noqa: E402
+from chebauth.primitives import LogicalClock, OpCounts, RandomSource, Timestamp  # noqa: E402
 from chebauth.protocol import (  # noqa: E402
     DEFAULT_DELTA_T,
     Params,
@@ -80,6 +85,24 @@ def outcome(result) -> str:
     return result.reason.value if isinstance(result, Reject) else "accept"
 
 
+def copies(*objects) -> tuple:
+    """Independent copies of random streams and clocks, in their state now (pickle is faster than deepcopy)."""
+    return pickle.loads(pickle.dumps(objects))
+
+
+def flipped(message, field: int, bit: int):
+    """message with one bit of one field changed; a field element stays in its field."""
+    fields = list(message._key)
+    value = fields[field]
+    if type(value) is bytes:
+        fields[field] = bytes([value[0] ^ 1 << bit]) + value[1:]
+    elif type(value) is FieldElement:
+        fields[field] = FieldElement((value.value ^ 1 << bit) % value.p, value.p)
+    else:
+        fields[field] = Timestamp(value.ticks ^ 1 << bit)
+    return type(message)(*fields)
+
+
 class PackageFollowsReference(RuleBasedStateMachine):
     def __init__(self, width: int, prime: int):
         super().__init__()
@@ -89,6 +112,8 @@ class PackageFollowsReference(RuleBasedStateMachine):
         self.last_m1 = None  # (package M1, reference M1, reference login context)
         self.last_m2 = None
         self.accepted_m2 = None  # (user, package M2, reference M2) of the last login a card accepted
+        self.corrupted = [False, False]  # by a wrong-old password change since the card was issued
+        self.issued_with = [None, None]  # the password each card was issued for
 
     @initialize(seed=st.integers(0, 1 << 16))
     def setup(self, seed):
@@ -108,6 +133,7 @@ class PackageFollowsReference(RuleBasedStateMachine):
         self.cards[user] = registration(
             self.server, self.identities[user], self.passwords[user], self.rng, counts=counts)
         self.ref_cards[user] = ref.register(self.ref_mk, self.identities[user], self.passwords[user], self.ref_rng)
+        self.corrupted[user], self.issued_with[user] = False, self.passwords[user]
         assert counts == OpCounts(5, 4, 0)
 
     def login(self, user, typed):
@@ -139,6 +165,7 @@ class PackageFollowsReference(RuleBasedStateMachine):
             return
         ref_user_key, self.ref_cards[user] = user_result
         assert session.ok and session.user_key == ref_user_key
+        assert not (self.corrupted[user] and self.width == 256)
         self.cards[user] = session.card
         self.accepted_m2 = user, m2, ref_m2
 
@@ -158,6 +185,7 @@ class PackageFollowsReference(RuleBasedStateMachine):
         self.cards[user] = change_password(self.cards[user], old, new, counts=counts)
         self.ref_cards[user] = ref.change(self.ref_cards[user], old, new)
         self.passwords[user] = new
+        self.corrupted[user] = self.corrupted[user] or not right_old
         assert counts == OpCounts(4, 4, 0)
 
     @rule(user=st.sampled_from(USERS))
@@ -223,11 +251,69 @@ class PackageFollowsReference(RuleBasedStateMachine):
             (user_key, self.cards[user]), (ref_user_key, self.ref_cards[user]) = result, ref_result
             assert user_key == ref_user_key
 
+    @rule(user=st.sampled_from(USERS), at_m2=st.booleans(), field=st.integers(0, 4), bit=st.integers(0, 7))
+    def flip_in_flight(self, user, at_m2, field, bit):
+        # the channel changes one bit of M1 or, if the server answers, of M2;
+        # the receiver's verdict, its draws and the card follow the reference
+        card, ref_card, typed = self.cards[user], self.ref_cards[user], self.passwords[user]
+        user_counts, server_counts = OpCounts(), OpCounts()
+        m1, ctx = user_login_start(card, typed, self.clock, self.rng, self.params, counts=user_counts)
+        _, ref_ctx = ref.login_start(ref_card, typed, self.ref_rng, self.ref_now, self.prime)
+        if not at_m2:
+            m1 = flipped(m1, field, bit)
+        self.clock.advance(1)
+        self.ref_now += 1
+        result = server_handle_login(self.server, m1, self.clock, self.rng, counts=server_counts)
+        ref_result = ref.server_respond(
+            self.ref_mk, self.prime, self.delta_t, m1_fields(m1), self.ref_now, self.ref_rng)
+        assert server_counts == SERVER_TALLY[outcome(result)]
+        if isinstance(ref_result, str):
+            assert result == Reject(RejectReason(ref_result)) and user_counts == M1_ONLY
+            return
+        assert self.width == 8 or at_m2
+        (m2, server_key), (ref_m2, ref_server_key) = result, ref_result
+        assert (m2_fields(m2), server_key) == (ref_m2, ref_server_key)
+        if at_m2:
+            m2 = flipped(m2, field, bit)
+        self.clock.advance(1)
+        self.ref_now += 1
+        result = user_handle_response(ctx, m2, self.clock, counts=user_counts)
+        ref_result = ref.user_verify(ref_card, ref_ctx, m2_fields(m2), self.ref_now, self.delta_t, self.prime)
+        assert user_counts == (M1_ONLY if ref_result == "stale_timestamp" else M1_AND_M2)
+        if isinstance(ref_result, str):
+            assert result == Reject(RejectReason(ref_result))
+        else:
+            assert self.width == 8
+            (user_key, self.cards[user]), (ref_user_key, self.ref_cards[user]) = result, ref_result
+            assert user_key == ref_user_key
+
     @rule()
     def forget_tabulated_bases(self):
         # as the cold_memo fixture does: the next login of each user computes
         # T_u(K) and T_v(K) without K's squaring chain, until X1 tabulates K again
         chaotic._tables.clear()
+
+    @invariant()
+    def corrupted_cards_fail_to_log_in(self):
+        # the denial of service: after a wrong-old change neither the password
+        # the card now has nor the one it was issued for logs in, until it is
+        # re-issued; probed on copies of both streams and clocks, so the run
+        # itself goes on undisturbed
+        for user in USERS:
+            if not self.corrupted[user]:
+                continue
+            card, ref_card = self.cards[user], self.ref_cards[user]
+            for typed in {self.passwords[user], self.issued_with[user]}:
+                rng, clock, ref_rng = copies(self.rng, self.clock, self.ref_rng)
+                session = run_login_session(self.server, card, typed, clock, rng)
+                ref_m1, ref_ctx = ref.login_start(ref_card, typed, ref_rng, self.ref_now, self.prime)
+                ref_result = ref.server_respond(
+                    self.ref_mk, self.prime, self.delta_t, ref_m1, self.ref_now + 1, ref_rng)
+                if not isinstance(ref_result, str):
+                    ref_result = ref.user_verify(
+                        ref_card, ref_ctx, ref_result[0], self.ref_now + 2, self.delta_t, self.prime)
+                assert session.ok == (not isinstance(ref_result, str))
+                assert not (session.ok and self.width == 256)
 
     @invariant()
     def cards_match_reference(self):
@@ -236,7 +322,7 @@ class PackageFollowsReference(RuleBasedStateMachine):
     @invariant()
     def streams_and_clocks_in_step(self):
         assert self.clock.now().ticks == self.ref_now
-        rng, ref_rng = copy.deepcopy(self.rng), copy.deepcopy(self.ref_rng)
+        rng, ref_rng = copies(self.rng, self.ref_rng)
         assert rng.draw_exponent() == ref.exponent(ref_rng)
 
 

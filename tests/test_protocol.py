@@ -14,6 +14,7 @@ from chebauth.primitives import (
     LogicalClock,
     OpCounts,
     RandomSource,
+    Timestamp,
     concat,
     h_digest,
     hash_h,
@@ -625,6 +626,34 @@ class TestEdges:
             run_login_session(fx.server, fx.card, fx.password, fx.clock, fx.rng, channel_delay=-1)
         assert fx.clock.now() == replay.clock.now()
         assert fx.rng.draw_exponent() == replay.rng.draw_exponent()
+
+    def test_timestamps_stay_in_their_eight_bytes(self):
+        # a stamp no 8-byte encoding holds is never built, so no receiver
+        # raises on one; a message stamped with the last tick is only forged
+        last = (1 << 64) - 1
+        assert Timestamp(last).to_bytes() == b"\xff" * 8
+        with pytest.raises(ValueError, match=r"^ticks must be in \[0, 2\*\*64\), got 18446744073709551616$"):
+            Timestamp(1 << 64)
+        with pytest.raises(TypeError):
+            Timestamp(1.0)  # no to_bytes
+        fx = make_fixture(67)
+        m1, ctx = user_login_start(fx.card, fx.password, fx.clock, fx.rng, fx.server.params)
+        forged = LoginRequest(m1.im1, m1.im2, m1.tuk, m1.x1, Timestamp(last))
+        assert server_handle_login(fx.server, forged, fx.clock, fx.rng) == Reject(RejectReason.AUTH_FAILURE)
+        m2, _ = server_handle_login(fx.server, m1, fx.clock, fx.rng)
+        forged = LoginResponse(m2.y1, m2.y2, m2.y3, m2.tvk, Timestamp(last))
+        assert user_handle_response(ctx, forged, fx.clock) == Reject(RejectReason.AUTH_FAILURE)
+        assert user_handle_response(ctx, m2, fx.clock)[0]  # the honest M2 still completes the login
+
+    def test_delay_past_the_last_tick_draws_nothing(self):
+        # M2 would arrive at 2^64: refused before M1 is built, as a negative delay is
+        fx, replay = make_fixture(68), make_fixture(68)
+        with pytest.raises(ValueError, match=r"^ticks must be in \[0, 2\*\*64\)"):
+            run_login_session(fx.server, fx.card, fx.password, fx.clock, fx.rng, channel_delay=1 << 63)
+        assert fx.clock.now() == replay.clock.now()
+        assert fx.rng.draw_exponent() == replay.rng.draw_exponent()
+        late = run_login_session(fx.server, fx.card, fx.password, fx.clock, fx.rng, channel_delay=(1 << 63) - 1)
+        assert late.reject == Reject(RejectReason.STALE_TIMESTAMP)
 
 
 class TestChangePassword:

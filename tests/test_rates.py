@@ -15,17 +15,26 @@ follow from the scheme's algebra, and each test's bounds are set from them
 * Wasted wrong-password login. The server accepts a wrong password on the
   same two paths, so with the same probability, and wrong_login_experiment
   then has no rejected round to report.
+
+Beside its bounds, the denial-of-service count is pinned exactly: on the
+6000 fixtures, every verdict equals a replay through
+tests/reference_scheme.py with the same draws and ticks, 81 runs fail to
+confirm, and they include the 22 whose wrong old password derives K itself.
 """
 
 import math
+import random
+from functools import cache
 
+import reference_scheme as ref
 from chebauth.adversary import (ExperimentInvalid, ExtractedCard, dos_experiment, guess_predicate,
                                 wrong_login_experiment)
-from chebauth.protocol import user_login_start
+from chebauth.protocol import DEFAULT_DELTA_T, user_login_start
 
 from helpers import make_fixture
 
 WIDTH, PRIME = 8, 101
+DOS_RUNS = 6000
 
 
 def dos_miss_rate(width: int) -> float:
@@ -44,19 +53,74 @@ def four_sigma_bounds(trials: int, p: float) -> tuple[int, int]:
     return round(mean - 4 * sigma), round(mean + 4 * sigma)
 
 
-def test_dos_fails_to_confirm_at_the_predicted_rate():
-    runs = 6000
-    bounds = four_sigma_bounds(runs, dos_miss_rate(WIDTH))
-    assert bounds == (37, 103)
-    misses = 0
-    for seed in range(runs):
+@cache
+def dos_runs() -> tuple:
+    """(identity, password, dos_confirmed) of dos_experiment on each width-8 fixture, seeds 0 to 5999."""
+    runs = []
+    for seed in range(DOS_RUNS):
         fx = make_fixture(seed, width=WIDTH, prime=PRIME)
         report = dos_experiment(
             fx.card, fx.password, fx.password + b"-typo", fx.password + b"-new",
             fx.server, fx.clock, fx.rng,
         )
-        misses += not report.dos_confirmed
+        runs.append((fx.identity, fx.password, report.dos_confirmed))
+    return tuple(runs)
+
+
+def reference_login(mk, card, password, rng, now):
+    """One login through the reference, each leg one tick: (accepted, the card after it, the clock after it)."""
+    m1, ctx = ref.login_start(card, password, rng, now, PRIME)
+    reply = ref.server_respond(mk, PRIME, DEFAULT_DELTA_T, m1, now + 1, rng)
+    if isinstance(reply, str):
+        return False, card, now + 1
+    verdict = ref.user_verify(card, ctx, reply[0], now + 2, DEFAULT_DELTA_T, PRIME)
+    if isinstance(verdict, str):
+        return False, card, now + 2
+    return True, verdict[1], now + 2
+
+
+def reference_dos(seed, identity, password) -> tuple[bool, bool]:
+    """dos_experiment's run on one fixture, replayed through the reference with the same draws and ticks.
+
+    Returns whether every probe was rejected, and whether the wrong old
+    password derives the long-term key K from the card fields, in which
+    case the change leaves a card that works with the new password.
+    """
+    n, wrong, new = WIDTH // 8, password + b"-typo", password + b"-new"
+    mk, rng = ref.draw(random.Random(seed), n), random.Random(seed + 1)
+    card = ref.register(mk, identity, password, rng)
+    accepted, card, now = reference_login(mk, card, password, rng, 0)
+    assert accepted
+    _, _, d1, d2 = card
+    keeps_k = ref.xor(d1, ref.h(n, wrong, ref.xor(d2, ref.h(n, wrong)))) == ref.h(n, ref.h(n, identity), mk)
+    card = ref.change(card, wrong, new)
+    probes = []
+    for typed in (new, password, wrong):
+        accepted, card, now = reference_login(mk, card, typed, rng, now)
+        probes.append(accepted)
+    return not any(probes), keeps_k
+
+
+def test_dos_fails_to_confirm_at_the_predicted_rate():
+    bounds = four_sigma_bounds(DOS_RUNS, dos_miss_rate(WIDTH))
+    assert bounds == (37, 103)
+    misses = [confirmed for _, _, confirmed in dos_runs()].count(False)
     assert bounds[0] <= misses <= bounds[1], misses
+
+
+def test_dos_fails_to_confirm_on_exactly_the_reference_seeds():
+    # the count the +-4 sigma test bounds, stated exactly and seed by seed
+    unconfirmed, keeps_k = set(), set()
+    for seed, (identity, password, confirmed) in enumerate(dos_runs()):
+        ref_confirmed, ref_keeps_k = reference_dos(seed, identity, password)
+        assert confirmed == ref_confirmed, seed
+        if not confirmed:
+            unconfirmed.add(seed)
+        if ref_keeps_k:
+            keeps_k.add(seed)
+    assert len(unconfirmed) == 81
+    # a wrong old password that derives K rewrites the card correctly: the new password works
+    assert len(keeps_k) == 22 and keeps_k <= unconfirmed, keeps_k - unconfirmed
 
 
 def test_decoys_match_at_the_predicted_rate():
