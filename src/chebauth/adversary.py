@@ -246,12 +246,12 @@ def dos_experiment(
 ) -> DosReport:
     """Corrupt a card through an unverified password change, then probe logins.
 
-    Steps: (1) a baseline login with the true password must succeed, else the
-    fixture is invalid; (2) the password change runs with the wrong old
-    password (or, with correct_old=True, the true one as a control); (3) the
-    new, true, and wrong-old passwords are each tried against the server.
-    The report's dos_confirmed is True exactly when every probe is rejected;
-    its OpCounts total all three stages.
+    Steps: (1) a baseline login with the true password must succeed, else
+    ExperimentInvalid names how it ended; (2) the password change runs with
+    the wrong old password (or, with correct_old=True, the true one as a
+    control); (3) the new, true, and wrong-old passwords are each tried
+    against the server. The report's dos_confirmed is True exactly when
+    every probe is rejected; its OpCounts total all three stages.
     """
     if not correct_old and as_bytes(wrong_old_password) == as_bytes(true_password):
         raise ExperimentInvalid("wrong_old_password equals the true password")
@@ -260,8 +260,9 @@ def dos_experiment(
         server, card, true_password, clock, rng,
         channel_delay=channel_delay, user_counts=counts, server_counts=counts,
     )
-    if not baseline.ok or not baseline.keys_match:
-        raise ExperimentInvalid("baseline login with the true password failed; fixture is broken")
+    if not baseline.keys_match:  # rejected, or at a toy width accepted through X1 and Y3 collisions
+        ended = f"rejected for {baseline.reject.reason.value}" if baseline.reject else "accepted, keys differ"
+        raise ExperimentInvalid(f"baseline login with the true password {ended}")
     card = baseline.card
     old = true_password if correct_old else wrong_old_password
     card = change_password(card, old, new_password, counts=counts)

@@ -313,7 +313,7 @@ def _config_from_args(args: argparse.Namespace) -> None:
     vars(args).update(values)
     if args.seed < 0:  # random.Random would seed from |seed|: -2 would rerun seed 2
         raise ConfigError(f"--seed must be a non-negative integer: {args.seed}")
-    if args.channel_delay < 0:  # the clock would refuse it only after M1 is built
+    if args.channel_delay < 0:  # the clock refuses it too; this check names the flag
         raise ConfigError(f"--channel-delay must be a non-negative integer: {args.channel_delay}")
 
 

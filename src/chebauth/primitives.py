@@ -92,18 +92,22 @@ class Timestamp(Frozen):
 
 
 class LogicalClock:
-    """Monotone tick counter shared by the simulated parties."""
+    """Monotone time shared by the parties: now() is the Timestamp held, advance(n) moves it to after(n)."""
 
-    def __init__(self):
-        self.ticks = 0
+    _now = Timestamp(0)  # every clock starts here; advance rebinds it on the instance
 
     def now(self) -> Timestamp:
-        return Timestamp(self.ticks)
+        return self._now
 
-    def advance(self, ticks: int):
+    def after(self, ticks: int) -> Timestamp:
+        """The time ticks from now, without moving the clock; Timestamp refuses a non-int or one past 2^64."""
         if ticks < 0:
             raise ValueError("clock cannot move backwards")
-        self.ticks += ticks
+        return Timestamp(self._now.ticks + ticks)
+
+    def advance(self, ticks: int) -> Timestamp:
+        self._now = self.after(ticks)
+        return self._now
 
 
 class OpCounts(Record):

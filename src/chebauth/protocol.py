@@ -318,22 +318,18 @@ def run_login_session(
     """Drive one full login: M1 out, M2 back, each leg taking channel_delay ticks.
 
     On success the returned session carries the refreshed card; on any
-    rejection it carries the original card unchanged. A negative
-    channel_delay, or one that would carry M2's delivery past the
-    Timestamp range, raises ValueError before anything is drawn from rng.
+    rejection it carries the original card unchanged. A channel_delay that
+    the clock refuses for M2's delivery, 2 * channel_delay ticks on, raises
+    before anything is drawn from rng.
     """
-    if channel_delay < 0:
-        raise ValueError("clock cannot move backwards")
-    Timestamp(clock.ticks + 2 * channel_delay)  # M2's delivery stamp, the last of the login
+    clock.after(2 * channel_delay)
     m1, ctx = user_login_start(card, password, clock, rng, server.params, counts=user_counts)
-    clock.advance(channel_delay)
-    events = [ChannelEvent(m1, clock.now())]
+    events = [ChannelEvent(m1, clock.advance(channel_delay))]
     result = server_handle_login(server, m1, clock, rng, counts=server_counts)
     if isinstance(result, Reject):
         return LoginSession(card, None, None, result, "server", events)
     m2, server_key = result
-    clock.advance(channel_delay)
-    events.append(ChannelEvent(m2, clock.now()))
+    events.append(ChannelEvent(m2, clock.advance(channel_delay)))
     result = user_handle_response(ctx, m2, clock, counts=user_counts)
     if isinstance(result, Reject):
         return LoginSession(card, None, server_key, result, "user", events)

@@ -379,7 +379,7 @@ class TestDosExperiment:
         other = make_fixture(84)  # card from a different server: baseline fails
         with pytest.raises(
             ExperimentInvalid,
-            match=r"^baseline login with the true password failed; fixture is broken$",
+            match=r"^baseline login with the true password rejected for auth_failure$",
         ):
             dos_experiment(
                 other.card, fx.password, b"mistyped-old", b"fresh-pw",

@@ -209,7 +209,7 @@ class TestWrongLoginDemo:
 
 @pytest.mark.parametrize("command, message", [
     ("wrong-login-demo", "rejected for stale_timestamp, not the password mistake"),
-    ("dos-demo", "baseline login with the true password failed; fixture is broken"),
+    ("dos-demo", "baseline login with the true password rejected for stale_timestamp"),
 ])
 def test_invalid_experiment_exits_3_with_its_reason(tmp_path, capsys, command, message):
     # M1 arrives 3 ticks late against a 2-tick window: the round never tests the password
@@ -338,6 +338,20 @@ class TestPlumbing:
         assert status == 3 and report is None
         err = capsys.readouterr().err
         assert err.startswith("chebauth: error: ") and "fixture" in err
+
+    @pytest.mark.parametrize("value", [-1, 1 << 64, 1 << 128], ids=["-1", "2**64", "2**128"])
+    @pytest.mark.parametrize("flag", ["--seed", "--width", "--prime", "--delta-t", "--channel-delay"])
+    @pytest.mark.parametrize("command", ["honest-run", "wrong-login-demo", "dos-demo"])
+    def test_integer_flag_at_its_edges_ends_in_an_exit_status(self, tmp_path, capsys, command, flag, value):
+        # a huge seed or window runs as any other; every other edge is one error line, never a traceback
+        status, report = run(tmp_path, command, flag, str(value))
+        err = capsys.readouterr().err
+        if flag in ("--seed", "--delta-t") and value > 0:
+            assert status == 0 and err == ""
+            validate(report)
+        else:
+            assert status == 3 and report is None
+            assert err.startswith("chebauth: error: ") and err.count("\n") == 1 and err.endswith("\n")
 
     def test_small_width_small_prime_run(self, tmp_path):
         # the whole pipeline also works at toy sizes used by collision tests

@@ -251,6 +251,40 @@ class TestTime:
         with pytest.raises(ValueError):
             clock.advance(-1)
 
+    def test_clock_holds_the_stamp_it_reads(self):
+        # the time is kept once, as a Timestamp; no second tick count beside it
+        clock = LogicalClock()
+        assert not hasattr(clock, "ticks")
+        assert clock.now() is clock.now() and clock.now() == Timestamp(0)
+        moved = clock.advance(4)
+        assert moved == Timestamp(4) and clock.now() is moved and clock.now() is clock.now()
+
+    def test_after_reads_ahead_without_moving_the_clock(self):
+        clock = LogicalClock()
+        clock.advance(2)
+        start = clock.now()
+        assert clock.after(0) == start and clock.after(3) == Timestamp(5)
+        assert clock.after((1 << 64) - 3) == Timestamp((1 << 64) - 1)
+        assert clock.now() is start
+        assert clock.advance(3) == Timestamp(5)
+
+    @pytest.mark.parametrize("step, error, message", [
+        (1.5, TypeError, r"^ticks must be an int, got float$"),
+        (-1, ValueError, r"^clock cannot move backwards$"),
+        (1 << 64, ValueError, r"^ticks must be in \[0, 2\*\*64\), got 18446744073709551623$"),
+        ((1 << 64) - 7, ValueError, r"^ticks must be in \[0, 2\*\*64\), got 18446744073709551616$"),
+    ], ids=["float", "negative", "past-2**64", "to-2**64"])
+    def test_refused_step_is_refused_where_it_happens(self, step, error, message):
+        # a step to a time Timestamp refuses fails in after or advance, not at the next now()
+        clock = LogicalClock()
+        clock.advance(7)
+        start = clock.now()
+        for move in (clock.after, clock.advance):
+            with pytest.raises(error, match=message):
+                move(step)
+            assert clock.now() is start
+        assert clock.advance(1) == Timestamp(8)
+
 
 class TestAsBytes:
     def test_str_is_utf8(self):

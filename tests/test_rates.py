@@ -16,10 +16,12 @@ follow from the scheme's algebra, and each test's bounds are set from them
   same two paths, so with the same probability, and wrong_login_experiment
   then has no rejected round to report.
 
-Beside its bounds, the denial-of-service count is pinned exactly: on the
-6000 fixtures, every verdict equals a replay through
-tests/reference_scheme.py with the same draws and ticks, 81 runs fail to
-confirm, and they include the 22 whose wrong old password derives K itself.
+Beside its bounds, each count is also pinned exactly, verdict by verdict
+against an independent replay with the same draws and ticks: on the 6000
+fixtures, 81 denial-of-service runs fail to confirm and 47 wrong passwords
+pass X1, each set holding the 22 seeds whose typo derives K itself
+(tests/reference_scheme.py); of the 20 x 2560 decoys, 444 match and 226 of
+them derive K (tests/helpers.guess_predicate_oracle).
 """
 
 import math
@@ -31,10 +33,14 @@ from chebauth.adversary import (ExperimentInvalid, ExtractedCard, dos_experiment
                                 wrong_login_experiment)
 from chebauth.protocol import DEFAULT_DELTA_T, user_login_start
 
-from helpers import make_fixture
+from helpers import guess_predicate_oracle, make_fixture
 
 WIDTH, PRIME = 8, 101
-DOS_RUNS = 6000
+DOS_RUNS = WRONG_LOGIN_RUNS = 6000
+VICTIMS, DECOYS = 20, 2560
+#: Seeds whose fixture's typo, password + b"-typo", derives the key K from the registered card.
+TYPO_DERIVES_K = frozenset({391, 412, 1025, 1174, 1489, 1528, 1552, 1563, 1649, 1800, 1871,
+                            2080, 2440, 2719, 3217, 3241, 3459, 3545, 3749, 5144, 5289, 5339})
 
 
 def dos_miss_rate(width: int) -> float:
@@ -123,30 +129,88 @@ def test_dos_fails_to_confirm_on_exactly_the_reference_seeds():
     assert len(keeps_k) == 22 and keeps_k <= unconfirmed, keeps_k - unconfirmed
 
 
-def test_decoys_match_at_the_predicted_rate():
-    victims, decoys = 20, 2560
-    bounds = four_sigma_bounds(victims * decoys, false_match_rate(WIDTH))
-    assert bounds == (320, 479)
-    matches = 0
-    for seed in range(victims):
+@cache
+def decoy_runs() -> tuple:
+    """(card, K, M1, predicate verdicts on decoy-0 to decoy-2559) for each width-8 victim, seeds 0 to 19."""
+    runs = []
+    for seed in range(VICTIMS):
         fx = make_fixture(seed, width=WIDTH, prime=PRIME)
         card = ExtractedCard.from_card(fx.card)
         m1, _ = user_login_start(fx.card, fx.password, fx.clock, fx.rng, fx.server.params)
         assert guess_predicate(fx.password, card, m1)
-        matches += sum(guess_predicate(f"decoy-{i}", card, m1) for i in range(decoys))
-    assert bounds[0] <= matches <= bounds[1], matches
+        key = ref.h(WIDTH // 8, ref.h(WIDTH // 8, fx.identity), fx.server.mk)
+        runs.append((card, key, m1, tuple(guess_predicate(f"decoy-{i}", card, m1) for i in range(DECOYS))))
+    return tuple(runs)
 
 
-def test_wrong_password_is_accepted_at_the_predicted_rate():
-    runs = 6000
-    bounds = four_sigma_bounds(runs, false_match_rate(WIDTH))
-    assert bounds == (20, 74)
-    accepted = 0
-    for seed in range(runs):
+@cache
+def wrong_login_runs() -> tuple:
+    """(identity, password, whether the server accepted the typo) of each width-8 fixture, seeds 0 to 5999."""
+    runs = []
+    for seed in range(WRONG_LOGIN_RUNS):
         fx = make_fixture(seed, width=WIDTH, prime=PRIME)
         try:
             wrong_login_experiment(fx.card, fx.password + b"-typo", fx.server, fx.clock, fx.rng)
+            accepted = False
         except ExperimentInvalid as exc:
             assert str(exc).startswith("server accepted the login: "), exc
-            accepted += 1
+            accepted = True
+        runs.append((fx.identity, fx.password, accepted))
+    return tuple(runs)
+
+
+def reference_wrong_login(seed, identity, password) -> tuple[bool, bool]:
+    """Whether the server accepts the typo in wrong_login_experiment's round, replayed through the reference.
+
+    Also returns whether the typo derives the long-term key K from the card
+    fields, in which case its X1 is the true one and passes for certain.
+    """
+    n, wrong = WIDTH // 8, password + b"-typo"
+    mk, rng = ref.draw(random.Random(seed), n), random.Random(seed + 1)
+    card = ref.register(mk, identity, password, rng)
+    _, _, d1, d2 = card
+    keeps_k = ref.xor(d1, ref.h(n, wrong, ref.xor(d2, ref.h(n, wrong)))) == ref.h(n, ref.h(n, identity), mk)
+    m1, _ = ref.login_start(card, wrong, rng, 0, PRIME)
+    return not isinstance(ref.server_respond(mk, PRIME, DEFAULT_DELTA_T, m1, 1, rng), str), keeps_k
+
+
+def test_decoys_match_at_the_predicted_rate():
+    bounds = four_sigma_bounds(VICTIMS * DECOYS, false_match_rate(WIDTH))
+    assert bounds == (320, 479)
+    matches = sum(sum(verdicts) for *_, verdicts in decoy_runs())
+    assert bounds[0] <= matches <= bounds[1], matches
+
+
+def test_decoys_match_exactly_as_the_oracle_does():
+    # the count the +-4 sigma test bounds, stated exactly and decoy by decoy
+    n, matches, keeps_k = WIDTH // 8, 0, 0
+    for card, key, m1, verdicts in decoy_runs():
+        for i, verdict in enumerate(verdicts):
+            decoy = f"decoy-{i}".encode()
+            assert verdict == guess_predicate_oracle(decoy, card, m1), decoy
+            if verdict:
+                matches += 1
+                keeps_k += ref.xor(card.d1, ref.h(n, decoy, ref.xor(card.d2, ref.h(n, decoy)))) == key
+    assert (matches, keeps_k) == (444, 226)
+
+
+def test_wrong_password_is_accepted_at_the_predicted_rate():
+    bounds = four_sigma_bounds(WRONG_LOGIN_RUNS, false_match_rate(WIDTH))
+    assert bounds == (20, 74)
+    accepted = [accepted for _, _, accepted in wrong_login_runs()].count(True)
     assert bounds[0] <= accepted <= bounds[1], accepted
+
+
+def test_wrong_password_is_accepted_on_exactly_the_reference_seeds():
+    # the count the +-4 sigma test bounds, stated exactly and seed by seed
+    accepted, keeps_k = set(), set()
+    for seed, (identity, password, server_accepted) in enumerate(wrong_login_runs()):
+        ref_accepted, ref_keeps_k = reference_wrong_login(seed, identity, password)
+        assert server_accepted == ref_accepted, seed
+        if server_accepted:
+            accepted.add(seed)
+        if ref_keeps_k:
+            keeps_k.add(seed)
+    assert len(accepted) == 47
+    # a typo that derives K builds the true X1: the server cannot tell it from the password
+    assert keeps_k == TYPO_DERIVES_K and keeps_k <= accepted, keeps_k - accepted
