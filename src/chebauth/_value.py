@@ -10,8 +10,8 @@ once, as ``collections.namedtuple`` compiles its ``__new__``: it takes every
 field, in order, and stores each through its slot's ``__set__``, so Python
 binds the arguments and raises the usual ``TypeError`` on a bad call. It is
 the ``__init__`` of a class that writes none. ``FieldElement``, ``Timestamp``,
-``SmartCard``, ``Transcript``, ``Dictionary`` and ``BitString`` validate their
-input and store it with one ``_fill``; ``OpCounts``, mutable, with defaults,
+``Params``, ``SmartCard``, ``Transcript``, ``Dictionary`` and ``BitString``
+validate their input and store it with one ``_fill``; ``OpCounts``, mutable, with defaults,
 keeps plain attribute stores, which the interpreter specialises.
 """
 

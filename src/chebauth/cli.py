@@ -108,13 +108,12 @@ def _timed(experiment, *args, **kwargs):
     return result, time.perf_counter() - start
 
 
-# Each command checks its precondition, runs its experiment and returns the
-# report body, which ends with the verdict, and the verdict itself.
+# Each command takes the args and _setup's fixture, runs its experiment and
+# returns the report body, which ends with the verdict, and the verdict itself.
 
 
-def cmd_honest_run(args: argparse.Namespace):
-    """Setup, registration, and two consecutive logins (pseudonym refresh)."""
-    server, rng, clock, card = _setup(args)
+def cmd_honest_run(args: argparse.Namespace, server, rng, clock, card):
+    """Two consecutive logins (pseudonym refresh)."""
     sessions = []
     all_ok = True
     for index in (1, 2):
@@ -125,15 +124,12 @@ def cmd_honest_run(args: argparse.Namespace):
     return {"sessions": sessions, "all_sessions_ok": all_ok}, all_ok
 
 
-def cmd_guess_attack(args: argparse.Namespace):
+def cmd_guess_attack(args: argparse.Namespace, server, rng, clock, card):
     """Eavesdrop one honest login, extract the card, scan the dictionary."""
-    if args.dictionary is None:
-        raise ConfigError("guess-attack requires --dict")
     try:
         dictionary = Dictionary.from_file(args.dictionary)
     except (OSError, ValueError) as exc:
         raise ConfigError(str(exc)) from exc
-    server, rng, clock, card = _setup(args)
     session, entry = _login(1, args, server, card, clock, rng)
     m1 = session.events[0].message
     attack, wall_time_s = _timed(offline_guess, card, m1, dictionary)  # the card state the login used
@@ -160,9 +156,8 @@ def cmd_guess_attack(args: argparse.Namespace):
 _WASTED_ROUND_COUNTS = {"hash": 6, "xor": 4, "cheb": 1}
 
 
-def cmd_wrong_login(args: argparse.Namespace):
+def cmd_wrong_login(args: argparse.Namespace, server, rng, clock, card):
     """One wasted login round with a wrong password, with op accounting."""
-    server, rng, clock, card = _setup(args)
     # raises ExperimentInvalid unless the server rejected the password, so the
     # report's server_rejected is always true
     counts, wall_time_s = _timed(
@@ -181,9 +176,8 @@ def cmd_wrong_login(args: argparse.Namespace):
     }, as_expected
 
 
-def cmd_dos_demo(args: argparse.Namespace):
+def cmd_dos_demo(args: argparse.Namespace, server, rng, clock, card):
     """Password change with a wrong (or, as control, correct) old password."""
-    server, rng, clock, card = _setup(args)
     experiment, wall_time_s = _timed(
         dos_experiment,
         card, args.password, args.wrong_old_password, args.new_password, server, clock, rng,
@@ -220,7 +214,7 @@ def run_command(args: argparse.Namespace) -> dict:
     """Run the resolved command and wrap its body in the report head and verdict."""
     start = time.perf_counter()
     command, fixture_keys, extra_keys = _COMMANDS[args.command]
-    body, verdict = command(args)
+    body, verdict = command(args, *_setup(args))
     config = {
         "seed": args.seed,
         "width": args.width,
@@ -255,7 +249,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     for command in _COMMANDS:
         p = sub.add_parser(command)
-        p.set_defaults(dictionary=None, expect_miss=False, correct_old_password=False)
+        p.set_defaults(dictionary=None)  # the config echo reads it for every command
         p.add_argument("--seed", type=int, default=42)
         p.add_argument("--width", type=int, default=DEFAULT_WIDTH, help="bit width l")
         p.add_argument("--prime", type=int, default=DEFAULT_PRIME, help="field modulus, decimal")
@@ -266,7 +260,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--id", dest="identity", default=None)
         p.add_argument("--password", default=None)
         if command == "guess-attack":
-            p.add_argument("--dict", dest="dictionary", default=None, help="password list, one per line")
+            p.add_argument("--dict", dest="dictionary", required=True, help="password list, one per line")
             p.add_argument("--expect-miss", action="store_true",
                            help="expect exhaustion (true password absent from the list)")
         if command == "wrong-login-demo":
@@ -286,7 +280,7 @@ def _read_fixture(path: str) -> dict:
     try:
         with open(path, encoding="utf-8") as handle:
             loaded = json.load(handle)
-    except (OSError, ValueError) as exc:
+    except (OSError, ValueError, RecursionError) as exc:  # RecursionError: JSON nested too deep
         raise ConfigError(f"cannot read fixture file: {exc}") from exc
     if not isinstance(loaded, dict):
         raise ConfigError("fixture file must hold a JSON object")
@@ -311,7 +305,7 @@ def _config_from_args(args: argparse.Namespace) -> None:
     values.setdefault("wrong_old_password", values["password"] + "-typo")
     values.setdefault("new_password", values["password"] + "-new")
     vars(args).update(values)
-    if args.seed < 0:  # random.Random would seed from |seed|: -2 would rerun seed 2
+    if args.seed < 0:  # RandomSource refuses it too; this check names the flag
         raise ConfigError(f"--seed must be a non-negative integer: {args.seed}")
     if args.channel_delay < 0:  # the clock refuses it too; this check names the flag
         raise ConfigError(f"--channel-delay must be a non-negative integer: {args.channel_delay}")
@@ -333,9 +327,6 @@ def main(argv=None) -> int:
         report = run_command(args)
     except (ConfigError, ExperimentInvalid, ValueError) as exc:
         print(f"chebauth: error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except OSError as exc:
-        print(f"chebauth: i/o error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     try:
         _emit(report, args.out)

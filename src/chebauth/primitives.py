@@ -136,6 +136,10 @@ class RandomSource:
     """Seeded deterministic random stream: same seed, same draw sequence."""
 
     def __init__(self, seed: int):
+        if type(seed) is not int:  # random.Random seeds None from the OS, and 1.0 and True as 1
+            raise TypeError(f"seed must be an int, got {type(seed).__name__}")
+        if seed < 0:  # and -7 as 7, so either would break replay
+            raise ValueError(f"seed must be non-negative, got {seed}")
         self._rng = random.Random(seed)
 
     def draw_bytes(self, n: int) -> bytes:

@@ -238,3 +238,10 @@ class TestPrimality:
         assert not is_probable_prime(1)
         assert not is_probable_prime(561)  # Carmichael
         assert not is_probable_prime(DEFAULT_PRIME - 1)
+
+    @pytest.mark.parametrize("n", [41 * 43, 151 * 751 * 28351], ids=["1763", "3215031751"])
+    def test_composite_rejected_by_a_witness(self, n):
+        # no factor below 38, so trial division by the bases passes it and only a
+        # witness rejects it; 3215031751 is a strong pseudoprime to 2, 3, 5 and 7, so 11 does
+        assert all(n % q for q in range(2, 38))
+        assert not is_probable_prime(n)

@@ -163,9 +163,21 @@ class TestGuessAttack:
         status, report = run(tmp_path, "guess-attack", "--dict", str(tmp_path / "nope.txt"))
         assert status == 3 and report is None
 
-    def test_dict_flag_required(self, tmp_path):
-        status, report = run(tmp_path, "guess-attack")
+    def test_dict_flag_required(self, tmp_path, capsys):
+        # argparse refuses the run, as it refuses any usage error: exit 3, no report
+        with pytest.raises(SystemExit) as exc:
+            run(tmp_path, "guess-attack")
+        assert exc.value.code == 3 and not (tmp_path / "report.json").exists()
+        assert capsys.readouterr().err == (
+            "chebauth guess-attack: error: the following arguments are required: --dict\n"
+        )
+
+    def test_bad_fixture_reported_before_bad_dictionary(self, tmp_path, capsys):
+        # run_command builds the fixture before the command reads its dictionary
+        missing = str(tmp_path / "nope.txt")
+        status, report = run(tmp_path, "guess-attack", "--dict", missing, "--prime", "91")
         assert status == 3 and report is None
+        assert capsys.readouterr().err == "chebauth: error: modulus must be a prime greater than 3\n"
 
     def test_malformed_dictionary(self, tmp_path):
         path = tmp_path / "bad.txt"
@@ -263,9 +275,28 @@ class TestPlumbing:
             cli.main(["frobnicate"])
         assert exc.value.code == 3
 
-    def test_composite_prime_rejected(self, tmp_path):
-        status, report = run(tmp_path, "honest-run", "--prime", "91")
+    @pytest.mark.parametrize("prime", ["91", "3215031751"], ids=["7*13", "spsp-2-3-5-7"])
+    def test_composite_prime_rejected(self, tmp_path, capsys, prime):
+        status, report = run(tmp_path, "honest-run", "--prime", prime)
         assert status == 3 and report is None
+        assert capsys.readouterr().err == "chebauth: error: modulus must be a prime greater than 3\n"
+
+    def test_unwritable_out_exits_3_without_a_report(self, tmp_path, capsys):
+        status = cli.main(["honest-run", "--out", str(tmp_path)])  # a directory
+        out, err = capsys.readouterr()
+        assert status == 3 and out == "" and list(tmp_path.iterdir()) == []
+        assert err.startswith("chebauth: cannot write report: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("content", [None, "{", "[" * 100_000 + "]" * 100_000],
+                             ids=["missing", "invalid-json", "nested-too-deep"])
+    def test_unreadable_fixture_file_exits_3(self, tmp_path, capsys, content):
+        fixture = tmp_path / "fixture.json"
+        if content is not None:
+            fixture.write_text(content)
+        status, report = run(tmp_path, "honest-run", "--fixture", str(fixture))
+        assert status == 3 and report is None
+        err = capsys.readouterr().err
+        assert err.startswith("chebauth: error: cannot read fixture file: ") and err.count("\n") == 1
 
     def test_non_decimal_prime_rejected(self, tmp_path, capsys):
         # argparse parses --prime as it parses --seed: a usage error, exit 3

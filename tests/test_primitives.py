@@ -227,6 +227,25 @@ class TestRandomSource:
         draw = RandomSource(1).draw_bytes(8)
         assert type(draw) is bytes and len(draw) * 8 == 64
 
+    @pytest.mark.parametrize("seed, error, message", [
+        (None, TypeError, "seed must be an int, got NoneType"),
+        (1.0, TypeError, "seed must be an int, got float"),
+        (True, TypeError, "seed must be an int, got bool"),
+        (-2, ValueError, "seed must be non-negative, got -2"),
+    ], ids=["None", "float", "bool", "negative"])
+    def test_refuses_a_seed_that_would_not_replay(self, monkeypatch, seed, error, message):
+        # random.Random seeds None from OS entropy and 1.0, True and -1 as 1: no stream is made
+        def no_stream(*args):
+            raise AssertionError("a stream was seeded")
+
+        monkeypatch.setattr(random, "Random", no_stream)
+        with pytest.raises(error, match=rf"^{message}$"):
+            RandomSource(seed)
+
+    def test_zero_and_huge_seeds_accepted(self):
+        assert RandomSource(0).draw_bytes(8) != RandomSource(1).draw_bytes(8)
+        assert RandomSource(1 << 128).draw_bytes(8) == RandomSource(1 << 128).draw_bytes(8)
+
 
 class TestTime:
     def test_timestamp_arithmetic_and_order(self):

@@ -71,6 +71,12 @@ class TestServerSetup:
         with pytest.raises(TypeError, match=rf"^params must be a Params, got {type(look_alike).__name__}$"):
             server_setup(1, look_alike)
 
+    @pytest.mark.parametrize("seed", [None, 7.0, True, -7], ids=["None", "float", "bool", "negative"])
+    def test_refuses_a_seed_that_would_not_replay(self, seed):
+        # server_setup(None) drew a new key per call, and server_setup(-7) gave server_setup(7)'s
+        with pytest.raises((TypeError, ValueError), match=r"^seed must be "):
+            server_setup(seed)
+
     def test_keeps_the_params_it_is_given(self):
         params = Params(101, 64, 3)
         assert server_setup(1, params).params is params
@@ -90,7 +96,8 @@ class TestParams:
     """Params is the one place the prime, the width and the window are checked."""
 
     def test_composite_modulus_rejected(self):
-        for p in (9, 15, 3, DEFAULT_PRIME - 2, 2**256 - 1):
+        # 41 * 43 and the strong pseudoprime 3215031751: only a Miller-Rabin witness rejects them
+        for p in (9, 15, 3, DEFAULT_PRIME - 2, 2**256 - 1, 1763, 3215031751):
             with pytest.raises(ValueError, match=r"^modulus must be a prime greater than 3$"):
                 Params(p)
 
