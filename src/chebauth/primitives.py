@@ -124,7 +124,7 @@ class OpCounts(Record):
         return {"hash": self.n_hash, "xor": self.n_xor, "cheb": self.n_cheb}
 
 
-def tally(counts: OpCounts | None, n_hash: int = 0, n_xor: int = 0, n_cheb: int = 0):
+def tally(counts: OpCounts | None, n_hash: int, n_xor: int, n_cheb: int):
     """Add one exit path's operations to counts, unless counts is None."""
     if counts is not None:
         counts.n_hash += n_hash

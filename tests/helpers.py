@@ -1,5 +1,6 @@
 """Shared test fixtures and the independent evaluation oracle."""
 
+import re
 from types import SimpleNamespace
 
 from chebauth.adversary import ExtractedCard
@@ -76,3 +77,17 @@ def make_fixture(
         identity=identity,
         password=password,
     )
+
+
+def strip_wall_time(node):
+    """A parsed report without its wall_time_s keys: the part that is a pure function of the configuration."""
+    if isinstance(node, dict):
+        return {k: strip_wall_time(v) for k, v in node.items() if k != "wall_time_s"}
+    if isinstance(node, list):
+        return [strip_wall_time(item) for item in node]
+    return node
+
+
+def mask_wall_time(text: str) -> str:
+    """A report's text as the CLI wrote it, with each wall_time_s number replaced by 0."""
+    return re.sub(r'("wall_time_s": )[-+.0-9eE]+', r"\g<1>0", text)

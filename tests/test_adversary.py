@@ -20,7 +20,7 @@ from chebauth.adversary import (
     wrong_login_experiment,
 )
 from chebauth.chaotic import DEFAULT_PRIME
-from chebauth.primitives import OpCounts
+from chebauth.primitives import OpCounts, Timestamp
 from chebauth.protocol import LoginRequest, LoginResponse, SmartCard, run_login_session, user_login_start
 
 from helpers import guess_predicate_oracle, make_fixture, zeroed_card
@@ -136,6 +136,20 @@ class TestPredicateMemo:
         # at least pw_a, as str and as bytes, on the five (A, A) pairs of each
         # width, in both directions; narrow widths add false positives
         assert hits >= 2 * 5 * 3 * 2
+
+    def test_a_scan_builds_the_memo_once(self, monkeypatch):
+        builds = []
+        build = adversary._scan_constants
+
+        def counting(card, m1):
+            builds.append((card, m1))
+            return build(card, m1)
+
+        monkeypatch.setattr(adversary, "_scan_constants", counting)
+        fx = make_fixture(64)
+        extracted, m1 = intercepted_m1(fx)
+        report = offline_guess(extracted, m1, Dictionary(tuple(f"decoy-{i}".encode() for i in range(5))))
+        assert report.guesses == 5 and builds == [(extracted, m1)]
 
 
 def scan_tally(evaluations):
@@ -336,6 +350,12 @@ class TestWrongLoginExperiment:
             ExperimentInvalid, match=r"^rejected for stale_timestamp, not the password mistake$"
         ):
             wrong_login_experiment(fx.card, b"oops", fx.server, fx.clock, fx.rng, channel_delay=5)
+
+    def test_default_delay_is_one_tick(self):
+        # the server rejects M1, so no M2 travels: one leg of one tick
+        fx = make_fixture(74)
+        wrong_login_experiment(fx.card, b"oops", fx.server, fx.clock, fx.rng)
+        assert fx.clock.now() == Timestamp(1)
 
     def test_negative_delay_draws_nothing_and_keeps_the_clock(self):
         fx, replay = make_fixture(73), make_fixture(73)

@@ -114,6 +114,7 @@ class TestBackends:
             pure_eval(-1, 0, 17)
         with pytest.raises(ValueError):
             pure_eval(3, 0, 1)
+        assert pure_eval(3, 5, 2) == 485 % 2  # T_3(5) = 4 * 5**3 - 3 * 5; 2 is the least modulus
 
     def test_kernel_agrees_with_reference(self, cold_memo):
         rng = random.Random(42)

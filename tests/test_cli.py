@@ -3,12 +3,16 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import jsonschema
 import pytest
 
 from chebauth import cli
+from chebauth.adversary import DosReport
+from chebauth.primitives import OpCounts
+from helpers import mask_wall_time, strip_wall_time
 
 ROOT = Path(__file__).resolve().parent.parent
 SCHEMA = json.loads((ROOT / "docs" / "report.schema.json").read_text())
@@ -26,14 +30,6 @@ def validate(report):
     VALIDATOR.validate(report)
 
 
-def strip_wall_time(node):
-    if isinstance(node, dict):
-        return {k: strip_wall_time(v) for k, v in node.items() if k != "wall_time_s"}
-    if isinstance(node, list):
-        return [strip_wall_time(item) for item in node]
-    return node
-
-
 def write_dictionary(tmp_path, words, name="dict.txt"):
     path = tmp_path / name
     path.write_text("\n".join(words) + "\n", encoding="utf-8")
@@ -41,37 +37,50 @@ def write_dictionary(tmp_path, words, name="dict.txt"):
 
 
 # The README's seven invocations plus a toy-size run, with the exit status and
-# the SHA-256 of each report (wall times stripped, emitter key order kept).
-# Any change to a report byte or to key order shows up here.
+# two SHA-256 digests of each report: of its content (wall times stripped,
+# emitter key order kept) and of the text as written (wall times masked).
+# Any change to a report byte, to key order or to layout shows up here.
 GOLDEN_REPORTS = [
     (("honest-run", "--seed", "42"), 0,
-     "7394b7e2160cd0e812aa830bfc47ad1de64aeaee652c7b936fa9240e8184b01c"),
+     "7394b7e2160cd0e812aa830bfc47ad1de64aeaee652c7b936fa9240e8184b01c",
+     "a9f457c7edef7d32571452b848a060e822889bb01832f501b99c9a131baea10a"),
     (("honest-run", "--delta-t", "2", "--channel-delay", "3"), 2,
-     "01a0832c01294d7082fed19b87319a3992f33ef27a2c6e0570054dd62e94ad63"),
+     "01a0832c01294d7082fed19b87319a3992f33ef27a2c6e0570054dd62e94ad63",
+     "6e4373fbbcd84e4cab923ae9726eeeaf33aa706f4a82e1eb01d784d6c533be2c"),
     (("guess-attack", "--dict", "words.txt", "--password", "sunrise77"), 0,
-     "39bed1210395c617bc5870738fc6b70ab8fff5437c73bb5cc183a883c5b2e6aa"),
+     "39bed1210395c617bc5870738fc6b70ab8fff5437c73bb5cc183a883c5b2e6aa",
+     "79ce91946356e33c82c74c5f64e8a9f1bed52821a264fe9a7ef8915b7e3ca4ee"),
     (("guess-attack", "--dict", "words.txt", "--password", "not-listed", "--expect-miss"), 0,
-     "251ff5d67d064643ea7faf064c7620b0854009c2a27f92d451ff724705a6ec57"),
+     "251ff5d67d064643ea7faf064c7620b0854009c2a27f92d451ff724705a6ec57",
+     "1eaebc37dae56065b723a414afebc99b1cdefc1b1fa33d79003ebf375e88101e"),
     (("wrong-login-demo",), 0,
-     "e250504a809b49f8e88a97a67a3d2b576b8e518896e6cb747eaf1f48379a1091"),
+     "e250504a809b49f8e88a97a67a3d2b576b8e518896e6cb747eaf1f48379a1091",
+     "5eb61cb208de0c9ae797bf794d088a5d907c431f01825fe89bc3ce8c1c56b550"),
     (("dos-demo",), 0,
-     "7d3018eb33f86bbe1f604ee4ab50a6ba60be6981b6a8dd932ffe6cce3903295c"),
+     "7d3018eb33f86bbe1f604ee4ab50a6ba60be6981b6a8dd932ffe6cce3903295c",
+     "55e1106afa419d67f054d1c8ba425ef45db843d65ced4688cdea387d2db1413a"),
     (("dos-demo", "--correct-old-password"), 0,
-     "a6f35103eb8d803b330c4d008a42db548d764bf780505557b80a88fd9760486e"),
+     "a6f35103eb8d803b330c4d008a42db548d764bf780505557b80a88fd9760486e",
+     "8dd186cc41c5db980516d1f587a0790e7e4ee771ad62235432c7bdc01890c830"),
     (("honest-run", "--width", "8", "--prime", "17"), 0,
-     "062b72dd636bba75486c8d034533c0a7bf7345edd7c4d2d5483c16609364009f"),
+     "062b72dd636bba75486c8d034533c0a7bf7345edd7c4d2d5483c16609364009f",
+     "d7f894a753ef7794fd08785530d661643cb47abfece10b8bb8c70dff2bbf66e8"),
 ]
 
 
-@pytest.mark.parametrize("argv, status, digest", GOLDEN_REPORTS,
-                         ids=[" ".join(argv) for argv, _, _ in GOLDEN_REPORTS])
-def test_report_bytes_are_pinned(tmp_path, monkeypatch, argv, status, digest):
+def sha256(text):
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+@pytest.mark.parametrize("argv, status, digest, written_digest", GOLDEN_REPORTS,
+                         ids=[" ".join(argv) for argv, *_ in GOLDEN_REPORTS])
+def test_report_bytes_are_pinned(tmp_path, monkeypatch, argv, status, digest, written_digest):
     monkeypatch.chdir(tmp_path)  # the dictionary path is echoed as given
     (tmp_path / "words.txt").write_text("sunrise77\nhunter2\nletmein\n", encoding="utf-8")
     got_status, report = run(tmp_path, *argv)
     assert got_status == status
-    text = json.dumps(strip_wall_time(report), indent=2)
-    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == digest
+    assert sha256(json.dumps(strip_wall_time(report), indent=2)) == digest
+    assert sha256(mask_wall_time((tmp_path / "report.json").read_text(encoding="utf-8"))) == written_digest
 
 
 class TestHonestRun:
@@ -158,6 +167,13 @@ class TestGuessAttack:
         assert status == 0
         validate(report)
         assert report["config"]["expect_miss"] is True
+
+    def test_expect_miss_with_the_password_listed_last_is_contradicted(self, tmp_path):
+        # the scan reaches the last candidate and recovers it: not a miss
+        dict_path = write_dictionary(tmp_path, ["w0", "w1", "sunrise77"])
+        status, report = run(tmp_path, "guess-attack", "--dict", dict_path, "--expect-miss")
+        assert status == 2 and not report["as_expected"]
+        assert report["attack"]["guesses"] == report["attack"]["dictionary_size"] == 3
 
     def test_missing_dictionary_file(self, tmp_path):
         status, report = run(tmp_path, "guess-attack", "--dict", str(tmp_path / "nope.txt"))
@@ -257,6 +273,22 @@ class TestDosDemo:
         assert report["experiment"]["probes"]["new_password"] == "accepted"
         assert report["config"]["fixture"]["correct_old_password"] is True
 
+    def test_control_run_echoes_the_new_password(self, tmp_path):
+        status, report = run(tmp_path, "dos-demo", "--correct-old-password", "--new-password", "X")
+        assert status == 0 and report["experiment"]["probes"]["new_password"] == "accepted"
+        assert report["config"]["fixture"]["new_password"] == "X"
+
+    def test_control_run_contradicted_when_only_another_password_is_accepted(self, tmp_path, monkeypatch):
+        # the control's verdict reads the new password's probe alone
+        def stubbed(*args, **kwargs):
+            probes = {"new_password": "rejected", "true_password": "accepted",
+                      "wrong_old_password": "rejected"}
+            return DosReport(probes, OpCounts())
+
+        monkeypatch.setattr(cli, "dos_experiment", stubbed)
+        status, report = run(tmp_path, "dos-demo", "--correct-old-password")
+        assert status == 2 and not report["experiment"]["dos_confirmed"] and not report["as_expected"]
+
     def test_wrong_old_equal_to_true_is_config_error(self, tmp_path):
         status, report = run(
             tmp_path, "dos-demo", "--password", "pw", "--wrong-old-password", "pw"
@@ -269,6 +301,35 @@ class TestPlumbing:
         with pytest.raises(SystemExit) as exc:
             cli.main(["honest-run", "--bogus"])
         assert exc.value.code == 3
+
+    def test_no_command_exits_3_with_one_line(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main([])
+        assert exc.value.code == 3
+        assert capsys.readouterr().err == "chebauth: error: the following arguments are required: command\n"
+
+    def test_help_opens_with_the_module_summary(self, capsys, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "200")  # no wrapping
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["--help"])
+        assert exc.value.code == 0
+        summary = "Command-line driver for seeded, reproducible protocol and attack runs."
+        assert f"\n{summary}\n" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("argv, timed", [
+        (("guess-attack", "--dict", "words.txt"), "attack"),
+        (("wrong-login-demo",), "experiment"),
+        (("dos-demo",), "experiment"),
+    ], ids=["guess-attack", "wrong-login-demo", "dos-demo"])
+    def test_wall_times_fit_inside_the_run(self, tmp_path, monkeypatch, argv, timed):
+        # the experiment's time is part of the command's, which is part of main's
+        monkeypatch.chdir(tmp_path)
+        write_dictionary(tmp_path, ["sunrise77"], name="words.txt")
+        start = time.perf_counter()
+        status, report = run(tmp_path, *argv)
+        outside = time.perf_counter() - start
+        assert status == 0
+        assert 0 <= report[timed]["wall_time_s"] <= report["wall_time_s"] <= outside
 
     def test_unknown_command_exits_3(self):
         with pytest.raises(SystemExit) as exc:

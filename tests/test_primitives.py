@@ -191,11 +191,11 @@ class TestOpCounts:
         # one counter over a whole procedure equals the sum of per-stage counters
         # each stage tallies its operations once, as the protocol phases do
         def stage_one(counts):
-            tally(counts, n_hash=2, n_xor=1)
+            tally(counts, n_hash=2, n_xor=1, n_cheb=0)
             return xor(hash_h(b"x"), hash_h(b"y"))
 
         def stage_two(counts, a):
-            tally(counts, n_hash=1, n_xor=1)
+            tally(counts, n_hash=1, n_xor=1, n_cheb=0)
             return xor(a, hash_h(b"z"))
 
         whole = OpCounts()

@@ -283,6 +283,18 @@ class TestLogin:
         result = user_handle_response(ctx, m2, fx.clock)
         assert result == Reject(RejectReason.STALE_TIMESTAMP)
 
+    def test_response_at_window_edge_accepted_one_tick_later_stale(self):
+        # the card's window is inclusive, as the server's is; one delay drives
+        # both legs of run_login_session, so the halves are driven by hand
+        fx = make_fixture(30, delta_t=3)
+        m1, ctx = user_login_start(fx.card, fx.password, fx.clock, fx.rng, fx.server.params)
+        fx.clock.advance(1)
+        m2, server_key = server_handle_login(fx.server, m1, fx.clock, fx.rng)
+        edge, late = clock_at(m2.t2.ticks + 3), clock_at(m2.t2.ticks + 4)
+        session_key, _ = user_handle_response(ctx, m2, edge)
+        assert session_key == server_key
+        assert user_handle_response(ctx, m2, late) == Reject(RejectReason.STALE_TIMESTAMP)
+
     def test_card_side_takes_prime_and_delta_t_explicitly(self):
         # a card-side default would silently disagree with a non-default server;
         # the M2 check takes neither card nor Params, it reads both from ctx

@@ -93,6 +93,7 @@ def test_value_type_contract(cls, fields, changed, frozen):
         object.__setattr__(set_by_name, name, field)
     assert filled == value == set_by_name
     assert value != object()
+    assert (value == object()) is False  # NotImplemented, then identity, not a bare None
     shown = ", ".join(f"{name}={field!r}" for name, field in fields.items())
     assert repr(value) == f"{cls.__name__}({shown})"
     pickled = [pickle.loads(pickle.dumps(value, protocol)) for protocol in range(pickle.HIGHEST_PROTOCOL + 1)]
@@ -141,6 +142,12 @@ def test_every_value_type_has_a_case():
 
     defined = {cls for cls in subclasses(Record) if cls.__module__.startswith("chebauth.")}
     assert defined - {Frozen} == {case[0] for case in CASES}
+
+
+def test_a_bad_call_names_the_class_init():
+    # the compiled _fill is the __init__, and Python names it in its TypeErrors
+    with pytest.raises(TypeError, match=r"^LoginRequest\.__init__\(\) missing 5 required positional"):
+        LoginRequest()
 
 
 def test_repr_literal():
