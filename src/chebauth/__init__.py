@@ -36,6 +36,7 @@ from .adversary import (
     dos_experiment,
     guess_predicate,
     offline_guess,
+    scan_target,
     wrong_login_experiment,
 )
 

@@ -130,27 +130,23 @@ class DosReport(Record):
         return all(verdict == "rejected" for verdict in self.probes.values())
 
 
-# guess_predicate's one-entry memo: (card, m1, n, D1, D2, tail, X1, copier
-# of h's prefix state). It holds the card and M1 themselves, so their
-# identity stays a valid key while the entry lives, and it is replaced by
-# one assignment of a complete tuple, so a concurrent scan of another victim
-# reads either the old entry or the new one, never a mix of the two.
-_scan_memo = (None, None)
+def scan_target(card: SmartCard, m1: LoginRequest) -> tuple:
+    """The attacker's precomputation from the two leaks, for guess_predicate.
 
-
-def _scan_constants(card: SmartCard, m1: LoginRequest) -> tuple:
-    global _scan_memo
+    Everything the predicate needs that depends only on the card and M1: the
+    byte width n, D1 and D2 as ints, the tail IM1 || IM2 || T_u(K) || T1 as
+    one bytes value, X1, and a copier of h's prefix state.
+    """
     d1, d2 = card.d1, card.d2
-    _scan_memo = memo = (
-        card, m1, len(d1), _from_bytes(d1, "big"), _from_bytes(d2, "big"),
+    return (
+        len(d1), _from_bytes(d1, "big"), _from_bytes(d2, "big"),
         m1.im1 + m1.im2 + m1.tuk.to_bytes() + m1.t1.to_bytes(),
         m1.x1, h_state().copy,
     )
-    return memo
 
 
-def guess_predicate(candidate, card: SmartCard, m1: LoginRequest) -> bool:
-    """Test one password candidate against the extracted card and intercepted M1.
+def guess_predicate(candidate, target: tuple) -> bool:
+    """Test one password candidate against scan_target(card, m1) of the two leaks.
 
     Recomputes the blinding value and long-term key the card would derive for
     this candidate and checks whether they reproduce M1's authenticator X1:
@@ -163,19 +159,8 @@ def guess_predicate(candidate, card: SmartCard, m1: LoginRequest) -> bool:
     continues the state that hashed cand, and the XORs are integer XORs at
     the card's byte width. The cost is 3 hashes and 2 XORs per call, which
     offline_guess tallies once per scan; the predicate counts nothing.
-
-    What depends only on the card and M1 (the byte width n, D1 and D2 as
-    ints, the tail IM1 || IM2 || T_u(K) || T1 as one bytes value, X1 and a
-    copier of h's prefix state) is kept from the previous call in a
-    one-entry memo, keyed by the identity of card and m1 and holding
-    references to both. A scan that passes the same two objects for every
-    candidate, as offline_guess does, builds it once; equal but distinct
-    objects rebuild it and get the same verdicts.
     """
-    memo = _scan_memo
-    if memo[0] is not card or memo[1] is not m1:
-        memo = _scan_constants(card, m1)
-    _, _, n, d1, d2, tail, x1, fresh = memo
+    n, d1, d2, tail, x1, fresh = target
     state = fresh()
     state.update(candidate if type(candidate) is bytes else as_bytes(candidate))
     b_guess = d2 ^ _from_bytes(state.digest()[:n], "big")
@@ -192,12 +177,13 @@ def offline_guess(card: SmartCard, m1: LoginRequest, dictionary: Dictionary) -> 
     The reported guess count is the 1-based index of that candidate (or the
     dictionary size when the scan misses), so predicate evaluations equal
     the guess count. The op counts, 3 hashes and 2 XORs per evaluation, are
-    set once after the loop.
+    set once after the loop. The scan builds one scan_target for all of them.
     """
+    target = scan_target(card, m1)
     recovered = None
     guesses = 0
     for guesses, candidate in enumerate(dictionary.candidates, start=1):
-        if guess_predicate(candidate, card, m1):
+        if guess_predicate(candidate, target):
             recovered = candidate
             break
     return GuessReport(recovered, guesses, OpCounts(n_hash=3 * guesses, n_xor=2 * guesses))

@@ -14,6 +14,7 @@ from chebauth.adversary import (
     dos_experiment,
     guess_predicate,
     offline_guess,
+    scan_target,
     wrong_login_experiment,
 )
 from chebauth.chaotic import DEFAULT_PRIME, FieldElement, cheb_eval
@@ -109,14 +110,14 @@ def test_criterion_4_both_leaks_necessary():
     false_validations = 0
     for seed in range(100):
         fx, extracted, m1 = _attack_fixture(seed)
-        if guess_predicate(fx.password, zeroed_card(fx.server.params.width), m1):
+        if guess_predicate(fx.password, scan_target(zeroed_card(fx.server.params.width), m1)):
             false_validations += 1
         # a request by a different user of the same server
         other_card = registration(fx.server, f"other-{seed}".encode(), fx.password, fx.rng)
         foreign_m1, _ = user_login_start(
             other_card, fx.password, fx.clock, fx.rng, fx.server.params
         )
-        if guess_predicate(fx.password, extracted, foreign_m1):
+        if guess_predicate(fx.password, scan_target(extracted, foreign_m1)):
             false_validations += 1
     elapsed = time.perf_counter() - start
     ok = false_validations == 0

@@ -1,9 +1,5 @@
 import pickle
-import random
 import re
-import sys
-import threading
-from functools import partial
 from itertools import product
 
 import pytest
@@ -17,6 +13,7 @@ from chebauth.adversary import (
     dos_experiment,
     guess_predicate,
     offline_guess,
+    scan_target,
     wrong_login_experiment,
 )
 from chebauth.chaotic import DEFAULT_PRIME
@@ -37,48 +34,48 @@ class TestGuessPredicate:
     def test_true_password_verifies(self):
         fx = make_fixture(50)
         extracted, m1 = intercepted_m1(fx)
-        assert guess_predicate(fx.password, extracted, m1)
+        assert guess_predicate(fx.password, scan_target(extracted, m1))
 
     def test_near_miss_fails(self):
         fx = make_fixture(51)
         extracted, m1 = intercepted_m1(fx)
-        assert not guess_predicate(fx.password + b"x", extracted, m1)
+        assert not guess_predicate(fx.password + b"x", scan_target(extracted, m1))
 
     def test_deterministic(self):
         fx = make_fixture(52)
         extracted, m1 = intercepted_m1(fx)
         for candidate in (fx.password, b"other"):
-            assert guess_predicate(candidate, extracted, m1) == guess_predicate(
-                candidate, extracted, m1
+            assert guess_predicate(candidate, scan_target(extracted, m1)) == guess_predicate(
+                candidate, scan_target(extracted, m1)
             )
 
     def test_card_leak_is_necessary(self):
         fx = make_fixture(53)
         _, m1 = intercepted_m1(fx)
         zeroed = zeroed_card(fx.server.params.width)
-        assert not guess_predicate(fx.password, zeroed, m1)
+        assert not guess_predicate(fx.password, scan_target(zeroed, m1))
 
     def test_transcript_leak_is_necessary(self):
         fx = make_fixture(54)
         extracted, _ = intercepted_m1(fx)
         other = make_fixture(55)  # different identity, different card
         _, foreign_m1 = intercepted_m1(other)
-        assert not guess_predicate(fx.password, extracted, foreign_m1)
+        assert not guess_predicate(fx.password, scan_target(extracted, foreign_m1))
 
     def test_integer_candidate_rejected(self):
         # bytes(3) would be three zero bytes, a candidate nobody listed
         fx = make_fixture(56)
-        extracted, m1 = intercepted_m1(fx)
+        target = scan_target(*intercepted_m1(fx))
         for candidate in (3, [112, 119]):
             with pytest.raises(TypeError):
-                guess_predicate(candidate, extracted, m1)
+                guess_predicate(candidate, target)
 
     def test_sound_across_fixtures(self):
         # uncorrupted extraction + matching request: the true password always verifies
         for seed in range(25):
             fx = make_fixture(seed, password=f"pw-{seed}-!".encode())
             extracted, m1 = intercepted_m1(fx)
-            assert guess_predicate(fx.password, extracted, m1), seed
+            assert guess_predicate(fx.password, scan_target(extracted, m1)), seed
 
     def test_costs_three_hashes_two_xors(self):
         # the scheme's formula costs 3 hashes and 2 XORs per candidate, and
@@ -93,63 +90,22 @@ class TestGuessPredicate:
     @pytest.mark.parametrize("prime", (17, DEFAULT_PRIME))
     @pytest.mark.parametrize("width", (8, 64, 256))
     def test_agrees_with_oracle(self, width, prime):
+        # equal but distinct copies of the card and of M1 are more leaks to scan
         fx = make_fixture(57, width=width, prime=prime, password="pâté-€-57")
+        other = make_fixture(58, width=width, prime=prime)
         extracted, m1 = intercepted_m1(fx)
-        _, foreign_m1 = intercepted_m1(make_fixture(58, width=width, prime=prime))
-        cards = (extracted, zeroed_card(width))
-        candidates = (fx.password, fx.password.encode(), b"", "naïve", "日本語".encode())
+        _, foreign_m1 = intercepted_m1(other)
+        cards = (extracted, ExtractedCard.from_card(extracted), zeroed_card(width))
+        messages = (m1, pickle.loads(pickle.dumps(m1)), foreign_m1)
+        candidates = (fx.password, fx.password.encode(), other.password, b"", "", "naïve", "日本語".encode(), b"decoy")
         candidates += tuple(f"cand-{i}".encode() for i in range(40))
-        for card, message, candidate in product(cards, (m1, foreign_m1), candidates):
-            verdict = guess_predicate(candidate, card, message)
-            assert verdict == guess_predicate_oracle(candidate, card, message)
-        assert guess_predicate(fx.password, extracted, m1)
-        assert guess_predicate(fx.password.encode(), extracted, m1)
-
-
-class TestPredicateMemo:
-    """The predicate keeps its per-(card, M1) values between calls; verdicts must not care."""
-
-    @staticmethod
-    def victim(seed, width):
-        fx = make_fixture(seed, width=width, prime=17 if width == 8 else DEFAULT_PRIME,
-                          password=f"pâté-€-{seed}")
-        return fx.password, *intercepted_m1(fx)
-
-    def test_interleaved_and_equal_copies_agree_with_oracle(self):
-        steps = []
-        for width in (8, 64, 256):  # consecutive steps cross widths too
-            pw_a, card_a, m1_a = self.victim(100 + width, width)
-            pw_b, card_b, m1_b = self.victim(200 + width, width)
-            card_a2 = ExtractedCard.from_card(card_a)
-            m1_a2 = pickle.loads(pickle.dumps(m1_a))
-            assert card_a2 == card_a and card_a2 is not card_a
-            assert m1_a2 == m1_a and m1_a2 is not m1_a
-            pairs = ((card_a, m1_a), (card_b, m1_b), (card_a, m1_b), (card_a, m1_a),
-                     (card_a2, m1_a), (card_a, m1_a2), (card_a2, m1_a2), (card_b, m1_a))
-            candidates = (pw_a, pw_a.encode(), pw_b, b"", "", "naïve", "日本語".encode(), b"decoy")
-            steps += [(card, m1, cand) for (card, m1), cand in product(pairs, candidates)]
-        hits = 0
-        for card, m1, candidate in steps + steps[::-1]:
-            verdict = guess_predicate(candidate, card, m1)
-            assert verdict == guess_predicate_oracle(candidate, card, m1), (len(card.d1), candidate)
-            hits += verdict
-        # at least pw_a, as str and as bytes, on the five (A, A) pairs of each
-        # width, in both directions; narrow widths add false positives
-        assert hits >= 2 * 5 * 3 * 2
-
-    def test_a_scan_builds_the_memo_once(self, monkeypatch):
-        builds = []
-        build = adversary._scan_constants
-
-        def counting(card, m1):
-            builds.append((card, m1))
-            return build(card, m1)
-
-        monkeypatch.setattr(adversary, "_scan_constants", counting)
-        fx = make_fixture(64)
-        extracted, m1 = intercepted_m1(fx)
-        report = offline_guess(extracted, m1, Dictionary(tuple(f"decoy-{i}".encode() for i in range(5))))
-        assert report.guesses == 5 and builds == [(extracted, m1)]
+        for card, message in product(cards, messages):
+            target = scan_target(card, message)
+            for candidate in candidates:
+                assert guess_predicate(candidate, target) == guess_predicate_oracle(candidate, card, message)
+        target = scan_target(extracted, m1)
+        assert guess_predicate(fx.password, target)
+        assert guess_predicate(fx.password.encode(), target)
 
 
 def scan_tally(evaluations):
@@ -162,9 +118,9 @@ def predicate_calls(monkeypatch):
     calls = []
     predicate = adversary.guess_predicate
 
-    def counting(candidate, card, m1):
+    def counting(candidate, target):
         calls.append(candidate)
-        return predicate(candidate, card, m1)
+        return predicate(candidate, target)
 
     monkeypatch.setattr(adversary, "guess_predicate", counting)
     return calls
@@ -217,6 +173,22 @@ class TestOfflineGuess:
             report = offline_guess(extracted, m1, self.build_dict(fx, 500, plant_at=plant))
             assert report.guesses == plant <= 500
 
+    def test_a_scan_builds_one_target(self, monkeypatch):
+        builds = []
+        build = adversary.scan_target
+
+        def counting(card, m1):
+            builds.append((card, m1))
+            return build(card, m1)
+
+        monkeypatch.setattr(adversary, "scan_target", counting)
+        fx = make_fixture(64)
+        extracted, m1 = intercepted_m1(fx)
+        report = offline_guess(extracted, m1, Dictionary(tuple(f"decoy-{i}".encode() for i in range(5))))
+        assert report.guesses == 5 and builds == [(extracted, m1)]
+        offline_guess(extracted, m1, Dictionary(()))
+        assert builds == [(extracted, m1)] * 2
+
     def test_narrow_hash_collisions_are_flagged(self, predicate_calls):
         # At width 8 the final check is a single-byte comparison, so false
         # positives are common; pinned fixture: 33 candidates verify and the
@@ -231,7 +203,8 @@ class TestOfflineGuess:
         assert report.recovered == b"cand-0002" and report.guesses == 3  # first match wins
         assert predicate_calls == list(dictionary.candidates[:3])  # stopped at the first hit
         assert report.counts.as_dict() == scan_tally(3)
-        matches = [word for word in dictionary if guess_predicate(word, extracted, m1)]
+        target = scan_target(extracted, m1)
+        matches = [word for word in dictionary if guess_predicate(word, target)]
         assert len(matches) == 33 and matches[0] == b"cand-0002" and fx.password in matches
 
     def test_full_width_has_no_false_positives(self):
@@ -241,92 +214,8 @@ class TestOfflineGuess:
         assert offline_guess(extracted, m1, dictionary).recovered == fx.password
         decoys = [word for word in dictionary if word != fx.password]
         assert len(decoys) == 499
-        assert not any(guess_predicate(word, extracted, m1) for word in decoys)
-
-
-def run_interleaved(*jobs, timeout=30.0):
-    """Run each job in its own thread, one thread at a time, switching at random lines.
-
-    Before each line the adversary module executes, the running thread
-    hands the turn to the next one with probability 1/2, drawn from a
-    seeded stream; since only the turn holder runs adversary code, the
-    schedule is the same on every run. A short sys.setswitchinterval cannot
-    give such fine interleavings on every host: where the threads share a
-    core, they switch only when the OS scheduler preempts one, every few
-    milliseconds. Strict alternation at every line is no substitute either:
-    threads running the same code settle into a fixed phase.
-    """
-    coin = random.Random(0)
-    cond = threading.Condition()
-    order = []  # idents of the threads still running, in turn order
-    turn = [None]
-
-    def wait_for_turn(me):
-        if not cond.wait_for(lambda: turn[0] == me, timeout):
-            raise TimeoutError("interleaved run stalled")
-
-    def step(frame, event, arg):
-        if event == "line":
-            me = threading.get_ident()
-            with cond:
-                wait_for_turn(me)
-                if coin.random() < 0.5:
-                    turn[0] = order[(order.index(me) + 1) % len(order)]
-                    cond.notify_all()
-                    wait_for_turn(me)
-        return step
-
-    def trace(frame, event, arg):
-        return step if frame.f_globals is vars(adversary) else None
-
-    def run(job):
-        me = threading.get_ident()
-        with cond:
-            wait_for_turn(me)
-        sys.settrace(trace)
-        try:
-            job()
-        finally:
-            sys.settrace(None)
-            with cond:
-                index = order.index(me)
-                order.remove(me)
-                turn[0] = order[index % len(order)] if order else None
-                cond.notify_all()
-
-    threads = [threading.Thread(target=run, args=(job,)) for job in jobs]
-    for thread in threads:
-        thread.start()
-    with cond:
-        order.extend(thread.ident for thread in threads)
-        turn[0] = order[0]
-        cond.notify_all()
-    for thread in threads:
-        thread.join(timeout)
-        assert not thread.is_alive(), "interleaved run stalled"
-
-
-class TestConcurrentScans:
-    def test_threads_recover_their_own_passwords(self):
-        # Three victims, one scan thread each, switching at random lines: the
-        # predicate's memo changes hands inside many calls, and each scan
-        # must still find its own password at its planted index.
-        scans, expected = [], []
-        for seed, plant_at in ((1, 3), (2, 5), (3, 8)):
-            fx = make_fixture(300 + seed)
-            extracted, m1 = intercepted_m1(fx)
-            words = [f"decoy-{seed}-{i}".encode() for i in range(7)]
-            words.insert(plant_at - 1, fx.password)
-            scans.append((extracted, m1, Dictionary(tuple(words)), []))
-            expected.append([(fx.password, plant_at)] * 50)
-
-        def scan(extracted, m1, dictionary, results):
-            for _ in range(50):
-                report = offline_guess(extracted, m1, dictionary)
-                results.append((report.recovered, report.guesses))
-
-        run_interleaved(*(partial(scan, *job) for job in scans))
-        assert [results for *_, results in scans] == expected
+        target = scan_target(extracted, m1)
+        assert not any(guess_predicate(word, target) for word in decoys)
 
 
 class TestWrongLoginExperiment:

@@ -11,18 +11,25 @@ tests/reference_scheme.py, which gets a random.Random with the same seed and
 draws in the package's order. After every step the cards, session keys and
 reject reasons are bit-equal to the reference, a reject has left the card as
 it was, each party's OpCounts is the exact tally of the exit it took, and
-the two random streams and clocks are in step. At w = 256 two rules also
-hold outright: a flipped message is rejected, and a card corrupted by a
+the two random streams and clocks are in step. The attacker overhears every
+M1 a card sends: after every step, each user's card, extracted as it is
+then, is scanned against every M1 so far with four candidates, and each
+guess_predicate verdict equals the oracle's. At w = 256 three rules also
+hold outright: a flipped message is rejected; a card corrupted by a
 wrong-old password change fails every login, under any password, until it
-is re-issued (the denial of service). At w = 8 a truncation collision can
-let either through, and agreement with the reference is the check.
+is re-issued (the denial of service); and the offline guess accepts, of an
+M1 the server accepted, exactly the current password of an uncorrupted card
+of the same identity, whatever changes and re-issues came between. At w = 8
+a truncation collision can break any of the three, and agreement with the
+reference is the check.
 
 A failing run is reported as found, without shrinking: shrinking a 20-step
-run of the four configurations took 28-94 s, against about 1 s to pass.
+run of the four configurations took 28-94 s, against about 2 s to pass.
 """
 
 import pickle
 import random
+from collections import Counter
 
 import pytest
 
@@ -39,6 +46,7 @@ from hypothesis.stateful import (  # noqa: E402
 
 import reference_scheme as ref  # noqa: E402
 from chebauth import chaotic  # noqa: E402
+from chebauth.adversary import ExtractedCard, guess_predicate, scan_target  # noqa: E402
 from chebauth.chaotic import DEFAULT_PRIME, FieldElement  # noqa: E402
 from chebauth.primitives import LogicalClock, OpCounts, RandomSource, Timestamp  # noqa: E402
 from chebauth.protocol import (  # noqa: E402
@@ -55,6 +63,7 @@ from chebauth.protocol import (  # noqa: E402
     user_handle_response,
     user_login_start,
 )
+from helpers import guess_predicate_oracle  # noqa: E402
 
 CONFIGS = [(8, 101), (8, DEFAULT_PRIME), (256, 101), (256, DEFAULT_PRIME)]
 USERS = (0, 1)
@@ -104,8 +113,13 @@ def flipped(message, field: int, bit: int):
 
 
 class PackageFollowsReference(RuleBasedStateMachine):
-    def __init__(self, width: int, prime: int):
+    def __init__(self, width: int, prime: int, crossed: Counter):
         super().__init__()
+        # guesses checked on an uncorrupted card with an M1 of its identity that
+        # the server accepted before the card's D1 last changed, by whether the
+        # card has the password it was issued with (True: a re-issue came
+        # between; False: a password change did)
+        self.crossed = crossed
         self.width, self.prime = width, prime
         self.delta_t = DEFAULT_DELTA_T
         self.params = Params(prime, width, self.delta_t)
@@ -114,6 +128,8 @@ class PackageFollowsReference(RuleBasedStateMachine):
         self.accepted_m2 = None  # (user, package M2, reference M2) of the last login a card accepted
         self.corrupted = [False, False]  # by a wrong-old password change since the card was issued
         self.issued_with = [None, None]  # the password each card was issued for
+        self.last_typo = [b"~", b"~"]  # the last wrong password each user typed
+        self.overheard = []  # (user, M1, whether the server accepted it, the card's D1) of every M1 sent
 
     @initialize(seed=st.integers(0, 1 << 16))
     def setup(self, seed):
@@ -145,6 +161,7 @@ class PackageFollowsReference(RuleBasedStateMachine):
         self.ref_now += 1
         m1 = session.events[0].message
         assert m1_fields(m1) == ref_m1
+        self.overheard.append((user, m1, session.rejected_by != "server", card.d1))
         self.last_m1 = m1, ref_m1, ref_ctx
         server_result = ref.server_respond(self.ref_mk, self.prime, self.delta_t, ref_m1, self.ref_now, self.ref_rng)
         if isinstance(server_result, str):
@@ -175,7 +192,8 @@ class PackageFollowsReference(RuleBasedStateMachine):
 
     @rule(user=st.sampled_from(USERS), typo=passwords)
     def wrong_password_login(self, user, typo):
-        self.login(user, self.passwords[user] + b"~" + typo)
+        self.last_typo[user] = self.passwords[user] + b"~" + typo
+        self.login(user, self.last_typo[user])
 
     @rule(user=st.sampled_from(USERS), new=passwords, right_old=st.booleans())
     def change(self, user, new, right_old):
@@ -264,6 +282,7 @@ class PackageFollowsReference(RuleBasedStateMachine):
         self.clock.advance(1)
         self.ref_now += 1
         result = server_handle_login(self.server, m1, self.clock, self.rng, counts=server_counts)
+        self.overheard.append((user, m1, not isinstance(result, Reject), card.d1))
         ref_result = ref.server_respond(
             self.ref_mk, self.prime, self.delta_t, m1_fields(m1), self.ref_now, self.ref_rng)
         assert server_counts == SERVER_TALLY[outcome(result)]
@@ -316,6 +335,23 @@ class PackageFollowsReference(RuleBasedStateMachine):
                 assert not (session.ok and self.width == 256)
 
     @invariant()
+    def offline_guess_follows_oracle(self):
+        # k = h(h(ID) || mk) depends on the identity and the master key alone:
+        # a password change or a re-issue re-encodes the same k, so it does
+        # not retire an M1 overheard before it
+        for user in USERS:
+            card, current = ExtractedCard.from_card(self.cards[user]), self.passwords[user]
+            for owner, m1, accepted, d1 in self.overheard:
+                target = scan_target(card, m1)
+                crossed = owner == user and accepted and d1 != card.d1 and not self.corrupted[user]
+                self.crossed[self.issued_with[user] == current] += crossed
+                for candidate in (current, self.issued_with[user], self.last_typo[user], b"decoy"):
+                    verdict = guess_predicate(candidate, target)
+                    assert verdict == guess_predicate_oracle(candidate, card, m1)
+                    if self.width == 256 and (accepted or owner != user):
+                        assert verdict == (owner == user and not self.corrupted[user] and candidate == current)
+
+    @invariant()
     def cards_match_reference(self):
         assert [card_fields(card) for card in self.cards] == self.ref_cards
 
@@ -328,8 +364,11 @@ class PackageFollowsReference(RuleBasedStateMachine):
 
 @pytest.mark.parametrize("width, prime", CONFIGS, ids=["w8-p101", "w8-p256", "w256-p101", "w256-p256"])
 def test_package_follows_reference(width, prime):
+    crossed = Counter()
     run_state_machine_as_test(
-        lambda: PackageFollowsReference(width, prime),
-        settings=settings(max_examples=10, stateful_step_count=20, deadline=None, derandomize=True,
+        lambda: PackageFollowsReference(width, prime, crossed),
+        settings=settings(max_examples=20, stateful_step_count=20, deadline=None, derandomize=True,
                           database=None, phases=[phase for phase in Phase if phase is not Phase.shrink]),
     )
+    # the run crossed both a password change and a re-issue with an accepted M1
+    assert crossed[False] and crossed[True]

@@ -29,7 +29,7 @@ import random
 from functools import cache
 
 import reference_scheme as ref
-from chebauth.adversary import (ExperimentInvalid, ExtractedCard, dos_experiment, guess_predicate,
+from chebauth.adversary import (ExperimentInvalid, ExtractedCard, dos_experiment, guess_predicate, scan_target,
                                 wrong_login_experiment)
 from chebauth.protocol import DEFAULT_DELTA_T, user_login_start
 
@@ -137,9 +137,10 @@ def decoy_runs() -> tuple:
         fx = make_fixture(seed, width=WIDTH, prime=PRIME)
         card = ExtractedCard.from_card(fx.card)
         m1, _ = user_login_start(fx.card, fx.password, fx.clock, fx.rng, fx.server.params)
-        assert guess_predicate(fx.password, card, m1)
+        target = scan_target(card, m1)
+        assert guess_predicate(fx.password, target)
         key = ref.h(WIDTH // 8, ref.h(WIDTH // 8, fx.identity), fx.server.mk)
-        runs.append((card, key, m1, tuple(guess_predicate(f"decoy-{i}", card, m1) for i in range(DECOYS))))
+        runs.append((card, key, m1, tuple(guess_predicate(f"decoy-{i}", target) for i in range(DECOYS))))
     return tuple(runs)
 
 
