@@ -43,10 +43,6 @@ _DEFAULT_IDENTITY = "alice"
 _DEFAULT_PASSWORD = "sunrise77"
 
 
-class ConfigError(Exception):
-    """Bad flags, unreadable files, or an invalid fixture."""
-
-
 def _setup(args: argparse.Namespace):
     """Common fixture: server, protocol rng (a distinct stream), clock, card."""
     server = server_setup(args.seed, Params(args.prime, args.width, args.delta_t))
@@ -126,10 +122,7 @@ def cmd_honest_run(args: argparse.Namespace, server, rng, clock, card):
 
 def cmd_guess_attack(args: argparse.Namespace, server, rng, clock, card):
     """Eavesdrop one honest login, extract the card, scan the dictionary."""
-    try:
-        dictionary = Dictionary.from_file(args.dictionary)
-    except (OSError, ValueError) as exc:
-        raise ConfigError(str(exc)) from exc
+    dictionary = Dictionary.from_file(args.dictionary)
     session, entry = _login(1, args, server, card, clock, rng)
     m1 = session.events[0].message
     attack, wall_time_s = _timed(offline_guess, card, m1, dictionary)  # the card state the login used
@@ -277,15 +270,15 @@ def _read_fixture(path: str) -> dict:
         with open(path, encoding="utf-8") as handle:
             loaded = json.load(handle)
     except (OSError, ValueError, RecursionError) as exc:  # RecursionError: JSON nested too deep
-        raise ConfigError(f"cannot read fixture file: {exc}") from exc
+        raise ValueError(f"cannot read fixture file: {exc}") from exc
     if not isinstance(loaded, dict):
-        raise ConfigError("fixture file must hold a JSON object")
+        raise ValueError("fixture file must hold a JSON object")
     unknown = set(loaded) - set(_FIXTURE_KEYS)
     if unknown:
-        raise ConfigError(f"unknown fixture keys: {sorted(unknown)}")
+        raise ValueError(f"unknown fixture keys: {sorted(unknown)}")
     not_text = sorted(key for key, value in loaded.items() if not isinstance(value, str))
     if not_text:
-        raise ConfigError(f"fixture values must be strings: {not_text}")
+        raise ValueError(f"fixture values must be strings: {not_text}")
     return loaded
 
 
@@ -302,9 +295,9 @@ def _config_from_args(args: argparse.Namespace) -> None:
     values.setdefault("new_password", values["password"] + "-new")
     vars(args).update(values)
     if args.seed < 0:  # RandomSource refuses it too; this check names the flag
-        raise ConfigError(f"--seed must be a non-negative integer: {args.seed}")
+        raise ValueError(f"--seed must be a non-negative integer: {args.seed}")
     if args.channel_delay < 0:  # the clock refuses it too; this check names the flag
-        raise ConfigError(f"--channel-delay must be a non-negative integer: {args.channel_delay}")
+        raise ValueError(f"--channel-delay must be a non-negative integer: {args.channel_delay}")
 
 
 def _emit(report: dict, out: str | None):
@@ -321,7 +314,7 @@ def main(argv=None) -> int:
     try:
         _config_from_args(args)
         report = run_command(args)
-    except (ConfigError, ExperimentInvalid, ValueError) as exc:
+    except (ExperimentInvalid, OSError, ValueError) as exc:
         print(f"chebauth: error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     try:

@@ -70,13 +70,20 @@ class Params(Frozen):
 
 
 class ServerState(Frozen):
-    """Long-term server state: master key (bytes) and the run's Params.
+    """Long-term server state: the run's Params and a master key of exactly their width in bytes.
 
     There is no per-user table; identities are recovered from the pseudonym
     pair carried in each login request.
     """
 
     __slots__ = __match_args__ = ("mk", "params")
+
+    def __init__(self, mk: bytes, params: Params):
+        if type(params) is not Params or type(mk) is not bytes:
+            raise TypeError(f"server state takes bytes and a Params: {[type(f).__name__ for f in (mk, params)]}")
+        if len(mk) != params.width // 8:
+            raise ValueError(f"master key of {8 * len(mk)} bits, but Params set width {params.width}")
+        self._fill(mk, params)
 
 
 class SmartCard(Frozen):
@@ -92,6 +99,7 @@ class SmartCard(Frozen):
             widths = sorted({8 * len(im1), 8 * len(im2), 8 * len(d1), 8 * len(d2)})
             problem = "may not be empty" if 0 in widths else "disagree on width"
             raise ValueError(f"card fields {problem}: {widths}")
+        _check_width(8 * n)
         self._fill(im1, im2, d1, d2)
 
 

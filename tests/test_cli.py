@@ -1,3 +1,4 @@
+import errno
 import hashlib
 import json
 import os
@@ -178,6 +179,17 @@ class TestGuessAttack:
     def test_missing_dictionary_file(self, tmp_path):
         status, report = run(tmp_path, "guess-attack", "--dict", str(tmp_path / "nope.txt"))
         assert status == 3 and report is None
+
+    @pytest.mark.parametrize("name, error", [("nope.txt", errno.ENOENT), ("words.d", errno.EISDIR)],
+                             ids=["missing", "directory"])
+    def test_unreadable_dictionary_prints_the_os_error(self, tmp_path, capsys, name, error):
+        # the OSError from reading the list reaches main as it was raised
+        path = tmp_path / name
+        if error == errno.EISDIR:
+            path.mkdir()
+        status, report = run(tmp_path, "guess-attack", "--dict", str(path))
+        assert status == 3 and report is None and not (tmp_path / "report.json").exists()
+        assert capsys.readouterr().err == f"chebauth: error: [Errno {error}] {os.strerror(error)}: {str(path)!r}\n"
 
     def test_dict_flag_required(self, tmp_path, capsys):
         # argparse refuses the run, as it refuses any usage error: exit 3, no report
@@ -488,3 +500,23 @@ class TestPlumbing:
         result = subprocess.run([sys.executable, "-c", code], env=env,
                                 capture_output=True, text=True, check=True)
         assert result.stdout == "[]\n"
+
+
+# honest-run's two README invocations, exit 0 and 2, with their written digests, then a refused run
+ENTRY_POINT_RUNS = [(argv, status, written) for argv, status, _, written in GOLDEN_REPORTS[:2]]
+ENTRY_POINT_RUNS.append((("guess-attack", "--dict", "nope.txt"), 3, None))
+
+
+@pytest.mark.parametrize("argv, status, written_digest", ENTRY_POINT_RUNS, ids=["ok", "contradicted", "refused"])
+def test_module_entry_point_exits_with_the_status(tmp_path, argv, status, written_digest):
+    # python -m chebauth.cli, in development mode with every warning an error
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    result = subprocess.run([sys.executable, "-X", "dev", "-W", "error", "-m", "chebauth.cli", *argv],
+                            cwd=tmp_path, env=env, capture_output=True, text=True)
+    assert result.returncode == status
+    if written_digest is None:
+        assert result.stdout == "" and result.stderr.startswith("chebauth: error: ")
+        assert result.stderr.count("\n") == 1 and result.stderr.endswith("\n")
+    else:
+        assert result.stderr == ""
+        assert sha256(mask_wall_time(result.stdout)) == written_digest

@@ -28,6 +28,7 @@ from chebauth.protocol import (
     Params,
     Reject,
     RejectReason,
+    ServerState,
     SmartCard,
     change_password,
     registration,
@@ -81,6 +82,24 @@ class TestServerSetup:
         params = Params(101, 64, 3)
         assert server_setup(1, params).params is params
         assert server_setup(1).params == Params() == Params(DEFAULT_PRIME, DEFAULT_WIDTH, DEFAULT_DELTA_T)
+
+    @pytest.mark.parametrize("mk", [bytes(40), bytes(8)], ids=["320-bit", "64-bit"])
+    def test_state_refuses_a_master_key_not_of_its_width(self, mk):
+        # 40 bytes failed registration's XOR after b and r were drawn; 8 ran the scheme at 64 bits
+        with pytest.raises(ValueError, match=rf"^master key of {8 * len(mk)} bits, but Params set width 256$"):
+            ServerState(mk, Params())
+        assert ServerState(bytes(32), Params()).mk == bytes(32)
+        assert ServerState(bytes(1), Params(width=8)).mk == bytes(1)
+
+    @pytest.mark.parametrize("mk, params, names", [
+        ("x", Params(width=8), "['str', 'Params']"),
+        (bytearray(32), Params(), "['bytearray', 'Params']"),
+        (bytes(32), SimpleNamespace(p=9, width=256, delta_t=-1), "['bytes', 'SimpleNamespace']"),
+        (bytes(32), None, "['bytes', 'NoneType']"),
+    ], ids=["str", "bytearray", "namespace", "None"])
+    def test_state_refuses_anything_but_bytes_and_params(self, mk, params, names):
+        with pytest.raises(TypeError, match=rf"^server state takes bytes and a Params: {re.escape(names)}$"):
+            ServerState(mk, params)
 
     def test_params_are_primality_tested_once_not_per_setup(self, monkeypatch):
         tested = []
@@ -738,6 +757,14 @@ class TestBytesFields:
         with pytest.raises(ValueError, match=r"^card fields disagree on width: \[32, 40\]$"):
             card_type(bytes(4), bytes(4), bytes(4), bytes(5))
         card_type(bytes(1), bytes(1), bytes(1), bytes(1))  # one byte a field, the narrowest width
+
+    @pytest.mark.parametrize("card_type", [SmartCard, ExtractedCard])
+    def test_fields_wider_than_h_are_a_value_error(self, card_type):
+        # a 33-byte card drew u at login, then failed its first XOR; the guess predicate said False
+        with pytest.raises(ValueError, match=r"^width must be a multiple of 8 in \[8, 256\], got 264$"):
+            card_type(*[bytes(33)] * 4)
+        for n in (1, 32):
+            assert card_type(*[bytes(n)] * 4).d1 == bytes(n)
 
     @pytest.mark.parametrize("width", [8, 256])
     def test_every_stored_and_sent_string_is_exact_bytes_of_the_width(self, width):
