@@ -39,9 +39,6 @@ EXIT_OK = 0
 EXIT_CONTRADICTED = 2
 EXIT_CONFIG = 3
 
-_DEFAULT_IDENTITY = "alice"
-_DEFAULT_PASSWORD = "sunrise77"
-
 
 def _setup(args: argparse.Namespace):
     """Common fixture: server, protocol rng (a distinct stream), clock, card."""
@@ -245,9 +242,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--delta-t", type=int, default=DEFAULT_DELTA_T, help="freshness window, ticks")
         p.add_argument("--channel-delay", type=int, default=1, help="per-leg delivery delay, ticks")
         p.add_argument("--out", default=None, help="write the JSON report here instead of stdout")
-        p.add_argument("--fixture", default=None, help="JSON file with identity/password fields")
-        p.add_argument("--id", dest="identity", default=None)
-        p.add_argument("--password", default=None)
+        p.add_argument("--id", dest="identity", default="alice")
+        p.add_argument("--password", default="sunrise77")
         if command == "guess-attack":
             p.add_argument("--dict", dest="dictionary", required=True, help="password list, one per line")
             p.add_argument("--expect-miss", action="store_true",
@@ -262,38 +258,11 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-_FIXTURE_KEYS = ("identity", "password", "wrong_password", "wrong_old_password", "new_password")
-
-
-def _read_fixture(path: str) -> dict:
-    try:
-        with open(path, encoding="utf-8") as handle:
-            loaded = json.load(handle)
-    except (OSError, ValueError, RecursionError) as exc:  # RecursionError: JSON nested too deep
-        raise ValueError(f"cannot read fixture file: {exc}") from exc
-    if not isinstance(loaded, dict):
-        raise ValueError("fixture file must hold a JSON object")
-    unknown = set(loaded) - set(_FIXTURE_KEYS)
-    if unknown:
-        raise ValueError(f"unknown fixture keys: {sorted(unknown)}")
-    not_text = sorted(key for key, value in loaded.items() if not isinstance(value, str))
-    if not_text:
-        raise ValueError(f"fixture values must be strings: {not_text}")
-    return loaded
-
-
 def _config_from_args(args: argparse.Namespace) -> None:
-    """Resolve the fixture file, flag overrides and derived passwords into args (argparse parsed the ints)."""
-    values = {"identity": _DEFAULT_IDENTITY, "password": _DEFAULT_PASSWORD}
-    if args.fixture:
-        values.update(_read_fixture(args.fixture))
-    for key in _FIXTURE_KEYS:
-        if getattr(args, key, None) is not None:  # explicit flags win over the file
-            values[key] = getattr(args, key)
-    values.setdefault("wrong_password", values["password"] + "-typo")
-    values.setdefault("wrong_old_password", values["password"] + "-typo")
-    values.setdefault("new_password", values["password"] + "-new")
-    vars(args).update(values)
+    """Derive each password no flag set from --password; refuse a negative --seed or --channel-delay."""
+    for key, suffix in (("wrong_password", "-typo"), ("wrong_old_password", "-typo"), ("new_password", "-new")):
+        if getattr(args, key, None) is None:
+            setattr(args, key, args.password + suffix)
     if args.seed < 0:  # RandomSource refuses it too; this check names the flag
         raise ValueError(f"--seed must be a non-negative integer: {args.seed}")
     if args.channel_delay < 0:  # the clock refuses it too; this check names the flag

@@ -172,9 +172,11 @@ def user_login_start(
     """
     if type(params) is not Params:  # a look-alike skips Params' checks
         raise TypeError(f"params must be a Params, got {type(params).__name__}")
+    n = len(card.d2)
+    if n != params.width // 8:  # refused before u is drawn, as ServerState refuses its master key
+        raise ValueError(f"card of {8 * n} bits, but Params set width {params.width}")
     password = as_bytes(password)
     u = rng.draw_exponent()
-    n = len(card.d2)
     b = xor_bytes(card.d2, h_digest(n, password))
     k = xor_bytes(card.d1, h_digest(n, password, b))
     tuk = cheb_eval(u, bits_to_field(k, params.p))

@@ -358,6 +358,19 @@ class TestLogin:
         assert fx.rng.draw_exponent() == rng_before.draw_exponent()
         assert fx.clock.now() == LogicalClock().now()
 
+    @pytest.mark.parametrize("server_width, card_width", [(256, 8), (8, 256)], ids=["narrow-card", "wide-card"])
+    def test_login_refuses_a_card_not_of_the_params_width_before_any_draw(self, server_width, card_width):
+        # a 1-byte card at a 256-bit server drew u, evaluated the map mod the
+        # 256-bit prime and moved the clock before the server rejected M1
+        primes = {8: 17, 256: DEFAULT_PRIME}
+        server = make_fixture(5, width=server_width, prime=primes[server_width]).server
+        fx = make_fixture(6, width=card_width, prime=primes[card_width])
+        rng_before = copy.deepcopy(fx.rng)
+        with pytest.raises(ValueError, match=rf"^card of {card_width} bits, but Params set width {server_width}$"):
+            run_login_session(server, fx.card, fx.password, fx.clock, fx.rng)
+        assert fx.rng.draw_exponent() == rng_before.draw_exponent()
+        assert fx.clock.now() == LogicalClock().now()
+
     def test_a_login_ends_on_the_card_and_window_it_started_with(self):
         # M2 arrives 50 ticks late: the window that judges it is the one of
         # the Params the login started with, and every reject of the second
@@ -519,7 +532,7 @@ class TestEdges:
         # rejected before freshness and before any hash, XOR, draw or memo
         # write, as is a byte field or T1 of the wrong type
         fx, narrow = make_fixture(60), make_fixture(61, width=64)
-        m1, _ = user_login_start(narrow.card, narrow.password, fx.clock, fx.rng, fx.server.params)
+        m1, _ = user_login_start(narrow.card, narrow.password, fx.clock, fx.rng, narrow.server.params)
         wide, _ = user_login_start(fx.card, fx.password, fx.clock, fx.rng, fx.server.params)
         stale_clock = clock_at(wide.t1.ticks + fx.server.params.delta_t + 1)
         for malformed in (

@@ -1,4 +1,4 @@
-"""The README's Python examples run against the package as it is, and it names every CLI option."""
+"""The README's Python examples run against the package as it is, and its CLI section names exactly the CLI's options."""
 
 import argparse
 import re
@@ -16,17 +16,30 @@ def test_readme_python_examples_run():
         exec(compile(block, str(README), "exec"), {})
 
 
-def test_readme_names_every_cli_option():
+def cli_options():
+    """Every --option of build_parser() and its subcommands, --help aside."""
     parser = build_parser()
     subparsers = next(action for action in parser._actions if isinstance(action, argparse._SubParsersAction))
-    options = {
+    return {
         option
         for command in (parser, *subparsers.choices.values())
         for action in command._actions
         for option in action.option_strings
         if option.startswith("--") and option != "--help"
     }
+
+
+def test_readme_names_every_cli_option():
+    options = cli_options()
     assert "--dict" in options and "--new-password" in options
     readme = README.read_text(encoding="utf-8")
     missing = sorted(option for option in options if not re.search(rf"(?<![\w-]){option}(?![\w-])", readme))
     assert missing == []
+
+
+def test_readme_cli_section_names_no_stale_option():
+    readme = README.read_text(encoding="utf-8")
+    section = readme[readme.index("\n## CLI\n"):readme.index("\n## Library\n")]
+    named = set(re.findall(r"(?<![\w-])--[a-z][\w-]*", section))
+    assert "--out" in named and "--correct-old-password" in named
+    assert sorted(named - cli_options()) == []
