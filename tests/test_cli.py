@@ -318,6 +318,28 @@ class TestPlumbing:
             assert exc.value.code == 3 and not (tmp_path / "report.json").exists()
             assert capsys.readouterr().err == f"chebauth: error: unrecognized arguments: {' '.join(flags)}\n"
 
+    @pytest.mark.parametrize("command", list(cli._COMMANDS))
+    def test_fixture_flag_is_unrecognized_by_every_command(self, tmp_path, capsys, command):
+        missing = str(tmp_path / "fixture.json")
+        extra = ["--dict", write_dictionary(tmp_path, ["sunrise77"])] if command == "guess-attack" else []
+        with pytest.raises(SystemExit) as exc:
+            run(tmp_path, command, *extra, "--fixture", missing)
+        assert exc.value.code == 3 and not (tmp_path / "report.json").exists()
+        assert capsys.readouterr().err == f"chebauth: error: unrecognized arguments: --fixture {missing}\n"
+
+    @pytest.mark.parametrize("command, derived", [
+        ("honest-run", {}),
+        ("guess-attack", {}),
+        ("wrong-login-demo", {"wrong_password": "pw-typo"}),
+        ("dos-demo", {"wrong_old_password": "pw-typo", "new_password": "pw-new", "correct_old_password": False}),
+    ])
+    def test_fixture_echo_derives_each_password_no_flag_set(self, tmp_path, command, derived):
+        # --id keeps its default and each derived password follows --password
+        extra = ["--dict", write_dictionary(tmp_path, ["pw"])] if command == "guess-attack" else []
+        status, report = run(tmp_path, command, *extra, "--password", "pw")
+        assert status == 0
+        assert report["config"]["fixture"] == {"identity": "alice", "password": "pw", **derived}
+
     def test_no_command_exits_3_with_one_line(self, capsys):
         with pytest.raises(SystemExit) as exc:
             cli.main([])

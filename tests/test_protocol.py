@@ -358,11 +358,13 @@ class TestLogin:
         assert fx.rng.draw_exponent() == rng_before.draw_exponent()
         assert fx.clock.now() == LogicalClock().now()
 
-    @pytest.mark.parametrize("server_width, card_width", [(256, 8), (8, 256)], ids=["narrow-card", "wide-card"])
+    @pytest.mark.parametrize("server_width, card_width", [(256, 8), (8, 256), (256, 64), (64, 256)],
+                             ids=["narrow-card", "wide-card", "64-bit-card-same-prime", "256-bit-card-same-prime"])
     def test_login_refuses_a_card_not_of_the_params_width_before_any_draw(self, server_width, card_width):
         # a 1-byte card at a 256-bit server drew u, evaluated the map mod the
-        # 256-bit prime and moved the clock before the server rejected M1
-        primes = {8: 17, 256: DEFAULT_PRIME}
+        # 256-bit prime and moved the clock before the server rejected M1; the
+        # width alone decides, also where card and server share their prime
+        primes = {8: 17, 64: DEFAULT_PRIME, 256: DEFAULT_PRIME}
         server = make_fixture(5, width=server_width, prime=primes[server_width]).server
         fx = make_fixture(6, width=card_width, prime=primes[card_width])
         rng_before = copy.deepcopy(fx.rng)

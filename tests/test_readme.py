@@ -37,9 +37,19 @@ def test_readme_names_every_cli_option():
     assert missing == []
 
 
-def test_readme_cli_section_names_no_stale_option():
-    readme = README.read_text(encoding="utf-8")
+def cli_section_options(readme):
+    """Every --option named in the README's CLI section, up to its Library section."""
     section = readme[readme.index("\n## CLI\n"):readme.index("\n## Library\n")]
-    named = set(re.findall(r"(?<![\w-])--[a-z][\w-]*", section))
+    return set(re.findall(r"(?<![\w-])--[a-z][\w-]*", section))
+
+
+def test_readme_cli_section_names_no_stale_option():
+    named = cli_section_options(README.read_text(encoding="utf-8"))
     assert "--out" in named and "--correct-old-password" in named
     assert sorted(named - cli_options()) == []
+
+
+def test_stale_option_check_catches_a_fixture_mention():
+    readme = README.read_text(encoding="utf-8")
+    stale = readme.replace("\n## Library\n", "\nCommon flags: `--fixture FILE`.\n\n## Library\n", 1)
+    assert sorted(cli_section_options(stale) - cli_options()) == ["--fixture"]
