@@ -20,6 +20,8 @@ RandomSource.draw_exponent draws below, costs one product per bit. Only
 _tabulate fills that process-wide memo.
 """
 
+from math import isqrt
+
 from ._value import Frozen
 
 #: Name of the evaluation kernel. There is one; the CLI reports carry it.
@@ -37,12 +39,16 @@ class FieldElement(Frozen):
     The modulus is assumed prime; protocol.Params validates primality once
     (see is_probable_prime), not on every element. An odd p > 3 keeps
     T_0, T_1 and the doubling identities non-degenerate and makes 2
-    invertible, which the V-form kernel's final halving needs.
+    invertible, which the V-form kernel's final halving needs. A value or
+    modulus that is not exactly an int (a float, a bool) is refused with
+    TypeError, as Timestamp and Params refuse theirs.
     """
 
     __slots__ = __match_args__ = ("value", "p")
 
     def __init__(self, value: int, p: int):
+        if not type(value) is type(p) is int:
+            raise TypeError(f"FieldElement fields must be ints: {[type(f).__name__ for f in (value, p)]}")
         if p <= 3 or p % 2 == 0:
             raise ValueError("modulus must be a prime greater than 3")
         if not 0 <= value < p:
@@ -134,34 +140,70 @@ def bits_to_field(bits: bytes, p: int) -> FieldElement:
     return FieldElement(int.from_bytes(bits, "big") % p, p)
 
 
-_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+_SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+
+
+def _jacobi(a: int, n: int) -> int:
+    """The Jacobi symbol (a/n) for odd n > 0, by quadratic reciprocity."""
+    a %= n
+    result = 1
+    while a:
+        while a % 2 == 0:
+            a //= 2
+            if n % 8 in (3, 5):
+                result = -result
+        a, n = n, a
+        if a % 4 == n % 4 == 3:
+            result = -result
+        a %= n
+    return result if n == 1 else 0
 
 
 def is_probable_prime(n: int) -> bool:
-    """Miller-Rabin primality check.
+    """Baillie-PSW primality check; no composite that passes it is known.
 
-    Deterministic for n < 3.3e24 with the fixed base set; for larger n a
-    strong pseudoprime to all twelve bases is not a practical concern for
-    validating configuration input.
+    Trial division by the primes up to 37, one strong (Miller-Rabin) round to
+    base 2, then the almost-extra-strong Lucas test (Baillie, Fiori and
+    Wagstaff, "Strengthening the Baillie-PSW primality test", Math. Comp. 90,
+    2021): with the least P >= 3 for which (P^2 - 4 / n) = -1 and
+    n + 1 = d*2^s, n passes iff V_d = +-2 or V_{d*2^r} = 0 for some r < s - 1,
+    where V_k = V_k(P, 1) = 2*T_k(P/2) mod n is cheb_eval's own sequence.
+    A fixed set of Miller-Rabin bases would not do: composites that pass
+    every base up to 37 are known, and more can be built for any set.
     """
     if n < 2:
         return False
-    for q in _MR_BASES:
+    for q in _SMALL_PRIMES:
         if n % q == 0:
             return n == q
-    d = n - 1
-    s = 0
+    d, s = n - 1, 0
     while d % 2 == 0:
         d //= 2
         s += 1
-    for a in _MR_BASES:
-        y = pow(a, d, n)
-        if y == 1 or y == n - 1:
-            continue
+    y = pow(2, d, n)
+    if y != 1 and y != n - 1:
         for _ in range(s - 1):
             y = y * y % n
             if y == n - 1:
                 break
         else:
             return False
-    return True
+    if isqrt(n) ** 2 == n:  # no P would give -1
+        return False
+    P = 3
+    while (symbol := _jacobi(P * P - 4, n)) == 1:
+        P += 1
+    if symbol == 0:  # a factor shared with P^2 - 4; a prime n > 37 meets a -1 before P = n - 2
+        return False
+    d, s = n + 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    v = 2 * cheb_eval(d, FieldElement(P * pow(2, -1, n) % n, n)).value % n
+    if v == 2 or v == n - 2:
+        return True
+    for _ in range(s - 1):
+        if v == 0:
+            return True
+        v = (v * v - 2) % n
+    return False

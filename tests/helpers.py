@@ -9,6 +9,11 @@ from chebauth.primitives import DEFAULT_WIDTH, LogicalClock, RandomSource
 from chebauth.protocol import DEFAULT_DELTA_T, Params, registration, server_setup
 from reference_scheme import field, h, tick, xor
 
+#: The least strong pseudoprimes to every prime base up to 37 and up to 41
+#: (Sorenson and Webster, "Strong pseudoprimes to twelve prime bases", 2017).
+PSI_12 = 318665857834031151167461  # 399165290221 * 798330580441
+PSI_13 = 3317044064679887385961981
+
 
 def cheb_naive(n: int, x: int, p: int) -> int:
     """Reference oracle: the literal O(n) linear recurrence.

@@ -1,17 +1,12 @@
 """Bit strings are plain bytes everywhere; BitString is only a shell.
 
-Outside primitives no module of the package names BitString, or imports or
-calls the public adapters hash_h, hash_H, xor and concat, which take and
-return bytes of the requested width and count nothing; the package root
-re-exports none of them. The one import kept is adversary's hash_h, whose
-binding the benchmark's tracer tests read. Running every CLI command and an
-offline guess builds no BitString, counted by replacing its construction
-hook as the benchmark's tracer does.
+Running every CLI command and an offline guess builds no BitString, counted
+by replacing its construction hook as the benchmark's tracer does.
+test_source_rules.py keeps every module but primitives off it and the adapters.
 """
 
 import ast
 import inspect
-from pathlib import Path
 
 import pytest
 
@@ -22,58 +17,6 @@ from chebauth.primitives import BitString, OpCounts, Timestamp, concat, hash_H, 
 from chebauth.protocol import run_login_session
 
 from helpers import make_fixture
-
-PACKAGE = Path(__file__).resolve().parent.parent / "src" / "chebauth"
-MODULES = sorted(path for path in PACKAGE.glob("*.py") if path.name != "primitives.py")
-ADAPTERS = {"hash_h", "hash_H", "xor", "concat"}
-KEPT_IMPORTS = {"adversary.py": {"hash_h"}}  # perfbench/test_bench_tracer.py reads adversary.hash_h
-
-
-def bitstring_uses(source: str, kept=frozenset()) -> list[str]:
-    """Each naming of BitString and each import or call of an adapter in source, as "what (line n)".
-
-    An import of a name in kept is not reported.
-    """
-    found = []
-    for node in ast.walk(ast.parse(source)):
-        if isinstance(node, ast.alias) and node.name in (ADAPTERS | {"BitString"}) - kept:
-            found.append((node.lineno, f"import {node.name}"))
-        elif isinstance(node, ast.Name) and node.id == "BitString":
-            found.append((node.lineno, "BitString"))
-        elif isinstance(node, ast.Attribute) and node.attr == "BitString":
-            found.append((node.lineno, ".BitString"))
-        elif isinstance(node, ast.Call):
-            func = node.func
-            name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
-            if name in ADAPTERS:
-                found.append((node.lineno, f"{name}()"))
-    return [f"{what} (line {line})" for line, what in sorted(found)]
-
-
-@pytest.mark.parametrize("path", MODULES, ids=[path.name for path in MODULES])
-def test_no_module_but_primitives_uses_bitstring_or_the_adapters(path):
-    source = path.read_text(encoding="utf-8")
-    assert bitstring_uses(source, KEPT_IMPORTS.get(path.name, frozenset())) == []
-
-
-def test_checker_finds_names_imports_and_calls():
-    source = (
-        "from .primitives import BitString, hash_h  # noqa: F401\n"
-        "import chebauth.primitives as p\n"
-        "x = p.BitString(b'a')\n"
-        "y = p.xor(a, b)\n"
-        "z = concat([a])\n"
-        "hash_H\n"
-        "from . import xor as exclusive_or, hash_H\n"
-    )
-    assert bitstring_uses(source) == [
-        "import BitString (line 1)", "import hash_h (line 1)", ".BitString (line 3)", "xor() (line 4)",
-        "concat() (line 5)", "import hash_H (line 7)", "import xor (line 7)",
-    ]
-    assert bitstring_uses(source, {"hash_h"}) == [
-        "import BitString (line 1)", ".BitString (line 3)", "xor() (line 4)",
-        "concat() (line 5)", "import hash_H (line 7)", "import xor (line 7)",
-    ]
 
 
 def test_bitstring_is_only_its_fields_and_construction_hook():

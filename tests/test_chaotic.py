@@ -1,4 +1,5 @@
 import random
+from itertools import takewhile
 
 import pytest
 
@@ -6,7 +7,7 @@ from chebauth import chaotic
 from chebauth._cheb_pure import cheb_eval_int as pure_eval
 from chebauth.chaotic import DEFAULT_PRIME, FieldElement, bits_to_field, cheb_eval, is_probable_prime
 
-from helpers import cheb_naive, cheb_naive_sequence
+from helpers import PSI_12, PSI_13, cheb_naive, cheb_naive_sequence
 
 
 def fe(value, p):
@@ -29,6 +30,11 @@ class TestFieldElement:
         for p in (4, 18, 1 << 256):
             with pytest.raises(ValueError, match="modulus must be a prime greater than 3"):
                 FieldElement(0, p)
+
+    @pytest.mark.parametrize("value, p", [(1.5, 101), (5, 101.0), (True, 101)], ids=["float", "float-p", "bool"])
+    def test_non_int_fields_rejected(self, value, p):
+        with pytest.raises(TypeError, match=r"^FieldElement fields must be ints: "):
+            FieldElement(value, p)
 
     def test_serialization_is_fixed_width(self):
         assert fe(3, 17).to_bytes() == b"\x03"
@@ -240,9 +246,18 @@ class TestPrimality:
         assert not is_probable_prime(561)  # Carmichael
         assert not is_probable_prime(DEFAULT_PRIME - 1)
 
-    @pytest.mark.parametrize("n", [41 * 43, 151 * 751 * 28351], ids=["1763", "3215031751"])
+    @pytest.mark.parametrize("n", [41 * 43, 151 * 751 * 28351, PSI_12, PSI_13],
+                             ids=["1763", "3215031751", "psi12", "psi13"])
     def test_composite_rejected_by_a_witness(self, n):
-        # no factor below 38, so trial division by the bases passes it and only a
-        # witness rejects it; 3215031751 is a strong pseudoprime to 2, 3, 5 and 7, so 11 does
+        # no factor below 38, so trial division passes it and only the base-2 round
+        # or the Lucas test rejects it; 3215031751 is a strong pseudoprime to 2, 3, 5
+        # and 7, and psi12 and psi13 to every prime base up to 37 and up to 41
         assert all(n % q for q in range(2, 38))
         assert not is_probable_prime(n)
+
+    def test_agrees_with_trial_division_below_100000(self):
+        primes = []
+        for n in range(2, 10**5):
+            if all(n % q for q in takewhile(lambda q: q * q <= n, primes)):
+                primes.append(n)
+        assert [n for n in range(10**5) if is_probable_prime(n)] == primes

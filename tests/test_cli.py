@@ -13,7 +13,7 @@ import pytest
 from chebauth import cli
 from chebauth.adversary import DosReport
 from chebauth.primitives import OpCounts
-from helpers import mask_wall_time, strip_wall_time
+from helpers import PSI_12, PSI_13, mask_wall_time, strip_wall_time
 
 ROOT = Path(__file__).resolve().parent.parent
 SCHEMA = json.loads((ROOT / "docs" / "report.schema.json").read_text())
@@ -374,7 +374,8 @@ class TestPlumbing:
             cli.main(["frobnicate"])
         assert exc.value.code == 3
 
-    @pytest.mark.parametrize("prime", ["91", "3215031751"], ids=["7*13", "spsp-2-3-5-7"])
+    @pytest.mark.parametrize("prime", ["91", "3215031751", str(PSI_12), str(PSI_13)],
+                             ids=["7*13", "spsp-2-3-5-7", "psi12", "psi13"])
     def test_composite_prime_rejected(self, tmp_path, capsys, prime):
         status, report = run(tmp_path, "honest-run", "--prime", prime)
         assert status == 3 and report is None

@@ -39,7 +39,7 @@ from chebauth.protocol import (
     user_login_start,
 )
 
-from helpers import make_fixture
+from helpers import PSI_12, PSI_13, make_fixture
 
 # Pinned master keys for seeds 1 and 2 (first draw of the seeded stream).
 MK_SEED1 = "1e2feb89414c343c1027c4d1c386bbc4cd613e30d8f16adf91b7584a2265b1f5"
@@ -115,8 +115,9 @@ class TestParams:
     """Params is the one place the prime, the width and the window are checked."""
 
     def test_composite_modulus_rejected(self):
-        # 41 * 43 and the strong pseudoprime 3215031751: only a Miller-Rabin witness rejects them
-        for p in (9, 15, 3, DEFAULT_PRIME - 2, 2**256 - 1, 1763, 3215031751):
+        # 41 * 43 and the strong pseudoprimes 3215031751, psi12 and psi13: only the
+        # base-2 round or the Lucas test rejects them
+        for p in (9, 15, 3, DEFAULT_PRIME - 2, 2**256 - 1, 1763, 3215031751, PSI_12, PSI_13):
             with pytest.raises(ValueError, match=r"^modulus must be a prime greater than 3$"):
                 Params(p)
 
