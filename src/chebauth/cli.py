@@ -8,10 +8,14 @@ Exit codes: 0 the expected outcome reproduced, 2 the experiment ran but
 contradicted the expected outcome, 3 configuration or I/O error, or an
 invalid fixture: one that violates the experiment's precondition, such as a
 wrong password that passes X1 by truncation collision at a toy width.
+
+The process entry, ``process_main``, freezes the start-up heap; ``main(argv)`` does not.
 """
 
 import argparse
+import gc
 import json
+import os
 import sys
 import time
 
@@ -272,7 +276,18 @@ def _config_from_args(args: argparse.Namespace) -> None:
 def _emit(report: dict, out: str | None):
     text = json.dumps(report, indent=2) + "\n"
     if out is None:
-        sys.stdout.write(text)
+        try:
+            sys.stdout.write(text)
+            sys.stdout.flush()  # a buffered stdout would otherwise fail only at exit
+        except OSError:
+            # Shutdown flushes the unwritten bytes again and, failing, exits 120:
+            # point the descriptor at the null device, as the signal module's
+            # SIGPIPE note does, so that the caller's exit status stands.
+            stdout = sys.stdout.fileno()
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, stdout)
+            os.close(devnull)
+            raise
     else:
         with open(out, "w", encoding="utf-8") as handle:
             handle.write(text)
@@ -294,5 +309,17 @@ def main(argv=None) -> int:
     return report["exit_status"]
 
 
-if __name__ == "__main__":
+def process_main() -> None:
+    """Run ``main`` as the whole process and exit with its status.
+
+    Whatever the import built lives until exit, so it is frozen out of the
+    collector first: otherwise each of shutdown's full collections walks it
+    again. What the run itself creates is still collected, finalizers and
+    development-mode warnings included.
+    """
+    gc.freeze()
     sys.exit(main())
+
+
+if __name__ == "__main__":
+    process_main()

@@ -1,4 +1,6 @@
+import ast
 import errno
+import gc
 import hashlib
 import json
 import os
@@ -69,6 +71,9 @@ GOLDEN_REPORTS = [
 ]
 
 
+GOLDEN_WORDS = "sunrise77\nhunter2\nletmein\n"  # words.txt, as the README writes it
+
+
 def sha256(text):
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
@@ -77,7 +82,7 @@ def sha256(text):
                          ids=[" ".join(argv) for argv, *_ in GOLDEN_REPORTS])
 def test_report_bytes_are_pinned(tmp_path, monkeypatch, argv, status, digest, written_digest):
     monkeypatch.chdir(tmp_path)  # the dictionary path is echoed as given
-    (tmp_path / "words.txt").write_text("sunrise77\nhunter2\nletmein\n", encoding="utf-8")
+    (tmp_path / "words.txt").write_text(GOLDEN_WORDS, encoding="utf-8")
     got_status, report = run(tmp_path, *argv)
     assert got_status == status
     assert sha256(json.dumps(strip_wall_time(report), indent=2)) == digest
@@ -488,14 +493,17 @@ class TestPlumbing:
         assert result.stdout == "[]\n"
 
 
-# honest-run's two README invocations, exit 0 and 2, with their written digests, then a refused run
-ENTRY_POINT_RUNS = [(argv, status, written) for argv, status, _, written in GOLDEN_REPORTS[:2]]
+# Every golden run, exit 0 and 2, with its written digest, then a refused run;
+# honest-run's two README invocations keep their short ids.
+ENTRY_POINT_RUNS = [(argv, status, written) for argv, status, _, written in GOLDEN_REPORTS]
 ENTRY_POINT_RUNS.append((("guess-attack", "--dict", "nope.txt"), 3, None))
+ENTRY_POINT_IDS = ["ok", "contradicted", *(" ".join(argv) for argv, *_ in GOLDEN_REPORTS[2:]), "refused"]
 
 
-@pytest.mark.parametrize("argv, status, written_digest", ENTRY_POINT_RUNS, ids=["ok", "contradicted", "refused"])
+@pytest.mark.parametrize("argv, status, written_digest", ENTRY_POINT_RUNS, ids=ENTRY_POINT_IDS)
 def test_module_entry_point_exits_with_the_status(tmp_path, argv, status, written_digest):
     # python -m chebauth.cli, in development mode with every warning an error
+    (tmp_path / "words.txt").write_text(GOLDEN_WORDS, encoding="utf-8")
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     result = subprocess.run([sys.executable, "-X", "dev", "-W", "error", "-m", "chebauth.cli", *argv],
                             cwd=tmp_path, env=env, capture_output=True, text=True)
@@ -506,3 +514,57 @@ def test_module_entry_point_exits_with_the_status(tmp_path, argv, status, writte
     else:
         assert result.stderr == ""
         assert sha256(mask_wall_time(result.stdout)) == written_digest
+
+
+PROCESS_ENTRY = """\
+import gc
+from chebauth import cli
+try:
+    cli.process_main()
+except SystemExit as exc:
+    print(exc.code, gc.get_freeze_count() > 0)
+"""
+
+
+@pytest.mark.parametrize("argv, status", [
+    (("honest-run", "--out", "report.json"), 0),
+    (("honest-run", "--delta-t", "2", "--channel-delay", "3", "--out", "report.json"), 2),
+    (("honest-run", "--seed", "-1"), 3),
+], ids=["ok", "contradicted", "refused"])
+def test_process_entry_freezes_and_exits_with_the_status(tmp_path, argv, status):
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    result = subprocess.run([sys.executable, "-c", PROCESS_ENTRY, *argv],
+                            cwd=tmp_path, env=env, capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == f"{status} True\n"
+
+
+def test_console_script_and_module_run_call_the_process_entry():
+    tomllib = pytest.importorskip("tomllib")
+    scripts = tomllib.loads((ROOT / "pyproject.toml").read_text(encoding="utf-8"))["project"]["scripts"]
+    tree = ast.parse((ROOT / "src" / "chebauth" / "cli.py").read_text(encoding="utf-8"))
+    [block] = [node for node in tree.body
+               if isinstance(node, ast.If) and ast.unparse(node.test) == "__name__ == '__main__'"]
+    assert [ast.unparse(statement) for statement in block.body] == ["process_main()"]
+    assert scripts == {"chebauth": "chebauth.cli:process_main"}
+
+
+def test_in_process_main_leaves_the_collector_as_it_found_it(tmp_path):
+    frozen = gc.get_freeze_count()
+    status, _ = run(tmp_path, "honest-run", "--width", "8", "--prime", "17")
+    assert status == 0
+    assert gc.get_freeze_count() == frozen and gc.isenabled()
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full on this platform")
+def test_report_on_a_full_stdout_exits_3_with_one_line(tmp_path):
+    # Buffered stdout: the write only fills the buffer and the full device
+    # refuses the flush, which left to shutdown would end in status 120.
+    env = {key: value for key, value in os.environ.items() if key != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = str(ROOT / "src")
+    with open("/dev/full", "w") as full:
+        result = subprocess.run([sys.executable, "-m", "chebauth.cli", "honest-run"],
+                                cwd=tmp_path, env=env, stdout=full, stderr=subprocess.PIPE, text=True)
+    assert result.returncode == 3
+    assert result.stderr.startswith(f"chebauth: cannot write report: [Errno {errno.ENOSPC}] ")
+    assert result.stderr.count("\n") == 1 and result.stderr.endswith("\n")
