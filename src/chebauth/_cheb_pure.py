@@ -1,8 +1,9 @@
 """Reference kernel for Chebyshev evaluation mod p: T-form fast doubling.
 
-chaotic.cheb_eval runs the faster V-form recurrence. This kernel stays as the
-independent reference it is compared against, by the tests and by the
-benchmark's kernel-agreement gate; nothing in the package calls it.
+chaotic.cheb_eval runs the faster V-form recurrence. This kernel stays only
+as the reference of the benchmark's kernel-agreement gate; nothing in the
+package calls it. The test suite's T-form oracle is tests/reference_scheme.cheb,
+and only tests/test_shims.py tests this module.
 """
 
 

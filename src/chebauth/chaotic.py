@@ -10,8 +10,10 @@ right-to-left recurrence on the Lucas sequence V_n = 2*T_n, built from the
 addition rule V_{a+b} = V_a*V_b - V_{a-b} (Joye and Quisquater, "Efficient
 computation of full Lucas sequences", Electronics Letters 32(6), 1996). Per
 exponent bit it costs one product and one squaring (V_{2^(j+1)} =
-V_{2^j}^2 - 2). _cheb_pure keeps the T-form fast-doubling kernel as the
-reference the tests compare it against.
+V_{2^j}^2 - 2). _cheb_pure keeps a T-form fast-doubling kernel as the
+reference of the benchmark's kernel-agreement gate; the tests compare this
+kernel with their own T-form oracle, tests/reference_scheme.cheb, and with
+the naive recurrence.
 
 The squarings depend on the base alone. A base evaluated again and again,
 an authenticated user's long-term key K, has them stored once: 64 values,

@@ -1,12 +1,11 @@
-"""Shared test fixtures and the independent evaluation oracle."""
+"""Shared test fixtures and the naive evaluation oracle."""
 
 import re
 from types import SimpleNamespace
 
-from chebauth.adversary import ExtractedCard
 from chebauth.chaotic import DEFAULT_PRIME
 from chebauth.primitives import DEFAULT_WIDTH, LogicalClock, RandomSource
-from chebauth.protocol import DEFAULT_DELTA_T, Params, registration, server_setup
+from chebauth.protocol import DEFAULT_DELTA_T, Params, SmartCard, registration, server_setup
 from reference_scheme import field, h, tick, xor
 
 #: The least strong pseudoprimes to every prime base up to 37 and up to 41
@@ -15,26 +14,33 @@ PSI_12 = 318665857834031151167461  # 399165290221 * 798330580441
 PSI_13 = 3317044064679887385961981
 
 
-def cheb_naive(n: int, x: int, p: int) -> int:
-    """Reference oracle: the literal O(n) linear recurrence.
-
-    Kept deliberately naive and separate from both production kernels so
-    that agreement between the two routes means something.
-    """
-    if n == 0:
-        return 1 % p
-    prev, cur = 1 % p, x % p
-    for _ in range(n - 1):
-        prev, cur = cur, (2 * x * cur - prev) % p
-    return cur
-
-
 def cheb_naive_sequence(limit: int, x: int, p: int) -> list:
-    """All of T_0(x) .. T_limit(x) mod p from one incremental recurrence pass."""
+    """All of T_0(x) .. T_limit(x) mod p from the literal O(n) linear recurrence.
+
+    Kept deliberately naive and separate from the kernel and from
+    reference_scheme.cheb, so that agreement between the routes means something.
+    """
     values = [1 % p, x % p]
     for _ in range(limit - 1):
         values.append((2 * x * values[-1] - values[-2]) % p)
     return values[: limit + 1]
+
+
+def cheb_naive(n: int, x: int, p: int) -> int:
+    """T_n(x) mod p: the last term of cheb_naive_sequence."""
+    return cheb_naive_sequence(n, x, p)[n]
+
+
+def clock_at(ticks: int) -> LogicalClock:
+    """A fresh clock advanced to the given tick."""
+    clock = LogicalClock()
+    clock.advance(ticks)
+    return clock
+
+
+def card_fields(card) -> tuple:
+    """A card's (IM1, IM2, D1, D2), the tuple reference_scheme keeps as the card."""
+    return card.im1, card.im2, card.d1, card.d2
 
 
 def guess_predicate_oracle(candidate, card, m1) -> bool:
@@ -53,10 +59,9 @@ def guess_predicate_oracle(candidate, card, m1) -> bool:
     return h(n, k_guess, m1.im1, m1.im2, tuk, tick(m1.t1.ticks)) == m1.x1
 
 
-def zeroed_card(width: int) -> ExtractedCard:
+def zeroed_card(width: int) -> SmartCard:
     """All-zero stand-in for an extracted card, used to show the card leak is necessary."""
-    z = bytes(width // 8)
-    return ExtractedCard(im1=z, im2=z, d1=z, d2=z)
+    return SmartCard(*[bytes(width // 8)] * 4)
 
 
 def make_fixture(

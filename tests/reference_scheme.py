@@ -109,6 +109,16 @@ def user_verify(card, ctx, m2, t3, delta_t, p):
     return key, (im1_new, im2_new, card[2], card[3])
 
 
+def login(mk, card, password, rng, t1, delay_m1, delay_m2, delta_t, p):
+    """One login, M1 sent at t1 and each leg taking its delay: M1, the card's
+    context, the server's result and the card's result (None when no M2 came)."""
+    m1, ctx = login_start(card, password, rng, t1, p)
+    reply = server_respond(mk, p, delta_t, m1, t1 + delay_m1, rng)
+    if isinstance(reply, str):
+        return m1, ctx, reply, None
+    return m1, ctx, reply, user_verify(card, ctx, reply[0], t1 + delay_m1 + delay_m2, delta_t, p)
+
+
 def change(card, old, new):
     """The card with D1, D2 rewritten for new; the old password is never checked."""
     im1, im2, d1, d2 = card

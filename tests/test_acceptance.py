@@ -10,7 +10,6 @@ import time
 from chebauth import cli
 from chebauth.adversary import (
     Dictionary,
-    ExtractedCard,
     dos_experiment,
     guess_predicate,
     offline_guess,
@@ -79,9 +78,8 @@ def test_criterion_2_semigroup_and_oracle_agreement():
 
 def _attack_fixture(seed):
     fx = make_fixture(seed)
-    extracted = ExtractedCard.from_card(fx.card)
     m1, _ = user_login_start(fx.card, fx.password, fx.clock, fx.rng, fx.server.params)
-    return fx, extracted, m1
+    return fx, fx.card, m1
 
 
 def test_criterion_3_offline_guessing_exact_cost():

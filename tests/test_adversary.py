@@ -8,8 +8,6 @@ from chebauth import adversary
 from chebauth.adversary import (
     Dictionary,
     ExperimentInvalid,
-    ExtractedCard,
-    Transcript,
     dos_experiment,
     guess_predicate,
     offline_guess,
@@ -18,16 +16,15 @@ from chebauth.adversary import (
 )
 from chebauth.chaotic import DEFAULT_PRIME
 from chebauth.primitives import OpCounts, Timestamp
-from chebauth.protocol import LoginRequest, LoginResponse, SmartCard, run_login_session, user_login_start
+from chebauth.protocol import SmartCard, run_login_session, user_login_start
 
 from helpers import guess_predicate_oracle, make_fixture, zeroed_card
 
 
 def intercepted_m1(fx):
-    """Extract the card, then eavesdrop M1 from a login in that same state."""
-    extracted = ExtractedCard.from_card(fx.card)
+    """The card as extracted, and M1 eavesdropped from a login in that same state."""
     m1, _ = user_login_start(fx.card, fx.password, fx.clock, fx.rng, fx.server.params)
-    return extracted, m1
+    return fx.card, m1
 
 
 class TestGuessPredicate:
@@ -53,6 +50,7 @@ class TestGuessPredicate:
         fx = make_fixture(53)
         _, m1 = intercepted_m1(fx)
         zeroed = zeroed_card(fx.server.params.width)
+        assert zeroed == SmartCard(*[bytes(32)] * 4)
         assert not guess_predicate(fx.password, scan_target(zeroed, m1))
 
     def test_transcript_leak_is_necessary(self):
@@ -95,7 +93,7 @@ class TestGuessPredicate:
         other = make_fixture(58, width=width, prime=prime)
         extracted, m1 = intercepted_m1(fx)
         _, foreign_m1 = intercepted_m1(other)
-        cards = (extracted, ExtractedCard.from_card(extracted), zeroed_card(width))
+        cards = (extracted, pickle.loads(pickle.dumps(extracted)), zeroed_card(width))
         messages = (m1, pickle.loads(pickle.dumps(m1)), foreign_m1)
         candidates = (fx.password, fx.password.encode(), other.password, b"", "", "naïve", "日本語".encode(), b"decoy")
         candidates += tuple(f"cand-{i}".encode() for i in range(40))
@@ -194,8 +192,7 @@ class TestOfflineGuess:
         # positives are common; pinned fixture: 33 candidates verify and the
         # first in dictionary order is a decoy sitting ahead of the real one.
         fx = make_fixture(0, width=8, prime=17)
-        extracted = ExtractedCard.from_card(fx.card)
-        m1, _ = user_login_start(fx.card, fx.password, fx.clock, fx.rng, fx.server.params)
+        extracted, m1 = intercepted_m1(fx)
         words = [f"cand-{i:04d}".encode() for i in range(2000)]
         words.insert(1500, fx.password)
         dictionary = Dictionary(tuple(words))
@@ -310,39 +307,25 @@ class TestDosExperiment:
             assert not session.ok
             card = session.card
 
+    def test_each_probe_sends_the_card_the_last_login_left(self, monkeypatch):
+        # the stateless server accepts old and refreshed pseudonyms alike, so
+        # only the card a probe sends shows that a refresh was kept
+        calls = []
+        run = adversary.run_login_session
 
-class TestExtractedCard:
-    def test_copies_match_victim(self):
-        fx = make_fixture(90)
-        extracted = ExtractedCard.from_card(fx.card)
-        assert (extracted.im1, extracted.im2, extracted.d1, extracted.d2) == (
-            fx.card.im1, fx.card.im2, fx.card.d1, fx.card.d2,
-        )
+        def recording(server, card, password, *args, **kwargs):
+            session = run(server, card, password, *args, **kwargs)
+            calls.append((card, password, session))
+            return session
 
-    def test_zeroed(self):
-        z = zeroed_card(256)
-        assert isinstance(z, ExtractedCard) and int.from_bytes(z.im1, "big") == 0 and len(z.d1) == 32
-
-    def test_mixed_widths_rejected_as_on_the_card(self):
-        narrow, wide = bytes(8), bytes(16)
-        for card_type in (SmartCard, ExtractedCard):
-            with pytest.raises(ValueError, match=r"card fields disagree on width: \[64, 128\]"):
-                card_type(im1=narrow, im2=narrow, d1=narrow, d2=wide)
-
-
-class TestTranscript:
-    def test_captures_session_messages_in_order(self):
-        fx = make_fixture(91)
-        session = run_login_session(fx.server, fx.card, fx.password, fx.clock, fx.rng)
-        transcript = Transcript.from_events(session.events)
-        assert transcript.login_requests() == [session.events[0].message]
-        assert [type(e.message) for e in transcript.events] == [LoginRequest, LoginResponse]
-
-    def test_out_of_order_events_rejected(self):
-        fx = make_fixture(92)
-        session = run_login_session(fx.server, fx.card, fx.password, fx.clock, fx.rng)
-        with pytest.raises(ValueError):
-            Transcript.from_events(list(reversed(session.events)))
+        monkeypatch.setattr(adversary, "run_login_session", recording)
+        fx = make_fixture(81)
+        report = dos_experiment(fx.card, fx.password, b"mistyped-old", b"fresh-pw",
+                                fx.server, fx.clock, fx.rng, correct_old=True)
+        assert report.probes["new_password"] == "accepted"
+        _, (changed, typed, accepted), (sent, _, _), _ = calls
+        assert typed == b"fresh-pw" and accepted.ok
+        assert sent is accepted.card and sent.im1 != changed.im1
 
 
 class TestDictionary:

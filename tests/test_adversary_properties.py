@@ -13,7 +13,7 @@ import pytest
 pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
-from chebauth.adversary import ExtractedCard, guess_predicate, scan_target  # noqa: E402
+from chebauth.adversary import guess_predicate, scan_target  # noqa: E402
 from chebauth.chaotic import DEFAULT_PRIME  # noqa: E402
 from chebauth.protocol import user_login_start  # noqa: E402
 
@@ -24,12 +24,11 @@ WIDTHS = (8, 64, 256)
 
 @cache
 def victim(width):
-    """(passwords as str and bytes, extracted card, M1, their one scan_target) at one width."""
+    """(passwords as str and bytes, the card, M1, their one scan_target) at one width."""
     fx = make_fixture(400 + width, width=width, prime=17 if width == 8 else DEFAULT_PRIME,
                       password=f"pâté-€-{width}")
-    card = ExtractedCard.from_card(fx.card)
     m1, _ = user_login_start(fx.card, fx.password, fx.clock, fx.rng, fx.server.params)
-    return (fx.password, fx.password.encode()), card, m1, scan_target(card, m1)
+    return (fx.password, fx.password.encode()), fx.card, m1, scan_target(fx.card, m1)
 
 
 candidates = st.lists(

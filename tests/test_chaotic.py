@@ -4,10 +4,10 @@ from itertools import takewhile
 import pytest
 
 from chebauth import chaotic
-from chebauth._cheb_pure import cheb_eval_int as pure_eval
 from chebauth.chaotic import DEFAULT_PRIME, FieldElement, bits_to_field, cheb_eval, is_probable_prime
 
 from helpers import PSI_12, PSI_13, cheb_naive, cheb_naive_sequence
+from reference_scheme import cheb
 
 
 def fe(value, p):
@@ -88,18 +88,6 @@ class TestChebEval:
             x = rng.randrange(DEFAULT_PRIME)
             assert cheb_eval(n, fe(x, DEFAULT_PRIME)).value == cheb_naive(n, x, DEFAULT_PRIME)
 
-    def test_semigroup_randomized(self):
-        rng = random.Random(7)
-        for p in (101, DEFAULT_PRIME):
-            rounds = 1000 if p == 101 else 200
-            for _ in range(rounds):
-                u = rng.randrange(1, (1 << 20) + 1)
-                v = rng.randrange(1, (1 << 20) + 1)
-                x = fe(rng.randrange(p), p)
-                uv_x = cheb_eval(u * v, x)
-                assert cheb_eval(u, cheb_eval(v, x)) == uv_x
-                assert cheb_eval(v, cheb_eval(u, x)) == uv_x
-
     def test_semigroup_with_protocol_sized_exponents(self):
         rng = random.Random(8)
         for _ in range(25):
@@ -115,13 +103,6 @@ class TestChebEval:
 
 
 class TestBackends:
-    def test_pure_kernel_validates_input(self):
-        with pytest.raises(ValueError):
-            pure_eval(-1, 0, 17)
-        with pytest.raises(ValueError):
-            pure_eval(3, 0, 1)
-        assert pure_eval(3, 5, 2) == 485 % 2  # T_3(5) = 4 * 5**3 - 3 * 5; 2 is the least modulus
-
     def test_kernel_agrees_with_reference(self, cold_memo):
         rng = random.Random(42)
         moduli = [5, 17, 101, (1 << 31) - 1, (1 << 61) - 1, (1 << 64) - 59, DEFAULT_PRIME]
@@ -129,12 +110,12 @@ class TestBackends:
             p = rng.choice(moduli)
             n = rng.randrange(0, 1 << rng.choice([3, 10, 33, 64, 128]))
             x = rng.randrange(p)
-            assert cheb_eval(n, fe(x, p)).value == pure_eval(n, x, p), (n, x, p)
+            assert cheb_eval(n, fe(x, p)).value == cheb(n, x, p), (n, x, p)
         # the recurrence's start values, and p - 1 where V_1 = 2x mod p is odd
         for p in moduli:
             for n in (0, 1, 2):
                 for x in (0, 1, p - 1):
-                    assert cheb_eval(n, fe(x, p)).value == pure_eval(n, x, p), (n, x, p)
+                    assert cheb_eval(n, fe(x, p)).value == cheb(n, x, p), (n, x, p)
         # degenerate bases (V_1 = 0, 2 and p - 2) at exponents of 1, 2, 63, 64
         # and 65 bits, without and then with a memo entry; 65 bits is past it
         for p in (17, 101, DEFAULT_PRIME):
@@ -145,7 +126,7 @@ class TestBackends:
                         if memo:
                             chaotic._tabulate(fe(x, p))
                         for n in exponents:
-                            assert cheb_eval(n, fe(x, p)).value == pure_eval(n, x, p), (n, x, p, memo)
+                            assert cheb_eval(n, fe(x, p)).value == cheb(n, x, p), (n, x, p, memo)
 
     def test_selected_backend_is_exposed(self):
         assert chaotic.backend_name == "pure"
@@ -170,7 +151,7 @@ class TestFixedBaseTable:
                 assert (value, p) in cold_memo
                 for n, expected in zip(exponents, cold):
                     got = cheb_eval(n, x)
-                    assert got == expected and got.value == pure_eval(n, value, p), (n, value, p)
+                    assert got == expected and got.value == cheb(n, value, p), (n, value, p)
 
     def test_table_matches_oracle_exhaustively_small_prime(self, cold_memo):
         rng = random.Random(102)
@@ -188,14 +169,14 @@ class TestFixedBaseTable:
         cold_memo[(x.value, DEFAULT_PRIME)] = cold_memo.popitem()[1]
         below = (1, 2, 5, 1 << 63, (1 << 64) - 1)
         for n in below:
-            assert cheb_eval(n, x).value != pure_eval(n, x.value, DEFAULT_PRIME), n
+            assert cheb_eval(n, x).value != cheb(n, x.value, DEFAULT_PRIME), n
         # exponents from 2^64 up square their own chain, and still agree
         for n in (1 << 64, (1 << 64) + 1, (1 << 100) + 12345, (1 << 128) - 1):
-            assert cheb_eval(n, x).value == pure_eval(n, x.value, DEFAULT_PRIME), n
+            assert cheb_eval(n, x).value == cheb(n, x.value, DEFAULT_PRIME), n
         # and so does every exponent once x has no memo entry
         del cold_memo[(x.value, DEFAULT_PRIME)]
         for n in below:
-            assert cheb_eval(n, x).value == pure_eval(n, x.value, DEFAULT_PRIME), n
+            assert cheb_eval(n, x).value == cheb(n, x.value, DEFAULT_PRIME), n
 
     def test_tabulate_keeps_the_first_table(self, cold_memo):
         x = fe(5, 101)
@@ -204,7 +185,7 @@ class TestFixedBaseTable:
         chaotic._tabulate(fe(5, 101))
         assert list(cold_memo) == [(5, 101)] and cold_memo[(5, 101)] is chain
         assert len(chain) == 64
-        assert list(chain) == [2 * pure_eval(1 << j, 5, 101) % 101 for j in range(64)]
+        assert list(chain) == [2 * cheb(1 << j, 5, 101) % 101 for j in range(64)]
 
     def test_table_covers_the_protocol_exponents(self, cold_memo):
         chaotic._tabulate(fe(5, 101))

@@ -46,7 +46,7 @@ from hypothesis.stateful import (  # noqa: E402
 
 import reference_scheme as ref  # noqa: E402
 from chebauth import chaotic  # noqa: E402
-from chebauth.adversary import ExtractedCard, guess_predicate, scan_target  # noqa: E402
+from chebauth.adversary import guess_predicate, scan_target  # noqa: E402
 from chebauth.chaotic import DEFAULT_PRIME, FieldElement  # noqa: E402
 from chebauth.primitives import LogicalClock, OpCounts, RandomSource, Timestamp  # noqa: E402
 from chebauth.protocol import (  # noqa: E402
@@ -63,7 +63,7 @@ from chebauth.protocol import (  # noqa: E402
     user_handle_response,
     user_login_start,
 )
-from helpers import guess_predicate_oracle  # noqa: E402
+from helpers import card_fields, guess_predicate_oracle  # noqa: E402
 
 CONFIGS = [(8, 101), (8, DEFAULT_PRIME), (256, 101), (256, DEFAULT_PRIME)]
 USERS = (0, 1)
@@ -76,10 +76,6 @@ SERVER_TALLY = {"malformed": OpCounts(), "stale_timestamp": OpCounts(), "auth_fa
 M1_ONLY, M1_AND_M2 = OpCounts(3, 2, 1), OpCounts(6, 4, 2)
 
 passwords = st.binary(min_size=1, max_size=6)
-
-
-def card_fields(card) -> tuple:
-    return card.im1, card.im2, card.d1, card.d2
 
 
 def m1_fields(m1) -> tuple:
@@ -157,13 +153,13 @@ class PackageFollowsReference(RuleBasedStateMachine):
         user_counts, server_counts = OpCounts(), OpCounts()
         session = run_login_session(self.server, card, typed, self.clock, self.rng,
                                     user_counts=user_counts, server_counts=server_counts)
-        ref_m1, ref_ctx = ref.login_start(ref_card, typed, self.ref_rng, self.ref_now, self.prime)
+        ref_m1, ref_ctx, server_result, user_result = ref.login(
+            self.ref_mk, ref_card, typed, self.ref_rng, self.ref_now, 1, 1, self.delta_t, self.prime)
         self.ref_now += 1
         m1 = session.events[0].message
         assert m1_fields(m1) == ref_m1
         self.overheard.append((user, m1, session.rejected_by != "server", card.d1))
         self.last_m1 = m1, ref_m1, ref_ctx
-        server_result = ref.server_respond(self.ref_mk, self.prime, self.delta_t, ref_m1, self.ref_now, self.ref_rng)
         if isinstance(server_result, str):
             assert (session.rejected_by, session.reject) == ("server", Reject(RejectReason(server_result)))
             assert session.card is card
@@ -175,7 +171,6 @@ class PackageFollowsReference(RuleBasedStateMachine):
         assert m2_fields(m2) == ref_m2 and session.server_key == ref_server_key
         assert (user_counts, server_counts) == (M1_AND_M2, SERVER_TALLY["accept"])
         self.last_m2 = m2
-        user_result = ref.user_verify(ref_card, ref_ctx, ref_m2, self.ref_now, self.delta_t, self.prime)
         if isinstance(user_result, str):
             assert (session.rejected_by, session.reject) == ("user", Reject(RejectReason(user_result)))
             assert session.card is card and session.user_key is None
@@ -325,13 +320,9 @@ class PackageFollowsReference(RuleBasedStateMachine):
             for typed in {self.passwords[user], self.issued_with[user]}:
                 rng, clock, ref_rng = copies(self.rng, self.clock, self.ref_rng)
                 session = run_login_session(self.server, card, typed, clock, rng)
-                ref_m1, ref_ctx = ref.login_start(ref_card, typed, ref_rng, self.ref_now, self.prime)
-                ref_result = ref.server_respond(
-                    self.ref_mk, self.prime, self.delta_t, ref_m1, self.ref_now + 1, ref_rng)
-                if not isinstance(ref_result, str):
-                    ref_result = ref.user_verify(
-                        ref_card, ref_ctx, ref_result[0], self.ref_now + 2, self.delta_t, self.prime)
-                assert session.ok == (not isinstance(ref_result, str))
+                *_, ref_result = ref.login(
+                    self.ref_mk, ref_card, typed, ref_rng, self.ref_now, 1, 1, self.delta_t, self.prime)
+                assert session.ok == (type(ref_result) is tuple)
                 assert not (session.ok and self.width == 256)
 
     @invariant()
@@ -340,7 +331,7 @@ class PackageFollowsReference(RuleBasedStateMachine):
         # a password change or a re-issue re-encodes the same k, so it does
         # not retire an M1 overheard before it
         for user in USERS:
-            card, current = ExtractedCard.from_card(self.cards[user]), self.passwords[user]
+            card, current = self.cards[user], self.passwords[user]
             for owner, m1, accepted, d1 in self.overheard:
                 target = scan_target(card, m1)
                 crossed = owner == user and accepted and d1 != card.d1 and not self.corrupted[user]

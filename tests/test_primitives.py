@@ -4,7 +4,6 @@ import pytest
 
 from chebauth.chaotic import FieldElement
 from chebauth.primitives import (
-    BitString,
     LogicalClock,
     OpCounts,
     RandomSource,
@@ -12,12 +11,8 @@ from chebauth.primitives import (
     H_digest,
     WidthMismatch,
     as_bytes,
-    concat,
     h_digest,
-    hash_H,
-    hash_h,
     tally,
-    xor,
     xor_bytes,
 )
 
@@ -40,93 +35,66 @@ def from_int(value, width=256):
     return value.to_bytes(width // 8, "big")
 
 
-class TestBitString:
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            BitString(b"")
-
-    def test_data_must_be_bytes_like(self):
-        assert type(BitString(bytearray(b"ab")).data) is bytes
-        for data in (4, [1, 2], "ab"):
-            with pytest.raises(TypeError):
-                BitString(data)
-
-
 class TestHashH:
     def test_deterministic(self):
-        assert hash_h(b"payload") == hash_h(b"payload")
+        assert h_digest(32, b"payload") == h_digest(32, b"payload")
 
     def test_pinned_digests(self):
-        assert hash_h(b"a").hex() == H_OF_A
-        assert hash_h(b"b").hex() == H_OF_B
-        assert hash_h(b"a") != hash_h(b"b")
-        # the bytes form hashes the join of its parts
-        assert h_digest(32, b"a").hex() == h_digest(32, b"", b"a", b"").hex() == H_OF_A
+        assert h_digest(32, b"a").hex() == H_OF_A
+        assert h_digest(32, b"b").hex() == H_OF_B
+        # h hashes the join of its parts
+        assert h_digest(32, b"", b"a", b"").hex() == H_OF_A
         assert h_digest(8, b"b") == bytes.fromhex(H_OF_B)[:8]
 
     def test_empty_input_has_full_width(self):
-        digest = hash_h(b"")
+        digest = h_digest(32, b"")
         assert len(digest) * 8 == 256
         assert digest.hex() == H_OF_EMPTY
 
     def test_truncation_widths(self):
-        assert len(hash_h(b"a", width=64)) * 8 == 64
-        assert hash_h(b"a", width=64) == hash_h(b"a")[:8]
-
-    def test_invalid_width_rejected(self):
-        for width in (0, 12, 512):
-            with pytest.raises(ValueError):
-                hash_h(b"a", width=width)
+        assert len(h_digest(8, b"a")) * 8 == 64
+        assert h_digest(8, b"a") == h_digest(32, b"a")[:8]
 
 
 class TestHashBigH:
+    # H's inputs are field encodings: 5, 9 and 23 mod 101 as one byte each
+    ENCODED = tuple(FieldElement(value, 101).to_bytes() for value in (5, 9, 23))
+
     def test_deterministic_and_pinned(self):
-        a, b, c = FieldElement(5, 101), FieldElement(9, 101), FieldElement(23, 101)
-        assert hash_H(a, b, c).hex() == BIG_H_5_9_23
-        assert hash_H(a, b, c) == hash_H(a, b, c)
-        assert H_digest(32, a.to_bytes(), b.to_bytes(), c.to_bytes()).hex() == BIG_H_5_9_23
+        a, b, c = self.ENCODED
+        assert H_digest(32, a, b, c).hex() == BIG_H_5_9_23
+        assert H_digest(32, a, b, c) == H_digest(32, a + b, c)  # H hashes the join of its parts
 
     def test_argument_order_matters(self):
-        a, b, c = FieldElement(5, 101), FieldElement(9, 101), FieldElement(23, 101)
-        assert hash_H(b, a, c).hex() == BIG_H_9_5_23
-        assert hash_H(a, b, c) != hash_H(b, a, c)
-
-    def test_width_contract(self):
-        a = FieldElement(5, 101)
-        assert len(hash_H(a, a, a)) * 8 == 256
-        assert len(hash_H(a, a, a, width=128)) * 8 == 128
-        for width in (0, 4, 12, 264):
-            with pytest.raises(ValueError):
-                hash_H(a, a, a, width=width)
+        a, b, c = self.ENCODED
+        assert H_digest(32, b, a, c).hex() == BIG_H_9_5_23
 
     def test_domain_separated_from_h(self):
         # h over the identical serialized payload must not collide with H
-        a, b, c = FieldElement(5, 101), FieldElement(9, 101), FieldElement(23, 101)
-        payload = a.to_bytes() + b.to_bytes() + c.to_bytes()
-        assert hash_h(payload) != hash_H(a, b, c)
+        assert h_digest(32, *self.ENCODED) != H_digest(32, *self.ENCODED)
 
 
 class TestXor:
     def test_truth_table(self):
         a = from_int(0b1010 << 252)
         b = from_int(0b0110 << 252)
-        assert xor(a, b) == from_int(0b1100 << 252)
+        assert xor_bytes(a, b) == from_int(0b1100 << 252)
 
     def test_self_inverse_and_identity(self):
         rng = random.Random(1)
         zero = bytes(32)
         for _ in range(50):
             a = rand_bits(rng)
-            assert xor(a, a) == zero
-            assert xor(a, zero) == a
+            assert xor_bytes(a, a) == zero
+            assert xor_bytes(a, zero) == a
 
     def test_group_laws_randomized(self):
         rng = random.Random(2)
         for _ in range(1000):
             a, b, c = rand_bits(rng), rand_bits(rng), rand_bits(rng)
-            assert xor(a, b) == xor(b, a)
-            assert xor(xor(a, b), c) == xor(a, xor(b, c))
-            assert xor(xor(a, b), b) == a
+            assert xor_bytes(a, b) == xor_bytes(b, a)
+            assert xor_bytes(xor_bytes(a, b), c) == xor_bytes(a, xor_bytes(b, c))
+            assert xor_bytes(xor_bytes(a, b), b) == a
 
     def test_width_and_leading_zero_bytes_kept(self):
         rng = random.Random(4)
@@ -135,52 +103,14 @@ class TestXor:
             shared = rng.randbytes((n + 1) // 2)  # equal top bytes XOR to zero bytes
             a = shared + rng.randbytes(n - len(shared))
             b = shared + rng.randbytes(n - len(shared))
-            result = xor(a, b)
+            result = xor_bytes(a, b)
             assert len(result) * 8 == width
             assert result == bytes(x ^ y for x, y in zip(a, b))
             assert result[: len(shared)] == bytes(len(shared))
 
     def test_width_mismatch(self):
-        with pytest.raises(WidthMismatch, match=r"^cannot XOR widths 256 and 128$"):
-            xor(bytes(32), bytes(16))
         with pytest.raises(WidthMismatch, match=r"^cannot XOR widths 8 and 64$"):
             xor_bytes(bytes(1), bytes(8))
-
-
-class TestConcat:
-    def test_empty(self):
-        assert concat([]) == b""
-
-    def test_singleton_is_canonical_serialization(self):
-        assert concat([b"\x01\x02"]) == b"\x01\x02"
-        assert concat([FieldElement(300, 1009)]) == (300).to_bytes(2, "big")
-        assert concat([Timestamp(7)]) == (7).to_bytes(8, "big")
-        assert concat([b"raw"]) == b"raw"
-
-    def test_order_sensitive(self):
-        x = b"\x01" * 4
-        y = b"\x02" * 4
-        assert concat([x, y]) != concat([y, x])
-
-    def test_unsupported_type_rejected(self):
-        for part in (3.14, BitString(b"ab")):
-            with pytest.raises(TypeError):
-                concat([part])
-
-    def test_injective_over_random_tuples(self):
-        # collision search over 10**4 random fixed-width component tuples
-        rng = random.Random(3)
-        seen = {}
-        for _ in range(10_000):
-            parts = (
-                rand_bits(rng, 64),
-                FieldElement(rng.randrange(101), 101),
-                Timestamp(rng.randrange(1 << 32)),
-            )
-            encoding = concat(parts)
-            if encoding in seen:
-                assert seen[encoding] == parts, "concat collision on distinct tuples"
-            seen[encoding] = parts
 
 
 class TestOpCounts:
@@ -192,11 +122,11 @@ class TestOpCounts:
         # each stage tallies its operations once, as the protocol phases do
         def stage_one(counts):
             tally(counts, n_hash=2, n_xor=1, n_cheb=0)
-            return xor(hash_h(b"x"), hash_h(b"y"))
+            return xor_bytes(h_digest(32, b"x"), h_digest(32, b"y"))
 
         def stage_two(counts, a):
             tally(counts, n_hash=1, n_xor=1, n_cheb=0)
-            return xor(a, hash_h(b"z"))
+            return xor_bytes(a, h_digest(32, b"z"))
 
         whole = OpCounts()
         stage_two(whole, stage_one(whole))

@@ -5,20 +5,16 @@ from types import SimpleNamespace
 
 import pytest
 
+import reference_scheme as ref
 from chebauth import protocol
-from chebauth.adversary import ExtractedCard
 from chebauth.chaotic import DEFAULT_PRIME, FieldElement, bits_to_field
 from chebauth.primitives import (
     DEFAULT_WIDTH,
-    BitString,
     LogicalClock,
     OpCounts,
     RandomSource,
     Timestamp,
-    concat,
     h_digest,
-    hash_h,
-    xor,
 )
 from chebauth.protocol import (
     DEFAULT_DELTA_T,
@@ -39,18 +35,11 @@ from chebauth.protocol import (
     user_login_start,
 )
 
-from helpers import PSI_12, PSI_13, make_fixture
+from helpers import PSI_12, PSI_13, card_fields, clock_at, make_fixture
 
 # Pinned master keys for seeds 1 and 2 (first draw of the seeded stream).
 MK_SEED1 = "1e2feb89414c343c1027c4d1c386bbc4cd613e30d8f16adf91b7584a2265b1f5"
 MK_SEED2 = "5c6e433715ba2bdd177219d30e7a269fd95bafc8f2a4d27bdcf4bb99f4bea973"
-
-
-def clock_at(ticks: int) -> LogicalClock:
-    """A fresh clock advanced to the given tick."""
-    clock = LogicalClock()
-    clock.advance(ticks)
-    return clock
 
 
 class TestServerSetup:
@@ -170,11 +159,12 @@ class TestRegistration:
         replay = RandomSource(12)
         b = replay.draw_bytes(32)
         r = replay.draw_bytes(32)
-        assert xor(card.d2, hash_h(fx.password)) == b
-        assert xor(card.im1, mk) == r
-        id_l = hash_h(fx.identity)
-        assert xor(card.im2, hash_h(concat([mk, r]))) == id_l
-        assert xor(card.d1, hash_h(concat([fx.password, b]))) == hash_h(concat([id_l, mk]))
+        n = len(mk)
+        assert ref.xor(card.d2, ref.h(n, fx.password)) == b
+        assert ref.xor(card.im1, mk) == r
+        id_l = ref.h(n, fx.identity)
+        assert ref.xor(card.im2, ref.h(n, mk, r)) == id_l
+        assert ref.xor(card.d1, ref.h(n, fx.password, b)) == ref.h(n, id_l, mk)
 
     def test_empty_credentials_rejected(self):
         fx = make_fixture(1)
@@ -209,8 +199,8 @@ class TestLogin:
         assert session.ok
         refreshed, mk = session.card, fx.server.mk
         assert refreshed.im1 != fx.card.im1 and refreshed.im2 != fx.card.im2
-        assert xor(refreshed.im1, mk) == r_new
-        assert xor(refreshed.im2, hash_h(concat([mk, r_new]))) == hash_h(fx.identity)
+        assert ref.xor(refreshed.im1, mk) == r_new
+        assert ref.xor(refreshed.im2, ref.h(32, mk, r_new)) == ref.h(32, fx.identity)
         # d1/d2 are password material and must survive the refresh untouched
         assert refreshed.d1 == fx.card.d1 and refreshed.d2 == fx.card.d2
 
@@ -379,7 +369,7 @@ class TestLogin:
         # the Params the login started with, and every reject of the second
         # half leaves ctx.card bit for bit as it was
         fx = make_fixture(37, delta_t=3)
-        before = (fx.card.im1, fx.card.im2, fx.card.d1, fx.card.d2)
+        before = card_fields(fx.card)
 
         def late_m2(delta_t, tamper=False):
             params = Params(fx.server.params.p, fx.server.params.width, delta_t)
@@ -388,7 +378,7 @@ class TestLogin:
             if tamper:
                 m2 = LoginResponse(m2.y1, m2.y2, bytes([m2.y3[0] ^ 1]) + m2.y3[1:], m2.tvk, m2.t2)
             result = user_handle_response(ctx, m2, clock_at(51))
-            assert ctx.card is fx.card and (ctx.card.im1, ctx.card.im2, ctx.card.d1, ctx.card.d2) == before
+            assert ctx.card is fx.card and card_fields(ctx.card) == before
             return result, server_key
 
         assert late_m2(3)[0] == Reject(RejectReason.STALE_TIMESTAMP)
@@ -617,7 +607,7 @@ class TestEdges:
     def test_anything_but_m2_is_malformed_at_the_card(self, cold_memo):
         fx = make_fixture(69)
         card = fx.card
-        before = (card.im1, card.im2, card.d1, card.d2)
+        before = card_fields(card)
         m1, ctx = user_login_start(card, fx.password, fx.clock, fx.rng, fx.server.params)
         m2, _ = server_handle_login(fx.server, m1, fx.clock, fx.rng)
         cold_memo.clear()
@@ -627,7 +617,7 @@ class TestEdges:
                 result, counts = tallied(user_handle_response, ctx, delivered, clock)
                 assert result == Reject(RejectReason.MALFORMED) and counts == OpCounts(0, 0, 0)
         assert not cold_memo
-        assert (card.im1, card.im2, card.d1, card.d2) == before
+        assert card_fields(card) == before
         assert not isinstance(user_handle_response(ctx, m2, fx.clock), Reject)
 
     def test_password_types_agree(self):
@@ -751,36 +741,33 @@ class TestChangePassword:
 
 
 class TestBytesFields:
-    """Cards, messages and session keys hold plain bytes; the phases build no BitString."""
+    """Cards, messages and session keys hold plain bytes."""
 
-    @pytest.mark.parametrize("card_type", [SmartCard, ExtractedCard])
-    @pytest.mark.parametrize("bad", [BitString(bytes(4)), bytearray(4), "abcd"], ids=type)
-    def test_card_field_that_is_not_bytes_is_a_type_error(self, card_type, bad):
+    @pytest.mark.parametrize("bad", [bytearray(4), "abcd"], ids=type)
+    def test_card_field_that_is_not_bytes_is_a_type_error(self, bad):
         for position in range(4):
             fields = [bytes(4)] * 4
             fields[position] = bad
             names = ["bytes"] * 4
             names[position] = type(bad).__name__
             with pytest.raises(TypeError, match=re.escape(f"card fields must be bytes: {names}")):
-                card_type(*fields)
+                SmartCard(*fields)
 
-    @pytest.mark.parametrize("card_type", [SmartCard, ExtractedCard])
-    def test_empty_or_unequal_fields_are_a_value_error_in_bits(self, card_type):
+    def test_empty_or_unequal_fields_are_a_value_error_in_bits(self):
         with pytest.raises(ValueError, match=r"^card fields may not be empty: \[0\]$"):
-            card_type(b"", b"", b"", b"")
+            SmartCard(b"", b"", b"", b"")
         with pytest.raises(ValueError, match=r"^card fields may not be empty: \[0, 32\]$"):
-            card_type(bytes(4), bytes(4), b"", bytes(4))
+            SmartCard(bytes(4), bytes(4), b"", bytes(4))
         with pytest.raises(ValueError, match=r"^card fields disagree on width: \[32, 40\]$"):
-            card_type(bytes(4), bytes(4), bytes(4), bytes(5))
-        card_type(bytes(1), bytes(1), bytes(1), bytes(1))  # one byte a field, the narrowest width
+            SmartCard(bytes(4), bytes(4), bytes(4), bytes(5))
+        SmartCard(bytes(1), bytes(1), bytes(1), bytes(1))  # one byte a field, the narrowest width
 
-    @pytest.mark.parametrize("card_type", [SmartCard, ExtractedCard])
-    def test_fields_wider_than_h_are_a_value_error(self, card_type):
+    def test_fields_wider_than_h_are_a_value_error(self):
         # a 33-byte card drew u at login, then failed its first XOR; the guess predicate said False
         with pytest.raises(ValueError, match=r"^width must be a multiple of 8 in \[8, 256\], got 264$"):
-            card_type(*[bytes(33)] * 4)
+            SmartCard(*[bytes(33)] * 4)
         for n in (1, 32):
-            assert card_type(*[bytes(n)] * 4).d1 == bytes(n)
+            assert SmartCard(*[bytes(n)] * 4).d1 == bytes(n)
 
     @pytest.mark.parametrize("width", [8, 256])
     def test_every_stored_and_sent_string_is_exact_bytes_of_the_width(self, width):
@@ -791,27 +778,11 @@ class TestBytesFields:
             assert [type(value) for value in values] == [bytes] * len(values)
             assert [len(value) for value in values] == [n] * len(values)
 
-        def fields(card):
-            return card.im1, card.im2, card.d1, card.d2
-
-        assert_exact(fx.server.mk, *fields(fx.card))
+        assert_exact(fx.server.mk, *card_fields(fx.card))
         m1, ctx = user_login_start(fx.card, fx.password, fx.clock, fx.rng, fx.server.params)
         assert_exact(m1.im1, m1.im2, m1.x1)
         m2, server_key = server_handle_login(fx.server, m1, fx.clock, fx.rng)
         assert_exact(m2.y1, m2.y2, m2.y3, server_key)
         user_key, refreshed = user_handle_response(ctx, m2, fx.clock)
         assert user_key == server_key
-        assert_exact(user_key, *fields(refreshed), *fields(change_password(refreshed, fx.password, b"new")))
-
-    def test_phases_construct_no_bitstring(self, bitstrings_built):
-        fx = make_fixture(71, delta_t=3)
-        built = bitstrings_built
-        card = registration(fx.server, fx.identity, fx.password, fx.rng)
-        honest = run_login_session(fx.server, card, fx.password, fx.clock, fx.rng)
-        wrong = run_login_session(fx.server, honest.card, b"typo", fx.clock, fx.rng)
-        changed = change_password(wrong.card, fx.password, b"new-pw")
-        assert honest.ok and honest.keys_match and wrong.reject == Reject(RejectReason.AUTH_FAILURE)
-        assert isinstance(changed, SmartCard)
-        assert built == []
-        BitString(b"x")  # the counter itself works
-        assert len(built) == 1
+        assert_exact(user_key, *card_fields(refreshed), *card_fields(change_password(refreshed, fx.password, b"new")))

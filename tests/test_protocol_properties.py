@@ -20,7 +20,7 @@ from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from chebauth import chaotic  # noqa: E402
 from chebauth.chaotic import DEFAULT_PRIME, FieldElement  # noqa: E402
-from chebauth.primitives import LogicalClock, OpCounts, RandomSource, Timestamp  # noqa: E402
+from chebauth.primitives import OpCounts, RandomSource, Timestamp  # noqa: E402
 from chebauth.protocol import (  # noqa: E402
     LoginRequest,
     Reject,
@@ -30,18 +30,12 @@ from chebauth.protocol import (  # noqa: E402
     user_login_start,
 )
 
-from helpers import make_fixture  # noqa: E402
+from helpers import clock_at, make_fixture  # noqa: E402
 
 CONFIGS = [(8, 101), (8, DEFAULT_PRIME), (256, 101), (256, DEFAULT_PRIME)]
 PRIMES = (17, 101, DEFAULT_PRIME)
 SERVER_SEED = 77
 TEXT = "aZ9-é€日\U0001f642"  # 1- to 4-byte UTF-8
-
-
-def clock_at(ticks: int) -> LogicalClock:
-    clock = LogicalClock()
-    clock.advance(ticks)
-    return clock
 
 
 @cache

@@ -29,8 +29,7 @@ import random
 from functools import cache
 
 import reference_scheme as ref
-from chebauth.adversary import (ExperimentInvalid, ExtractedCard, dos_experiment, guess_predicate, scan_target,
-                                wrong_login_experiment)
+from chebauth.adversary import ExperimentInvalid, dos_experiment, guess_predicate, scan_target, wrong_login_experiment
 from chebauth.protocol import DEFAULT_DELTA_T, user_login_start
 
 from helpers import guess_predicate_oracle, make_fixture
@@ -73,18 +72,6 @@ def dos_runs() -> tuple:
     return tuple(runs)
 
 
-def reference_login(mk, card, password, rng, now):
-    """One login through the reference, each leg one tick: (accepted, the card after it, the clock after it)."""
-    m1, ctx = ref.login_start(card, password, rng, now, PRIME)
-    reply = ref.server_respond(mk, PRIME, DEFAULT_DELTA_T, m1, now + 1, rng)
-    if isinstance(reply, str):
-        return False, card, now + 1
-    verdict = ref.user_verify(card, ctx, reply[0], now + 2, DEFAULT_DELTA_T, PRIME)
-    if isinstance(verdict, str):
-        return False, card, now + 2
-    return True, verdict[1], now + 2
-
-
 def reference_dos(seed, identity, password) -> tuple[bool, bool]:
     """dos_experiment's run on one fixture, replayed through the reference with the same draws and ticks.
 
@@ -95,15 +82,20 @@ def reference_dos(seed, identity, password) -> tuple[bool, bool]:
     n, wrong, new = WIDTH // 8, password + b"-typo", password + b"-new"
     mk, rng = ref.draw(random.Random(seed), n), random.Random(seed + 1)
     card = ref.register(mk, identity, password, rng)
-    accepted, card, now = reference_login(mk, card, password, rng, 0)
-    assert accepted
+    *_, verdict = ref.login(mk, card, password, rng, 0, 1, 1, DEFAULT_DELTA_T, PRIME)
+    assert type(verdict) is tuple  # the baseline login is accepted
+    _, card = verdict
     _, _, d1, d2 = card
     keeps_k = ref.xor(d1, ref.h(n, wrong, ref.xor(d2, ref.h(n, wrong)))) == ref.h(n, ref.h(n, identity), mk)
     card = ref.change(card, wrong, new)
-    probes = []
-    for typed in (new, password, wrong):
-        accepted, card, now = reference_login(mk, card, typed, rng, now)
+    probes, now = [], 2
+    for typed in (new, password, wrong):  # each leg one tick; no M2 travels after a server reject
+        *_, reply, verdict = ref.login(mk, card, typed, rng, now, 1, 1, DEFAULT_DELTA_T, PRIME)
+        accepted = type(verdict) is tuple
+        if accepted:
+            _, card = verdict
         probes.append(accepted)
+        now += 1 if isinstance(reply, str) else 2
     return not any(probes), keeps_k
 
 
@@ -135,8 +127,8 @@ def decoy_runs() -> tuple:
     runs = []
     for seed in range(VICTIMS):
         fx = make_fixture(seed, width=WIDTH, prime=PRIME)
-        card = ExtractedCard.from_card(fx.card)
-        m1, _ = user_login_start(fx.card, fx.password, fx.clock, fx.rng, fx.server.params)
+        card = fx.card
+        m1, _ = user_login_start(card, fx.password, fx.clock, fx.rng, fx.server.params)
         target = scan_target(card, m1)
         assert guess_predicate(fx.password, target)
         key = ref.h(WIDTH // 8, ref.h(WIDTH // 8, fx.identity), fx.server.mk)
@@ -171,8 +163,8 @@ def reference_wrong_login(seed, identity, password) -> tuple[bool, bool]:
     card = ref.register(mk, identity, password, rng)
     _, _, d1, d2 = card
     keeps_k = ref.xor(d1, ref.h(n, wrong, ref.xor(d2, ref.h(n, wrong)))) == ref.h(n, ref.h(n, identity), mk)
-    m1, _ = ref.login_start(card, wrong, rng, 0, PRIME)
-    return not isinstance(ref.server_respond(mk, PRIME, DEFAULT_DELTA_T, m1, 1, rng), str), keeps_k
+    _, _, reply, _ = ref.login(mk, card, wrong, rng, 0, 1, 1, DEFAULT_DELTA_T, PRIME)
+    return not isinstance(reply, str), keeps_k
 
 
 def test_decoys_match_at_the_predicted_rate():

@@ -24,6 +24,8 @@ from chebauth.protocol import (
     user_login_start,
 )
 
+from helpers import card_fields
+
 DELTA_T = 3
 IDENTITY = b"patient-0042"
 PASSWORD = b"correct horse"
@@ -38,10 +40,6 @@ SCENARIOS = {
     "change_correct_old": (NEW_PASSWORD, 1, 1, (PASSWORD, NEW_PASSWORD)),
     "change_wrong_old": (NEW_PASSWORD, 1, 1, (b"not the old one", NEW_PASSWORD)),
 }
-
-
-def card_fields(card) -> tuple:
-    return card.im1, card.im2, card.d1, card.d2
 
 
 def package_run(seed, width, prime, login_password, delay_m1, delay_m2, change) -> list:
@@ -73,25 +71,18 @@ def package_run(seed, width, prime, login_password, delay_m1, delay_m2, change) 
 def reference_run(seed, width, prime, login_password, delay_m1, delay_m2, change) -> list:
     n = width // 8
     mk = ref.draw(random.Random(seed), n)  # the server's first draw is its master key
-    rng, now = random.Random(seed + 1), 0
+    rng = random.Random(seed + 1)
     card = ref.register(mk, IDENTITY, PASSWORD, rng)
     trace = [("card", card)]
     if change is not None:
         card = ref.change(card, *change)
         trace.append(("changed", card))
-    m1, ctx = ref.login_start(card, login_password, rng, now, prime)
+    m1, ctx, reply, verdict = ref.login(mk, card, login_password, rng, 0, delay_m1, delay_m2, DELTA_T, prime)
     trace += [("m1", m1), ("ctx", ctx)]
-    now += delay_m1
-    result = ref.server_respond(mk, prime, DELTA_T, m1, now, rng)
-    if isinstance(result, str):
-        return trace + [("server reject", result)]
-    m2, server_key = result
-    trace += [("m2", m2), ("server", server_key)]
-    now += delay_m2
-    result = ref.user_verify(card, ctx, m2, now, DELTA_T, prime)
-    if isinstance(result, str):
-        return trace + [("user reject", result)]
-    return trace + [("user", result)]
+    if isinstance(reply, str):
+        return trace + [("server reject", reply)]
+    trace += [("m2", reply[0]), ("server", reply[1])]
+    return trace + [("user reject" if isinstance(verdict, str) else "user", verdict)]
 
 
 @pytest.mark.parametrize("scenario", SCENARIOS)

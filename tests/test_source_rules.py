@@ -1,4 +1,4 @@
-"""Rules on the source of src/chebauth, each checked by an ast finder, and why they hold:
+"""Rules on the source of src/chebauth and the tests, each checked by an ast finder, and why they hold:
 
 - no_rebinding: a ``global`` or ``nonlocal`` statement lets a call change
   state that the next call reads, so a result can depend on what ran before
@@ -18,10 +18,11 @@
   __init__ is exempt, because its imports are the re-exported public API, and
   so is any import line marked ``# noqa: F401``, which keeps a binding on
   purpose (a module imported for its side effect, say).
-- bitstring_uses: bit strings are plain bytes everywhere. The public adapters
-  take and return bytes of the requested width and count nothing, so only
-  primitives names them or BitString, and the package root re-exports none
-  of them. Adversary keeps its import of hash_h for the tracer's tests.
+- shim_uses: the package keeps ExtractedCard, Transcript, BitString,
+  _cheb_pure and the adapters hash_h, hash_H, xor and concat only for
+  perfbench. Only the modules that define or keep one name them, and of the
+  tests only test_shims.py and test_values.py's table of every value type,
+  so deleting the shims touches those two; the rest tests what runs.
 - parameters: card and server share one Params, which checks the prime, the
   width and the window when it is built. A public protocol function that took
   a ``prime``, ``width`` or ``delta_t`` would compute with a value that never
@@ -32,7 +33,6 @@
 """
 
 import ast
-from functools import partial
 from pathlib import Path
 
 import pytest
@@ -41,8 +41,9 @@ ROOT = Path(__file__).resolve().parent.parent
 SOURCE = {f"{path.parent.name}/{path.name}": path.read_text(encoding="utf-8")
           for folder in (ROOT / "src" / "chebauth", ROOT / "tests", ROOT / "perfbench")
           for path in sorted(folder.glob("*.py"))}
+SHIMS = {"ExtractedCard", "Transcript", "BitString", "_cheb_pure", "cheb_eval_int"}
 ADAPTERS = {"hash_h", "hash_H", "xor", "concat"}
-KEPT_IMPORTS = {"chebauth/adversary.py": {"hash_h"}}  # perfbench/test_bench_tracer.py reads adversary.hash_h
+PRIMITIVES = ("primitives", "chebauth.primitives")  # the module as imported, relative or absolute
 CHECKED_BY_PARAMS = ("prime", "width", "delta_t")
 
 
@@ -51,9 +52,14 @@ def report(found) -> list[str]:
     return [f"{what} (line {line})" for line, what in sorted(found)]
 
 
+def name_of(node: ast.expr):
+    """The name an expression ends in, bare or as an attribute; None for any other expression."""
+    return node.id if isinstance(node, ast.Name) else getattr(node, "attr", None)
+
+
 def called(node: ast.Call):
     """The name a call calls, bare or as an attribute; None for any other callee."""
-    return node.func.id if isinstance(node.func, ast.Name) else getattr(node.func, "attr", None)
+    return name_of(node.func)
 
 
 def no_rebinding(source: str) -> list[str]:
@@ -96,18 +102,30 @@ def unused_imports(source: str) -> list[str]:
     return report((line, name) for name, line in imported.items() if name not in used)
 
 
-def bitstring_uses(source: str, kept=frozenset()) -> list[str]:
-    """Each naming of BitString and each import or call of an adapter in source, bar imports of kept."""
+def shim_uses(source: str) -> list[str]:
+    """Each naming of a shim, and each import or call of a primitives adapter, in source.
+
+    A shim counts bare, as an attribute and in an import, also as a module.
+    An adapter counts imported from primitives or called on a name bound to
+    it, so reference_scheme's own xor stays free.
+    """
+    tree = ast.parse(source)
+    imports = [node for node in ast.walk(tree) if isinstance(node, (ast.Import, ast.ImportFrom))]
+    modules = {"primitives"} | {alias.asname for node in imports for alias in node.names
+                                if alias.asname and alias.name in PRIMITIVES}
     found = []
-    for node in ast.walk(ast.parse(source)):
-        if isinstance(node, ast.alias) and node.name in (ADAPTERS | {"BitString"}) - kept:
-            found.append((node.lineno, f"import {node.name}"))
-        elif isinstance(node, ast.Name) and node.id == "BitString":
-            found.append((node.lineno, "BitString"))
-        elif isinstance(node, ast.Attribute) and node.attr == "BitString":
-            found.append((node.lineno, ".BitString"))
-        elif isinstance(node, ast.Call) and called(node) in ADAPTERS:
-            found.append((node.lineno, f"{called(node)}()"))
+    for node in imports:
+        named = SHIMS | ADAPTERS if getattr(node, "module", None) in PRIMITIVES else SHIMS
+        found += [(alias.lineno, f"import {alias.name}") for alias in node.names
+                  if named.intersection(alias.name.split("."))]
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and node.id in SHIMS:
+            found.append((node.lineno, node.id))
+        elif isinstance(node, ast.Attribute) and node.attr in SHIMS:
+            found.append((node.lineno, f".{node.attr}"))
+        elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) and node.func.attr in ADAPTERS
+              and name_of(node.func.value) in modules):
+            found.append((node.lineno, f"{node.func.attr}()"))
     return report(found)
 
 
@@ -126,12 +144,14 @@ def params_takers(source: str) -> list[str]:
 
 
 PACKAGE = {name for name in SOURCE if name.startswith("chebauth/")}
+TESTS = {name for name in SOURCE if name.startswith("tests/")}
 HOLDS = {  # rule -> the modules it holds for
     no_rebinding: PACKAGE,
     slot_writes: PACKAGE - {"chebauth/_value.py"},
     timestamp_builds: PACKAGE - {"chebauth/primitives.py"},
     unused_imports: SOURCE.keys() - {"chebauth/__init__.py"},
-    bitstring_uses: PACKAGE - {"chebauth/primitives.py"},
+    shim_uses: (PACKAGE - {"chebauth/primitives.py", "chebauth/adversary.py", "chebauth/_cheb_pure.py"}
+                | TESTS - {"tests/test_shims.py", "tests/test_values.py"}),
     parameters: {"chebauth/protocol.py"},
 }
 CASES = [(rule, name, []) for rule, names in HOLDS.items() for name in sorted(names)]
@@ -140,20 +160,7 @@ CASES.append((params_takers, "chebauth/protocol.py", ["server_setup", "user_logi
 
 @pytest.mark.parametrize("rule, name, expected", CASES, ids=[f"{rule.__name__}-{name}" for rule, name, _ in CASES])
 def test_module_keeps_rule(rule, name, expected):
-    if rule is bitstring_uses:
-        rule = partial(bitstring_uses, kept=KEPT_IMPORTS.get(name, frozenset()))
     assert rule(SOURCE[name]) == expected
-
-
-BITSTRING_SNIPPET = (
-    "from .primitives import BitString, hash_h  # noqa: F401\n"
-    "import chebauth.primitives as p\n"
-    "x = p.BitString(b'a')\n"
-    "y = p.xor(a, b)\n"
-    "z = concat([a])\n"
-    "hash_H\n"
-    "from . import xor as exclusive_or, hash_H\n"
-)
 
 
 @pytest.mark.parametrize("finder, source, expected", [
@@ -201,15 +208,41 @@ BITSTRING_SNIPPET = (
         ")\n"
         "print(argv, xml.dom)\n"
     ), ["os (line 1)", "osp (line 2)", "path (line 7)"], id="unused_imports"),
-    pytest.param(bitstring_uses, BITSTRING_SNIPPET, [
-        "import BitString (line 1)", "import hash_h (line 1)", ".BitString (line 3)", "xor() (line 4)",
-        "concat() (line 5)", "import hash_H (line 7)", "import xor (line 7)",
-    ], id="bitstring_uses"),
-    pytest.param(partial(bitstring_uses, kept={"hash_h"}), BITSTRING_SNIPPET, [
-        "import BitString (line 1)", ".BitString (line 3)", "xor() (line 4)",
-        "concat() (line 5)", "import hash_H (line 7)", "import xor (line 7)",
-    ], id="bitstring_uses-kept"),
-    pytest.param(bitstring_uses, "isinstance(x, BitString)\n", ["BitString (line 1)"], id="bitstring_uses-name"),
+    pytest.param(shim_uses, (
+        "isinstance(x, BitString)\n"
+        "card = ExtractedCard(*fields)\n"
+        "Transcript.from_events(events)\n"
+        "_cheb_pure = cheb_eval_int\n"
+        "extracted = scan_target(card, m1)\n"
+    ), ["BitString (line 1)", "ExtractedCard (line 2)", "Transcript (line 3)", "_cheb_pure (line 4)",
+        "cheb_eval_int (line 4)"], id="shim_uses-name"),
+    pytest.param(shim_uses, (
+        "adversary.ExtractedCard.from_card(card)\n"
+        "chebauth._cheb_pure.cheb_eval_int(n, x, p)\n"
+        "p.BitString(b'a')\n"
+        "session.events[0].message\n"
+    ), [".ExtractedCard (line 1)", "._cheb_pure (line 2)", ".cheb_eval_int (line 2)", ".BitString (line 3)"],
+        id="shim_uses-attribute"),
+    pytest.param(shim_uses, (
+        "from chebauth.adversary import ExtractedCard as Copy, scan_target\n"
+        "from chebauth import _cheb_pure\n"
+        "import chebauth._cheb_pure as kernel\n"
+        "from .primitives import (\n"
+        "    h_digest,\n"
+        "    hash_h as h,\n"
+        ")\n"
+        "from reference_scheme import h, xor\n"
+        "from chebauth.primitives import concat, xor_bytes  # noqa: F401\n"
+    ), ["import ExtractedCard (line 1)", "import _cheb_pure (line 2)", "import chebauth._cheb_pure (line 3)",
+        "import hash_h (line 6)", "import concat (line 9)"], id="shim_uses-import"),
+    pytest.param(shim_uses, (
+        "import chebauth.primitives as p\n"
+        "from chebauth import primitives\n"
+        "p.xor(a, b)\n"
+        "primitives.concat([a])\n"
+        "chebauth.primitives.hash_H(a, b, c)\n"
+        "ref.xor(a, b) + xor(a, b) + p.h_digest(32, a)\n"
+    ), ["xor() (line 3)", "concat() (line 4)", "hash_H() (line 5)"], id="shim_uses-call"),
     pytest.param(parameters, (
         "def server_setup(seed, width=256, prime=7, delta_t=5): pass\n"
         "def user_login_start(card, *, prime): pass\n"

@@ -151,14 +151,8 @@ def test_a_bad_call_names_the_class_init():
 
 
 def test_repr_literal():
-    assert repr(BitString(b"ab")) == "BitString(data=b'ab')"
+    assert repr(SmartCard(b"a", b"b", b"c", b"d")) == "SmartCard(im1=b'a', im2=b'b', d1=b'c', d2=b'd')"
     assert repr(FieldElement(3, 17)) == "FieldElement(value=3, p=17)"
-
-
-def test_equality_requires_the_same_class():
-    card, extracted = SmartCard(**CARD), ExtractedCard(**CARD)
-    assert card != extracted and extracted != card
-    assert ExtractedCard.from_card(card) == extracted
 
 
 def test_experiment_results_are_equal_across_identical_fixtures():
@@ -167,7 +161,7 @@ def test_experiment_results_are_equal_across_identical_fixtures():
         fx = make_fixture(seed)
         m1, _ = user_login_start(fx.card, fx.password, fx.clock, fx.rng, fx.server.params)
         words = Dictionary((b"decoy-1", fx.password, b"decoy-2"))
-        guess = offline_guess(ExtractedCard.from_card(fx.card), m1, words)
+        guess = offline_guess(fx.card, m1, words)
         wasted = wrong_login_experiment(fx.card, b"oops", fx.server, fx.clock, fx.rng)
         dos = dos_experiment(
             fx.card, fx.password, b"wrong-old", b"new-pw", fx.server, fx.clock, fx.rng
