@@ -3,8 +3,8 @@
 import re
 from types import SimpleNamespace
 
-from chebauth.chaotic import DEFAULT_PRIME
-from chebauth.primitives import DEFAULT_WIDTH, LogicalClock, RandomSource
+from chebauth.chaotic import DEFAULT_PRIME, FieldElement
+from chebauth.primitives import DEFAULT_WIDTH, LogicalClock, RandomSource, Timestamp
 from chebauth.protocol import DEFAULT_DELTA_T, Params, SmartCard, registration, server_setup
 from reference_scheme import field, h, tick, xor
 
@@ -41,6 +41,29 @@ def clock_at(ticks: int) -> LogicalClock:
 def card_fields(card) -> tuple:
     """A card's (IM1, IM2, D1, D2), the tuple reference_scheme keeps as the card."""
     return card.im1, card.im2, card.d1, card.d2
+
+
+def m1_fields(m1) -> tuple:
+    """M1 as the tuple reference_scheme sends: (IM1, IM2, T_u(K), X1, T1)."""
+    return m1.im1, m1.im2, m1.tuk.value, m1.x1, m1.t1.ticks
+
+
+def m2_fields(m2) -> tuple:
+    """M2 as the tuple reference_scheme sends: (Y1, Y2, Y3, T_v(K'), T2)."""
+    return m2.y1, m2.y2, m2.y3, m2.tvk.value, m2.t2.ticks
+
+
+def flipped(message, field: int, bit: int):
+    """message with one bit of one field changed; a field element stays in its field."""
+    fields = list(message._key)
+    value = fields[field]
+    if type(value) is bytes:
+        fields[field] = bytes([value[0] ^ 1 << bit]) + value[1:]
+    elif type(value) is FieldElement:
+        fields[field] = FieldElement((value.value ^ 1 << bit) % value.p, value.p)
+    else:
+        fields[field] = Timestamp(value.ticks ^ 1 << bit)
+    return type(message)(*fields)
 
 
 def guess_predicate_oracle(candidate, card, m1) -> bool:

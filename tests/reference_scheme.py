@@ -111,11 +111,12 @@ def user_verify(card, ctx, m2, t3, delta_t, p):
 
 def login(mk, card, password, rng, t1, delay_m1, delay_m2, delta_t, p):
     """One login, M1 sent at t1 and each leg taking its delay: M1, the card's
-    context, the server's result and the card's result (None when no M2 came)."""
+    context, the server's result and the card's result (the server's reason
+    when no M2 came)."""
     m1, ctx = login_start(card, password, rng, t1, p)
     reply = server_respond(mk, p, delta_t, m1, t1 + delay_m1, rng)
     if isinstance(reply, str):
-        return m1, ctx, reply, None
+        return m1, ctx, reply, reply
     return m1, ctx, reply, user_verify(card, ctx, reply[0], t1 + delay_m1 + delay_m2, delta_t, p)
 
 

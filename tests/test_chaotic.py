@@ -10,8 +10,7 @@ from helpers import PSI_12, PSI_13, cheb_naive, cheb_naive_sequence
 from reference_scheme import cheb
 
 
-def fe(value, p):
-    return FieldElement(value, p)
+fe = FieldElement
 
 
 class TestFieldElement:

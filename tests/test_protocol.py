@@ -35,7 +35,7 @@ from chebauth.protocol import (
     user_login_start,
 )
 
-from helpers import PSI_12, PSI_13, card_fields, clock_at, make_fixture
+from helpers import PSI_12, PSI_13, card_fields, clock_at, flipped, make_fixture
 
 # Pinned master keys for seeds 1 and 2 (first draw of the seeded stream).
 MK_SEED1 = "1e2feb89414c343c1027c4d1c386bbc4cd613e30d8f16adf91b7584a2265b1f5"
@@ -265,11 +265,8 @@ class TestLogin:
     def test_tampered_x1_rejected(self):
         fx = make_fixture(27)
         m1, _ = user_login_start(fx.card, fx.password, fx.clock, fx.rng, fx.server.params)
-        flipped = bytearray(m1.x1)
-        flipped[0] ^= 0x80
-        tampered = LoginRequest(m1.im1, m1.im2, m1.tuk, bytes(flipped), m1.t1)
         fx.clock.advance(1)
-        result = server_handle_login(fx.server, tampered, fx.clock, fx.rng)
+        result = server_handle_login(fx.server, flipped(m1, 3, 7), fx.clock, fx.rng)
         assert result == Reject(RejectReason.AUTH_FAILURE)
 
     def test_tampered_y3_leaves_card_unchanged(self):
@@ -277,11 +274,8 @@ class TestLogin:
         m1, ctx = user_login_start(fx.card, fx.password, fx.clock, fx.rng, fx.server.params)
         fx.clock.advance(1)
         m2, _ = server_handle_login(fx.server, m1, fx.clock, fx.rng)
-        flipped = bytearray(m2.y3)
-        flipped[-1] ^= 0x01
-        tampered = LoginResponse(m2.y1, m2.y2, bytes(flipped), m2.tvk, m2.t2)
         fx.clock.advance(1)
-        result = user_handle_response(ctx, tampered, fx.clock)
+        result = user_handle_response(ctx, flipped(m2, 2, 0), fx.clock)
         assert result == Reject(RejectReason.AUTH_FAILURE)
 
     def test_stale_response_leaves_card_unchanged(self):
@@ -376,7 +370,7 @@ class TestLogin:
             m1, ctx = user_login_start(fx.card, fx.password, clock_at(0), fx.rng, params)
             m2, server_key = server_handle_login(fx.server, m1, clock_at(1), fx.rng)
             if tamper:
-                m2 = LoginResponse(m2.y1, m2.y2, bytes([m2.y3[0] ^ 1]) + m2.y3[1:], m2.tvk, m2.t2)
+                m2 = flipped(m2, 2, 0)
             result = user_handle_response(ctx, m2, clock_at(51))
             assert ctx.card is fx.card and card_fields(ctx.card) == before
             return result, server_key
@@ -433,10 +427,7 @@ class TestFixedBaseMemo:
         wrong = run_login_session(fx.server, fx.card, b"typo", fx.clock, fx.rng)
         assert wrong.reject == Reject(RejectReason.AUTH_FAILURE)
         m1, ctx = user_login_start(fx.card, fx.password, fx.clock, fx.rng, fx.server.params)
-        flipped = bytearray(m1.x1)
-        flipped[0] ^= 1
-        tampered = LoginRequest(m1.im1, m1.im2, m1.tuk, bytes(flipped), m1.t1)
-        rejected = server_handle_login(fx.server, tampered, fx.clock, fx.rng)
+        rejected = server_handle_login(fx.server, flipped(m1, 3, 0), fx.clock, fx.rng)
         assert rejected == Reject(RejectReason.AUTH_FAILURE)
         stale = server_handle_login(fx.server, m1, clock_at(m1.t1.ticks + 4), fx.rng)
         assert stale == Reject(RejectReason.STALE_TIMESTAMP)
@@ -499,9 +490,7 @@ class TestTalliesPerExitPath:
 
     def test_user_auth_failure(self):
         fx, ctx, m2 = self._response(55)
-        flipped = bytes([m2.y3[0] ^ 1]) + m2.y3[1:]
-        tampered = LoginResponse(m2.y1, m2.y2, flipped, m2.tvk, m2.t2)
-        result, counts = tallied(user_handle_response, ctx, tampered, fx.clock)
+        result, counts = tallied(user_handle_response, ctx, flipped(m2, 2, 0), fx.clock)
         assert result == Reject(RejectReason.AUTH_FAILURE)
         assert counts == OpCounts(3, 2, 1)
 

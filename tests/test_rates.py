@@ -82,19 +82,18 @@ def reference_dos(seed, identity, password) -> tuple[bool, bool]:
     n, wrong, new = WIDTH // 8, password + b"-typo", password + b"-new"
     mk, rng = ref.draw(random.Random(seed), n), random.Random(seed + 1)
     card = ref.register(mk, identity, password, rng)
-    *_, verdict = ref.login(mk, card, password, rng, 0, 1, 1, DEFAULT_DELTA_T, PRIME)
-    assert type(verdict) is tuple  # the baseline login is accepted
-    _, card = verdict
+    *_, result = ref.login(mk, card, password, rng, 0, 1, 1, DEFAULT_DELTA_T, PRIME)
+    assert not isinstance(result, str)  # the baseline login is accepted
+    _, card = result
     _, _, d1, d2 = card
     keeps_k = ref.xor(d1, ref.h(n, wrong, ref.xor(d2, ref.h(n, wrong)))) == ref.h(n, ref.h(n, identity), mk)
     card = ref.change(card, wrong, new)
     probes, now = [], 2
     for typed in (new, password, wrong):  # each leg one tick; no M2 travels after a server reject
-        *_, reply, verdict = ref.login(mk, card, typed, rng, now, 1, 1, DEFAULT_DELTA_T, PRIME)
-        accepted = type(verdict) is tuple
-        if accepted:
-            _, card = verdict
-        probes.append(accepted)
+        *_, reply, result = ref.login(mk, card, typed, rng, now, 1, 1, DEFAULT_DELTA_T, PRIME)
+        probes.append(not isinstance(result, str))
+        if probes[-1]:
+            _, card = result
         now += 1 if isinstance(reply, str) else 2
     return not any(probes), keeps_k
 

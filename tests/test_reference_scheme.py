@@ -12,19 +12,15 @@ import pytest
 
 import reference_scheme as ref
 from chebauth.chaotic import DEFAULT_PRIME
-from chebauth.primitives import LogicalClock, RandomSource
 from chebauth.protocol import (
-    Params,
     Reject,
     change_password,
-    registration,
     server_handle_login,
-    server_setup,
     user_handle_response,
     user_login_start,
 )
 
-from helpers import card_fields
+from helpers import card_fields, m1_fields, m2_fields, make_fixture
 
 DELTA_T = 3
 IDENTITY = b"patient-0042"
@@ -43,23 +39,20 @@ SCENARIOS = {
 
 
 def package_run(seed, width, prime, login_password, delay_m1, delay_m2, change) -> list:
-    server = server_setup(seed, Params(prime, width, DELTA_T))
-    rng, clock = RandomSource(seed + 1), LogicalClock()
-    card = registration(server, IDENTITY, PASSWORD, rng)
+    fx = make_fixture(seed, width, prime, DELTA_T, IDENTITY, PASSWORD)
+    server, rng, clock, card = fx.server, fx.rng, fx.clock, fx.card
     trace = [("card", card_fields(card))]
     if change is not None:
         card = change_password(card, *change)
         trace.append(("changed", card_fields(card)))
     m1, ctx = user_login_start(card, login_password, clock, rng, server.params)
-    trace.append(("m1", (m1.im1, m1.im2, m1.tuk.value, m1.x1, m1.t1.ticks)))
-    trace.append(("ctx", (ctx.u, ctx.tuk.value)))
+    trace += [("m1", m1_fields(m1)), ("ctx", (ctx.u, ctx.tuk.value))]
     clock.advance(delay_m1)
     result = server_handle_login(server, m1, clock, rng)
     if isinstance(result, Reject):
         return trace + [("server reject", result.reason.value)]
     m2, server_key = result
-    trace.append(("m2", (m2.y1, m2.y2, m2.y3, m2.tvk.value, m2.t2.ticks)))
-    trace.append(("server", server_key))
+    trace += [("m2", m2_fields(m2)), ("server", server_key)]
     clock.advance(delay_m2)
     result = user_handle_response(ctx, m2, clock)
     if isinstance(result, Reject):

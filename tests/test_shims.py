@@ -22,6 +22,7 @@ from chebauth.primitives import (BitString, H_digest, OpCounts, Timestamp, Width
                                  hash_h, xor, xor_bytes)
 from chebauth.protocol import LoginRequest, LoginResponse, SmartCard, run_login_session
 
+import reference_scheme as ref
 from helpers import card_fields, guess_predicate_oracle, make_fixture
 
 
@@ -203,3 +204,11 @@ def test_pure_kernel_validates_input():
     with pytest.raises(ValueError):
         cheb_eval_int(3, 0, 1)
     assert cheb_eval_int(3, 5, 2) == 485 % 2  # T_3(5) = 4 * 5**3 - 3 * 5; 2 is the least modulus
+
+
+def test_pure_kernel_agrees_with_reference():
+    # the start values, p - 1 where V_1 = 2x mod p is odd, and 64-, 65- and 128-bit exponents
+    for p in (5, 17, 101, (1 << 61) - 1, (1 << 64) - 59, DEFAULT_PRIME):
+        for x in (0, 1, p - 1, p // 3):
+            for n in (0, 1, 2, (1 << 64) - 1, 1 << 64, (1 << 65) - 1, (1 << 128) - 3):
+                assert cheb_eval_int(n, x, p) == ref.cheb(n, x, p), (n, x, p)
