@@ -135,9 +135,17 @@ def scan_target(card: SmartCard, m1: LoginRequest) -> tuple:
 
     Everything the predicate needs that depends only on the card and M1: the
     byte width n, D1 and D2 as ints, the tail IM1 || IM2 || T_u(K) || T1 as
-    one bytes value, X1, and a copier of h's prefix state.
+    one bytes value, X1, and a copier of h's prefix state. A pair that no
+    candidate can verify is refused before any hash: anything but a
+    LoginRequest is a TypeError, and an IM1, IM2 or X1 not of the card's
+    width a ValueError.
     """
+    if type(m1) is not LoginRequest:
+        raise TypeError(f"m1 must be a LoginRequest, got {type(m1).__name__}")
     d1, d2 = card.d1, card.d2
+    for field in (m1.im1, m1.im2, m1.x1):
+        if len(field) != len(d1):
+            raise ValueError(f"M1 field of {8 * len(field)} bits, but the card set width {8 * len(d1)}")
     return (
         len(d1), _from_bytes(d1, "big"), _from_bytes(d2, "big"),
         m1.im1 + m1.im2 + m1.tuk.to_bytes() + m1.t1.to_bytes(),

@@ -100,7 +100,9 @@ class LogicalClock:
         return self._now
 
     def after(self, ticks: int) -> Timestamp:
-        """The time ticks from now, without moving the clock; Timestamp refuses a non-int or one past 2^64."""
+        """The time ticks from now, without moving the clock; a non-int (a bool too) or one past 2^64 is refused."""
+        if type(ticks) is not int:  # now + True would be an int Timestamp takes
+            raise TypeError(f"ticks must be an int, got {type(ticks).__name__}")
         if ticks < 0:
             raise ValueError("clock cannot move backwards")
         return Timestamp(self._now.ticks + ticks)

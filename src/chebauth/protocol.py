@@ -329,9 +329,11 @@ def run_login_session(
 
     On success the returned session carries the refreshed card; on any
     rejection it carries the original card unchanged. A channel_delay that
-    the clock refuses for M2's delivery, 2 * channel_delay ticks on, raises
-    before anything is drawn from rng.
+    is not an int (a bool too), or that the clock refuses for M2's delivery,
+    2 * channel_delay ticks on, raises before anything is drawn from rng.
     """
+    if type(channel_delay) is not int:  # 2 * True is an int the clock would take
+        raise TypeError(f"channel_delay must be an int, got {type(channel_delay).__name__}")
     clock.after(2 * channel_delay)
     m1, ctx = user_login_start(card, password, clock, rng, server.params, counts=user_counts)
     events = [ChannelEvent(m1, clock.advance(channel_delay))]

@@ -5,7 +5,7 @@ from types import SimpleNamespace
 
 from chebauth.chaotic import DEFAULT_PRIME, FieldElement
 from chebauth.primitives import DEFAULT_WIDTH, LogicalClock, RandomSource, Timestamp
-from chebauth.protocol import DEFAULT_DELTA_T, Params, SmartCard, registration, server_setup
+from chebauth.protocol import DEFAULT_DELTA_T, Params, SmartCard, registration, server_setup, user_login_start
 from reference_scheme import field, h, tick, xor
 
 #: The least strong pseudoprimes to every prime base up to 37 and up to 41
@@ -110,6 +110,12 @@ def make_fixture(
         identity=identity,
         password=password,
     )
+
+
+def intercepted_m1(fx) -> tuple:
+    """The card as extracted, and M1 eavesdropped from a login in that same state."""
+    m1, _ = user_login_start(fx.card, fx.password, fx.clock, fx.rng, fx.server.params)
+    return fx.card, m1
 
 
 def strip_wall_time(node):

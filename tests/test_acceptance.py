@@ -19,7 +19,7 @@ from chebauth.adversary import (
 from chebauth.chaotic import DEFAULT_PRIME, FieldElement, cheb_eval
 from chebauth.protocol import registration, run_login_session, user_login_start
 
-from helpers import cheb_naive_sequence, make_fixture, mask_wall_time, zeroed_card
+from helpers import cheb_naive_sequence, intercepted_m1, make_fixture, mask_wall_time, zeroed_card
 
 
 def report_line(name, ok, detail=""):
@@ -76,15 +76,10 @@ def test_criterion_2_semigroup_and_oracle_agreement():
     )
 
 
-def _attack_fixture(seed):
-    fx = make_fixture(seed)
-    m1, _ = user_login_start(fx.card, fx.password, fx.clock, fx.rng, fx.server.params)
-    return fx, fx.card, m1
-
-
 def test_criterion_3_offline_guessing_exact_cost():
     start = time.perf_counter()
-    fx, extracted, m1 = _attack_fixture(1234)
+    fx = make_fixture(1234)
+    extracted, m1 = intercepted_m1(fx)
     decoys = [f"candidate-{i:05d}".encode() for i in range(9_999)]
     k = random.Random(77).randrange(1, 10_001)
     planted = decoys[:]
@@ -107,7 +102,8 @@ def test_criterion_4_both_leaks_necessary():
     start = time.perf_counter()
     false_validations = 0
     for seed in range(100):
-        fx, extracted, m1 = _attack_fixture(seed)
+        fx = make_fixture(seed)
+        extracted, m1 = intercepted_m1(fx)
         if guess_predicate(fx.password, scan_target(zeroed_card(fx.server.params.width), m1)):
             false_validations += 1
         # a request by a different user of the same server

@@ -113,14 +113,6 @@ class TestHonestRun:
         assert not report["all_sessions_ok"]
         assert report["sessions"][0]["reject"] == {"by": "server", "reason": "stale_timestamp"}
 
-    def test_reports_are_deterministic(self, tmp_path):
-        status_a, report_a = run(tmp_path, "honest-run", "--seed", "9")
-        status_b, report_b = run(tmp_path, "honest-run", "--seed", "9")
-        assert status_a == status_b == 0
-        dump_a = json.dumps(strip_wall_time(report_a), sort_keys=False)
-        dump_b = json.dumps(strip_wall_time(report_b), sort_keys=False)
-        assert dump_a == dump_b
-
     def test_config_is_echoed(self, tmp_path):
         status, report = run(
             tmp_path, "honest-run", "--seed", "5", "--prime", "101", "--width", "64",
@@ -181,10 +173,6 @@ class TestGuessAttack:
         assert status == 2 and not report["as_expected"]
         assert report["attack"]["guesses"] == report["attack"]["dictionary_size"] == 3
 
-    def test_missing_dictionary_file(self, tmp_path):
-        status, report = run(tmp_path, "guess-attack", "--dict", str(tmp_path / "nope.txt"))
-        assert status == 3 and report is None
-
     @pytest.mark.parametrize("name, error", [("nope.txt", errno.ENOENT), ("words.d", errno.EISDIR)],
                              ids=["missing", "directory"])
     def test_unreadable_dictionary_prints_the_os_error(self, tmp_path, capsys, name, error):
@@ -211,12 +199,6 @@ class TestGuessAttack:
         status, report = run(tmp_path, "guess-attack", "--dict", missing, "--prime", "91")
         assert status == 3 and report is None
         assert capsys.readouterr().err == "chebauth: error: modulus must be a prime greater than 3\n"
-
-    def test_malformed_dictionary(self, tmp_path):
-        path = tmp_path / "bad.txt"
-        path.write_text("a\n\nb\n", encoding="utf-8")
-        status, report = run(tmp_path, "guess-attack", "--dict", str(path))
-        assert status == 3 and report is None
 
     @pytest.mark.parametrize("content, reason", [
         (b"\xef\xbb\xbfsunrise77\n", "starts with a UTF-8 byte-order mark; remove it"),

@@ -219,12 +219,14 @@ class TestTime:
 
     @pytest.mark.parametrize("step, error, message", [
         (1.5, TypeError, r"^ticks must be an int, got float$"),
+        (True, TypeError, r"^ticks must be an int, got bool$"),
+        (False, TypeError, r"^ticks must be an int, got bool$"),
         (-1, ValueError, r"^clock cannot move backwards$"),
         (1 << 64, ValueError, r"^ticks must be in \[0, 2\*\*64\), got 18446744073709551623$"),
         ((1 << 64) - 7, ValueError, r"^ticks must be in \[0, 2\*\*64\), got 18446744073709551616$"),
-    ], ids=["float", "negative", "past-2**64", "to-2**64"])
+    ], ids=["float", "true", "false", "negative", "past-2**64", "to-2**64"])
     def test_refused_step_is_refused_where_it_happens(self, step, error, message):
-        # a step to a time Timestamp refuses fails in after or advance, not at the next now()
+        # a bool, or a step to a time Timestamp refuses, fails in after or advance, not at the next now()
         clock = LogicalClock()
         clock.advance(7)
         start = clock.now()
