@@ -16,7 +16,7 @@ from chebauth.adversary import (
 )
 from chebauth.chaotic import DEFAULT_PRIME
 from chebauth.primitives import OpCounts, Timestamp
-from chebauth.protocol import SmartCard, run_login_session
+from chebauth.protocol import LoginRequest, SmartCard, run_login_session
 
 from helpers import guess_predicate_oracle, intercepted_m1, make_fixture, zeroed_card
 
@@ -196,6 +196,16 @@ class TestOfflineGuess:
         m2 = run_login_session(wide.server, wide_card, wide.password, wide.clock, wide.rng).events[1].message
         with pytest.raises(TypeError, match=r"^m1 must be a LoginRequest, got LoginResponse$"):
             offline_guess(wide_card, m2, words)
+        assert predicate_calls == []
+
+    @pytest.mark.parametrize("field, bits", product(("im1", "im2", "x1"), (248, 264)))
+    def test_one_field_of_another_width_is_refused(self, field, bits, predicate_calls):
+        fx = make_fixture(65)
+        card, m1 = intercepted_m1(fx)
+        fields = {name: getattr(m1, name) for name in m1.__match_args__}
+        fields[field] = (fields[field] + bytes(1))[:bits // 8]  # one byte short or one too many
+        with pytest.raises(ValueError, match=f"^M1 field of {bits} bits, but the card set width 256$"):
+            offline_guess(card, LoginRequest(**fields), Dictionary((fx.password,)))
         assert predicate_calls == []
 
     def test_full_width_has_no_false_positives(self):

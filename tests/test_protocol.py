@@ -638,7 +638,9 @@ class TestEdges:
     @pytest.mark.parametrize("delay, error, message", [
         (-1, ValueError, r"^clock cannot move backwards$"),
         (True, TypeError, r"^channel_delay must be an int, got bool$"),  # 2 * True is a 1-tick delay's int
-    ], ids=["negative", "bool"])
+        (False, TypeError, r"^channel_delay must be an int, got bool$"),
+        (1.0, TypeError, r"^channel_delay must be an int, got float$"),  # not the clock's "ticks must be"
+    ], ids=["negative", "true", "false", "float"])
     def test_refused_channel_delay_draws_nothing(self, delay, error, message):
         fx, replay = make_fixture(66), make_fixture(66)
         with pytest.raises(error, match=message):
