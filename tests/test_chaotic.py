@@ -101,7 +101,7 @@ class TestChebEval:
         assert cheb_eval(98765, x) == cheb_eval(98765, x)
 
 
-class TestBackends:
+class TestKernel:
     def test_kernel_agrees_with_reference(self, cold_memo):
         rng = random.Random(42)
         moduli = [5, 17, 101, (1 << 31) - 1, (1 << 61) - 1, (1 << 64) - 59, DEFAULT_PRIME]
@@ -126,9 +126,6 @@ class TestBackends:
                             chaotic._tabulate(fe(x, p))
                         for n in exponents:
                             assert cheb_eval(n, fe(x, p)).value == cheb(n, x, p), (n, x, p, memo)
-
-    def test_selected_backend_is_exposed(self):
-        assert chaotic.backend_name == "pure"
 
 
 # Bit-length edges: 2^k - 1 sets v at every bit, 2^k sets w at every bit

@@ -1,12 +1,14 @@
 """Property test: the message boundary rejects every malformed message alike.
 
-Replace any one field of an honest M1 or M2 with a byte string of another
-width, a field element of another field, or a value of another type, or
-replace the whole message by the other message class or by None: the
-receiver returns Reject(MALFORMED), counts nothing, draws nothing, writes no
-memo entry and leaves the card as it was. The untouched message, handed to
-the same receiver afterwards, still completes the round trip with matching
-keys.
+This is the one home of the receivers' MALFORMED exit. Replace any one field
+of an honest M1 or M2 with a byte string of another width, a field element
+of another field, or a value of another type, or replace the whole message
+by the other message class, None, a bare tuple of the honest fields or the
+fixture's SmartCard. Delivered in time or past the freshness window, the
+receiver returns Reject(MALFORMED) (the shape is judged before the clock),
+counts nothing, draws nothing, writes no memo entry and leaves the card as
+it was. The untouched message, handed to the same receiver afterwards, still
+completes the round trip with matching keys.
 """
 
 import pickle
@@ -82,10 +84,10 @@ def tampered(draw):
     session = honest(*draw(st.sampled_from(CONFIGS)))
     message = draw(st.sampled_from((session.m1, session.m2)))
     name = draw(st.sampled_from((*message.__match_args__, "whole message")))
+    fields = {name: getattr(message, name) for name in message.__match_args__}
     if name == "whole message":
         other = session.m2 if message is session.m1 else session.m1
-        return session, message, draw(st.sampled_from((other, None)))
-    fields = {name: getattr(message, name) for name in message.__match_args__}
+        return session, message, draw(st.sampled_from((other, None, tuple(fields.values()), session.fx.card)))
     fields[name] = draw(malformed(fields[name]))
     return session, message, type(message)(**fields)
 
@@ -94,19 +96,22 @@ def tampered(draw):
 @given(tampered())
 def test_one_bad_field_is_malformed_and_changes_nothing(case):
     session, message, bad = case
-    fx, counts, memo = session.fx, OpCounts(), set(chaotic._tables)
+    fx, memo = session.fx, set(chaotic._tables)
     card, card_before = session.ctx.card, pickle.loads(pickle.dumps(session.ctx.card))
-    if isinstance(message, LoginRequest):
-        clock, rng = clock_at(message.t1.ticks + 1), RandomSource(SERVER_SEED)
-        result = server_handle_login(fx.server, bad, clock, rng, counts=counts)
-        assert rng.draw_exponent() == RandomSource(SERVER_SEED).draw_exponent()
-    else:
-        clock = clock_at(message.t2.ticks + 1)
-        result = user_handle_response(session.ctx, bad, clock, counts=counts)
-    assert result == Reject(RejectReason.MALFORMED)
-    assert counts == OpCounts(0, 0, 0)
-    assert set(chaotic._tables) == memo
-    assert card == card_before
+    sent = message.t1 if isinstance(message, LoginRequest) else message.t2
+    clock = clock_at(sent.ticks + 1)
+    for at in (clock, clock_at(sent.ticks + fx.server.params.delta_t + 1)):  # in time, then stale
+        counts = OpCounts()
+        if isinstance(message, LoginRequest):
+            rng = RandomSource(SERVER_SEED)
+            result = server_handle_login(fx.server, bad, at, rng, counts=counts)
+            assert rng.draw_exponent() == RandomSource(SERVER_SEED).draw_exponent()
+        else:
+            result = user_handle_response(session.ctx, bad, at, counts=counts)
+        assert result == Reject(RejectReason.MALFORMED)
+        assert counts == OpCounts(0, 0, 0)
+        assert set(chaotic._tables) == memo
+        assert card == card_before
     # the receiver is as it was: the untouched message completes the round trip
     if isinstance(message, LoginRequest):
         assert server_handle_login(fx.server, message, clock, RandomSource(SERVER_SEED)) == (
