@@ -109,9 +109,6 @@ class Dictionary(Frozen):
     def __len__(self):
         return len(self.candidates)
 
-    def __iter__(self):
-        return iter(self.candidates)
-
 
 class GuessReport(Record):
     """Outcome and cost of one offline dictionary scan; recovered is None on a miss."""

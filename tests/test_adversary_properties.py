@@ -1,9 +1,12 @@
 """Property test: random text and binary candidates get the oracle's verdict.
 
-At each width, one scan_target of a victim's extracted card and intercepted
-M1 serves every candidate, as it does in offline_guess; text candidates span
-1- to 4-byte UTF-8, and the victim's password, as str and as bytes, is drawn
-too, so that hits are tested as well as misses.
+This is the one home of the guess predicate's agreement with its oracle. At
+each width and prime, a victim's extracted card and intercepted M1 give one
+scan_target that serves every candidate, as it does in offline_guess; so do
+an all-zero card with that M1 and the extracted card with another user's
+M1, each a scan missing one of the two leaks. Text candidates span 1- to
+4-byte UTF-8, and the victim's password, as str and as bytes, is drawn too,
+so that hits are tested as well as misses.
 """
 
 from functools import cache
@@ -15,20 +18,20 @@ from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from chebauth.adversary import guess_predicate, scan_target  # noqa: E402
 from chebauth.chaotic import DEFAULT_PRIME  # noqa: E402
-from chebauth.protocol import user_login_start  # noqa: E402
 
-from helpers import guess_predicate_oracle, make_fixture  # noqa: E402
+from helpers import guess_predicate_oracle, intercepted_m1, make_fixture, zeroed_card  # noqa: E402
 
 WIDTHS = (8, 64, 256)
 
 
 @cache
-def victim(width):
-    """(passwords as str and bytes, the card, M1, their one scan_target) at one width."""
-    fx = make_fixture(400 + width, width=width, prime=17 if width == 8 else DEFAULT_PRIME,
-                      password=f"pâté-€-{width}")
-    m1, _ = user_login_start(fx.card, fx.password, fx.clock, fx.rng, fx.server.params)
-    return (fx.password, fx.password.encode()), fx.card, m1, scan_target(fx.card, m1)
+def victim(width, prime):
+    """(passwords as str and bytes, and each (card, M1, their one scan_target)) at one width and prime."""
+    fx = make_fixture(400 + width, width=width, prime=prime, password=f"pâté-€-{width}")
+    card, m1 = intercepted_m1(fx)
+    _, foreign_m1 = intercepted_m1(make_fixture(401 + width, width=width, prime=prime))
+    leaks = ((card, m1), (zeroed_card(width), m1), (card, foreign_m1))
+    return (fx.password, fx.password.encode()), [(card, m1, scan_target(card, m1)) for card, m1 in leaks]
 
 
 candidates = st.lists(
@@ -42,12 +45,14 @@ candidates = st.lists(
 )
 
 
+@pytest.mark.parametrize("prime", (17, DEFAULT_PRIME), ids=("p17", "p256"))
 @pytest.mark.parametrize("width", WIDTHS)
 @settings(max_examples=100, deadline=None, derandomize=True, database=None)
 @given(candidates)
-def test_candidates_agree_with_oracle(width, candidates):
-    passwords, card, m1, target = victim(width)
+def test_candidates_agree_with_oracle(width, prime, candidates):
+    passwords, scans = victim(width, prime)
     for candidate in candidates:
         if isinstance(candidate, int):
             candidate = passwords[candidate]
-        assert guess_predicate(candidate, target) == guess_predicate_oracle(candidate, card, m1), width
+        for card, m1, target in scans:
+            assert guess_predicate(candidate, target) == guess_predicate_oracle(candidate, card, m1), width

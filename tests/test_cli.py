@@ -42,7 +42,8 @@ def write_dictionary(tmp_path, words, name="dict.txt"):
 # The README's seven invocations plus a toy-size run, with the exit status and
 # the SHA-256 digest of each report's text as written, wall times masked. It
 # pins the content too, which is that text parsed without its wall times.
-# Any change to a report byte, to key order or to layout shows up here.
+# Any change to a report byte, to key order or to layout shows up here, and
+# each report must also validate against docs/report.schema.json.
 GOLDEN_REPORTS = [
     (("honest-run", "--seed", "42"), 0,
      "a9f457c7edef7d32571452b848a060e822889bb01832f501b99c9a131baea10a"),
@@ -75,35 +76,13 @@ def sha256(text):
 def test_report_bytes_are_pinned(tmp_path, monkeypatch, argv, status, written_digest):
     monkeypatch.chdir(tmp_path)  # the dictionary path is echoed as given
     (tmp_path / "words.txt").write_text(GOLDEN_WORDS, encoding="utf-8")
-    got_status, _ = run(tmp_path, *argv)
+    got_status, report = run(tmp_path, *argv)
     assert got_status == status
+    validate(report)
     assert sha256(mask_wall_time((tmp_path / "report.json").read_text(encoding="utf-8"))) == written_digest
 
 
 class TestHonestRun:
-    def test_default_run_agrees_on_keys(self, tmp_path):
-        status, report = run(tmp_path, "honest-run", "--seed", "42")
-        assert status == 0
-        validate(report)
-        assert report["all_sessions_ok"]
-        assert len(report["sessions"]) == 2
-        for session in report["sessions"]:
-            assert session["keys_match"]
-            assert session["user_key"] == session["server_key"]
-        # second session must run on refreshed pseudonyms
-        m1_first = report["sessions"][0]["transcript"][0]["message"]
-        m1_second = report["sessions"][1]["transcript"][0]["message"]
-        assert m1_first["im1"] != m1_second["im1"]
-
-    def test_slow_channel_gets_rejected(self, tmp_path):
-        status, report = run(
-            tmp_path, "honest-run", "--delta-t", "2", "--channel-delay", "3"
-        )
-        assert status == 2
-        validate(report)
-        assert not report["all_sessions_ok"]
-        assert report["sessions"][0]["reject"] == {"by": "server", "reason": "stale_timestamp"}
-
     def test_config_is_echoed(self, tmp_path):
         status, report = run(
             tmp_path, "honest-run", "--seed", "5", "--prime", "101", "--width", "64",
@@ -205,15 +184,6 @@ class TestGuessAttack:
 
 
 class TestWrongLoginDemo:
-    def test_default_demo(self, tmp_path):
-        status, report = run(tmp_path, "wrong-login-demo")
-        assert status == 0
-        validate(report)
-        experiment = report["experiment"]
-        assert experiment["server_rejected"]
-        assert experiment["op_counts"] == {"hash": 6, "xor": 4, "cheb": 1}
-        assert report["as_expected"]
-
     def test_wrong_password_must_differ(self, tmp_path, capsys):
         # the experiment itself refuses a round the server accepts
         status, report = run(
@@ -248,21 +218,6 @@ def test_wrong_password_colliding_at_toy_width_exits_3(tmp_path, capsys):
 
 
 class TestDosDemo:
-    def test_default_demo_confirms_dos(self, tmp_path):
-        status, report = run(tmp_path, "dos-demo")
-        assert status == 0
-        validate(report)
-        assert report["experiment"]["dos_confirmed"]
-        assert set(report["experiment"]["probes"].values()) == {"rejected"}
-
-    def test_control_run(self, tmp_path):
-        status, report = run(tmp_path, "dos-demo", "--correct-old-password")
-        assert status == 0
-        validate(report)
-        assert not report["experiment"]["dos_confirmed"]
-        assert report["experiment"]["probes"]["new_password"] == "accepted"
-        assert report["config"]["fixture"]["correct_old_password"] is True
-
     def test_control_run_echoes_the_new_password(self, tmp_path):
         status, report = run(tmp_path, "dos-demo", "--correct-old-password", "--new-password", "X")
         assert status == 0 and report["experiment"]["probes"]["new_password"] == "accepted"
@@ -429,13 +384,6 @@ class TestPlumbing:
         else:
             assert status == 3 and report is None
             assert err.startswith("chebauth: error: ") and err.count("\n") == 1 and err.endswith("\n")
-
-    def test_small_width_small_prime_run(self, tmp_path):
-        # the whole pipeline also works at toy sizes used by collision tests
-        status, report = run(tmp_path, "honest-run", "--width", "8", "--prime", "17")
-        assert status == 0
-        validate(report)
-        assert report["all_sessions_ok"]
 
     def test_schema_document_is_itself_valid(self):
         jsonschema.Draft202012Validator.check_schema(SCHEMA)

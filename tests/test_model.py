@@ -1,36 +1,41 @@
 """Model-based test: long interleavings of the protocol against the reference scheme.
 
-A hypothesis state machine drives two users and one server through logins
-with the right and a wrong password, password changes with the right and a
-wrong old password, card re-issues, clock jumps past the freshness window,
-a replayed M1, an accepted M2 replayed to its card under a fresh login,
-messages delivered to the wrong receiver, one bit flipped in one field of
-an M1 or M2 in flight, and a cleared kernel memo, so that logins where K is
-tabulated mix with logins where it is not. Each step runs on chebauth and on
-tests/reference_scheme.py, which gets a random.Random with the same seed and
-draws in the package's order. After every step the cards, session keys and
-reject reasons are bit-equal to the reference, a reject has left the card as
-it was, each party's OpCounts is the exact tally of the exit it took, and
-the two random streams and clocks are in step. This is the one home of the
-per-exit tallies: each configuration's run must reach all nine exits whose
-tally it checks (registration, a change with the right and with a wrong old
-password, and accept, auth_failure and stale_timestamp at the server and at
+This is the one place that checks the package against the reference scheme. A
+hypothesis state machine drives two users and one server through logins with
+the right and a wrong password, password changes with the right and a wrong old
+password, card re-issues, clock jumps past the freshness window, a replayed M1,
+an accepted M2 replayed to its card under a fresh login, messages delivered to
+the wrong receiver, one bit flipped in one field of an M1 or M2 in flight, and
+a cleared kernel memo, so that logins where K is tabulated mix with logins
+where it is not. Six (width, prime) configurations, (8, 101), (8, p256), (64, 17),
+(136, p256), (256, 101) and (256, p256), p256 the default prime, cover each width
+and each prime. Each step runs on chebauth and on tests/reference_scheme.py,
+which gets a random.Random with the same seed and draws in the package's order.
+After every step the cards, session keys and reject reasons are bit-equal to
+the reference, a reject has left the card as it was, each party's OpCounts is
+the exact tally of the exit it took, and the two random streams and clocks are
+in step. Each tally also equals the calls made: the run counts
+chebauth.protocol's leaf calls h_digest, H_digest, xor_bytes and cheb_eval, and
+reads the counts around each call whose tally it checks. This is the one home
+of the per-exit tallies: each configuration's run must reach all nine exits
+whose tally it checks (registration, a change with the right and with a wrong
+old password, and accept, auth_failure and stale_timestamp at the server and at
 the card), one test per configuration and exit, so that no exit, the rarely
-reached stale ones above all, drops out of the run unseen. Each
-configuration runs once, in a module-scoped fixture that all its tests share. The attacker
-overhears every M1 a card sends: after every step, each user's card,
-extracted as it is then, is scanned against every M1 so far with four
-candidates, and each guess_predicate verdict equals the oracle's. At w = 256 three rules also
-hold outright: a flipped message is rejected; a card corrupted by a
-wrong-old password change fails every login, under any password, until it
-is re-issued (the denial of service); and the offline guess accepts, of an
-M1 the server accepted, exactly the current password of an uncorrupted card
-of the same identity, whatever changes and re-issues came between. At w = 8
-a truncation collision can break any of the three, and agreement with the
-reference is the check.
+reached stale ones above all, drops out of the run unseen. Each configuration
+runs once, in a module-scoped fixture that all its tests share. The attacker
+overhears every M1 a card sends: after every step, each user's card, extracted
+as it is then, is scanned against every M1 so far with four candidates, and
+each guess_predicate verdict equals the oracle's. At w = 256 three rules also
+hold outright: a flipped message is rejected; a card corrupted by a wrong-old
+password change fails every login, under any password, until it is re-issued
+(the denial of service); and the offline guess accepts, of an M1 the server
+accepted, exactly the current password of an uncorrupted card of the same
+identity, whatever changes and re-issues came between. At w = 8 a truncation
+collision can break any of the three, and agreement with the reference is the
+check.
 
 A failing run is reported as found, without shrinking: shrinking a 20-step
-run of the four configurations took 28-94 s, against about 2 s to pass.
+run of the first four configurations took 28-94 s, against about 2 s to pass.
 """
 
 import pickle
@@ -51,7 +56,7 @@ from hypothesis.stateful import (  # noqa: E402
 )
 
 import reference_scheme as ref  # noqa: E402
-from chebauth import chaotic  # noqa: E402
+from chebauth import chaotic, protocol  # noqa: E402
 from chebauth.adversary import guess_predicate, scan_target  # noqa: E402
 from chebauth.chaotic import DEFAULT_PRIME, FieldElement  # noqa: E402
 from chebauth.primitives import LogicalClock, OpCounts, RandomSource  # noqa: E402
@@ -71,7 +76,7 @@ from chebauth.protocol import (  # noqa: E402
 )
 from helpers import card_fields, flipped, guess_predicate_oracle, m1_fields, m2_fields  # noqa: E402
 
-CONFIGS = [(8, 101), (8, DEFAULT_PRIME), (256, 101), (256, DEFAULT_PRIME)]
+CONFIGS = [(8, 101), (8, DEFAULT_PRIME), (64, 17), (136, DEFAULT_PRIME), (256, 101), (256, DEFAULT_PRIME)]
 USERS = (0, 1)
 
 # The exact tally of each exit: the server's check, by the reject reason it
@@ -83,11 +88,27 @@ M1_ONLY, M1_AND_M2 = OpCounts(3, 2, 1), OpCounts(6, 4, 2)
 EXITS = ("registration", "change-right_old", "change-wrong_old",
          *(f"{side}-{exit}" for side in ("server", "user") for exit in ("accept", "auth_failure", "stale_timestamp")))
 
+# The leaf calls of chebauth.protocol, by the kind of operation a tally counts them as.
+LEAVES = {"h_digest": "hash", "H_digest": "hash", "xor_bytes": "xor", "cheb_eval": "cheb"}
+
 passwords = st.binary(min_size=1, max_size=6)
 
 
 def outcome(result) -> str:
     return result.reason.value if isinstance(result, Reject) else "accept"
+
+
+def tallied(*counts: OpCounts) -> Counter:
+    """The operations the given OpCounts report, summed by kind."""
+    return sum((Counter(c.as_dict()) for c in counts), Counter())
+
+
+def counting(leaf, kind: str, calls: Counter):
+    """leaf, adding one to calls[kind] at each call."""
+    def counted(*args):
+        calls[kind] += 1
+        return leaf(*args)
+    return counted
 
 
 def copies(*objects) -> tuple:
@@ -96,7 +117,7 @@ def copies(*objects) -> tuple:
 
 
 class PackageFollowsReference(RuleBasedStateMachine):
-    def __init__(self, width: int, prime: int, crossed: Counter, reached: Counter):
+    def __init__(self, width: int, prime: int, crossed: Counter, reached: Counter, calls: Counter):
         super().__init__()
         # guesses checked on an uncorrupted card with an M1 of its identity that
         # the server accepted before the card's D1 last changed, by whether the
@@ -104,6 +125,7 @@ class PackageFollowsReference(RuleBasedStateMachine):
         # between; False: a password change did)
         self.crossed = crossed
         self.reached = reached  # how often each of EXITS had its tally checked
+        self.calls = calls  # the leaf calls chebauth.protocol made since the last reading, by kind
         self.width, self.prime = width, prime
         self.delta_t = DEFAULT_DELTA_T
         self.params = Params(prime, width, self.delta_t)
@@ -114,6 +136,12 @@ class PackageFollowsReference(RuleBasedStateMachine):
         self.issued_with = [None, None]  # the password each card was issued for
         self.last_typo = [b"~", b"~"]  # the last wrong password each user typed
         self.overheard = []  # (user, M1, whether the server accepted it, the card's D1) of every M1 sent
+
+    def made(self) -> Counter:
+        """The leaf calls chebauth.protocol made since the last reading, by kind; the count starts again."""
+        made = self.calls.copy()
+        self.calls.clear()
+        return made
 
     @initialize(seed=st.integers(0, 1 << 16))
     def setup(self, seed):
@@ -134,7 +162,7 @@ class PackageFollowsReference(RuleBasedStateMachine):
             self.server, self.identities[user], self.passwords[user], self.rng, counts=counts)
         self.ref_cards[user] = ref.register(self.ref_mk, self.identities[user], self.passwords[user], self.ref_rng)
         self.corrupted[user], self.issued_with[user] = False, self.passwords[user]
-        assert counts == OpCounts(5, 4, 0)
+        assert counts == OpCounts(5, 4, 0) and self.made() == tallied(counts)
         self.reached["registration"] += 1
 
     def login(self, user, typed):
@@ -142,6 +170,7 @@ class PackageFollowsReference(RuleBasedStateMachine):
         user_counts, server_counts = OpCounts(), OpCounts()
         session = run_login_session(self.server, card, typed, self.clock, self.rng,
                                     user_counts=user_counts, server_counts=server_counts)
+        assert self.made() == tallied(user_counts, server_counts)
         ref_m1, ref_ctx, server_result, user_result = ref.login(
             self.ref_mk, ref_card, typed, self.ref_rng, self.ref_now, 1, 1, self.delta_t, self.prime)
         self.ref_now += 1
@@ -192,7 +221,7 @@ class PackageFollowsReference(RuleBasedStateMachine):
         self.ref_cards[user] = ref.change(self.ref_cards[user], old, new)
         self.passwords[user] = new
         self.corrupted[user] = self.corrupted[user] or not right_old
-        assert counts == OpCounts(4, 4, 0)
+        assert counts == OpCounts(4, 4, 0) and self.made() == tallied(counts)
         self.reached["change-right_old" if right_old else "change-wrong_old"] += 1
 
     @rule(user=st.sampled_from(USERS))
@@ -219,7 +248,7 @@ class PackageFollowsReference(RuleBasedStateMachine):
             m2, server_key = result
             assert (m2_fields(m2), server_key) == ref_result
             self.last_m2 = m2
-        assert counts == SERVER_TALLY[outcome(result)]
+        assert counts == SERVER_TALLY[outcome(result)] and self.made() == tallied(counts)
         self.reached[f"server-{outcome(result)}"] += 1
 
     @precondition(lambda self: self.last_m2 is not None)
@@ -228,6 +257,7 @@ class PackageFollowsReference(RuleBasedStateMachine):
         counts = OpCounts()
         result = server_handle_login(self.server, self.last_m2, self.clock, self.rng, counts=counts)
         assert result == Reject(RejectReason.MALFORMED) and counts == SERVER_TALLY["malformed"]
+        assert self.made() == tallied(counts)
 
     @precondition(lambda self: self.last_m1 is not None)
     @rule(user=st.sampled_from(USERS))
@@ -235,7 +265,7 @@ class PackageFollowsReference(RuleBasedStateMachine):
         m1, _, (u, tuk) = self.last_m1
         ctx, counts = UserLoginContext(self.cards[user], self.params, u, FieldElement(tuk, self.prime)), OpCounts()
         result = user_handle_response(ctx, m1, self.clock, counts=counts)
-        assert result == Reject(RejectReason.MALFORMED) and counts == OpCounts()
+        assert result == Reject(RejectReason.MALFORMED) and counts == OpCounts() and self.made() == tallied(counts)
 
     @precondition(lambda self: self.accepted_m2 is not None)
     @rule()
@@ -252,6 +282,7 @@ class PackageFollowsReference(RuleBasedStateMachine):
         result = user_handle_response(ctx, m2, self.clock, counts=counts)
         ref_result = ref.user_verify(ref_card, ref_ctx, ref_m2, self.ref_now, self.delta_t, self.prime)
         assert counts == (M1_ONLY if ref_result == "stale_timestamp" else M1_AND_M2)
+        assert self.made() == tallied(counts)
         self.reached[f"user-{outcome(result)}"] += 1
         if isinstance(ref_result, str):
             assert result == Reject(RejectReason(ref_result))
@@ -276,7 +307,7 @@ class PackageFollowsReference(RuleBasedStateMachine):
         self.overheard.append((user, m1, not isinstance(result, Reject), card.d1))
         ref_result = ref.server_respond(
             self.ref_mk, self.prime, self.delta_t, m1_fields(m1), self.ref_now, self.ref_rng)
-        assert server_counts == SERVER_TALLY[outcome(result)]
+        assert server_counts == SERVER_TALLY[outcome(result)] and self.made() == tallied(user_counts, server_counts)
         self.reached[f"server-{outcome(result)}"] += 1
         if isinstance(ref_result, str):
             assert result == Reject(RejectReason(ref_result)) and user_counts == M1_ONLY
@@ -291,6 +322,7 @@ class PackageFollowsReference(RuleBasedStateMachine):
         result = user_handle_response(ctx, m2, self.clock, counts=user_counts)
         ref_result = ref.user_verify(ref_card, ref_ctx, m2_fields(m2), self.ref_now, self.delta_t, self.prime)
         assert user_counts == (M1_ONLY if ref_result == "stale_timestamp" else M1_AND_M2)
+        assert self.made() + tallied(M1_ONLY) == tallied(user_counts)  # M1's calls were read with the server's
         self.reached[f"user-{outcome(result)}"] += 1
         if isinstance(ref_result, str):
             assert result == Reject(RejectReason(ref_result))
@@ -322,6 +354,7 @@ class PackageFollowsReference(RuleBasedStateMachine):
                     self.ref_mk, ref_card, typed, ref_rng, self.ref_now, 1, 1, self.delta_t, self.prime)
                 assert session.ok == (not isinstance(ref_result, str))
                 assert not (session.ok and self.width == 256)
+        self.made()  # the probes' leaf calls are no step's
 
     @invariant()
     def offline_guess_follows_oracle(self):
@@ -351,16 +384,20 @@ class PackageFollowsReference(RuleBasedStateMachine):
         assert rng.draw_exponent() == ref.exponent(ref_rng)
 
 
-@pytest.fixture(scope="module", params=CONFIGS, ids=["w8-p101", "w8-p256", "w256-p101", "w256-p256"])
+@pytest.fixture(scope="module", params=CONFIGS,
+                ids=["w8-p101", "w8-p256", "w64-p17", "w136-p256", "w256-p101", "w256-p256"])
 def run(request) -> tuple[Counter, Counter]:
     """One derandomized run of the machine at (width, prime): its crossed and reached counters."""
     width, prime = request.param
-    crossed, reached = Counter(), Counter()
-    run_state_machine_as_test(
-        lambda: PackageFollowsReference(width, prime, crossed, reached),
-        settings=settings(max_examples=20, stateful_step_count=20, deadline=None, derandomize=True,
-                          database=None, phases=[phase for phase in Phase if phase is not Phase.shrink]),
-    )
+    crossed, reached, calls = Counter(), Counter(), Counter()
+    with pytest.MonkeyPatch.context() as patch:  # the leaf counters go when the run ends
+        for name, kind in LEAVES.items():
+            patch.setattr(protocol, name, counting(getattr(protocol, name), kind, calls))
+        run_state_machine_as_test(
+            lambda: PackageFollowsReference(width, prime, crossed, reached, calls),
+            settings=settings(max_examples=20, stateful_step_count=20, deadline=None, derandomize=True,
+                              database=None, phases=[phase for phase in Phase if phase is not Phase.shrink]),
+        )
     return crossed, reached
 
 
@@ -374,3 +411,48 @@ def test_package_follows_reference(run):
 def test_run_checks_the_tally_of(run, exit):
     _, reached = run
     assert reached[exit]
+
+
+DELTA_T = 3
+IDENTITY = b"patient-0042"
+PASSWORD = b"correct horse"
+NEW_PASSWORD = b"battery staple"
+
+# name -> (password typed at login, M1 delay, M2 delay, (old, new) of a change first)
+SCENARIOS = {
+    "honest": (PASSWORD, 1, 1, None),
+    "wrong_password": (PASSWORD + b"-typo", 1, 1, None),
+    "stale_m1": (PASSWORD, DELTA_T + 1, 1, None),
+    "stale_m2": (PASSWORD, 1, DELTA_T + 1, None),
+    "change_correct_old": (NEW_PASSWORD, 1, 1, (PASSWORD, NEW_PASSWORD)),
+    "change_wrong_old": (NEW_PASSWORD, 1, 1, (b"not the old one", NEW_PASSWORD)),
+}
+
+
+def reference_run(seed, width, prime, login_password, delay_m1, delay_m2, change) -> list:
+    n = width // 8
+    mk = ref.draw(random.Random(seed), n)  # the server's first draw is its master key
+    rng = random.Random(seed + 1)
+    card = ref.register(mk, IDENTITY, PASSWORD, rng)
+    trace = [("card", card)]
+    if change is not None:
+        card = ref.change(card, *change)
+        trace.append(("changed", card))
+    m1, ctx, reply, verdict = ref.login(mk, card, login_password, rng, 0, delay_m1, delay_m2, DELTA_T, prime)
+    trace += [("m1", m1), ("ctx", ctx)]
+    if isinstance(reply, str):
+        return trace + [("server reject", reply)]
+    trace += [("m2", reply[0]), ("server", reply[1])]
+    return trace + [("user reject" if isinstance(verdict, str) else "user", verdict)]
+
+
+def test_scenarios_end_where_the_scheme_says():
+    # the reference itself must reproduce the scheme's outcomes at full width
+    def outcome(scenario):
+        return reference_run(5, 256, DEFAULT_PRIME, *SCENARIOS[scenario])[-1][0]
+
+    assert outcome("honest") == outcome("change_correct_old") == "user"
+    assert outcome("wrong_password") == outcome("change_wrong_old") == "server reject"
+    assert outcome("stale_m1") == "server reject"
+    assert outcome("stale_m2") == "user reject"
+    assert ref.cheb(6, 3, 101) == (32 * 3**6 - 48 * 3**4 + 18 * 3**2 - 1) % 101

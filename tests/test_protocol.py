@@ -5,7 +5,6 @@ from types import SimpleNamespace
 
 import pytest
 
-import reference_scheme as ref
 from chebauth import protocol
 from chebauth.chaotic import DEFAULT_PRIME, bits_to_field
 from chebauth.primitives import (
@@ -151,20 +150,6 @@ class TestParams:
 
 
 class TestRegistration:
-    def test_card_field_inversions(self):
-        fx = make_fixture(11)
-        card, mk = fx.card, fx.server.mk
-        # replay the draw order (b first, then r) to recover the nonces
-        replay = RandomSource(12)
-        b = replay.draw_bytes(32)
-        r = replay.draw_bytes(32)
-        n = len(mk)
-        assert ref.xor(card.d2, ref.h(n, fx.password)) == b
-        assert ref.xor(card.im1, mk) == r
-        id_l = ref.h(n, fx.identity)
-        assert ref.xor(card.im2, ref.h(n, mk, r)) == id_l
-        assert ref.xor(card.d1, ref.h(n, fx.password, b)) == ref.h(n, id_l, mk)
-
     def test_empty_credentials_rejected(self):
         fx = make_fixture(1)
         with pytest.raises(EmptyCredential):
@@ -174,47 +159,6 @@ class TestRegistration:
 
 
 class TestLogin:
-    def test_pseudonym_refresh_consistency(self):
-        fx = make_fixture(21)
-        # session draw order: u (user), then r_new, then v (server)
-        replay = RandomSource(22)
-        for _ in range(2):  # registration drew b and r from the same stream
-            replay.draw_bytes(32)
-        replay.draw_exponent()  # u
-        r_new = replay.draw_bytes(32)
-        session = run_login_session(fx.server, fx.card, fx.password, fx.clock, fx.rng)
-        assert session.ok
-        refreshed, mk = session.card, fx.server.mk
-        assert refreshed.im1 != fx.card.im1 and refreshed.im2 != fx.card.im2
-        assert ref.xor(refreshed.im1, mk) == r_new
-        assert ref.xor(refreshed.im2, ref.h(32, mk, r_new)) == ref.h(32, fx.identity)
-        # d1/d2 are password material and must survive the refresh untouched
-        assert refreshed.d1 == fx.card.d1 and refreshed.d2 == fx.card.d2
-
-    def test_second_session_with_refreshed_card(self):
-        fx = make_fixture(22)
-        first = run_login_session(fx.server, fx.card, fx.password, fx.clock, fx.rng)
-        second = run_login_session(fx.server, first.card, fx.password, fx.clock, fx.rng)
-        assert first.ok and second.ok
-        assert first.keys_match and second.keys_match
-        assert first.user_key != second.user_key  # fresh exponents, fresh key
-
-    def test_wrong_password_still_emits_request(self):
-        fx = make_fixture(23)
-        m1, ctx = user_login_start(fx.card, b"not-the-password", fx.clock, fx.rng, fx.server.params)
-        assert m1.im1 == fx.card.im1 and ctx.u >= 2
-        fx.clock.advance(1)
-        result = server_handle_login(fx.server, m1, fx.clock, fx.rng)
-        assert isinstance(result, Reject)
-        assert result.reason is RejectReason.AUTH_FAILURE
-
-    def test_stale_request_rejected(self):
-        fx = make_fixture(25, delta_t=3)
-        m1, _ = user_login_start(fx.card, fx.password, fx.clock, fx.rng, fx.server.params)
-        fx.clock.advance(4)
-        result = server_handle_login(fx.server, m1, fx.clock, fx.rng)
-        assert result == Reject(RejectReason.STALE_TIMESTAMP)
-
     def test_delivery_at_window_edge_accepted(self):
         fx = make_fixture(26, delta_t=3)
         m1, _ = user_login_start(fx.card, fx.password, fx.clock, fx.rng, fx.server.params)
@@ -242,31 +186,6 @@ class TestLogin:
         fx.clock.advance(1)
         second = server_handle_login(fx.server, m1, fx.clock, fx.rng)
         assert not isinstance(first, Reject) and not isinstance(second, Reject)
-
-    def test_tampered_x1_rejected(self):
-        fx = make_fixture(27)
-        m1, _ = user_login_start(fx.card, fx.password, fx.clock, fx.rng, fx.server.params)
-        fx.clock.advance(1)
-        result = server_handle_login(fx.server, flipped(m1, 3, 7), fx.clock, fx.rng)
-        assert result == Reject(RejectReason.AUTH_FAILURE)
-
-    def test_tampered_y3_leaves_card_unchanged(self):
-        fx = make_fixture(28)
-        m1, ctx = user_login_start(fx.card, fx.password, fx.clock, fx.rng, fx.server.params)
-        fx.clock.advance(1)
-        m2, _ = server_handle_login(fx.server, m1, fx.clock, fx.rng)
-        fx.clock.advance(1)
-        result = user_handle_response(ctx, flipped(m2, 2, 0), fx.clock)
-        assert result == Reject(RejectReason.AUTH_FAILURE)
-
-    def test_stale_response_leaves_card_unchanged(self):
-        fx = make_fixture(29)
-        m1, ctx = user_login_start(fx.card, fx.password, fx.clock, fx.rng, fx.server.params)
-        fx.clock.advance(1)
-        m2, _ = server_handle_login(fx.server, m1, fx.clock, fx.rng)
-        fx.clock.advance(fx.server.params.delta_t + 1)
-        result = user_handle_response(ctx, m2, fx.clock)
-        assert result == Reject(RejectReason.STALE_TIMESTAMP)
 
     def test_response_at_window_edge_accepted_one_tick_later_stale(self):
         # the card's window is inclusive, as the server's is; one delay drives
@@ -499,34 +418,10 @@ class TestEdges:
 
 
 class TestChangePassword:
-    def test_correct_old_password_switches_cleanly(self):
-        fx = make_fixture(40)
-        card = change_password(fx.card, fx.password, b"brand-new-pw")
-        good = run_login_session(fx.server, card, b"brand-new-pw", fx.clock, fx.rng)
-        assert good.ok and good.keys_match
-        stale = run_login_session(fx.server, good.card, fx.password, fx.clock, fx.rng)
-        assert not stale.ok  # the old password is gone
-
-    def test_wrong_old_password_corrupts_card(self):
-        fx = make_fixture(41)
-        card = change_password(fx.card, b"wrong-old", b"brand-new-pw")
-        for password in (b"brand-new-pw", fx.password, b"wrong-old"):
-            session = run_login_session(fx.server, card, password, fx.clock, fx.rng)
-            assert not session.ok
-            assert session.reject.reason is RejectReason.AUTH_FAILURE
-            card = session.card
-
     def test_no_op_when_new_equals_old(self):
         fx = make_fixture(42)
         card = change_password(fx.card, fx.password, fx.password)
         assert card == fx.card
-
-    def test_never_signals_wrong_password(self):
-        # faithful non-verification: any old password is accepted silently
-        fx = make_fixture(43)
-        card = change_password(fx.card, b"garbage", b"whatever")
-        assert card.im1 == fx.card.im1  # pseudonyms untouched
-        assert card.d1 != fx.card.d1 and card.d2 != fx.card.d2
 
     def test_empty_new_password_accepted_though_registration_refuses_it(self):
         # the card checks neither password; only registration refuses b""
