@@ -21,8 +21,10 @@ of the per-exit tallies: each configuration's run must reach all nine exits
 whose tally it checks (registration, a change with the right and with a wrong
 old password, and accept, auth_failure and stale_timestamp at the server and at
 the card), one test per configuration and exit, so that no exit, the rarely
-reached stale ones above all, drops out of the run unseen. Each configuration
-runs once, in a module-scoped fixture that all its tests share. The attacker
+reached stale ones above all, drops out of the run unseen. So must it take
+each of STEPS, a rule with an outcome that it compares with the reference (an
+honest login with the kernel memo cleared among them), one test each. Each
+configuration runs once, in a module-scoped fixture that all its tests share. The attacker
 overhears every M1 a card sends: after every step, each user's card, extracted
 as it is then, is scanned against every M1 so far with four candidates, and
 each guess_predicate verdict equals the oracle's. At w = 256 three rules also
@@ -88,6 +90,13 @@ M1_ONLY, M1_AND_M2 = OpCounts(3, 2, 1), OpCounts(6, 4, 2)
 EXITS = ("registration", "change-right_old", "change-wrong_old",
          *(f"{side}-{exit}" for side in ("server", "user") for exit in ("accept", "auth_failure", "stale_timestamp")))
 
+# Each rule with an outcome that the run compares with the reference, as f"{rule}-{outcome}".
+STEPS = ("honest_login-accept", "honest_login-accept-cold", "wrong_password_login-auth_failure",
+         *(f"replay_last_m1-{outcome}" for outcome in ("accept", "auth_failure", "stale_timestamp")),
+         "replay_accepted_m2-auth_failure", "replay_accepted_m2-stale_timestamp", "flip_in_flight-m1-auth_failure",
+         "flip_in_flight-m2-auth_failure", "deliver_m2_to_server-malformed", "deliver_m1_to_card-malformed",
+         "corrupted_card_login-auth_failure")
+
 # The leaf calls of chebauth.protocol, by the kind of operation a tally counts them as.
 LEAVES = {"h_digest": "hash", "H_digest": "hash", "xor_bytes": "xor", "cheb_eval": "cheb"}
 
@@ -124,7 +133,7 @@ class PackageFollowsReference(RuleBasedStateMachine):
         # card has the password it was issued with (True: a re-issue came
         # between; False: a password change did)
         self.crossed = crossed
-        self.reached = reached  # how often each of EXITS had its tally checked
+        self.reached = reached  # how often each of EXITS had its tally checked, and each of STEPS ran
         self.calls = calls  # the leaf calls chebauth.protocol made since the last reading, by kind
         self.width, self.prime = width, prime
         self.delta_t = DEFAULT_DELTA_T
@@ -183,7 +192,7 @@ class PackageFollowsReference(RuleBasedStateMachine):
             assert session.card is card
             assert (user_counts, server_counts) == (M1_ONLY, SERVER_TALLY[server_result])
             self.reached[f"server-{server_result}"] += 1
-            return
+            return server_result
         self.ref_now += 1
         ref_m2, ref_server_key = server_result
         m2 = session.events[1].message
@@ -195,22 +204,24 @@ class PackageFollowsReference(RuleBasedStateMachine):
             assert (session.rejected_by, session.reject) == ("user", Reject(RejectReason(user_result)))
             assert session.card is card and session.user_key is None
             self.reached[f"user-{user_result}"] += 1
-            return
+            return user_result
         self.reached["user-accept"] += 1
         ref_user_key, self.ref_cards[user] = user_result
         assert session.ok and session.user_key == ref_user_key
         assert not (self.corrupted[user] and self.width == 256)
         self.cards[user] = session.card
         self.accepted_m2 = user, m2, ref_m2
+        return "accept"
 
     @rule(user=st.sampled_from(USERS))
     def honest_login(self, user):
-        self.login(user, self.passwords[user])
+        cold = not chaotic._tables  # as forget_tabulated_bases leaves it
+        self.reached[f"honest_login-{self.login(user, self.passwords[user])}" + "-cold" * cold] += 1
 
     @rule(user=st.sampled_from(USERS), typo=passwords)
     def wrong_password_login(self, user, typo):
         self.last_typo[user] = self.passwords[user] + b"~" + typo
-        self.login(user, self.last_typo[user])
+        self.reached[f"wrong_password_login-{self.login(user, self.last_typo[user])}"] += 1
 
     @rule(user=st.sampled_from(USERS), new=passwords, right_old=st.booleans())
     def change(self, user, new, right_old):
@@ -250,6 +261,7 @@ class PackageFollowsReference(RuleBasedStateMachine):
             self.last_m2 = m2
         assert counts == SERVER_TALLY[outcome(result)] and self.made() == tallied(counts)
         self.reached[f"server-{outcome(result)}"] += 1
+        self.reached[f"replay_last_m1-{outcome(result)}"] += 1
 
     @precondition(lambda self: self.last_m2 is not None)
     @rule()
@@ -258,6 +270,7 @@ class PackageFollowsReference(RuleBasedStateMachine):
         result = server_handle_login(self.server, self.last_m2, self.clock, self.rng, counts=counts)
         assert result == Reject(RejectReason.MALFORMED) and counts == SERVER_TALLY["malformed"]
         assert self.made() == tallied(counts)
+        self.reached["deliver_m2_to_server-malformed"] += 1
 
     @precondition(lambda self: self.last_m1 is not None)
     @rule(user=st.sampled_from(USERS))
@@ -266,6 +279,7 @@ class PackageFollowsReference(RuleBasedStateMachine):
         ctx, counts = UserLoginContext(self.cards[user], self.params, u, FieldElement(tuk, self.prime)), OpCounts()
         result = user_handle_response(ctx, m1, self.clock, counts=counts)
         assert result == Reject(RejectReason.MALFORMED) and counts == OpCounts() and self.made() == tallied(counts)
+        self.reached["deliver_m1_to_card-malformed"] += 1
 
     @precondition(lambda self: self.accepted_m2 is not None)
     @rule()
@@ -284,6 +298,7 @@ class PackageFollowsReference(RuleBasedStateMachine):
         assert counts == (M1_ONLY if ref_result == "stale_timestamp" else M1_AND_M2)
         assert self.made() == tallied(counts)
         self.reached[f"user-{outcome(result)}"] += 1
+        self.reached[f"replay_accepted_m2-{outcome(result)}"] += 1
         if isinstance(ref_result, str):
             assert result == Reject(RejectReason(ref_result))
         else:  # a toy prime's short map period can repeat the key, or w = 8 truncate Y3 to a match
@@ -311,6 +326,7 @@ class PackageFollowsReference(RuleBasedStateMachine):
         self.reached[f"server-{outcome(result)}"] += 1
         if isinstance(ref_result, str):
             assert result == Reject(RejectReason(ref_result)) and user_counts == M1_ONLY
+            self.reached[f"flip_in_flight-m1-{outcome(result)}"] += 1
             return
         assert self.width == 8 or at_m2
         (m2, server_key), (ref_m2, ref_server_key) = result, ref_result
@@ -324,6 +340,7 @@ class PackageFollowsReference(RuleBasedStateMachine):
         assert user_counts == (M1_ONLY if ref_result == "stale_timestamp" else M1_AND_M2)
         assert self.made() + tallied(M1_ONLY) == tallied(user_counts)  # M1's calls were read with the server's
         self.reached[f"user-{outcome(result)}"] += 1
+        self.reached[f"flip_in_flight-m{1 + at_m2}-{outcome(result)}"] += 1
         if isinstance(ref_result, str):
             assert result == Reject(RejectReason(ref_result))
         else:
@@ -354,6 +371,7 @@ class PackageFollowsReference(RuleBasedStateMachine):
                     self.ref_mk, ref_card, typed, ref_rng, self.ref_now, 1, 1, self.delta_t, self.prime)
                 assert session.ok == (not isinstance(ref_result, str))
                 assert not (session.ok and self.width == 256)
+                self.reached[f"corrupted_card_login-{outcome(session.reject) if session.reject else 'accept'}"] += 1
         self.made()  # the probes' leaf calls are no step's
 
     @invariant()
@@ -413,46 +431,25 @@ def test_run_checks_the_tally_of(run, exit):
     assert reached[exit]
 
 
-DELTA_T = 3
-IDENTITY = b"patient-0042"
-PASSWORD = b"correct horse"
-NEW_PASSWORD = b"battery staple"
-
-# name -> (password typed at login, M1 delay, M2 delay, (old, new) of a change first)
-SCENARIOS = {
-    "honest": (PASSWORD, 1, 1, None),
-    "wrong_password": (PASSWORD + b"-typo", 1, 1, None),
-    "stale_m1": (PASSWORD, DELTA_T + 1, 1, None),
-    "stale_m2": (PASSWORD, 1, DELTA_T + 1, None),
-    "change_correct_old": (NEW_PASSWORD, 1, 1, (PASSWORD, NEW_PASSWORD)),
-    "change_wrong_old": (NEW_PASSWORD, 1, 1, (b"not the old one", NEW_PASSWORD)),
-}
-
-
-def reference_run(seed, width, prime, login_password, delay_m1, delay_m2, change) -> list:
-    n = width // 8
-    mk = ref.draw(random.Random(seed), n)  # the server's first draw is its master key
-    rng = random.Random(seed + 1)
-    card = ref.register(mk, IDENTITY, PASSWORD, rng)
-    trace = [("card", card)]
-    if change is not None:
-        card = ref.change(card, *change)
-        trace.append(("changed", card))
-    m1, ctx, reply, verdict = ref.login(mk, card, login_password, rng, 0, delay_m1, delay_m2, DELTA_T, prime)
-    trace += [("m1", m1), ("ctx", ctx)]
-    if isinstance(reply, str):
-        return trace + [("server reject", reply)]
-    trace += [("m2", reply[0]), ("server", reply[1])]
-    return trace + [("user reject" if isinstance(verdict, str) else "user", verdict)]
+@pytest.mark.parametrize("step", STEPS)
+def test_run_compares_with_reference_after(run, step):
+    _, reached = run
+    assert reached[step]
 
 
 def test_scenarios_end_where_the_scheme_says():
     # the reference itself must reproduce the scheme's outcomes at full width
-    def outcome(scenario):
-        return reference_run(5, 256, DEFAULT_PRIME, *SCENARIOS[scenario])[-1][0]
+    def outcome(typed=b"correct horse", delay_m1=1, delay_m2=1, old=None):
+        mk, rng = ref.draw(random.Random(5), 32), random.Random(6)  # mk is the server's first draw
+        card = ref.register(mk, b"patient-0042", b"correct horse", rng)
+        if old is not None:  # first a change from old to the password typed at login
+            card = ref.change(card, old, typed)
+        *_, reply, verdict = ref.login(mk, card, typed, rng, 0, delay_m1, delay_m2, 3, DEFAULT_PRIME)
+        return "server reject" if isinstance(reply, str) else "user reject" if isinstance(verdict, str) else "user"
 
-    assert outcome("honest") == outcome("change_correct_old") == "user"
-    assert outcome("wrong_password") == outcome("change_wrong_old") == "server reject"
-    assert outcome("stale_m1") == "server reject"
-    assert outcome("stale_m2") == "user reject"
+    new = b"battery staple"
+    assert outcome() == outcome(new, old=b"correct horse") == "user"
+    assert outcome(b"correct horse-typo") == outcome(new, old=b"not the old one") == "server reject"
+    assert outcome(delay_m1=4) == "server reject"  # past delta_t = 3
+    assert outcome(delay_m2=4) == "user reject"
     assert ref.cheb(6, 3, 101) == (32 * 3**6 - 48 * 3**4 + 18 * 3**2 - 1) % 101
