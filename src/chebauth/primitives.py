@@ -6,12 +6,14 @@ big-endian encodings so concatenations hash identically everywhere, and a
 Timestamp refuses ticks its 8 bytes cannot hold. Map exponents are drawn
 below chaotic.EXPONENT_LIMIT, the kernel's bound.
 
-h_digest, H_digest and xor_bytes are what the protocol phases call, and
-each phase tallies its own operations once per exit path: that tally is the
-package's one count. hash_h, hash_H, xor and concat are the public forms at
-a width in bits; they take and return bytes and count nothing. BitString is
-only the shell of a retired bit-string type, kept for the constructor hook
-that perfbench/tracer.py replaces; nothing in the package builds one.
+h_digest, H_digest and xor_bytes are what the protocol phases call. tally
+adds one exit's operations to an OpCounts, the package's one count:
+protocol.run_login_session books a login's by how it ended, and
+registration and change_password tally their own. hash_h, hash_H, xor and
+concat are the public forms at a width in bits; they take and return bytes
+and count nothing. BitString is only the shell of a retired bit-string
+type, kept for the constructor hook that perfbench/tracer.py replaces;
+nothing in the package builds one.
 """
 
 import hashlib

@@ -12,11 +12,13 @@ change is applied without verifying the old password.
 The phases compute on bytes and ints: one join per hashed tuple into
 h_digest or H_digest, so h(pw) and h(pw || b) are one call each as the
 scheme writes them, and XOR through xor_bytes. What they store and send
-(master key, card and message fields, session keys) is plain bytes, and
-each phase tallies its exact operations once per exit path, the package's
-only count. A receiver rejects as malformed, before all else, anything not
-of its message class (an M2, None or a tuple at the server, an M1 at the
-card), a field of the wrong type or width, or an element mod another prime.
+(master key, card and message fields, session keys) is plain bytes. The
+login phases count nothing: run_login_session books each party's cost by
+how the login ended, and registration and change_password tally their one
+exit each; these are the package's only counts. A receiver rejects as
+malformed, before all else, anything not of its message class (an M2, None
+or a tuple at the server, an M1 at the card), a field of the wrong type or
+width, or an element mod another prime.
 
 Once X1 verifies, the server has the chaotic kernel tabulate the recovered
 K, so that T_v(K) here and the card's T_u(K) in later logins read K's
@@ -162,7 +164,6 @@ def user_login_start(
     clock: LogicalClock,
     rng: RandomSource,
     params: Params,
-    counts: OpCounts | None = None,
 ) -> tuple[LoginRequest, UserLoginContext]:
     """Build the login request M1 from the inserted card and typed password.
 
@@ -182,7 +183,6 @@ def user_login_start(
     tuk = cheb_eval(u, bits_to_field(k, params.p))
     t1 = clock.now()
     x1 = h_digest(n, k, card.im1, card.im2, tuk.to_bytes(), t1.to_bytes())
-    tally(counts, 3, 2, 1)
     return LoginRequest(card.im1, card.im2, tuk, x1, t1), UserLoginContext(card, params, u, tuk)
 
 
@@ -191,7 +191,6 @@ def server_handle_login(
     m1: LoginRequest,
     clock: LogicalClock,
     rng: RandomSource,
-    counts: OpCounts | None = None,
 ):
     """Verify M1 and, on success, answer with M2 carrying refreshed pseudonyms.
 
@@ -214,7 +213,6 @@ def server_handle_login(
     k_rec = h_digest(n, id_rec, mk)
     tuk_bytes = tuk.to_bytes()
     if h_digest(n, k_rec, im1, im2, tuk_bytes, t1.to_bytes()) != x1:
-        tally(counts, 3, 2, 0)
         return Reject(RejectReason.AUTH_FAILURE)
     r_new = rng.draw_bytes(n)
     v = rng.draw_exponent()
@@ -228,7 +226,6 @@ def server_handle_login(
     session_key = H_digest(n, tuk_bytes, tvk_bytes, tvtuk.to_bytes())
     pad = h_digest(n, session_key, t2_bytes)
     y3 = h_digest(n, session_key, im1_new, im2_new, tvk_bytes, t2_bytes)
-    tally(counts, 7, 6, 2)
     y1, y2 = xor_bytes(im1_new, pad), xor_bytes(im2_new, pad)
     return LoginResponse(y1=y1, y2=y2, y3=y3, tvk=tvk, t2=t2), session_key
 
@@ -237,7 +234,6 @@ def user_handle_response(
     ctx: UserLoginContext,
     m2: LoginResponse,
     clock: LogicalClock,
-    counts: OpCounts | None = None,
 ):
     """Check M2 against the login ctx started, derive the session key, adopt the refreshed pseudonyms.
 
@@ -260,7 +256,6 @@ def user_handle_response(
     pad = h_digest(n, session_key, t2_bytes)
     im1_new = xor_bytes(y1, pad)
     im2_new = xor_bytes(y2, pad)
-    tally(counts, 3, 2, 1)
     if h_digest(n, session_key, im1_new, im2_new, tvk_bytes, t2_bytes) != y3:
         return Reject(RejectReason.AUTH_FAILURE)
     return session_key, SmartCard(im1_new, im2_new, ctx.card.d1, ctx.card.d2)
@@ -331,18 +326,29 @@ def run_login_session(
     rejection it carries the original card unchanged. A channel_delay that
     is not an int (a bool too), or that the clock refuses for M2's delivery,
     2 * channel_delay ticks on, raises before anything is drawn from rng.
+
+    Each party's operations are added to its counts by how the login ended.
+    The card costs 3 hashes, 2 XORs and 1 map evaluation for M1, and as much
+    again once it checked an M2: an M2 the server built is well-formed, and
+    fresh whenever M1 was, both legs taking channel_delay. The server costs
+    7 / 6 / 2 on accept, 3 / 2 / 0 on a bad X1, and nothing for a stale M1.
     """
     if type(channel_delay) is not int:  # 2 * True is an int the clock would take
         raise TypeError(f"channel_delay must be an int, got {type(channel_delay).__name__}")
     clock.after(2 * channel_delay)
-    m1, ctx = user_login_start(card, password, clock, rng, server.params, counts=user_counts)
+    m1, ctx = user_login_start(card, password, clock, rng, server.params)
+    tally(user_counts, 3, 2, 1)
     events = [ChannelEvent(m1, clock.advance(channel_delay))]
-    result = server_handle_login(server, m1, clock, rng, counts=server_counts)
+    result = server_handle_login(server, m1, clock, rng)
     if isinstance(result, Reject):
+        if result.reason is RejectReason.AUTH_FAILURE:
+            tally(server_counts, 3, 2, 0)
         return LoginSession(card, None, None, result, "server", events)
+    tally(server_counts, 7, 6, 2)
     m2, server_key = result
     events.append(ChannelEvent(m2, clock.advance(channel_delay)))
-    result = user_handle_response(ctx, m2, clock, counts=user_counts)
+    result = user_handle_response(ctx, m2, clock)
+    tally(user_counts, 3, 2, 1)
     if isinstance(result, Reject):
         return LoginSession(card, None, server_key, result, "user", events)
     user_key, refreshed = result

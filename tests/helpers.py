@@ -1,8 +1,13 @@
-"""Shared test fixtures and the naive evaluation oracle."""
+"""Shared test fixtures, the naive evaluation oracle and a counter of the protocol's leaf calls."""
 
 import re
+from collections import Counter
+from contextlib import contextmanager
 from types import SimpleNamespace
 
+import pytest
+
+from chebauth import protocol
 from chebauth.chaotic import DEFAULT_PRIME, FieldElement
 from chebauth.primitives import DEFAULT_WIDTH, LogicalClock, RandomSource, Timestamp
 from chebauth.protocol import DEFAULT_DELTA_T, Params, SmartCard, registration, server_setup, user_login_start
@@ -12,6 +17,9 @@ from reference_scheme import field, h, tick, xor
 #: (Sorenson and Webster, "Strong pseudoprimes to twelve prime bases", 2017).
 PSI_12 = 318665857834031151167461  # 399165290221 * 798330580441
 PSI_13 = 3317044064679887385961981
+
+#: The leaf calls of chebauth.protocol, by the kind of operation a tally counts them as.
+LEAVES = {"h_digest": "hash", "H_digest": "hash", "xor_bytes": "xor", "cheb_eval": "cheb"}
 
 
 def cheb_naive_sequence(limit: int, x: int, p: int) -> list:
@@ -29,6 +37,23 @@ def cheb_naive_sequence(limit: int, x: int, p: int) -> list:
 def cheb_naive(n: int, x: int, p: int) -> int:
     """T_n(x) mod p: the last term of cheb_naive_sequence."""
     return cheb_naive_sequence(n, x, p)[n]
+
+
+def counting(leaf, kind: str, calls: Counter):
+    """leaf, adding one to calls[kind] at each call."""
+    def counted(*args):
+        calls[kind] += 1
+        return leaf(*args)
+    return counted
+
+
+@contextmanager
+def leaf_calls(calls: Counter):
+    """Inside the block, each of chebauth.protocol's LEAVES adds one to calls[kind] when called."""
+    with pytest.MonkeyPatch.context() as patch:
+        for name, kind in LEAVES.items():
+            patch.setattr(protocol, name, counting(getattr(protocol, name), kind, calls))
+        yield
 
 
 def clock_at(ticks: int) -> LogicalClock:

@@ -1,5 +1,6 @@
 import pickle
 import re
+from collections import Counter
 from itertools import product
 
 import pytest
@@ -31,13 +32,32 @@ class TestGuessPredicate:
 
     def test_costs_three_hashes_two_xors(self):
         # the scheme's formula costs 3 hashes and 2 XORs per candidate, and
-        # offline_guess tallies the same for each candidate it evaluates
+        # offline_guess books the same for each candidate it evaluates,
+        # whatever the predicate does; the predicate's own hashing is read
+        # from a target whose state factory counts digest() calls
         fx = make_fixture(56)
         extracted, m1 = intercepted_m1(fx)
         assert guess_predicate_oracle(fx.password, extracted, m1)
-        report = offline_guess(extracted, m1, Dictionary((fx.password,)))
-        assert report.recovered == fx.password
-        assert report.counts == OpCounts(3, 2, 0)
+        *constants, fresh = scan_target(extracted, m1)
+        calls = Counter()
+
+        class CountedState:
+            def __init__(self):
+                self.state = fresh()
+
+            def update(self, data):
+                self.state.update(data)
+
+            def digest(self):
+                calls["digest"] += 1
+                return self.state.digest()
+
+        dictionary = Dictionary((*(f"decoy-{i}".encode() for i in range(49)), fx.password))
+        verdicts = [guess_predicate(candidate, (*constants, CountedState)) for candidate in dictionary.candidates]
+        report = offline_guess(extracted, m1, dictionary)
+        assert verdicts == [False] * 49 + [True]
+        assert report.recovered == fx.password and report.counts == OpCounts(3 * 50, 2 * 50, 0)
+        assert calls["digest"] / 50 == report.counts.n_hash / report.guesses == 3
 
 
 def scan_tally(evaluations):

@@ -3,28 +3,32 @@
 This is the one place that checks the package against the reference scheme. A
 hypothesis state machine drives two users and one server through logins with
 the right and a wrong password, password changes with the right and a wrong old
-password, card re-issues, clock jumps past the freshness window, a replayed M1,
-an accepted M2 replayed to its card under a fresh login, messages delivered to
-the wrong receiver, one bit flipped in one field of an M1 or M2 in flight, and
-a cleared kernel memo, so that logins where K is tabulated mix with logins
-where it is not. Six (width, prime) configurations, (8, 101), (8, p256), (64, 17),
+password, card re-issues, logins whose legs take the whole freshness window
+(each message arrives exactly delta_t ticks after its stamp) or a tick more,
+after which every earlier message is stale, a replayed M1, an accepted M2
+replayed to its card under a fresh login, messages delivered to the wrong
+receiver, one bit flipped in one field of an M1 or M2 in flight, and a cleared
+kernel memo, so that logins where K is tabulated mix with logins where it is
+not. Six (width, prime) configurations, (8, 101), (8, p256), (64, 17),
 (136, p256), (256, 101) and (256, p256), p256 the default prime, cover each width
 and each prime. Each step runs on chebauth and on tests/reference_scheme.py,
 which gets a random.Random with the same seed and draws in the package's order.
 After every step the cards, session keys and reject reasons are bit-equal to
-the reference, a reject has left the card as it was, each party's OpCounts is
-the exact tally of the exit it took, and the two random streams and clocks are
-in step. Each tally also equals the calls made: the run counts
-chebauth.protocol's leaf calls h_digest, H_digest, xor_bytes and cheb_eval, and
-reads the counts around each call whose tally it checks. This is the one home
-of the per-exit tallies: each configuration's run must reach all nine exits
-whose tally it checks (registration, a change with the right and with a wrong
-old password, and accept, auth_failure and stale_timestamp at the server and at
+the reference, a reject has left the card as it was, and the two random
+streams and clocks are in step. Each step's cost is checked against the calls
+made: the run counts chebauth.protocol's leaf calls h_digest, H_digest,
+xor_bytes and cheb_eval, and the counts read after each step equal the exact
+cost of the exits it took, as do the OpCounts that registration,
+change_password and run_login_session report. This is the one home of the
+per-exit tallies: each configuration's run must reach all nine exits whose
+tally it checks (registration, a change with the right and with a wrong old
+password, and accept, auth_failure and stale_timestamp at the server and at
 the card), one test per configuration and exit, so that no exit, the rarely
 reached stale ones above all, drops out of the run unseen. So must it take
 each of STEPS, a rule with an outcome that it compares with the reference (an
-honest login with the kernel memo cleared among them), one test each. Each
-configuration runs once, in a module-scoped fixture that all its tests share. The attacker
+honest login with the kernel memo cleared and a login answered at the
+window's edge among them), one test each. Each configuration runs once, in a
+module-scoped fixture that all its tests share. The attacker
 overhears every M1 a card sends: after every step, each user's card, extracted
 as it is then, is scanned against every M1 so far with four candidates, and
 each guess_predicate verdict equals the oracle's. At w = 256 three rules also
@@ -58,7 +62,7 @@ from hypothesis.stateful import (  # noqa: E402
 )
 
 import reference_scheme as ref  # noqa: E402
-from chebauth import chaotic, protocol  # noqa: E402
+from chebauth import chaotic  # noqa: E402
 from chebauth.adversary import guess_predicate, scan_target  # noqa: E402
 from chebauth.chaotic import DEFAULT_PRIME, FieldElement  # noqa: E402
 from chebauth.primitives import LogicalClock, OpCounts, RandomSource  # noqa: E402
@@ -76,29 +80,30 @@ from chebauth.protocol import (  # noqa: E402
     user_handle_response,
     user_login_start,
 )
-from helpers import card_fields, flipped, guess_predicate_oracle, m1_fields, m2_fields  # noqa: E402
+from helpers import card_fields, flipped, guess_predicate_oracle, leaf_calls, m1_fields, m2_fields  # noqa: E402
 
 CONFIGS = [(8, 101), (8, DEFAULT_PRIME), (64, 17), (136, DEFAULT_PRIME), (256, 101), (256, DEFAULT_PRIME)]
 USERS = (0, 1)
 
-# The exact tally of each exit: the server's check, by the reject reason it
-# returns or "accept", and the user's side of a login that ends at the
-# server or at the card (whose M2, sent one tick after M1, is always fresh).
+# The exact cost of each exit: the server's check of an M1 and the card's
+# check of an M2, by the reject reason it returns or "accept"; the card's M1
+# alone, and with its check of an M2, which is what run_login_session books
+# for the card in a login that ends at the server or at the card.
 SERVER_TALLY = {"malformed": OpCounts(), "stale_timestamp": OpCounts(), "auth_failure": OpCounts(3, 2, 0),
                 "accept": OpCounts(7, 6, 2)}
+USER_TALLY = {"malformed": OpCounts(), "stale_timestamp": OpCounts(), "auth_failure": OpCounts(3, 2, 1),
+              "accept": OpCounts(3, 2, 1)}
 M1_ONLY, M1_AND_M2 = OpCounts(3, 2, 1), OpCounts(6, 4, 2)
 EXITS = ("registration", "change-right_old", "change-wrong_old",
          *(f"{side}-{exit}" for side in ("server", "user") for exit in ("accept", "auth_failure", "stale_timestamp")))
 
 # Each rule with an outcome that the run compares with the reference, as f"{rule}-{outcome}".
 STEPS = ("honest_login-accept", "honest_login-accept-cold", "wrong_password_login-auth_failure",
+         "advance_past_window-accept", "advance_past_window-stale_timestamp",
          *(f"replay_last_m1-{outcome}" for outcome in ("accept", "auth_failure", "stale_timestamp")),
          "replay_accepted_m2-auth_failure", "replay_accepted_m2-stale_timestamp", "flip_in_flight-m1-auth_failure",
          "flip_in_flight-m2-auth_failure", "deliver_m2_to_server-malformed", "deliver_m1_to_card-malformed",
          "corrupted_card_login-auth_failure")
-
-# The leaf calls of chebauth.protocol, by the kind of operation a tally counts them as.
-LEAVES = {"h_digest": "hash", "H_digest": "hash", "xor_bytes": "xor", "cheb_eval": "cheb"}
 
 passwords = st.binary(min_size=1, max_size=6)
 
@@ -110,14 +115,6 @@ def outcome(result) -> str:
 def tallied(*counts: OpCounts) -> Counter:
     """The operations the given OpCounts report, summed by kind."""
     return sum((Counter(c.as_dict()) for c in counts), Counter())
-
-
-def counting(leaf, kind: str, calls: Counter):
-    """leaf, adding one to calls[kind] at each call."""
-    def counted(*args):
-        calls[kind] += 1
-        return leaf(*args)
-    return counted
 
 
 def copies(*objects) -> tuple:
@@ -174,15 +171,15 @@ class PackageFollowsReference(RuleBasedStateMachine):
         assert counts == OpCounts(5, 4, 0) and self.made() == tallied(counts)
         self.reached["registration"] += 1
 
-    def login(self, user, typed):
+    def login(self, user, typed, delay=1):
         card, ref_card = self.cards[user], self.ref_cards[user]
         user_counts, server_counts = OpCounts(), OpCounts()
-        session = run_login_session(self.server, card, typed, self.clock, self.rng,
+        session = run_login_session(self.server, card, typed, self.clock, self.rng, channel_delay=delay,
                                     user_counts=user_counts, server_counts=server_counts)
         assert self.made() == tallied(user_counts, server_counts)
         ref_m1, ref_ctx, server_result, user_result = ref.login(
-            self.ref_mk, ref_card, typed, self.ref_rng, self.ref_now, 1, 1, self.delta_t, self.prime)
-        self.ref_now += 1
+            self.ref_mk, ref_card, typed, self.ref_rng, self.ref_now, delay, delay, self.delta_t, self.prime)
+        self.ref_now += delay
         m1 = session.events[0].message
         assert m1_fields(m1) == ref_m1
         self.overheard.append((user, m1, session.rejected_by != "server", card.d1))
@@ -193,7 +190,7 @@ class PackageFollowsReference(RuleBasedStateMachine):
             assert (user_counts, server_counts) == (M1_ONLY, SERVER_TALLY[server_result])
             self.reached[f"server-{server_result}"] += 1
             return server_result
-        self.ref_now += 1
+        self.ref_now += delay
         ref_m2, ref_server_key = server_result
         m2 = session.events[1].message
         assert m2_fields(m2) == ref_m2 and session.server_key == ref_server_key
@@ -241,8 +238,12 @@ class PackageFollowsReference(RuleBasedStateMachine):
 
     @rule()
     def advance_past_window(self):
-        self.clock.advance(self.delta_t + 1)
-        self.ref_now += self.delta_t + 1
+        # the channel slows down: user 0 logs in with each leg taking the whole
+        # window, so that M1 and M2 arrive exactly delta_t ticks after their
+        # stamps and are answered, then with M1 arriving a tick past it; every
+        # message sent before is stale afterwards
+        for late in (False, True):
+            self.reached[f"advance_past_window-{self.login(0, self.passwords[0], self.delta_t + late)}"] += 1
 
     @precondition(lambda self: self.last_m1 is not None)
     @rule()
@@ -250,8 +251,7 @@ class PackageFollowsReference(RuleBasedStateMachine):
         # the server keeps no record of seen requests: inside the window a
         # replay is answered, with fresh draws, as the first delivery was
         m1, ref_m1, _ = self.last_m1
-        counts = OpCounts()
-        result = server_handle_login(self.server, m1, self.clock, self.rng, counts=counts)
+        result = server_handle_login(self.server, m1, self.clock, self.rng)
         ref_result = ref.server_respond(self.ref_mk, self.prime, self.delta_t, ref_m1, self.ref_now, self.ref_rng)
         if isinstance(ref_result, str):
             assert result == Reject(RejectReason(ref_result))
@@ -259,26 +259,24 @@ class PackageFollowsReference(RuleBasedStateMachine):
             m2, server_key = result
             assert (m2_fields(m2), server_key) == ref_result
             self.last_m2 = m2
-        assert counts == SERVER_TALLY[outcome(result)] and self.made() == tallied(counts)
+        assert self.made() == tallied(SERVER_TALLY[outcome(result)])
         self.reached[f"server-{outcome(result)}"] += 1
         self.reached[f"replay_last_m1-{outcome(result)}"] += 1
 
     @precondition(lambda self: self.last_m2 is not None)
     @rule()
     def deliver_m2_to_server(self):
-        counts = OpCounts()
-        result = server_handle_login(self.server, self.last_m2, self.clock, self.rng, counts=counts)
-        assert result == Reject(RejectReason.MALFORMED) and counts == SERVER_TALLY["malformed"]
-        assert self.made() == tallied(counts)
+        result = server_handle_login(self.server, self.last_m2, self.clock, self.rng)
+        assert result == Reject(RejectReason.MALFORMED) and self.made() == tallied(SERVER_TALLY["malformed"])
         self.reached["deliver_m2_to_server-malformed"] += 1
 
     @precondition(lambda self: self.last_m1 is not None)
     @rule(user=st.sampled_from(USERS))
     def deliver_m1_to_card(self, user):
         m1, _, (u, tuk) = self.last_m1
-        ctx, counts = UserLoginContext(self.cards[user], self.params, u, FieldElement(tuk, self.prime)), OpCounts()
-        result = user_handle_response(ctx, m1, self.clock, counts=counts)
-        assert result == Reject(RejectReason.MALFORMED) and counts == OpCounts() and self.made() == tallied(counts)
+        ctx = UserLoginContext(self.cards[user], self.params, u, FieldElement(tuk, self.prime))
+        result = user_handle_response(ctx, m1, self.clock)
+        assert result == Reject(RejectReason.MALFORMED) and self.made() == tallied(USER_TALLY["malformed"])
         self.reached["deliver_m1_to_card-malformed"] += 1
 
     @precondition(lambda self: self.accepted_m2 is not None)
@@ -290,13 +288,11 @@ class PackageFollowsReference(RuleBasedStateMachine):
         # is kept, which cards_match_reference checks against the reference's
         user, m2, ref_m2 = self.accepted_m2
         card, ref_card, typed = self.cards[user], self.ref_cards[user], self.passwords[user]
-        counts = OpCounts()
-        _, ctx = user_login_start(card, typed, self.clock, self.rng, self.params, counts=counts)
+        _, ctx = user_login_start(card, typed, self.clock, self.rng, self.params)
         _, ref_ctx = ref.login_start(ref_card, typed, self.ref_rng, self.ref_now, self.prime)
-        result = user_handle_response(ctx, m2, self.clock, counts=counts)
+        result = user_handle_response(ctx, m2, self.clock)
         ref_result = ref.user_verify(ref_card, ref_ctx, ref_m2, self.ref_now, self.delta_t, self.prime)
-        assert counts == (M1_ONLY if ref_result == "stale_timestamp" else M1_AND_M2)
-        assert self.made() == tallied(counts)
+        assert self.made() == tallied(M1_ONLY, USER_TALLY[outcome(result)])
         self.reached[f"user-{outcome(result)}"] += 1
         self.reached[f"replay_accepted_m2-{outcome(result)}"] += 1
         if isinstance(ref_result, str):
@@ -311,21 +307,20 @@ class PackageFollowsReference(RuleBasedStateMachine):
         # the channel changes one bit of M1 or, if the server answers, of M2;
         # the receiver's verdict, its draws and the card follow the reference
         card, ref_card, typed = self.cards[user], self.ref_cards[user], self.passwords[user]
-        user_counts, server_counts = OpCounts(), OpCounts()
-        m1, ctx = user_login_start(card, typed, self.clock, self.rng, self.params, counts=user_counts)
+        m1, ctx = user_login_start(card, typed, self.clock, self.rng, self.params)
         _, ref_ctx = ref.login_start(ref_card, typed, self.ref_rng, self.ref_now, self.prime)
         if not at_m2:
             m1 = flipped(m1, field, bit)
         self.clock.advance(1)
         self.ref_now += 1
-        result = server_handle_login(self.server, m1, self.clock, self.rng, counts=server_counts)
+        result = server_handle_login(self.server, m1, self.clock, self.rng)
         self.overheard.append((user, m1, not isinstance(result, Reject), card.d1))
         ref_result = ref.server_respond(
             self.ref_mk, self.prime, self.delta_t, m1_fields(m1), self.ref_now, self.ref_rng)
-        assert server_counts == SERVER_TALLY[outcome(result)] and self.made() == tallied(user_counts, server_counts)
+        assert self.made() == tallied(M1_ONLY, SERVER_TALLY[outcome(result)])
         self.reached[f"server-{outcome(result)}"] += 1
         if isinstance(ref_result, str):
-            assert result == Reject(RejectReason(ref_result)) and user_counts == M1_ONLY
+            assert result == Reject(RejectReason(ref_result))
             self.reached[f"flip_in_flight-m1-{outcome(result)}"] += 1
             return
         assert self.width == 8 or at_m2
@@ -335,10 +330,9 @@ class PackageFollowsReference(RuleBasedStateMachine):
             m2 = flipped(m2, field, bit)
         self.clock.advance(1)
         self.ref_now += 1
-        result = user_handle_response(ctx, m2, self.clock, counts=user_counts)
+        result = user_handle_response(ctx, m2, self.clock)
         ref_result = ref.user_verify(ref_card, ref_ctx, m2_fields(m2), self.ref_now, self.delta_t, self.prime)
-        assert user_counts == (M1_ONLY if ref_result == "stale_timestamp" else M1_AND_M2)
-        assert self.made() + tallied(M1_ONLY) == tallied(user_counts)  # M1's calls were read with the server's
+        assert self.made() == tallied(USER_TALLY[outcome(result)])
         self.reached[f"user-{outcome(result)}"] += 1
         self.reached[f"flip_in_flight-m{1 + at_m2}-{outcome(result)}"] += 1
         if isinstance(ref_result, str):
@@ -408,9 +402,7 @@ def run(request) -> tuple[Counter, Counter]:
     """One derandomized run of the machine at (width, prime): its crossed and reached counters."""
     width, prime = request.param
     crossed, reached, calls = Counter(), Counter(), Counter()
-    with pytest.MonkeyPatch.context() as patch:  # the leaf counters go when the run ends
-        for name, kind in LEAVES.items():
-            patch.setattr(protocol, name, counting(getattr(protocol, name), kind, calls))
+    with leaf_calls(calls):  # the leaf counters go when the run ends
         run_state_machine_as_test(
             lambda: PackageFollowsReference(width, prime, crossed, reached, calls),
             settings=settings(max_examples=20, stateful_step_count=20, deadline=None, derandomize=True,

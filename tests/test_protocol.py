@@ -159,13 +159,6 @@ class TestRegistration:
 
 
 class TestLogin:
-    def test_delivery_at_window_edge_accepted(self):
-        fx = make_fixture(26, delta_t=3)
-        m1, _ = user_login_start(fx.card, fx.password, fx.clock, fx.rng, fx.server.params)
-        fx.clock.advance(3)
-        result = server_handle_login(fx.server, m1, fx.clock, fx.rng)
-        assert not isinstance(result, Reject)
-
     @pytest.mark.parametrize("ahead", [1, 990])
     def test_future_dated_request_accepted(self, ahead):
         # documented behaviour: the freshness check is one-sided, so an M1
@@ -209,7 +202,7 @@ class TestLogin:
         assert ctx.card is fx.card and ctx.params is fx.server.params
         fx.clock.advance(1)
         m2, _ = server_handle_login(fx.server, m1, fx.clock, fx.rng)
-        assert list(inspect.signature(user_handle_response).parameters) == ["ctx", "m2", "clock", "counts"]
+        assert list(inspect.signature(user_handle_response).parameters) == ["ctx", "m2", "clock"]
         assert not isinstance(user_handle_response(ctx, m2, fx.clock), Reject)
 
     def test_card_side_cannot_run_with_a_prime_or_window_setup_refuses(self):

@@ -6,12 +6,13 @@ of another field, or a value of another type, or replace the whole message
 by the other message class, None, a bare tuple of the honest fields or the
 fixture's SmartCard. Delivered in time or past the freshness window, the
 receiver returns Reject(MALFORMED) (the shape is judged before the clock),
-counts nothing, draws nothing, writes no memo entry and leaves the card as
-it was. The untouched message, handed to the same receiver afterwards, still
-completes the round trip with matching keys.
+makes no hash, XOR or map call, draws nothing, writes no memo entry and
+leaves the card as it was. The untouched message, handed to the same
+receiver afterwards, still completes the round trip with matching keys.
 """
 
 import pickle
+from collections import Counter
 from functools import cache
 from types import SimpleNamespace
 
@@ -22,7 +23,7 @@ from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from chebauth import chaotic  # noqa: E402
 from chebauth.chaotic import DEFAULT_PRIME, FieldElement  # noqa: E402
-from chebauth.primitives import OpCounts, RandomSource, Timestamp  # noqa: E402
+from chebauth.primitives import RandomSource, Timestamp  # noqa: E402
 from chebauth.protocol import (  # noqa: E402
     LoginRequest,
     Reject,
@@ -32,7 +33,7 @@ from chebauth.protocol import (  # noqa: E402
     user_login_start,
 )
 
-from helpers import clock_at, make_fixture  # noqa: E402
+from helpers import clock_at, leaf_calls, make_fixture  # noqa: E402
 
 CONFIGS = [(8, 101), (8, DEFAULT_PRIME), (256, 101), (256, DEFAULT_PRIME)]
 PRIMES = (17, 101, DEFAULT_PRIME)
@@ -101,15 +102,16 @@ def test_one_bad_field_is_malformed_and_changes_nothing(case):
     sent = message.t1 if isinstance(message, LoginRequest) else message.t2
     clock = clock_at(sent.ticks + 1)
     for at in (clock, clock_at(sent.ticks + fx.server.params.delta_t + 1)):  # in time, then stale
-        counts = OpCounts()
-        if isinstance(message, LoginRequest):
-            rng = RandomSource(SERVER_SEED)
-            result = server_handle_login(fx.server, bad, at, rng, counts=counts)
-            assert rng.draw_exponent() == RandomSource(SERVER_SEED).draw_exponent()
-        else:
-            result = user_handle_response(session.ctx, bad, at, counts=counts)
+        calls = Counter()
+        with leaf_calls(calls):
+            if isinstance(message, LoginRequest):
+                rng = RandomSource(SERVER_SEED)
+                result = server_handle_login(fx.server, bad, at, rng)
+                assert rng.draw_exponent() == RandomSource(SERVER_SEED).draw_exponent()
+            else:
+                result = user_handle_response(session.ctx, bad, at)
         assert result == Reject(RejectReason.MALFORMED)
-        assert counts == OpCounts(0, 0, 0)
+        assert calls == Counter()
         assert set(chaotic._tables) == memo
         assert card == card_before
     # the receiver is as it was: the untouched message completes the round trip

@@ -31,6 +31,11 @@
   or ``delta_t=-1``. Only server_setup and user_login_start take ``params``:
   the login context carries it to the M2 check, where a second Params could
   disagree with the one the login started with.
+- counters: a login's cost is a constant of how it ended, so the login
+  phases count nothing and run_login_session books each party's cost, the
+  only function to take ``user_counts`` and ``server_counts``. Only
+  registration and change_password, one exit each, take ``counts``; a
+  counts parameter on a login phase would let counting creep back into it.
 """
 
 import ast
@@ -46,6 +51,7 @@ SHIMS = {"ExtractedCard", "Transcript", "BitString", "_cheb_pure", "cheb_eval_in
 ADAPTERS = {"hash_h", "hash_H", "xor", "concat"}
 ADAPTER_HOMES = {"primitives", "chebauth.primitives", "adversary", "chebauth.adversary"}  # the modules binding one
 CHECKED_BY_PARAMS = ("prime", "width", "delta_t")
+COUNTERS = ("counts", "user_counts", "server_counts")
 
 
 def report(found) -> list[str]:
@@ -138,6 +144,11 @@ def parameters(source: str, names=CHECKED_BY_PARAMS) -> list[str]:
             if argument is not None and argument.arg in names]
 
 
+def counters(source: str) -> list[str]:
+    """Each counts, user_counts or server_counts parameter of a public module-level function, as "function(name)"."""
+    return parameters(source, COUNTERS)
+
+
 def params_takers(source: str) -> list[str]:
     """The public module-level functions with a parameter named params."""
     return [found.removesuffix("(params)") for found in parameters(source, ("params",))]
@@ -159,6 +170,9 @@ HOLDS = {  # rule -> the modules it holds for
 KEPT = {"chebauth/adversary.py": {"import hash_h"}}
 CASES = [(rule, name, []) for rule, names in HOLDS.items() for name in sorted(names)]
 CASES.append((params_takers, "chebauth/protocol.py", ["server_setup", "user_login_start"]))
+CASES.append((counters, "chebauth/protocol.py", ["registration(counts)", "change_password(counts)",
+                                                 "run_login_session(user_counts)",
+                                                 "run_login_session(server_counts)"]))
 
 
 @pytest.mark.parametrize("rule, name, expected", CASES, ids=[f"{rule.__name__}-{name}" for rule, name, _ in CASES])
@@ -272,6 +286,16 @@ def test_module_keeps_rule(rule, name, expected):
         "class Params:\n"
         "    def replace(self, params): pass\n"
     ), ["server_setup", "user_handle_response", "run"], id="params_takers"),
+    pytest.param(counters, (
+        "def registration(server, identity, password, rng, counts=None): pass\n"
+        "def server_handle_login(server, m1, clock, rng, *, counts): pass\n"
+        "def run_login_session(server, card, user_counts=None, server_counts=None, **kw): pass\n"
+        "def _booked(counts): pass\n"
+        "def fine(op_counts, tally): pass\n"
+        "class OpCounts:\n"
+        "    def add(self, counts): pass\n"
+    ), ["registration(counts)", "server_handle_login(counts)", "run_login_session(user_counts)",
+        "run_login_session(server_counts)"], id="counters"),
 ])
 def test_finder_on_snippet(finder, source, expected):
     assert finder(source) == expected
