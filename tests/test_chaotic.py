@@ -1,3 +1,12 @@
+"""The Chebyshev kernel, the fixed-base memo, field elements and the prime check.
+
+test_kernel_agrees_with_both_oracles is the one place that checks cheb_eval
+against its oracles, reference_scheme.cheb and the naive recurrence: at seven
+moduli, on the cold path and on the tabulated one. The semigroup identity is
+test_chaotic_properties.py's, and acceptance criterion 2 sweeps the cold path
+against the naive recurrence.
+"""
+
 import random
 from itertools import takewhile
 
@@ -42,122 +51,42 @@ class TestFieldElement:
 
 
 class TestChebEval:
-    def test_t0_is_one(self):
-        assert cheb_eval(0, fe(5, 17)).value == 1
-
-    def test_t1_is_identity(self):
-        assert cheb_eval(1, fe(5, 17)).value == 5
-
-    def test_t2_matches_hand_derivation(self):
-        # naive recurrence: T_2(5) = 2*5*5 - 1 = 49 = 15 mod 17
-        assert cheb_eval(2, fe(5, 17)).value == 15
+    def test_naive_oracle_matches_hand_derivation(self):
+        # T_2(5) = 2*5*5 - 1 = 49 = 15 mod 17
         assert cheb_naive(2, 5, 17) == 15
-
-    def test_composition_example(self):
-        # T_6(3) and T_2(T_3(3)) over p=101, both sides against the oracle
-        inner = cheb_eval(3, fe(3, 101))
-        assert inner.value == cheb_naive(3, 3, 101)
-        composed = cheb_eval(2, inner)
-        direct = cheb_eval(6, fe(3, 101))
-        assert composed == direct
-        assert direct.value == cheb_naive(6, 3, 101)
-        assert composed.value == cheb_naive(2, cheb_naive(3, 3, 101), 101)
 
     def test_negative_exponent_rejected(self):
         with pytest.raises(ValueError):
             cheb_eval(-1, fe(5, 17))
 
-    def test_matches_oracle_exhaustively_small_prime(self):
-        rng = random.Random(101)
-        for x in [0, 1, 100] + [rng.randrange(101) for _ in range(5)]:
-            seq = cheb_naive_sequence(2000, x, 101)
-            for n in range(2001):
-                assert cheb_eval(n, fe(x, 101)).value == seq[n], (n, x)
-
-    def test_matches_oracle_default_prime(self):
-        rng = random.Random(256)
-        for _ in range(4):
-            x = rng.randrange(DEFAULT_PRIME)
-            seq = cheb_naive_sequence(512, x, DEFAULT_PRIME)
-            for n in range(513):
-                assert cheb_eval(n, fe(x, DEFAULT_PRIME)).value == seq[n]
-        # large random exponents against the one-shot naive oracle
-        for _ in range(10):
-            n = rng.randrange(2, 5000)
-            x = rng.randrange(DEFAULT_PRIME)
-            assert cheb_eval(n, fe(x, DEFAULT_PRIME)).value == cheb_naive(n, x, DEFAULT_PRIME)
-
-    def test_semigroup_with_protocol_sized_exponents(self):
-        rng = random.Random(8)
-        for _ in range(25):
-            u = rng.randrange(2, 1 << 64)
-            v = rng.randrange(2, 1 << 64)
-            x = fe(rng.randrange(DEFAULT_PRIME), DEFAULT_PRIME)
-            assert cheb_eval(u, cheb_eval(v, x)) == cheb_eval(v, cheb_eval(u, x))
-            assert cheb_eval(u, cheb_eval(v, x)) == cheb_eval(u * v, x)
-
-    def test_deterministic(self):
-        x = fe(1234567, DEFAULT_PRIME)
-        assert cheb_eval(98765, x) == cheb_eval(98765, x)
-
-
-class TestKernel:
-    def test_kernel_agrees_with_reference(self, cold_memo):
-        rng = random.Random(42)
-        moduli = [5, 17, 101, (1 << 31) - 1, (1 << 61) - 1, (1 << 64) - 59, DEFAULT_PRIME]
-        for _ in range(500):
-            p = rng.choice(moduli)
-            n = rng.randrange(0, 1 << rng.choice([3, 10, 33, 64, 128]))
-            x = rng.randrange(p)
-            assert cheb_eval(n, fe(x, p)).value == cheb(n, x, p), (n, x, p)
-        # the recurrence's start values, and p - 1 where V_1 = 2x mod p is odd
-        for p in moduli:
-            for n in (0, 1, 2):
-                for x in (0, 1, p - 1):
-                    assert cheb_eval(n, fe(x, p)).value == cheb(n, x, p), (n, x, p)
-        # degenerate bases (V_1 = 0, 2 and p - 2) at exponents of 1, 2, 63, 64
-        # and 65 bits, without and then with a memo entry; 65 bits is past it
-        for p in (17, 101, DEFAULT_PRIME):
-            for bits in (1, 2, 63, 64, 65):
-                exponents = (1 << (bits - 1), (1 << bits) - 1, rng.randrange(1 << (bits - 1), 1 << bits))
-                for x in (0, 1, p - 1):
-                    for memo in (False, True):
-                        if memo:
-                            chaotic._tabulate(fe(x, p))
-                        for n in exponents:
-                            assert cheb_eval(n, fe(x, p)).value == cheb(n, x, p), (n, x, p, memo)
-
 
 # Bit-length edges: 2^k - 1 sets v at every bit, 2^k sets w at every bit
-# below the top one, 2^k + 1 mixes both; 2^63 reads the chain's last entry
-# and 2^64 - 1 is the memo's top exponent.
+# below the top one, 2^k + 1 mixes both; 2^63 reads the chain's last entry,
+# 2^64 - 1 is the memo's top exponent, and from 2^64 up a tabulated base
+# squares its own chain.
 EDGE_EXPONENTS = (0, 1, 2, 3, 4, 5, 8, 9, 15, 16, 17, (1 << 63) - 1, 1 << 63, (1 << 63) + 1,
-                  (1 << 64) - 8, (1 << 64) - 2, (1 << 64) - 1)
+                  (1 << 64) - 8, (1 << 64) - 2, (1 << 64) - 1, 1 << 64, (1 << 64) + 1, (1 << 128) - 1)
+MODULI = {"5": 5, "17": 17, "101": 101, "2^31-1": (1 << 31) - 1, "2^61-1": (1 << 61) - 1,
+          "2^64-59": (1 << 64) - 59, "p256": DEFAULT_PRIME}
+
+
+@pytest.mark.parametrize("tabulated", [False, True], ids=["cold", "tabulated"])
+@pytest.mark.parametrize("p", list(MODULI.values()), ids=list(MODULI))
+def test_kernel_agrees_with_both_oracles(cold_memo, p, tabulated):
+    # the bases 0, 1, 2 and p - 1 start V_1 = 2x at 0, 2, 4 and the odd p - 2
+    rng = random.Random(p)
+    exponents = EDGE_EXPONENTS + tuple(rng.randrange(1 << rng.choice((10, 33, 64, 128))) for _ in range(30))
+    for value in (0, 1, 2, p - 1, *(rng.randrange(p) for _ in range(4))):
+        x = fe(value, p)
+        if tabulated:
+            chaotic._tabulate(x)
+        for n in exponents:
+            assert cheb_eval(n, x).value == cheb(n, value, p), (n, value)
+        if tabulated and p == 101:  # acceptance criterion 2 sweeps the cold path
+            assert [cheb_eval(n, x).value for n in range(2001)] == cheb_naive_sequence(2000, value, p), value
 
 
 class TestFixedBaseTable:
-    def test_table_path_matches_ladder_and_reference(self, cold_memo):
-        rng = random.Random(64)
-        for p in (17, 101, DEFAULT_PRIME):
-            for value in (0, 1, 2, p - 1, *(rng.randrange(p) for _ in range(4))):
-                x = fe(value, p)
-                exponents = EDGE_EXPONENTS + tuple(rng.randrange(1 << 64) for _ in range(30))
-                cold = [cheb_eval(n, x) for n in exponents]
-                chaotic._tabulate(x)
-                assert (value, p) in cold_memo
-                for n, expected in zip(exponents, cold):
-                    got = cheb_eval(n, x)
-                    assert got == expected and got.value == cheb(n, value, p), (n, value, p)
-
-    def test_table_matches_oracle_exhaustively_small_prime(self, cold_memo):
-        rng = random.Random(102)
-        for value in (0, 1, 2, 100, *(rng.randrange(101) for _ in range(4))):
-            x = fe(value, 101)
-            chaotic._tabulate(x)
-            seq = cheb_naive_sequence(2000, value, 101)
-            for n in range(2001):
-                assert cheb_eval(n, x).value == seq[n], (n, value)
-
     def test_which_path_runs(self, cold_memo):
         x = fe(123456789, DEFAULT_PRIME)
         # plant another base's chain under x: an exponent that reads it goes wrong
@@ -180,12 +109,8 @@ class TestFixedBaseTable:
         chain = cold_memo[(5, 101)]
         chaotic._tabulate(fe(5, 101))
         assert list(cold_memo) == [(5, 101)] and cold_memo[(5, 101)] is chain
-        assert len(chain) == 64
+        assert 2 ** len(chain) == chaotic.EXPONENT_LIMIT
         assert list(chain) == [2 * cheb(1 << j, 5, 101) % 101 for j in range(64)]
-
-    def test_table_covers_the_protocol_exponents(self, cold_memo):
-        chaotic._tabulate(fe(5, 101))
-        assert 2 ** len(cold_memo[(5, 101)]) == chaotic.EXPONENT_LIMIT
 
 
 class TestBitsToField:

@@ -4,6 +4,7 @@ import gc
 import hashlib
 import json
 import os
+import shlex
 import subprocess
 import sys
 import time
@@ -82,15 +83,94 @@ def test_report_bytes_are_pinned(tmp_path, monkeypatch, argv, status, written_di
     assert sha256(mask_wall_time((tmp_path / "report.json").read_text(encoding="utf-8"))) == written_digest
 
 
+NOT_FOUND = f"[Errno {errno.ENOENT}] {os.strerror(errno.ENOENT)}"
+IS_A_DIRECTORY = f"[Errno {errno.EISDIR}] {os.strerror(errno.EISDIR)}"
+NOT_PRIME = "chebauth: error: modulus must be a prime greater than 3"
+EMPTY = "chebauth: error: identity and password must be non-empty"
+NOT_UTF_8 = ("chebauth: error: 'utf-8' codec can't encode character '\\udcff' in position 0:"
+             " surrogates not allowed")
+ACCEPTED = ("chebauth: error: server accepted the login: the supplied password is the true one"
+            " or collides with it at width {}")
+FIXTURE_FLAG = "chebauth: error: unrecognized arguments: --fixture fixture.json"
+
+# Every refused run of main: its argv, run in a directory that holds words.txt,
+# bom.txt, latin.txt and an empty words.d/, and the one line it prints.
+REFUSED = [
+    # usage errors, which argparse refuses before the run
+    ((), "chebauth: error: the following arguments are required: command"),
+    (("frobnicate",), "chebauth: error: argument command: invalid choice: 'frobnicate'"
+                      " (choose from 'honest-run', 'guess-attack', 'wrong-login-demo', 'dos-demo')"),
+    (("guess-attack",), "chebauth guess-attack: error: the following arguments are required: --dict"),
+    (("honest-run", "--bogus"), "chebauth: error: unrecognized arguments: --bogus"),
+    (("honest-run", "--prime", "0x11"), "chebauth honest-run: error: argument --prime: invalid int value: '0x11'"),
+    # the five fixture strings are set by their own flags alone
+    (("honest-run", "--fixture", "fixture.json"), FIXTURE_FLAG),
+    (("guess-attack", "--dict", "words.txt", "--fixture", "fixture.json"), FIXTURE_FLAG),
+    (("wrong-login-demo", "--fixture", "fixture.json"), FIXTURE_FLAG),
+    (("dos-demo", "--fixture", "fixture.json"), FIXTURE_FLAG),
+    # configuration errors; random.Random seeds from the absolute value, so
+    # --seed -2 would run as --seed 2 while its report echoed -2
+    (("honest-run", "--seed", "-2"), "chebauth: error: --seed must be a non-negative integer: -2"),
+    (("honest-run", "--channel-delay", "-1"), "chebauth: error: --channel-delay must be a non-negative integer: -1"),
+    # M2 would arrive at tick 2^65, past what a timestamp's 8 bytes hold
+    (("honest-run", "--channel-delay", str(1 << 64)), f"chebauth: error: ticks must be in [0, 2**64), got {1 << 65}"),
+    *((("honest-run", "--prime", prime), NOT_PRIME) for prime in ("91", "3215031751", str(PSI_12), str(PSI_13))),
+    (("honest-run", "--id", ""), EMPTY),
+    (("honest-run", "--password", ""), EMPTY),
+    # argparse hands the byte 0xff of --password=$'\xff' over as "\udcff"
+    (("honest-run", "--id", "\udcff"), NOT_UTF_8),
+    (("honest-run", "--password", "\udcff"), NOT_UTF_8),
+    # the dictionary's OSError as raised, or its path and reason; behind a
+    # byte-order mark the true password would be missed, with exit 2
+    (("guess-attack", "--dict", "nope.txt"), f"chebauth: error: {NOT_FOUND}: 'nope.txt'"),
+    (("guess-attack", "--dict", "words.d"), f"chebauth: error: {IS_A_DIRECTORY}: 'words.d'"),
+    (("guess-attack", "--dict", "bom.txt"), "chebauth: error: bom.txt: starts with a UTF-8 byte-order mark; remove it"),
+    (("guess-attack", "--dict", "latin.txt"), "chebauth: error: latin.txt: not UTF-8 at byte 9"),
+    # the fixture is built before the dictionary is read
+    (("guess-attack", "--dict", "nope.txt", "--prime", "91"), NOT_PRIME),
+    # an experiment whose precondition fails: the round must test a wrong
+    # password; at width 8 about 0.78% of wrong passwords pass X1
+    # (tests/test_rates.py), and seed 47's "sunrise77-typo" is one
+    (("wrong-login-demo", "--password", "pw", "--wrong-password", "pw"), ACCEPTED.format(256)),
+    (("wrong-login-demo", "--width", "8", "--seed", "47"), ACCEPTED.format(8)),
+    (("dos-demo", "--password", "pw", "--wrong-old-password", "pw"),
+     "chebauth: error: wrong_old_password equals the true password"),
+    # M1 arrives 3 ticks late against a 2-tick window: the round never tests the password
+    (("wrong-login-demo", "--delta-t", "2", "--channel-delay", "3"),
+     "chebauth: error: rejected for stale_timestamp, not the password mistake"),
+    (("dos-demo", "--delta-t", "2", "--channel-delay", "3"),
+     "chebauth: error: baseline login with the true password rejected for stale_timestamp"),
+    # the report cannot be written
+    (("honest-run", "--out", "words.d"), f"chebauth: cannot write report: {IS_A_DIRECTORY}: 'words.d'"),
+]
+
+
+@pytest.mark.parametrize("argv, line", REFUSED, ids=[shlex.join(argv) or "no-command" for argv, _ in REFUSED])
+def test_refused_run_exits_3_with_one_line(tmp_path, monkeypatch, capsys, argv, line):
+    monkeypatch.chdir(tmp_path)  # paths are echoed as given
+    (tmp_path / "words.txt").write_text(GOLDEN_WORDS, encoding="utf-8")
+    (tmp_path / "bom.txt").write_bytes(b"\xef\xbb\xbfsunrise77\n")
+    (tmp_path / "latin.txt").write_bytes(b"alpha\nsun\xffrise77\n")
+    (tmp_path / "words.d").mkdir()
+    files = sorted(tmp_path.rglob("*"))
+    try:
+        status = cli.main(list(argv))
+    except SystemExit as exc:  # a usage error: argparse exits
+        status = exc.code
+    assert status == 3
+    assert capsys.readouterr() == ("", f"{line}\n")
+    assert sorted(tmp_path.rglob("*")) == files
+
+
 class TestHonestRun:
     def test_config_is_echoed(self, tmp_path):
         status, report = run(
-            tmp_path, "honest-run", "--seed", "5", "--prime", "101", "--width", "64",
+            tmp_path, "honest-run", "--seed", "0", "--prime", "101", "--width", "64",
             "--delta-t", "7", "--channel-delay", "2", "--id", "bob", "--password", "pw",
         )
         assert status == 0
         assert report["config"] == {
-            "seed": 5,
+            "seed": 0,
             "width": 64,
             "prime": "101",
             "delta_t": 7,
@@ -143,80 +223,6 @@ class TestGuessAttack:
         assert status == 2 and not report["as_expected"]
         assert report["attack"]["guesses"] == report["attack"]["dictionary_size"] == 3
 
-    @pytest.mark.parametrize("name, error", [("nope.txt", errno.ENOENT), ("words.d", errno.EISDIR)],
-                             ids=["missing", "directory"])
-    def test_unreadable_dictionary_prints_the_os_error(self, tmp_path, capsys, name, error):
-        # the OSError from reading the list reaches main as it was raised
-        path = tmp_path / name
-        if error == errno.EISDIR:
-            path.mkdir()
-        status, report = run(tmp_path, "guess-attack", "--dict", str(path))
-        assert status == 3 and report is None and not (tmp_path / "report.json").exists()
-        assert capsys.readouterr().err == f"chebauth: error: [Errno {error}] {os.strerror(error)}: {str(path)!r}\n"
-
-    def test_dict_flag_required(self, tmp_path, capsys):
-        # argparse refuses the run, as it refuses any usage error: exit 3, no report
-        with pytest.raises(SystemExit) as exc:
-            run(tmp_path, "guess-attack")
-        assert exc.value.code == 3 and not (tmp_path / "report.json").exists()
-        assert capsys.readouterr().err == (
-            "chebauth guess-attack: error: the following arguments are required: --dict\n"
-        )
-
-    def test_bad_fixture_reported_before_bad_dictionary(self, tmp_path, capsys):
-        # run_command builds the fixture before the command reads its dictionary
-        missing = str(tmp_path / "nope.txt")
-        status, report = run(tmp_path, "guess-attack", "--dict", missing, "--prime", "91")
-        assert status == 3 and report is None
-        assert capsys.readouterr().err == "chebauth: error: modulus must be a prime greater than 3\n"
-
-    @pytest.mark.parametrize("content, reason", [
-        (b"\xef\xbb\xbfsunrise77\n", "starts with a UTF-8 byte-order mark; remove it"),
-        (b"alpha\nsun\xffrise77\n", "not UTF-8 at byte 9"),
-    ], ids=["byte-order-mark", "not-utf-8"])
-    def test_undecodable_dictionary_error_names_the_file(self, tmp_path, capsys, content, reason):
-        # behind a BOM the true password would be missed, with exit 2
-        path = tmp_path / "words.txt"
-        path.write_bytes(content)
-        status, report = run(tmp_path, "guess-attack", "--dict", str(path))
-        assert status == 3 and report is None
-        assert capsys.readouterr().err == f"chebauth: error: {path}: {reason}\n"
-
-
-class TestWrongLoginDemo:
-    def test_wrong_password_must_differ(self, tmp_path, capsys):
-        # the experiment itself refuses a round the server accepts
-        status, report = run(
-            tmp_path, "wrong-login-demo", "--password", "pw", "--wrong-password", "pw"
-        )
-        assert status == 3 and report is None
-        assert capsys.readouterr().err == (
-            "chebauth: error: server accepted the login: the supplied password is the true one"
-            " or collides with it at width 256\n")
-
-
-@pytest.mark.parametrize("command, message", [
-    ("wrong-login-demo", "rejected for stale_timestamp, not the password mistake"),
-    ("dos-demo", "baseline login with the true password rejected for stale_timestamp"),
-])
-def test_invalid_experiment_exits_3_with_its_reason(tmp_path, capsys, command, message):
-    # M1 arrives 3 ticks late against a 2-tick window: the round never tests the password
-    status, report = run(tmp_path, command, "--delta-t", "2", "--channel-delay", "3")
-    assert status == 3 and report is None
-    assert capsys.readouterr().err == f"chebauth: error: {message}\n"
-
-
-def test_wrong_password_colliding_at_toy_width_exits_3(tmp_path, capsys):
-    # at width 8 about 0.78% of wrong passwords pass X1 (tests/test_rates.py);
-    # seed 47's "sunrise77-typo" is one, and the message must not call it right
-    status, report = run(tmp_path, "wrong-login-demo", "--width", "8", "--seed", "47")
-    assert status == 3 and report is None
-    assert capsys.readouterr().err == (
-        "chebauth: error: server accepted the login: the supplied password is the true one"
-        " or collides with it at width 8\n"
-    )
-
-
 class TestDosDemo:
     def test_control_run_echoes_the_new_password(self, tmp_path):
         status, report = run(tmp_path, "dos-demo", "--correct-old-password", "--new-password", "X")
@@ -234,32 +240,7 @@ class TestDosDemo:
         status, report = run(tmp_path, "dos-demo", "--correct-old-password")
         assert status == 2 and not report["experiment"]["dos_confirmed"] and not report["as_expected"]
 
-    def test_wrong_old_equal_to_true_is_config_error(self, tmp_path):
-        status, report = run(
-            tmp_path, "dos-demo", "--password", "pw", "--wrong-old-password", "pw"
-        )
-        assert status == 3 and report is None
-
-
 class TestPlumbing:
-    def test_unknown_flag_exits_3(self, tmp_path, capsys):
-        # --fixture too: the five fixture strings are set by their own flags alone
-        missing = str(tmp_path / "fixture.json")
-        for flags in (["--bogus"], ["--fixture", missing]):
-            with pytest.raises(SystemExit) as exc:
-                run(tmp_path, "honest-run", *flags)
-            assert exc.value.code == 3 and not (tmp_path / "report.json").exists()
-            assert capsys.readouterr().err == f"chebauth: error: unrecognized arguments: {' '.join(flags)}\n"
-
-    @pytest.mark.parametrize("command", list(cli._COMMANDS))
-    def test_fixture_flag_is_unrecognized_by_every_command(self, tmp_path, capsys, command):
-        missing = str(tmp_path / "fixture.json")
-        extra = ["--dict", write_dictionary(tmp_path, ["sunrise77"])] if command == "guess-attack" else []
-        with pytest.raises(SystemExit) as exc:
-            run(tmp_path, command, *extra, "--fixture", missing)
-        assert exc.value.code == 3 and not (tmp_path / "report.json").exists()
-        assert capsys.readouterr().err == f"chebauth: error: unrecognized arguments: --fixture {missing}\n"
-
     @pytest.mark.parametrize("command, derived", [
         ("honest-run", {}),
         ("guess-attack", {}),
@@ -272,12 +253,6 @@ class TestPlumbing:
         status, report = run(tmp_path, command, *extra, "--password", "pw")
         assert status == 0
         assert report["config"]["fixture"] == {"identity": "alice", "password": "pw", **derived}
-
-    def test_no_command_exits_3_with_one_line(self, capsys):
-        with pytest.raises(SystemExit) as exc:
-            cli.main([])
-        assert exc.value.code == 3
-        assert capsys.readouterr().err == "chebauth: error: the following arguments are required: command\n"
 
     def test_help_opens_with_the_module_summary(self, capsys, monkeypatch):
         monkeypatch.setenv("COLUMNS", "200")  # no wrapping
@@ -302,74 +277,17 @@ class TestPlumbing:
         assert status == 0
         assert 0 <= report[timed]["wall_time_s"] <= report["wall_time_s"] <= outside
 
-    def test_unknown_command_exits_3(self):
-        with pytest.raises(SystemExit) as exc:
-            cli.main(["frobnicate"])
-        assert exc.value.code == 3
-
-    @pytest.mark.parametrize("prime", ["91", "3215031751", str(PSI_12), str(PSI_13)],
-                             ids=["7*13", "spsp-2-3-5-7", "psi12", "psi13"])
-    def test_composite_prime_rejected(self, tmp_path, capsys, prime):
-        status, report = run(tmp_path, "honest-run", "--prime", prime)
-        assert status == 3 and report is None
-        assert capsys.readouterr().err == "chebauth: error: modulus must be a prime greater than 3\n"
-
-    def test_unwritable_out_exits_3_without_a_report(self, tmp_path, capsys):
-        status = cli.main(["honest-run", "--out", str(tmp_path)])  # a directory
-        out, err = capsys.readouterr()
-        assert status == 3 and out == "" and list(tmp_path.iterdir()) == []
-        assert err.startswith("chebauth: cannot write report: ") and err.count("\n") == 1
-
-    @pytest.mark.parametrize("flag", ["--id", "--password"])
-    def test_fixture_flag_that_is_not_utf_8_exits_3_with_one_line(self, tmp_path, capsys, flag):
-        # argparse hands the byte 0xff of --password=$'\xff' over as "\udcff"
-        status, report = run(tmp_path, "honest-run", flag, "\udcff")
-        assert status == 3 and report is None
-        assert capsys.readouterr().err == (
-            "chebauth: error: 'utf-8' codec can't encode character '\\udcff' in position 0: surrogates not allowed\n"
-        )
-
-    def test_non_decimal_prime_rejected(self, tmp_path, capsys):
-        # argparse parses --prime as it parses --seed: a usage error, exit 3
-        with pytest.raises(SystemExit) as exc:
-            run(tmp_path, "honest-run", "--prime", "0x11")
-        assert exc.value.code == 3 and not (tmp_path / "report.json").exists()
-        assert capsys.readouterr().err == (
-            "chebauth honest-run: error: argument --prime: invalid int value: '0x11'\n"
-        )
-
-    def test_negative_seed_rejected(self, tmp_path, capsys):
-        # random.Random seeds from the absolute value, so --seed -2 would run
-        # as --seed 2 while its report echoed -2
-        status, report = run(tmp_path, "honest-run", "--seed", "-2")
-        assert status == 3 and report is None
-        assert capsys.readouterr().err == (
-            "chebauth: error: --seed must be a non-negative integer: -2\n"
-        )
-        status, report = run(tmp_path, "honest-run", "--seed", "0")
-        assert status == 0 and report["config"]["seed"] == 0
-
-    def test_negative_channel_delay_rejected_before_any_protocol_work(self, tmp_path, capsys, monkeypatch):
+    def test_negative_channel_delay_rejected_before_any_protocol_work(self, tmp_path, monkeypatch):
+        # REFUSED pins the line it prints
         def no_protocol_work(*args, **kwargs):
             raise AssertionError("a negative --channel-delay reached the protocol")
 
         with monkeypatch.context() as patch:
             patch.setattr(cli, "server_setup", no_protocol_work)
-            status, report = run(tmp_path, "honest-run", "--channel-delay", "-1")
-        assert status == 3 and report is None
-        assert capsys.readouterr().err == (
-            "chebauth: error: --channel-delay must be a non-negative integer: -1\n"
-        )
+            status, _ = run(tmp_path, "honest-run", "--channel-delay", "-1")
+        assert status == 3
         status, report = run(tmp_path, "honest-run", "--channel-delay", "0")
         assert status == 0 and report["config"]["channel_delay"] == 0
-
-    def test_channel_delay_past_the_last_tick_rejected(self, tmp_path, capsys):
-        # M1 would arrive at tick 2^64, past what a timestamp's 8 bytes hold
-        status, report = run(tmp_path, "honest-run", "--channel-delay", str(1 << 64))
-        assert status == 3 and report is None
-        assert capsys.readouterr().err == (
-            f"chebauth: error: ticks must be in [0, 2**64), got {1 << 65}\n"
-        )
 
     @pytest.mark.parametrize("value", [-1, 1 << 64, 1 << 128], ids=["-1", "2**64", "2**128"])
     @pytest.mark.parametrize("flag", ["--seed", "--width", "--prime", "--delta-t", "--channel-delay"])

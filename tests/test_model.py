@@ -7,12 +7,13 @@ password, card re-issues, logins whose legs take the whole freshness window
 (each message arrives exactly delta_t ticks after its stamp) or a tick more,
 after which every earlier message is stale, a replayed M1, an accepted M2
 replayed to its card under a fresh login, messages delivered to the wrong
-receiver, one bit flipped in one field of an M1 or M2 in flight, and a cleared
-kernel memo, so that logins where K is tabulated mix with logins where it is
-not. Six (width, prime) configurations, (8, 101), (8, p256), (64, 17),
-(136, p256), (256, 101) and (256, p256), p256 the default prime, cover each width
-and each prime. Each step runs on chebauth and on tests/reference_scheme.py,
-which gets a random.Random with the same seed and draws in the package's order.
+receiver, one bit flipped in one field of an M1 or M2 in flight, and honest
+logins with a cleared kernel memo, so that logins where K is tabulated mix
+with logins where it is not. Six (width, prime) configurations, (8, 101),
+(8, p256), (64, 17), (136, p256), (256, 101) and (256, p256), p256 the
+default prime, cover each width and each prime. Each step runs on chebauth
+and on tests/reference_scheme.py, which gets a random.Random with the same
+seed and draws in the package's order.
 After every step the cards, session keys and reject reasons are bit-equal to
 the reference, a reject has left the card as it was, and the two random
 streams and clocks are in step. Each step's cost is checked against the calls
@@ -27,8 +28,14 @@ the card), one test per configuration and exit, so that no exit, the rarely
 reached stale ones above all, drops out of the run unseen. So must it take
 each of STEPS, a rule with an outcome that it compares with the reference (an
 honest login with the kernel memo cleared and a login answered at the
-window's edge among them), one test each. Each configuration runs once, in a
-module-scoped fixture that all its tests share. The attacker
+window's edge among them), one test each. The rules take their rarer
+outcomes by design: the last M1 that the server accepts in time and the last
+that it refuses are each replayed one tick after their stamp and past the
+window, an accepted M2 past its window and one tick after its stamp, each on a
+clock of its own; an honest login draws whether to clear the memo first, and a
+misdelivery sends the last M2 too. Each configuration runs once, in a
+module-scoped fixture that all its tests share, with its index in CONFIGS as
+the seed, so that each runs a program of its own. The attacker
 overhears every M1 a card sends: after every step, each user's card, extracted
 as it is then, is scanned against every M1 so far with four candidates, and
 each guess_predicate verdict equals the oracle's. At w = 256 three rules also
@@ -51,7 +58,7 @@ from collections import Counter
 import pytest
 
 pytest.importorskip("hypothesis")
-from hypothesis import Phase, settings, strategies as st  # noqa: E402
+from hypothesis import Phase, seed, settings, strategies as st  # noqa: E402
 from hypothesis.stateful import (  # noqa: E402
     RuleBasedStateMachine,
     initialize,
@@ -80,7 +87,8 @@ from chebauth.protocol import (  # noqa: E402
     user_handle_response,
     user_login_start,
 )
-from helpers import card_fields, flipped, guess_predicate_oracle, leaf_calls, m1_fields, m2_fields  # noqa: E402
+from helpers import (  # noqa: E402
+    card_fields, clock_at, flipped, guess_predicate_oracle, leaf_calls, m1_fields, m2_fields)
 
 CONFIGS = [(8, 101), (8, DEFAULT_PRIME), (64, 17), (136, DEFAULT_PRIME), (256, 101), (256, DEFAULT_PRIME)]
 USERS = (0, 1)
@@ -102,7 +110,7 @@ STEPS = ("honest_login-accept", "honest_login-accept-cold", "wrong_password_logi
          "advance_past_window-accept", "advance_past_window-stale_timestamp",
          *(f"replay_last_m1-{outcome}" for outcome in ("accept", "auth_failure", "stale_timestamp")),
          "replay_accepted_m2-auth_failure", "replay_accepted_m2-stale_timestamp", "flip_in_flight-m1-auth_failure",
-         "flip_in_flight-m2-auth_failure", "deliver_m2_to_server-malformed", "deliver_m1_to_card-malformed",
+         "flip_in_flight-m2-auth_failure", "misdeliver-m1-malformed", "misdeliver-m2-malformed",
          "corrupted_card_login-auth_failure")
 
 passwords = st.binary(min_size=1, max_size=6)
@@ -135,7 +143,9 @@ class PackageFollowsReference(RuleBasedStateMachine):
         self.width, self.prime = width, prime
         self.delta_t = DEFAULT_DELTA_T
         self.params = Params(prime, width, self.delta_t)
-        self.last_m1 = None  # (package M1, reference M1, reference login context)
+        # (package M1, reference M1, reference login context) of the last M1 sent, by whether
+        # the server accepts it in time: typed with the password of an uncorrupted card
+        self.last_m1 = {}
         self.last_m2 = None
         self.accepted_m2 = None  # (user, package M2, reference M2) of the last login a card accepted
         self.corrupted = [False, False]  # by a wrong-old password change since the card was issued
@@ -183,7 +193,7 @@ class PackageFollowsReference(RuleBasedStateMachine):
         m1 = session.events[0].message
         assert m1_fields(m1) == ref_m1
         self.overheard.append((user, m1, session.rejected_by != "server", card.d1))
-        self.last_m1 = m1, ref_m1, ref_ctx
+        self.last_m1[typed == self.passwords[user] and not self.corrupted[user]] = m1, ref_m1, ref_ctx
         if isinstance(server_result, str):
             assert (session.rejected_by, session.reject) == ("server", Reject(RejectReason(server_result)))
             assert session.card is card
@@ -210,9 +220,10 @@ class PackageFollowsReference(RuleBasedStateMachine):
         self.accepted_m2 = user, m2, ref_m2
         return "accept"
 
-    @rule(user=st.sampled_from(USERS))
-    def honest_login(self, user):
-        cold = not chaotic._tables  # as forget_tabulated_bases leaves it
+    @rule(user=st.sampled_from(USERS), cold=st.booleans())
+    def honest_login(self, user, cold):
+        if cold:  # as the cold_memo fixture does: no K has its squaring chain until X1 tabulates it again
+            chaotic._tables.clear()
         self.reached[f"honest_login-{self.login(user, self.passwords[user])}" + "-cold" * cold] += 1
 
     @rule(user=st.sampled_from(USERS), typo=passwords)
@@ -245,62 +256,66 @@ class PackageFollowsReference(RuleBasedStateMachine):
         for late in (False, True):
             self.reached[f"advance_past_window-{self.login(0, self.passwords[0], self.delta_t + late)}"] += 1
 
-    @precondition(lambda self: self.last_m1 is not None)
+    @precondition(lambda self: self.last_m1)
     @rule()
     def replay_last_m1(self):
-        # the server keeps no record of seen requests: inside the window a
-        # replay is answered, with fresh draws, as the first delivery was
-        m1, ref_m1, _ = self.last_m1
-        result = server_handle_login(self.server, m1, self.clock, self.rng)
-        ref_result = ref.server_respond(self.ref_mk, self.prime, self.delta_t, ref_m1, self.ref_now, self.ref_rng)
-        if isinstance(ref_result, str):
-            assert result == Reject(RejectReason(ref_result))
-        else:
-            m2, server_key = result
-            assert (m2_fields(m2), server_key) == ref_result
-            self.last_m2 = m2
-        assert self.made() == tallied(SERVER_TALLY[outcome(result)])
-        self.reached[f"server-{outcome(result)}"] += 1
-        self.reached[f"replay_last_m1-{outcome(result)}"] += 1
+        # the server keeps no record of seen requests: a replay one tick after
+        # M1's stamp is answered, with fresh draws, as the first delivery was,
+        # and one past the window is stale and draws nothing; each is
+        # delivered on a clock of its own, so the run's clock does not move
+        for m1, ref_m1, _ in self.last_m1.values():
+            for now in (m1.t1.ticks + 1, m1.t1.ticks + self.delta_t + 1):
+                result = server_handle_login(self.server, m1, clock_at(now), self.rng)
+                ref_result = ref.server_respond(self.ref_mk, self.prime, self.delta_t, ref_m1, now, self.ref_rng)
+                if isinstance(ref_result, str):
+                    assert result == Reject(RejectReason(ref_result))
+                else:
+                    m2, server_key = result
+                    assert (m2_fields(m2), server_key) == ref_result
+                    self.last_m2 = m2
+                assert self.made() == tallied(SERVER_TALLY[outcome(result)])
+                self.reached[f"server-{outcome(result)}"] += 1
+                self.reached[f"replay_last_m1-{outcome(result)}"] += 1
 
-    @precondition(lambda self: self.last_m2 is not None)
-    @rule()
-    def deliver_m2_to_server(self):
-        result = server_handle_login(self.server, self.last_m2, self.clock, self.rng)
-        assert result == Reject(RejectReason.MALFORMED) and self.made() == tallied(SERVER_TALLY["malformed"])
-        self.reached["deliver_m2_to_server-malformed"] += 1
-
-    @precondition(lambda self: self.last_m1 is not None)
+    @precondition(lambda self: self.last_m1)
     @rule(user=st.sampled_from(USERS))
-    def deliver_m1_to_card(self, user):
-        m1, _, (u, tuk) = self.last_m1
-        ctx = UserLoginContext(self.cards[user], self.params, u, FieldElement(tuk, self.prime))
-        result = user_handle_response(ctx, m1, self.clock)
-        assert result == Reject(RejectReason.MALFORMED) and self.made() == tallied(USER_TALLY["malformed"])
-        self.reached["deliver_m1_to_card-malformed"] += 1
+    def misdeliver(self, user):
+        # each last M1 goes to a card and the last M2, if any, to the server
+        for m1, _, (u, tuk) in self.last_m1.values():
+            ctx = UserLoginContext(self.cards[user], self.params, u, FieldElement(tuk, self.prime))
+            result = user_handle_response(ctx, m1, self.clock)
+            assert result == Reject(RejectReason.MALFORMED) and self.made() == tallied(USER_TALLY["malformed"])
+            self.reached["misdeliver-m1-malformed"] += 1
+        if self.last_m2 is not None:
+            result = server_handle_login(self.server, self.last_m2, self.clock, self.rng)
+            assert result == Reject(RejectReason.MALFORMED) and self.made() == tallied(SERVER_TALLY["malformed"])
+            self.reached["misdeliver-m2-malformed"] += 1
 
     @precondition(lambda self: self.accepted_m2 is not None)
     @rule()
     def replay_accepted_m2(self):
         # the card keeps no record of answered logins: an M2 it accepted once,
-        # delivered again under a fresh login, is checked against the new u,
-        # so Y3 fails unless the window has passed first; on a reject the card
-        # is kept, which cards_match_reference checks against the reference's
+        # delivered again under a fresh login, is stale past the window and
+        # one tick after its stamp is checked against the new u, so Y3 fails;
+        # each delivery has a clock of its own, and on a reject the card is
+        # kept, which cards_match_reference checks against the reference's
         user, m2, ref_m2 = self.accepted_m2
         card, ref_card, typed = self.cards[user], self.ref_cards[user], self.passwords[user]
         _, ctx = user_login_start(card, typed, self.clock, self.rng, self.params)
         _, ref_ctx = ref.login_start(ref_card, typed, self.ref_rng, self.ref_now, self.prime)
-        result = user_handle_response(ctx, m2, self.clock)
-        ref_result = ref.user_verify(ref_card, ref_ctx, ref_m2, self.ref_now, self.delta_t, self.prime)
-        assert self.made() == tallied(M1_ONLY, USER_TALLY[outcome(result)])
-        self.reached[f"user-{outcome(result)}"] += 1
-        self.reached[f"replay_accepted_m2-{outcome(result)}"] += 1
-        if isinstance(ref_result, str):
-            assert result == Reject(RejectReason(ref_result))
-        else:  # a toy prime's short map period can repeat the key, or w = 8 truncate Y3 to a match
-            assert (self.width, self.prime) != (256, DEFAULT_PRIME)
-            (user_key, self.cards[user]), (ref_user_key, self.ref_cards[user]) = result, ref_result
-            assert user_key == ref_user_key
+        assert self.made() == tallied(M1_ONLY)
+        for now in (m2.t2.ticks + self.delta_t + 1, m2.t2.ticks + 1):
+            result = user_handle_response(ctx, m2, clock_at(now))
+            ref_result = ref.user_verify(ref_card, ref_ctx, ref_m2, now, self.delta_t, self.prime)
+            assert self.made() == tallied(USER_TALLY[outcome(result)])
+            self.reached[f"user-{outcome(result)}"] += 1
+            self.reached[f"replay_accepted_m2-{outcome(result)}"] += 1
+            if isinstance(ref_result, str):
+                assert result == Reject(RejectReason(ref_result))
+            else:  # a toy prime's short map period can repeat the key, or w = 8 truncate Y3 to a match
+                assert (self.width, self.prime) != (256, DEFAULT_PRIME)
+                (user_key, self.cards[user]), (ref_user_key, self.ref_cards[user]) = result, ref_result
+                assert user_key == ref_user_key
 
     @rule(user=st.sampled_from(USERS), at_m2=st.booleans(), field=st.integers(0, 4), bit=st.integers(0, 7))
     def flip_in_flight(self, user, at_m2, field, bit):
@@ -341,12 +356,6 @@ class PackageFollowsReference(RuleBasedStateMachine):
             assert self.width == 8
             (user_key, self.cards[user]), (ref_user_key, self.ref_cards[user]) = result, ref_result
             assert user_key == ref_user_key
-
-    @rule()
-    def forget_tabulated_bases(self):
-        # as the cold_memo fixture does: the next login of each user computes
-        # T_u(K) and T_v(K) without K's squaring chain, until X1 tabulates K again
-        chaotic._tables.clear()
 
     @invariant()
     def corrupted_cards_fail_to_log_in(self):
@@ -399,12 +408,12 @@ class PackageFollowsReference(RuleBasedStateMachine):
 @pytest.fixture(scope="module", params=CONFIGS,
                 ids=["w8-p101", "w8-p256", "w64-p17", "w136-p256", "w256-p101", "w256-p256"])
 def run(request) -> tuple[Counter, Counter]:
-    """One derandomized run of the machine at (width, prime): its crossed and reached counters."""
+    """One run of the machine at (width, prime), seeded by its index: its crossed and reached counters."""
     width, prime = request.param
     crossed, reached, calls = Counter(), Counter(), Counter()
     with leaf_calls(calls):  # the leaf counters go when the run ends
         run_state_machine_as_test(
-            lambda: PackageFollowsReference(width, prime, crossed, reached, calls),
+            seed(request.param_index)(lambda: PackageFollowsReference(width, prime, crossed, reached, calls)),
             settings=settings(max_examples=20, stateful_step_count=20, deadline=None, derandomize=True,
                               database=None, phases=[phase for phase in Phase if phase is not Phase.shrink]),
         )

@@ -88,16 +88,6 @@ class TestServerSetup:
         with pytest.raises(TypeError, match=rf"^server state takes bytes and a Params: {re.escape(names)}$"):
             ServerState(mk, params)
 
-    def test_params_are_primality_tested_once_not_per_setup(self, monkeypatch):
-        tested = []
-        real = protocol.is_probable_prime
-        monkeypatch.setattr(protocol, "is_probable_prime", lambda n: tested.append(n) or real(n))
-        params = Params(101)
-        first, second = server_setup(1, params), server_setup(2, params)
-        assert tested == [101]
-        assert first.params is second.params is params and first.mk != second.mk
-
-
 class TestParams:
     """Params is the one place the prime, the width and the window are checked."""
 
@@ -115,7 +105,9 @@ class TestParams:
         Params()
         Params(DEFAULT_PRIME)
         assert tested == []
-        Params(101)
+        params = Params(101)
+        server_setup(1, params)
+        server_setup(2, params)  # a setup tests no prime of its own
         assert tested == [101]
         for bad in (15, 3, DEFAULT_PRIME - 2):
             with pytest.raises(ValueError, match=r"^modulus must be a prime greater than 3$"):
@@ -203,25 +195,6 @@ class TestLogin:
         fx.clock.advance(1)
         m2, _ = server_handle_login(fx.server, m1, fx.clock, fx.rng)
         assert list(inspect.signature(user_handle_response).parameters) == ["ctx", "m2", "clock"]
-        assert not isinstance(user_handle_response(ctx, m2, fx.clock), Reject)
-
-    def test_card_side_cannot_run_with_a_prime_or_window_setup_refuses(self):
-        # prime 9 would send an M1 mod a composite and window -1 would mark
-        # an honest M2 stale; the card takes both only inside a Params, which
-        # refuses them before anything is drawn
-        fx = make_fixture(36)
-        m1, ctx = user_login_start(fx.card, fx.password, fx.clock, fx.rng, fx.server.params)
-        m2, _ = server_handle_login(fx.server, m1, fx.clock, fx.rng)
-        rng_before = copy.deepcopy(fx.rng)
-        with pytest.raises(TypeError):
-            user_login_start(fx.card, fx.password, fx.clock, fx.rng, prime=9)
-        with pytest.raises(TypeError):
-            user_handle_response(ctx, m2, fx.clock, delta_t=-1)
-        with pytest.raises(ValueError, match=r"^modulus must be a prime greater than 3$"):
-            user_login_start(fx.card, fx.password, fx.clock, fx.rng, Params(9))
-        with pytest.raises(ValueError, match=r"^freshness window must be non-negative$"):
-            user_login_start(fx.card, fx.password, fx.clock, fx.rng, Params(delta_t=-1))
-        assert fx.rng.draw_exponent() == rng_before.draw_exponent()
         assert not isinstance(user_handle_response(ctx, m2, fx.clock), Reject)
 
     @pytest.mark.parametrize("look_alike", [

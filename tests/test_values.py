@@ -150,11 +150,6 @@ def test_a_bad_call_names_the_class_init():
         LoginRequest()
 
 
-def test_repr_literal():
-    assert repr(SmartCard(b"a", b"b", b"c", b"d")) == "SmartCard(im1=b'a', im2=b'b', d1=b'c', d2=b'd')"
-    assert repr(FieldElement(3, 17)) == "FieldElement(value=3, p=17)"
-
-
 def test_experiment_results_are_equal_across_identical_fixtures():
     # No wall time inside: an experiment's result is a function of its inputs.
     def results(seed):
