@@ -324,8 +324,9 @@ def run_login_session(
 
     On success the returned session carries the refreshed card; on any
     rejection it carries the original card unchanged. A channel_delay that
-    is not an int (a bool too), or that the clock refuses for M2's delivery,
-    2 * channel_delay ticks on, raises before anything is drawn from rng.
+    is not an int (a bool too) raises TypeError, and one that the clock
+    refuses for M2's delivery, 2 * channel_delay ticks on, a ValueError that
+    names the delay and then the clock's reason, before anything is drawn.
 
     Each party's operations are added to its counts by how the login ended.
     The card costs 3 hashes, 2 XORs and 1 map evaluation for M1, and as much
@@ -335,7 +336,10 @@ def run_login_session(
     """
     if type(channel_delay) is not int:  # 2 * True is an int the clock would take
         raise TypeError(f"channel_delay must be an int, got {type(channel_delay).__name__}")
-    clock.after(2 * channel_delay)
+    try:
+        clock.after(2 * channel_delay)
+    except ValueError as exc:  # the clock's message names M2's delivery tick, not the delay passed
+        raise ValueError(f"channel_delay {channel_delay} refused by the clock: {exc}") from exc
     m1, ctx = user_login_start(card, password, clock, rng, server.params)
     tally(user_counts, 3, 2, 1)
     events = [ChannelEvent(m1, clock.advance(channel_delay))]

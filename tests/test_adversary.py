@@ -1,7 +1,5 @@
 import pickle
-import re
 from collections import Counter
-from itertools import product
 
 import pytest
 
@@ -16,20 +14,12 @@ from chebauth.adversary import (
     wrong_login_experiment,
 )
 from chebauth.primitives import OpCounts, Timestamp
-from chebauth.protocol import LoginRequest, run_login_session
+from chebauth.protocol import run_login_session
 
 from helpers import guess_predicate_oracle, intercepted_m1, make_fixture
 
 
 class TestGuessPredicate:
-    def test_integer_candidate_rejected(self):
-        # bytes(3) would be three zero bytes, a candidate nobody listed
-        fx = make_fixture(56)
-        target = scan_target(*intercepted_m1(fx))
-        for candidate in (3, [112, 119]):
-            with pytest.raises(TypeError):
-                guess_predicate(candidate, target)
-
     def test_costs_three_hashes_two_xors(self):
         # the scheme's formula costs 3 hashes and 2 XORs per candidate, and
         # offline_guess books the same for each candidate it evaluates,
@@ -118,13 +108,6 @@ class TestOfflineGuess:
         assert predicate_calls == []
         assert report.counts.as_dict() == scan_tally(0)
 
-    def test_guess_count_bounded_by_dictionary(self):
-        fx = make_fixture(63)
-        extracted, m1 = intercepted_m1(fx)
-        for plant in (1, 250, 500):
-            report = offline_guess(extracted, m1, self.build_dict(fx, 500, plant_at=plant))
-            assert report.guesses == plant <= 500
-
     def test_a_scan_builds_one_target(self, monkeypatch):
         builds = []
         build = adversary.scan_target
@@ -158,79 +141,16 @@ class TestOfflineGuess:
         matches = [word for word in dictionary.candidates if guess_predicate(word, target)]
         assert len(matches) == 33 and matches[0] == b"cand-0002" and fx.password in matches
 
-    def test_a_pair_no_scan_can_verify_is_refused_before_any_guess(self, predicate_calls):
-        narrow, wide = make_fixture(65, width=8, prime=17), make_fixture(65)
-        (narrow_card, narrow_m1), (wide_card, wide_m1) = intercepted_m1(narrow), intercepted_m1(wide)
-        words = Dictionary((wide.password,))  # both fixtures register pw-65-secret
-        for card, m1, message in ((narrow_card, wide_m1, "of 256 bits, but the card set width 8"),
-                                  (wide_card, narrow_m1, "of 8 bits, but the card set width 256")):
-            with pytest.raises(ValueError, match=f"^M1 field {message}$"):
-                offline_guess(card, m1, words)
-        m2 = run_login_session(wide.server, wide_card, wide.password, wide.clock, wide.rng).events[1].message
-        with pytest.raises(TypeError, match=r"^m1 must be a LoginRequest, got LoginResponse$"):
-            offline_guess(wide_card, m2, words)
-        assert predicate_calls == []
-
-    @pytest.mark.parametrize("field, bits", product(("im1", "im2", "x1"), (248, 264)))
-    def test_one_field_of_another_width_is_refused(self, field, bits, predicate_calls):
-        fx = make_fixture(65)
-        card, m1 = intercepted_m1(fx)
-        fields = {name: getattr(m1, name) for name in m1.__match_args__}
-        fields[field] = (fields[field] + bytes(1))[:bits // 8]  # one byte short or one too many
-        with pytest.raises(ValueError, match=f"^M1 field of {bits} bits, but the card set width 256$"):
-            offline_guess(card, LoginRequest(**fields), Dictionary((fx.password,)))
-        assert predicate_calls == []
-
-    def test_full_width_has_no_false_positives(self):
-        fx = make_fixture(64)
-        extracted, m1 = intercepted_m1(fx)
-        dictionary = self.build_dict(fx, 500, plant_at=77)
-        assert offline_guess(extracted, m1, dictionary).recovered == fx.password
-        decoys = [word for word in dictionary.candidates if word != fx.password]
-        assert len(decoys) == 499
-        target = scan_target(extracted, m1)
-        assert not any(guess_predicate(word, target) for word in decoys)
-
 
 class TestWrongLoginExperiment:
-    def test_correct_password_invalidates_experiment(self):
-        fx = make_fixture(71)
-        with pytest.raises(
-            ExperimentInvalid,
-            match=r"^server accepted the login: the supplied password is the true one"
-            r" or collides with it at width 256$",
-        ):
-            wrong_login_experiment(fx.card, fx.password, fx.server, fx.clock, fx.rng)
-
-    def test_stale_channel_invalidates_experiment(self):
-        fx = make_fixture(72, delta_t=1)
-        with pytest.raises(
-            ExperimentInvalid, match=r"^rejected for stale_timestamp, not the password mistake$"
-        ):
-            wrong_login_experiment(fx.card, b"oops", fx.server, fx.clock, fx.rng, channel_delay=5)
-
     def test_default_delay_is_one_tick(self):
         # the server rejects M1, so no M2 travels: one leg of one tick
         fx = make_fixture(74)
         wrong_login_experiment(fx.card, b"oops", fx.server, fx.clock, fx.rng)
         assert fx.clock.now() == Timestamp(1)
 
-    def test_negative_delay_draws_nothing_and_keeps_the_clock(self):
-        fx, replay = make_fixture(73), make_fixture(73)
-        with pytest.raises(ValueError, match=r"^clock cannot move backwards$"):
-            wrong_login_experiment(fx.card, b"oops", fx.server, fx.clock, fx.rng, channel_delay=-1)
-        assert fx.clock.now() == replay.clock.now()
-        assert fx.rng.draw_exponent() == replay.rng.draw_exponent()
-
 
 class TestDosExperiment:
-    def test_equal_passwords_rejected_as_fixture_error(self):
-        fx = make_fixture(82)
-        with pytest.raises(ExperimentInvalid, match=r"^wrong_old_password equals the true password$"):
-            dos_experiment(
-                fx.card, fx.password, fx.password, b"fresh-pw", fx.server, fx.clock, fx.rng
-            )
-
     def test_broken_baseline_rejected_as_fixture_error(self):
         fx = make_fixture(83)
         other = make_fixture(84)  # card from a different server: baseline fails
@@ -292,54 +212,12 @@ class TestDictionary:
         path.write_text("alpha\nbeta", encoding="utf-8")
         assert Dictionary.from_file(path).candidates == (b"alpha", b"beta")
 
-    def test_blank_line_rejected(self, tmp_path):
-        path = tmp_path / "words.txt"
-        # a blank line is reported even where the file also repeats a line
-        for text in ("alpha\n\nbeta\n", "alpha\n\nalpha\n", "alpha\nalpha\n\n", "\nbeta\nbeta"):
-            path.write_text(text, encoding="utf-8")
-            with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: blank lines are not allowed$"):
-                Dictionary.from_file(path)
-
-    def test_crlf_rejected(self, tmp_path):
-        path = tmp_path / "words.txt"
-        path.write_bytes(b"alpha\r\nbeta\n")
-        with pytest.raises(ValueError):
-            Dictionary.from_file(path)
-
-    def test_invalid_utf8_rejected(self, tmp_path):
-        path = tmp_path / "words.txt"
-        path.write_bytes(b"alpha\nbeta\ngam\xffma\n")
-        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: not UTF-8 at byte 14$") as exc:
-            Dictionary.from_file(path)
-        assert isinstance(exc.value.__cause__, UnicodeDecodeError)
-
-    def test_byte_order_mark_rejected(self, tmp_path):
-        # loaded, the BOM would be part of the first candidate, which then never matches
-        path = tmp_path / "words.txt"
-        path.write_bytes(b"\xef\xbb\xbfsunrise77\n")
-        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: starts with a UTF-8 byte-order mark"):
-            Dictionary.from_file(path)
-
-    def test_duplicates_rejected(self, tmp_path):
-        with pytest.raises(ValueError, match=r"^dictionary contains duplicate candidates$"):
-            Dictionary((b"a", b"b", b"a"))
-        path = tmp_path / "words.txt"
-        path.write_text("alpha\nbeta\nalpha\n", encoding="utf-8")
-        with pytest.raises(ValueError, match=r"^dictionary contains duplicate candidates$"):
-            Dictionary.from_file(path)
-
-    def test_non_text_candidates_rejected(self):
-        assert Dictionary(("a", bytearray(b"b"), memoryview(b"c"))).candidates == (b"a", b"b", b"c")
-        for candidates in (("a", 5), (b"a", None)):
-            with pytest.raises(TypeError):
-                Dictionary(candidates)
-
     def test_loaded_equals_constructed(self, tmp_path):
         lines = (b"alpha", "pässwörd".encode(), b"gamma", "密码".encode())
         path = tmp_path / "words.txt"
         path.write_bytes(b"\n".join(lines) + b"\n")
         loaded = Dictionary.from_file(path)
-        built = Dictionary(lines)
+        built = Dictionary((lines[0], "pässwörd", bytearray(lines[2]), memoryview(lines[3])))  # stored as bytes
         assert type(loaded.candidates) is tuple and loaded.candidates == lines
         assert loaded == built and hash(loaded) == hash(built)
         restored = pickle.loads(pickle.dumps(loaded))

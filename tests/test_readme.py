@@ -1,12 +1,15 @@
-"""The README's Python examples run against the package as it is, and its CLI section names exactly the CLI's options."""
+"""The README's Python examples run against the package as it is, its CLI section names exactly the CLI's
+options, and every test module and test it names exists."""
 
 import argparse
+import ast
 import re
 from pathlib import Path
 
 from chebauth.cli import build_parser
 
-README = Path(__file__).resolve().parent.parent / "README.md"
+TESTS = Path(__file__).resolve().parent
+README = TESTS.parent / "README.md"
 
 
 def test_readme_python_examples_run():
@@ -53,3 +56,29 @@ def test_stale_option_check_catches_a_fixture_mention():
     readme = README.read_text(encoding="utf-8")
     stale = readme.replace("\n## Library\n", "\nCommon flags: `--fixture FILE`.\n\n## Library\n", 1)
     assert sorted(cli_section_options(stale) - cli_options()) == ["--fixture"]
+
+
+def dangling_tests(readme: str) -> list[str]:
+    """Each tests/<module>.py or tests/<module>.py::<class>::<test> that readme names and the tests lack."""
+    missing = []
+    for named in sorted(set(re.findall(r"tests/\w+\.py(?:::\w+)*", readme))):
+        module, *path = named.split("::")
+        file = TESTS.parent / module
+        scope = ast.parse(file.read_text(encoding="utf-8")) if file.exists() else None
+        for name in path:
+            scope = next((node for node in getattr(scope, "body", ()) if getattr(node, "name", None) == name), None)
+        if scope is None:
+            missing.append(named)
+    return missing
+
+
+def test_readme_names_no_dangling_test():
+    assert dangling_tests(README.read_text(encoding="utf-8")) == []
+
+
+def test_dangling_test_check_catches_a_gone_module_and_test():
+    named = ("`tests/test_refusals.py`, `tests/test_gone.py`, `tests/test_chaotic.py::test_gone`,"
+             " `tests/test_chaotic.py::TestPrimality::test_composite_rejected_by_a_witness[psi12]`"
+             " and `tests/test_chaotic.py::TestPrimality::test_gone`")
+    assert dangling_tests(named) == ["tests/test_chaotic.py::TestPrimality::test_gone",
+                                     "tests/test_chaotic.py::test_gone", "tests/test_gone.py"]
