@@ -26,7 +26,7 @@ from chebauth.primitives import RandomSource, Timestamp, WidthMismatch, as_bytes
 from chebauth.protocol import (EmptyCredential, LoginRequest, Params, ServerState, SmartCard, change_password,
                                registration, run_login_session, server_setup, user_login_start)
 
-from helpers import PSI_12, PSI_13, intercepted_m1, leaf_calls, make_fixture
+from helpers import intercepted_m1, leaf_calls, make_fixture
 
 
 def ticked():
@@ -73,9 +73,10 @@ def resized(m1, field: str, bits: int) -> LoginRequest:
     return LoginRequest(**fields)
 
 
-def row(name, call, error, message=None, build=partial(make_fixture, 1)):
-    """call(fx), on the fixture build() returns, raises exactly error, with message unless it is None."""
-    return pytest.param(build, call, error, message, id=name)
+def row(name, call, error, message=None, build=partial(make_fixture, 1), cause=None):
+    """call(fx), on the fixture build() returns, raises exactly error, with message unless it is None,
+    chained from an exception of type cause unless that is None."""
+    return pytest.param(build, call, error, message, cause, id=name)
 
 
 NOT_PRIME = "modulus must be a prime greater than 3"
@@ -88,9 +89,9 @@ SEEDS = {"None": (None, TypeError, "seed must be an int, got NoneType"),
          "float": (7.0, TypeError, "seed must be an int, got float"),
          "bool": (True, TypeError, "seed must be an int, got bool"),
          "negative": (-7, ValueError, "seed must be non-negative, got -7")}
-# 41 * 43, the strong pseudoprime 3215031751 and psi12 and psi13 pass trial division
-COMPOSITES = {"9": 9, "15": 15, "3": 3, "default-minus-2": DEFAULT_PRIME - 2, "2^256-1": 2**256 - 1,
-              "1763": 1763, "3215031751": 3215031751, "psi12": PSI_12, "psi13": PSI_13}
+# 3 is prime but too small; test_chaotic.py's test_composite_rejected_by_a_witness
+# holds the composites that pass trial division
+NOT_MODULI = {"9": 9, "3": 3, "2^256-1": 2**256 - 1}
 # a step to a time Timestamp refuses fails in after or advance, not at the next now()
 STEPS = {"float": (1.5, TypeError, "ticks must be an int, got float"),
          "true": (True, TypeError, "ticks must be an int, got bool"),
@@ -125,7 +126,7 @@ REFUSED = [
         ("bytearray", bytearray(32), Params(), "['bytearray', 'Params']"),
         ("namespace", bytes(32), SimpleNamespace(p=9, width=256, delta_t=-1), "['bytes', 'SimpleNamespace']"),
         ("None", bytes(32), None, "['bytes', 'NoneType']"))),
-    *(row(f"Params-p-{name}", lambda fx, p=p: Params(p), ValueError, NOT_PRIME) for name, p in COMPOSITES.items()),
+    *(row(f"Params-p-{name}", lambda fx, p=p: Params(p), ValueError, NOT_PRIME) for name, p in NOT_MODULI.items()),
     row("Params-negative-window", lambda fx: Params(delta_t=-1), ValueError, "freshness window must be non-negative"),
     *(row(f"Params-width-{width}", lambda fx, width=width: Params(width=width),
           ValueError, f"width must be a multiple of 8 in [8, 256], got {width}") for width in (0, 12, 264)),
@@ -222,7 +223,7 @@ REFUSED = [
     row("from_file-crlf", load, ValueError, "words.txt: CR characters found; lines must be LF-terminated",
         word_file(b"alpha\r\nbeta\n")),
     row("from_file-not-utf-8", load, ValueError, "words.txt: not UTF-8 at byte 14",
-        word_file(b"alpha\nbeta\ngam\xffma\n")),
+        word_file(b"alpha\nbeta\ngam\xffma\n"), UnicodeDecodeError),
     row("from_file-bom", load, ValueError, "words.txt: starts with a UTF-8 byte-order mark; remove it",
         word_file(b"\xef\xbb\xbfsunrise77\n")),
     row("from_file-duplicates", load, ValueError, DUPLICATES, word_file(b"alpha\nbeta\nalpha\n")),
@@ -232,8 +233,8 @@ REFUSED = [
 ]
 
 
-@pytest.mark.parametrize("build, call, error, message", REFUSED)
-def test_refusal_computes_draws_and_moves_nothing(tmp_path, monkeypatch, build, call, error, message):
+@pytest.mark.parametrize("build, call, error, message, cause", REFUSED)
+def test_refusal_computes_draws_and_moves_nothing(tmp_path, monkeypatch, build, call, error, message, cause):
     monkeypatch.chdir(tmp_path)  # a word list's path is echoed as given
     fx, replay = build(), build()
     memo = set(chaotic._tables)
@@ -244,6 +245,7 @@ def test_refusal_computes_draws_and_moves_nothing(tmp_path, monkeypatch, build, 
         call(fx)
     assert type(refused.value) is error
     assert message is None or str(refused.value) == message
+    assert cause is None or type(refused.value.__cause__) is cause
     assert calls == Counter()
     assert set(chaotic._tables) == memo
     assert fx.rng.draw_exponent() == replay.rng.draw_exponent()
