@@ -5,7 +5,7 @@ victim's card, and the messages of an eavesdropped login. Both are needed;
 either one alone validates nothing (the tests check this explicitly).
 """
 
-from pathlib import Path
+import os
 
 from ._value import Frozen, Record
 from .primitives import LogicalClock, OpCounts, RandomSource, _from_bytes, as_bytes, h_state
@@ -72,7 +72,7 @@ class Dictionary(Frozen):
     __slots__ = __match_args__ = ("candidates",)
 
     def __init__(self, candidates: tuple):
-        candidates = tuple(c if type(c) is bytes else as_bytes(c) for c in candidates)
+        candidates = tuple(c if type(c) is bytes else as_bytes(c, "candidate") for c in candidates)
         if len(set(candidates)) != len(candidates):
             raise ValueError(_DUPLICATES)
         self._fill(candidates)
@@ -85,7 +85,8 @@ class Dictionary(Frozen):
         blank-line and the duplicate check, and the lines, already bytes, are
         stored without going back through __init__'s per-candidate conversion.
         """
-        data = Path(path).read_bytes()  # no newline translation
+        with open(os.fspath(path), "rb") as file:  # fspath refuses an int, which open takes as a descriptor
+            data = file.read()  # no newline translation
         if data.startswith(b"\xef\xbb\xbf"):  # it would become part of the first candidate
             raise ValueError(f"{path}: starts with a UTF-8 byte-order mark; remove it")
         try:
@@ -167,7 +168,7 @@ def guess_predicate(candidate, target: tuple) -> bool:
     """
     n, d1, d2, tail, x1, fresh = target
     state = fresh()
-    state.update(candidate if type(candidate) is bytes else as_bytes(candidate))
+    state.update(candidate if type(candidate) is bytes else as_bytes(candidate, "candidate"))
     b_guess = d2 ^ _from_bytes(state.digest()[:n], "big")
     state.update(b_guess.to_bytes(n, "big"))
     k_guess = d1 ^ _from_bytes(state.digest()[:n], "big")
@@ -244,7 +245,7 @@ def dos_experiment(
     against the server. The report's dos_confirmed is True exactly when
     every probe is rejected; its OpCounts total all three stages.
     """
-    if not correct_old and as_bytes(wrong_old_password) == as_bytes(true_password):
+    if not correct_old and as_bytes(wrong_old_password, "old_password") == as_bytes(true_password, "password"):
         raise ExperimentInvalid("wrong_old_password equals the true password")
     counts = OpCounts()
     baseline = run_login_session(

@@ -49,11 +49,14 @@ def _check_width(width: int):
         raise ValueError(f"width must be a multiple of 8 in [8, 256], got {width}")
 
 
-def as_bytes(value) -> bytes:
-    """Coerce str (UTF-8) or bytes-like input to bytes; an int or any other type is a TypeError."""
+def as_bytes(value, name: str) -> bytes:
+    """Coerce str (UTF-8) or bytes-like input to bytes; an int or any other type is a TypeError naming name."""
     if isinstance(value, str):
         return value.encode("utf-8")
-    return bytes(memoryview(value))
+    try:
+        return bytes(memoryview(value))
+    except TypeError as exc:
+        raise TypeError(f"{name} must be str or bytes-like, got {type(value).__name__}") from exc
 
 
 class BitString(Frozen):
@@ -183,7 +186,7 @@ def hash_h(data, width: int = DEFAULT_WIDTH) -> bytes:
     Truncated SHA-256 with a domain prefix distinguishing h from H.
     """
     _check_width(width)
-    return h_digest(width // 8, as_bytes(data))
+    return h_digest(width // 8, as_bytes(data, "data"))
 
 
 def hash_H(a: FieldElement, b: FieldElement, c: FieldElement, width: int = DEFAULT_WIDTH) -> bytes:

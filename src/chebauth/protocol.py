@@ -143,7 +143,7 @@ def registration(
     the server's pseudonym nonce r. The identity is hashed to an l-bit value
     before masking so every XOR operand has the system width.
     """
-    identity, password = as_bytes(identity), as_bytes(password)
+    identity, password = as_bytes(identity, "identity"), as_bytes(password, "password")
     if not identity or not password:
         raise EmptyCredential("identity and password must be non-empty")
     mk = server.mk
@@ -176,7 +176,7 @@ def user_login_start(
     n = len(card.d2)
     if n != params.width // 8:  # refused before u is drawn, as ServerState refuses its master key
         raise ValueError(f"card of {8 * n} bits, but Params set width {params.width}")
-    password = as_bytes(password)
+    password = as_bytes(password, "password")
     u = rng.draw_exponent()
     b = xor_bytes(card.d2, h_digest(n, password))
     k = xor_bytes(card.d1, h_digest(n, password, b))
@@ -277,7 +277,7 @@ def change_password(
     registration raises EmptyCredential for it, and the card then logs in
     with b"".
     """
-    old_password, new_password = as_bytes(old_password), as_bytes(new_password)
+    old_password, new_password = as_bytes(old_password, "old_password"), as_bytes(new_password, "new_password")
     n = len(card.d2)
     b = xor_bytes(card.d2, h_digest(n, old_password))
     k = xor_bytes(card.d1, h_digest(n, old_password, b))

@@ -34,11 +34,6 @@ def cheb_naive_sequence(limit: int, x: int, p: int) -> list:
     return values[: limit + 1]
 
 
-def cheb_naive(n: int, x: int, p: int) -> int:
-    """T_n(x) mod p: the last term of cheb_naive_sequence."""
-    return cheb_naive_sequence(n, x, p)[n]
-
-
 def counting(leaf, kind: str, calls: Counter):
     """leaf, adding one to calls[kind] at each call."""
     def counted(*args):

@@ -304,13 +304,14 @@ class TestPlumbing:
         with pytest.raises(jsonschema.ValidationError):
             validate({**report, "attack": {**report["attack"], "multiple_matches": True}})
 
-    def test_cli_import_loads_neither_dataclasses_nor_inspect(self):
-        # Each CLI run is a fresh interpreter, and these two cost it about 6 ms
-        # of import. Only what the package import adds counts, not site hooks.
+    def test_cli_import_loads_no_dataclasses_inspect_or_pathlib(self):
+        # Each CLI run is a fresh interpreter: dataclasses and inspect cost it
+        # about 6 ms of import, pathlib and what it pulls in about 5 ms. -S
+        # keeps site hooks from loading them first and hiding the package's import.
         code = ("import sys; before = set(sys.modules); import chebauth.cli; "
-                "print(sorted({'dataclasses', 'inspect'} & (set(sys.modules) - before)))")
+                "print(sorted({'dataclasses', 'inspect', 'pathlib'} & (set(sys.modules) - before)))")
         env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
-        result = subprocess.run([sys.executable, "-c", code], env=env,
+        result = subprocess.run([sys.executable, "-S", "-c", code], env=env,
                                 capture_output=True, text=True, check=True)
         assert result.stdout == "[]\n"
 

@@ -16,17 +16,17 @@ follow from the scheme's algebra, and each test's bounds are set from them
   same two paths, so with the same probability, and wrong_login_experiment
   then has no rejected round to report.
 
-Beside its bounds, each count is also pinned exactly, verdict by verdict
-against an independent replay with the same draws and ticks: on the 6000
-fixtures, 81 denial-of-service runs fail to confirm and 47 wrong passwords
-pass X1, each set holding the 22 seeds whose typo derives K itself
+One test per weakness pins its count exactly, verdict by verdict against
+an independent replay with the same draws and ticks, and checks that the
+pinned count lies inside its bounds: on the 6000 fixtures, 81
+denial-of-service runs fail to confirm and 47 wrong passwords pass X1, each
+set holding the 22 seeds whose typo derives K itself
 (tests/reference_scheme.py); of the 20 x 2560 decoys, 444 match and 226 of
 them derive K (tests/helpers.guess_predicate_oracle).
 """
 
 import math
 import random
-from functools import cache
 
 import reference_scheme as ref
 from chebauth.adversary import ExperimentInvalid, dos_experiment, guess_predicate, scan_target, wrong_login_experiment
@@ -58,7 +58,6 @@ def four_sigma_bounds(trials: int, p: float) -> tuple[int, int]:
     return round(mean - 4 * sigma), round(mean + 4 * sigma)
 
 
-@cache
 def dos_runs() -> tuple:
     """(identity, password, dos_confirmed) of dos_experiment on each width-8 fixture, seeds 0 to 5999."""
     runs = []
@@ -98,15 +97,9 @@ def reference_dos(seed, identity, password) -> tuple[bool, bool]:
     return not any(probes), keeps_k
 
 
-def test_dos_fails_to_confirm_at_the_predicted_rate():
+def test_dos_fails_to_confirm_on_exactly_the_reference_seeds():
     bounds = four_sigma_bounds(DOS_RUNS, dos_miss_rate(WIDTH))
     assert bounds == (37, 103)
-    misses = [confirmed for _, _, confirmed in dos_runs()].count(False)
-    assert bounds[0] <= misses <= bounds[1], misses
-
-
-def test_dos_fails_to_confirm_on_exactly_the_reference_seeds():
-    # the count the +-4 sigma test bounds, stated exactly and seed by seed
     unconfirmed, keeps_k = set(), set()
     for seed, (identity, password, confirmed) in enumerate(dos_runs()):
         ref_confirmed, ref_keeps_k = reference_dos(seed, identity, password)
@@ -115,12 +108,11 @@ def test_dos_fails_to_confirm_on_exactly_the_reference_seeds():
             unconfirmed.add(seed)
         if ref_keeps_k:
             keeps_k.add(seed)
-    assert len(unconfirmed) == 81
+    assert bounds[0] <= len(unconfirmed) == 81 <= bounds[1]
     # a wrong old password that derives K rewrites the card correctly: the new password works
     assert len(keeps_k) == 22 and keeps_k <= unconfirmed, keeps_k - unconfirmed
 
 
-@cache
 def decoy_runs() -> tuple:
     """(card, K, M1, predicate verdicts on decoy-0 to decoy-2559) for each width-8 victim, seeds 0 to 19."""
     runs = []
@@ -135,7 +127,6 @@ def decoy_runs() -> tuple:
     return tuple(runs)
 
 
-@cache
 def wrong_login_runs() -> tuple:
     """(identity, password, whether the server accepted the typo) of each width-8 fixture, seeds 0 to 5999."""
     runs = []
@@ -166,15 +157,9 @@ def reference_wrong_login(seed, identity, password) -> tuple[bool, bool]:
     return not isinstance(reply, str), keeps_k
 
 
-def test_decoys_match_at_the_predicted_rate():
+def test_decoys_match_exactly_as_the_oracle_does():
     bounds = four_sigma_bounds(VICTIMS * DECOYS, false_match_rate(WIDTH))
     assert bounds == (320, 479)
-    matches = sum(sum(verdicts) for *_, verdicts in decoy_runs())
-    assert bounds[0] <= matches <= bounds[1], matches
-
-
-def test_decoys_match_exactly_as_the_oracle_does():
-    # the count the +-4 sigma test bounds, stated exactly and decoy by decoy
     n, matches, keeps_k = WIDTH // 8, 0, 0
     for card, key, m1, verdicts in decoy_runs():
         for i, verdict in enumerate(verdicts):
@@ -183,18 +168,12 @@ def test_decoys_match_exactly_as_the_oracle_does():
             if verdict:
                 matches += 1
                 keeps_k += ref.xor(card.d1, ref.h(n, decoy, ref.xor(card.d2, ref.h(n, decoy)))) == key
-    assert (matches, keeps_k) == (444, 226)
-
-
-def test_wrong_password_is_accepted_at_the_predicted_rate():
-    bounds = four_sigma_bounds(WRONG_LOGIN_RUNS, false_match_rate(WIDTH))
-    assert bounds == (20, 74)
-    accepted = [accepted for _, _, accepted in wrong_login_runs()].count(True)
-    assert bounds[0] <= accepted <= bounds[1], accepted
+    assert bounds[0] <= matches == 444 <= bounds[1] and keeps_k == 226, (matches, keeps_k)
 
 
 def test_wrong_password_is_accepted_on_exactly_the_reference_seeds():
-    # the count the +-4 sigma test bounds, stated exactly and seed by seed
+    bounds = four_sigma_bounds(WRONG_LOGIN_RUNS, false_match_rate(WIDTH))
+    assert bounds == (20, 74)
     accepted, keeps_k = set(), set()
     for seed, (identity, password, server_accepted) in enumerate(wrong_login_runs()):
         ref_accepted, ref_keeps_k = reference_wrong_login(seed, identity, password)
@@ -203,6 +182,6 @@ def test_wrong_password_is_accepted_on_exactly_the_reference_seeds():
             accepted.add(seed)
         if ref_keeps_k:
             keeps_k.add(seed)
-    assert len(accepted) == 47
+    assert bounds[0] <= len(accepted) == 47 <= bounds[1]
     # a typo that derives K builds the true X1: the server cannot tell it from the password
     assert keeps_k == TYPO_DERIVES_K and keeps_k <= accepted, keeps_k - accepted

@@ -1,12 +1,12 @@
 """Every refusal of the library, one row each, and the one contract every refusal keeps.
 
 A row is a refused call on a fixture built for it, the exact type of the
-exception and its message. Where CPython words the message (the memoryview
-TypeError of as_bytes, say), the row pins the type alone. A refusal must
-leave everything as it was: chebauth.protocol makes no hash, XOR or map
-call, no candidate is evaluated, no random stream is seeded, the kernel's
-memo gains no key, and the fixture's next draw and its clock, which still
-advances, equal those of a replay of the fixture. The REFUSED table of
+exception and its message. Where CPython words the message (a missing
+argument, say), the row pins the type alone. A refusal must leave
+everything as it was: chebauth.protocol makes no hash, XOR or map call, no
+candidate is evaluated, no random stream is seeded, the kernel's memo gains
+no key, and the fixture's next draw and its clock, which still advances,
+equal those of a replay of the fixture. The REFUSED table of
 tests/test_cli.py is the CLI's counterpart.
 """
 
@@ -111,6 +111,11 @@ def load(fx):
     return Dictionary.from_file("words.txt")
 
 
+def not_bytes(name, value):
+    """as_bytes' refusal of value as the argument name, chained from CPython's memoryview TypeError."""
+    return dict(message=f"{name} must be str or bytes-like, got {type(value).__name__}", cause=TypeError)
+
+
 REFUSED = [
     # the server's set-up, state and Params
     *(row(f"server_setup-params-{name}", lambda fx, bad=bad: server_setup(1, bad),
@@ -140,14 +145,19 @@ REFUSED = [
     *(row(f"registration-empty-{name}", lambda fx, pair=pair: registration(fx.server, *pair, fx.rng),
           EmptyCredential, "identity and password must be non-empty")
       for name, pair in (("identity", (b"", b"pw")), ("password", (b"id", b"")))),
-    row("registration-int-identity", lambda fx: registration(fx.server, 7, b"pw", fx.rng), TypeError),
-    row("registration-int-password", lambda fx: registration(fx.server, b"id", 3, fx.rng), TypeError),
+    row("registration-int-identity", lambda fx: registration(fx.server, 7, b"pw", fx.rng), TypeError,
+        **not_bytes("identity", 7)),
+    row("registration-int-password", lambda fx: registration(fx.server, b"id", 3, fx.rng), TypeError,
+        **not_bytes("password", 3)),
     row("user_login_start-no-params", lambda fx: user_login_start(fx.card, fx.password, fx.clock, fx.rng),
         TypeError),
     row("user_login_start-int-password",
-        lambda fx: user_login_start(fx.card, 3, fx.clock, fx.rng, fx.server.params), TypeError),
-    row("change_password-int-old", lambda fx: change_password(fx.card, 3, b"new"), TypeError),
-    row("change_password-list-new", lambda fx: change_password(fx.card, fx.password, [110, 101, 119]), TypeError),
+        lambda fx: user_login_start(fx.card, 3, fx.clock, fx.rng, fx.server.params), TypeError,
+        **not_bytes("password", 3)),
+    row("change_password-int-old", lambda fx: change_password(fx.card, 3, b"new"), TypeError,
+        **not_bytes("old_password", 3)),
+    row("change_password-list-new", lambda fx: change_password(fx.card, fx.password, [110, 101, 119]), TypeError,
+        **not_bytes("new_password", [])),
     # the login's Params, card width and channel delay
     *(row(f"user_login_start-params-{name}",
           lambda fx, bad=bad: user_login_start(fx.card, fx.password, fx.clock, fx.rng, bad),
@@ -189,7 +199,7 @@ REFUSED = [
     *(row(f"clock-{move}-{name}", lambda fx, move=move, step=step: getattr(fx.clock, move)(step),
           error, message, ticked) for move in ("after", "advance") for name, (step, error, message) in STEPS.items()),
     # bytes(3) is three zero bytes and bytes([97, 98]) is b"ab"; neither is text
-    *(row(f"as_bytes-{name}", lambda fx, value=value: as_bytes(value), TypeError)
+    *(row(f"as_bytes-{name}", lambda fx, value=value: as_bytes(value, "data"), TypeError, **not_bytes("data", value))
       for name, value in (("3", 3), ("0", 0), ("list", [97, 98]), ("None", None), ("float", 2.5))),
     # the field and the kernel
     row("FieldElement-negative", lambda fx: FieldElement(-1, 17), ValueError, "value out of range [0, p)"),
@@ -205,7 +215,8 @@ REFUSED = [
         ValueError, "exponent must be non-negative"),
     # the attacker's scan: a pair no candidate can verify is refused before any guess
     *(row(f"guess_predicate-{name}", lambda fx, candidate=candidate: guess_predicate(candidate, fx.target),
-          TypeError, build=eavesdropped) for name, candidate in (("int", 3), ("list", [112, 119]))),
+          TypeError, build=eavesdropped, **not_bytes("candidate", candidate))
+      for name, candidate in (("int", 3), ("list", [112, 119]))),
     row("offline_guess-narrow-card", lambda fx: offline_guess(fx.narrow_card, fx.m1, fx.words),
         ValueError, "M1 field of 256 bits, but the card set width 8", eavesdropped),
     row("offline_guess-narrow-m1", lambda fx: offline_guess(fx.card, fx.narrow_m1, fx.words),
@@ -227,9 +238,11 @@ REFUSED = [
     row("from_file-bom", load, ValueError, "words.txt: starts with a UTF-8 byte-order mark; remove it",
         word_file(b"\xef\xbb\xbfsunrise77\n")),
     row("from_file-duplicates", load, ValueError, DUPLICATES, word_file(b"alpha\nbeta\nalpha\n")),
+    # open would read an int as a file descriptor, and close it
+    row("from_file-int", lambda fx: Dictionary.from_file(999_999), TypeError),
     row("Dictionary-duplicates", lambda fx: Dictionary((b"a", b"b", b"a")), ValueError, DUPLICATES),
-    row("Dictionary-int", lambda fx: Dictionary(("a", 5)), TypeError),
-    row("Dictionary-None", lambda fx: Dictionary((b"a", None)), TypeError),
+    row("Dictionary-int", lambda fx: Dictionary(("a", 5)), TypeError, **not_bytes("candidate", 5)),
+    row("Dictionary-None", lambda fx: Dictionary((b"a", None)), TypeError, **not_bytes("candidate", None)),
 ]
 
 
