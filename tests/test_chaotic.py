@@ -81,24 +81,26 @@ class TestFixedBaseTable:
 
 
 class TestBitsToField:
-    def test_accepts_raw_bytes(self):
-        # zero, p itself, 1 and 18 pass or reduce; the bytes are read big-endian
-        for bits, p, value in ((bytes(32), 17, 0), ((17).to_bytes(32, "big"), 17, 0), ((1).to_bytes(32, "big"), 17, 1),
-                               (b"\x00\x12", 101, 18), (b"\x01\x00", 1009, 256)):
-            assert bits_to_field(bits, p).value == value, (bits, p)
-        data = bytes(range(1, 33))
-        for p in (101, DEFAULT_PRIME):
-            expected = FieldElement(int.from_bytes(data, "big") % p, p)
-            for bits in (data, bytearray(data), memoryview(data)):
-                assert bits_to_field(bits, p) == expected, type(bits)
-            assert bits_to_field(memoryview(data)[::2], p) == bits_to_field(data[::2], p)
+    DATA = bytes(range(1, 33))
+
+    # zero, p itself, 1 and 18 pass or reduce, in bytes, bytearray and memoryview; the bytes are read big-endian
+    @pytest.mark.parametrize("bits, p, value", [
+        (bytes(32), 17, 0), ((17).to_bytes(32, "big"), 17, 0), ((1).to_bytes(32, "big"), 17, 1),
+        (b"\x00\x12", 101, 18), (b"\x01\x00", 1009, 256), (DEFAULT_PRIME.to_bytes(32, "big"), DEFAULT_PRIME, 0),
+        (DATA, 101, int.from_bytes(DATA, "big") % 101), (DATA, DEFAULT_PRIME, int.from_bytes(DATA, "big") % DEFAULT_PRIME)],
+        ids=["zero", "p", "one", "18", "256", "p256", "data-101", "data-p256"])
+    def test_accepts_raw_bytes(self, bits, p, value):
+        for view in (bits, bytearray(bits), memoryview(bits)):
+            assert bits_to_field(view, p) == FieldElement(value, p), type(view)
+        assert bits_to_field(memoryview(bits)[::2], p) == bits_to_field(bits[::2], p)
 
 
 class TestPrimality:
-    def test_known_values(self):
-        # every n below 10^5, 0, 1 and the Carmichael numbers among them, is the trial-division sweep's
-        assert is_probable_prime((1 << 61) - 1) and is_probable_prime(DEFAULT_PRIME)
-        assert not is_probable_prime(DEFAULT_PRIME - 1)
+    # every n below 10^5, 0, 1 and the Carmichael numbers among them, is the trial-division sweep's
+    @pytest.mark.parametrize("n, prime", [((1 << 61) - 1, True), (DEFAULT_PRIME, True), (DEFAULT_PRIME - 1, False)],
+                             ids=["2^61-1", "p256", "p256-1"])
+    def test_known_values(self, n, prime):
+        assert is_probable_prime(n) is prime
 
     @pytest.mark.parametrize("n", [41 * 43, 151 * 751 * 28351, PSI_12, PSI_13, 1093**2, 3511**2],
                              ids=["1763", "3215031751", "psi12", "psi13", "1093^2", "3511^2"])

@@ -25,13 +25,12 @@ SEED2_FIRST_DRAW = "5c6e433715ba2bdd177219d30e7a269fd95bafc8f2a4d27bdcf4bb99f4be
 
 
 class TestHashH:
-    def test_pinned_digests(self):
-        assert h_digest(32, b"a").hex() == H_OF_A
-        assert h_digest(32, b"b").hex() == H_OF_B
-        assert h_digest(32, b"").hex() == H_OF_EMPTY
-        # h hashes the join of its parts
-        assert h_digest(32, b"", b"a", b"").hex() == H_OF_A
-        assert h_digest(8, b"b") == bytes.fromhex(H_OF_B)[:8]
+    # h hashes the join of its parts, and a width of 8 bytes is the digest's prefix
+    @pytest.mark.parametrize("width, parts, digest", [
+        (32, (b"a",), H_OF_A), (32, (b"b",), H_OF_B), (32, (b"",), H_OF_EMPTY), (32, (b"", b"a", b""), H_OF_A),
+        (8, (b"a",), H_OF_A[:16]), (8, (b"b",), H_OF_B[:16])], ids=["a", "b", "empty", "join", "a-8", "b-8"])
+    def test_pinned_digests(self, width, parts, digest):
+        assert h_digest(width, *parts).hex() == digest
 
 
 class TestHashBigH:
@@ -78,9 +77,9 @@ class TestXor:
 
 
 class TestRandomSource:
-    def test_pinned_first_draws(self):
-        assert RandomSource(1).draw_bytes(32).hex() == SEED1_FIRST_DRAW
-        assert RandomSource(2).draw_bytes(32).hex() == SEED2_FIRST_DRAW
+    @pytest.mark.parametrize("seed, draw", [(1, SEED1_FIRST_DRAW), (2, SEED2_FIRST_DRAW)])
+    def test_pinned_first_draws(self, seed, draw):
+        assert RandomSource(seed).draw_bytes(32).hex() == draw
 
     def test_exponent_range(self):
         rng = RandomSource(5)
@@ -101,8 +100,9 @@ class TestTime:
         with pytest.raises(TypeError):
             Timestamp(3) < Timestamp(7)
 
-    def test_timestamp_serialization(self):
-        assert Timestamp(1).to_bytes() == b"\x00" * 7 + b"\x01"
+    @pytest.mark.parametrize("ticks, encoding", [(0, bytes(8)), (1, b"\x00" * 7 + b"\x01"), ((1 << 64) - 1, b"\xff" * 8)])
+    def test_timestamp_serialization(self, ticks, encoding):
+        assert Timestamp(ticks).to_bytes() == encoding
 
     def test_clock_holds_the_stamp_it_reads(self):
         # the time is kept once, as a Timestamp; no second tick count beside it
@@ -122,8 +122,9 @@ class TestTime:
         assert clock.advance(3) == Timestamp(5)
 
 
-def test_as_bytes_takes_str_as_utf8_and_bytes_like_as_bytes():
-    assert as_bytes("pâte", "password") == "pâte".encode("utf-8")
-    for value in (b"\x00\xff", bytearray(b"\x00\xff"), memoryview(b"\x00\xff")):
-        coerced = as_bytes(value, "password")
-        assert type(coerced) is bytes and coerced == b"\x00\xff"
+@pytest.mark.parametrize("value, expected", [("pâte", "pâte".encode("utf-8")), (b"\x00\xff", b"\x00\xff"),
+                                             (bytearray(b"\x00\xff"), b"\x00\xff"), (memoryview(b"\x00\xff"), b"\x00\xff")],
+                         ids=["str", "bytes", "bytearray", "memoryview"])
+def test_as_bytes_takes_str_as_utf8_and_bytes_like_as_bytes(value, expected):
+    coerced = as_bytes(value, "password")
+    assert type(coerced) is bytes and coerced == expected
