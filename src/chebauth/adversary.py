@@ -245,7 +245,10 @@ def dos_experiment(
     against the server. The report's dos_confirmed is True exactly when
     every probe is rejected; its OpCounts total all three stages.
     """
-    if not correct_old and as_bytes(wrong_old_password, "old_password") == as_bytes(true_password, "password"):
+    true_password, wrong_old_password, new_password = (  # refused here, before the baseline draws
+        as_bytes(true_password, "true_password"), as_bytes(wrong_old_password, "wrong_old_password"),
+        as_bytes(new_password, "new_password"))
+    if not correct_old and wrong_old_password == true_password:
         raise ExperimentInvalid("wrong_old_password equals the true password")
     counts = OpCounts()
     baseline = run_login_session(

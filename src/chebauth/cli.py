@@ -29,6 +29,7 @@ from .adversary import (
 from .chaotic import DEFAULT_PRIME, FieldElement, backend_name
 from .primitives import DEFAULT_WIDTH, LogicalClock, OpCounts, RandomSource, Timestamp
 from .protocol import (
+    COSTS,
     DEFAULT_DELTA_T,
     LoginRequest,
     Params,
@@ -145,9 +146,6 @@ def cmd_guess_attack(args: argparse.Namespace, server, rng, clock, card):
     }, as_expected
 
 
-_WASTED_ROUND_COUNTS = {"hash": 6, "xor": 4, "cheb": 1}
-
-
 def cmd_wrong_login(args: argparse.Namespace, server, rng, clock, card):
     """One wasted login round with a wrong password, with op accounting."""
     # raises ExperimentInvalid unless the server rejected the password, so the
@@ -156,12 +154,14 @@ def cmd_wrong_login(args: argparse.Namespace, server, rng, clock, card):
         wrong_login_experiment,
         card, args.wrong_password, server, clock, rng, channel_delay=args.channel_delay,
     )
-    as_expected = counts.as_dict() == _WASTED_ROUND_COUNTS
+    # a wrong password costs the card its M1 and the server its check of X1
+    wasted = OpCounts(*map(sum, zip(COSTS["card_m1"], COSTS["auth_failure"])))
+    as_expected = counts == wasted
     return {
         "experiment": {
             "server_rejected": True,
             "op_counts": counts.as_dict(),
-            "expected_op_counts": dict(_WASTED_ROUND_COUNTS),
+            "expected_op_counts": wasted.as_dict(),
             "wall_time_s": wall_time_s,
         },
         "as_expected": as_expected,

@@ -7,9 +7,9 @@ Timestamp refuses ticks its 8 bytes cannot hold. Map exponents are drawn
 below chaotic.EXPONENT_LIMIT, the kernel's bound.
 
 h_digest, H_digest and xor_bytes are what the protocol phases call. tally
-adds one exit's operations to an OpCounts, the package's one count:
-protocol.run_login_session books a login's by how it ended, and
-registration and change_password tally their own. hash_h, hash_H, xor and
+adds one exit's entry of protocol.COSTS to an OpCounts, the package's one
+count: protocol.run_login_session books a login's by how it ended, and
+registration and change_password book their own. hash_h, hash_H, xor and
 concat are the public forms at a width in bits; they take and return bytes
 and count nothing. BitString is only the shell of a retired bit-string
 type, kept for the constructor hook that perfbench/tracer.py replaces;
@@ -131,9 +131,10 @@ class OpCounts(Record):
         return {"hash": self.n_hash, "xor": self.n_xor, "cheb": self.n_cheb}
 
 
-def tally(counts: OpCounts | None, n_hash: int, n_xor: int, n_cheb: int):
-    """Add one exit path's operations to counts, unless counts is None."""
+def tally(counts: OpCounts | None, cost: tuple[int, int, int]):
+    """Add one exit's (hash, xor, cheb), an entry of protocol.COSTS, to counts, unless counts is None."""
     if counts is not None:
+        n_hash, n_xor, n_cheb = cost
         counts.n_hash += n_hash
         counts.n_xor += n_xor
         counts.n_cheb += n_cheb

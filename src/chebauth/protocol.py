@@ -12,9 +12,10 @@ change is applied without verifying the old password.
 The phases compute on bytes and ints: one join per hashed tuple into
 h_digest or H_digest, so h(pw) and h(pw || b) are one call each as the
 scheme writes them, and XOR through xor_bytes. What they store and send
-(master key, card and message fields, session keys) is plain bytes. The
-login phases count nothing: run_login_session books each party's cost by
-how the login ended, and registration and change_password tally their one
+(master key, card and message fields, session keys) is plain bytes. COSTS
+states what each exit costs, and nothing else in the package does: the
+login phases count nothing, run_login_session books each party's entry by
+how the login ended, and registration and change_password book their one
 exit each; these are the package's only counts. A receiver rejects as
 malformed, before all else, anything not of its message class (an M2, None
 or a tuple at the server, an M1 at the card), a field of the wrong type or
@@ -37,6 +38,11 @@ from .primitives import (DEFAULT_WIDTH, H_digest, LogicalClock, OpCounts, Random
 
 #: Default freshness window, in clock ticks.
 DEFAULT_DELTA_T = 5
+
+#: Each exit's (hash, xor, cheb): registration, a password change, the card's
+#: M1 and its check of an M2, and the server's check of an M1 by how it ended.
+COSTS = {"registration": (5, 4, 0), "change_password": (4, 4, 0), "card_m1": (3, 2, 1), "card_m2": (3, 2, 1),
+         "accept": (7, 6, 2), "auth_failure": (3, 2, 0), "stale_timestamp": (0, 0, 0), "malformed": (0, 0, 0)}
 
 
 class EmptyCredential(ValueError):
@@ -154,7 +160,7 @@ def registration(
     d1 = xor_bytes(h_digest(n, id_l, mk), h_digest(n, password, b))
     im2 = xor_bytes(h_digest(n, mk, r), id_l)
     d2 = xor_bytes(h_digest(n, password), b)
-    tally(counts, 5, 4, 0)
+    tally(counts, COSTS["registration"])
     return SmartCard(xor_bytes(mk, r), im2, d1, d2)
 
 
@@ -283,7 +289,7 @@ def change_password(
     k = xor_bytes(card.d1, h_digest(n, old_password, b))
     d1 = xor_bytes(k, h_digest(n, new_password, b))
     d2 = xor_bytes(h_digest(n, new_password), b)
-    tally(counts, 4, 4, 0)
+    tally(counts, COSTS["change_password"])
     return SmartCard(card.im1, card.im2, d1, d2)
 
 
@@ -328,11 +334,10 @@ def run_login_session(
     refuses for M2's delivery, 2 * channel_delay ticks on, a ValueError that
     names the delay and then the clock's reason, before anything is drawn.
 
-    Each party's operations are added to its counts by how the login ended.
-    The card costs 3 hashes, 2 XORs and 1 map evaluation for M1, and as much
-    again once it checked an M2: an M2 the server built is well-formed, and
-    fresh whenever M1 was, both legs taking channel_delay. The server costs
-    7 / 6 / 2 on accept, 3 / 2 / 0 on a bad X1, and nothing for a stale M1.
+    Each party's COSTS entries are added to its counts by how the login
+    ended: the card's M1, and its check of an M2 once the server answered
+    (an M2 the server built is well-formed, and fresh whenever M1 was, both
+    legs taking channel_delay); the server's entry for its outcome.
     """
     if type(channel_delay) is not int:  # 2 * True is an int the clock would take
         raise TypeError(f"channel_delay must be an int, got {type(channel_delay).__name__}")
@@ -341,18 +346,17 @@ def run_login_session(
     except ValueError as exc:  # the clock's message names M2's delivery tick, not the delay passed
         raise ValueError(f"channel_delay {channel_delay} refused by the clock: {exc}") from exc
     m1, ctx = user_login_start(card, password, clock, rng, server.params)
-    tally(user_counts, 3, 2, 1)
+    tally(user_counts, COSTS["card_m1"])
     events = [ChannelEvent(m1, clock.advance(channel_delay))]
     result = server_handle_login(server, m1, clock, rng)
     if isinstance(result, Reject):
-        if result.reason is RejectReason.AUTH_FAILURE:
-            tally(server_counts, 3, 2, 0)
+        tally(server_counts, COSTS[result.reason.value])
         return LoginSession(card, None, None, result, "server", events)
-    tally(server_counts, 7, 6, 2)
+    tally(server_counts, COSTS["accept"])
     m2, server_key = result
     events.append(ChannelEvent(m2, clock.advance(channel_delay)))
     result = user_handle_response(ctx, m2, clock)
-    tally(user_counts, 3, 2, 1)
+    tally(user_counts, COSTS["card_m2"])
     if isinstance(result, Reject):
         return LoginSession(card, None, server_key, result, "user", events)
     user_key, refreshed = result

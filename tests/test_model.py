@@ -20,7 +20,9 @@ streams and clocks are in step. Each step's cost is checked against the calls
 made: the run counts chebauth.protocol's leaf calls h_digest, H_digest,
 xor_bytes and cheb_eval, and the counts read after each step equal the exact
 cost of the exits it took, as do the OpCounts that registration,
-change_password and run_login_session report. This is the one home of the
+change_password and run_login_session report. The module states those costs
+apart from protocol.COSTS, which the package books from, and one test
+compares the two statements. This is the one home of the
 per-exit tallies: each configuration's run must reach all nine exits whose
 tally it checks (registration, a change with the right and with a wrong old
 password, and accept, auth_failure and stale_timestamp at the server and at
@@ -74,6 +76,7 @@ from chebauth.adversary import guess_predicate, scan_target  # noqa: E402
 from chebauth.chaotic import DEFAULT_PRIME, FieldElement  # noqa: E402
 from chebauth.primitives import LogicalClock, OpCounts, RandomSource  # noqa: E402
 from chebauth.protocol import (  # noqa: E402
+    COSTS,
     DEFAULT_DELTA_T,
     Params,
     Reject,
@@ -93,15 +96,17 @@ from helpers import (  # noqa: E402
 CONFIGS = [(8, 101), (8, DEFAULT_PRIME), (64, 17), (136, DEFAULT_PRIME), (256, 101), (256, DEFAULT_PRIME)]
 USERS = (0, 1)
 
-# The exact cost of each exit: the server's check of an M1 and the card's
-# check of an M2, by the reject reason it returns or "accept"; the card's M1
-# alone, and with its check of an M2, which is what run_login_session books
-# for the card in a login that ends at the server or at the card.
+# The exact cost of each exit, written here apart from protocol.COSTS: the
+# server's check of an M1 and the card's check of an M2, by the reject reason
+# it returns or "accept"; the card's M1 alone, and with its check of an M2,
+# which is what run_login_session books for the card in a login that ends at
+# the server or at the card; a registration and a password change.
 SERVER_TALLY = {"malformed": OpCounts(), "stale_timestamp": OpCounts(), "auth_failure": OpCounts(3, 2, 0),
                 "accept": OpCounts(7, 6, 2)}
 USER_TALLY = {"malformed": OpCounts(), "stale_timestamp": OpCounts(), "auth_failure": OpCounts(3, 2, 1),
               "accept": OpCounts(3, 2, 1)}
 M1_ONLY, M1_AND_M2 = OpCounts(3, 2, 1), OpCounts(6, 4, 2)
+ISSUE, CHANGE = OpCounts(5, 4, 0), OpCounts(4, 4, 0)
 EXITS = ("registration", "change-right_old", "change-wrong_old",
          *(f"{side}-{exit}" for side in ("server", "user") for exit in ("accept", "auth_failure", "stale_timestamp")))
 
@@ -178,7 +183,7 @@ class PackageFollowsReference(RuleBasedStateMachine):
             self.server, self.identities[user], self.passwords[user], self.rng, counts=counts)
         self.ref_cards[user] = ref.register(self.ref_mk, self.identities[user], self.passwords[user], self.ref_rng)
         self.corrupted[user], self.issued_with[user] = False, self.passwords[user]
-        assert counts == OpCounts(5, 4, 0) and self.made() == tallied(counts)
+        assert counts == ISSUE and self.made() == tallied(counts)
         self.reached["registration"] += 1
 
     def login(self, user, typed, delay=1):
@@ -240,7 +245,7 @@ class PackageFollowsReference(RuleBasedStateMachine):
         self.ref_cards[user] = ref.change(self.ref_cards[user], old, new)
         self.passwords[user] = new
         self.corrupted[user] = self.corrupted[user] or not right_old
-        assert counts == OpCounts(4, 4, 0) and self.made() == tallied(counts)
+        assert counts == CHANGE and self.made() == tallied(counts)
         self.reached["change-right_old" if right_old else "change-wrong_old"] += 1
 
     @rule(user=st.sampled_from(USERS))
@@ -424,6 +429,15 @@ def test_package_follows_reference(run):
     crossed, _ = run
     # the run crossed both a password change and a re-issue with an accepted M1
     assert crossed[False] and crossed[True]
+
+
+def test_oracle_states_the_package_costs():
+    # the run checks the constants above against the calls made; the package books from COSTS
+    costs = {exit: OpCounts(*cost) for exit, cost in COSTS.items()}
+    assert costs == {"registration": ISSUE, "change_password": CHANGE, "card_m1": M1_ONLY,
+                     "card_m2": USER_TALLY["accept"], **SERVER_TALLY}
+    assert costs["card_m2"] == USER_TALLY["auth_failure"]
+    assert tallied(M1_AND_M2) == tallied(costs["card_m1"], costs["card_m2"])
 
 
 @pytest.mark.parametrize("exit", EXITS)

@@ -20,7 +20,8 @@ from types import SimpleNamespace
 import pytest
 
 from chebauth import adversary, chaotic
-from chebauth.adversary import Dictionary, guess_predicate, offline_guess, scan_target, wrong_login_experiment
+from chebauth.adversary import (Dictionary, ExperimentInvalid, dos_experiment, guess_predicate, offline_guess,
+                                scan_target, wrong_login_experiment)
 from chebauth.chaotic import DEFAULT_PRIME, FieldElement, cheb_eval
 from chebauth.primitives import RandomSource, Timestamp, WidthMismatch, as_bytes, xor_bytes
 from chebauth.protocol import (EmptyCredential, LoginRequest, Params, ServerState, SmartCard, change_password,
@@ -111,6 +112,14 @@ def load(fx):
     return Dictionary.from_file("words.txt")
 
 
+def dos(fx, at=None, bad=None, correct_old=False, channel_delay=1):
+    """dos_experiment on the fixture, its true, wrong old and new password with the one at index at replaced by bad."""
+    passwords = [fx.password, fx.password + b"-typo", b"fresh-pw"]
+    if at is not None:
+        passwords[at] = bad
+    return dos_experiment(fx.card, *passwords, fx.server, fx.clock, fx.rng, channel_delay, correct_old)
+
+
 def not_bytes(name, value):
     """as_bytes' refusal of value as the argument name, chained from CPython's memoryview TypeError."""
     return dict(message=f"{name} must be str or bytes-like, got {type(value).__name__}", cause=TypeError)
@@ -174,6 +183,15 @@ REFUSED = [
     row("wrong_login_experiment-negative-delay",
         lambda fx: wrong_login_experiment(fx.card, b"oops", fx.server, fx.clock, fx.rng, channel_delay=-1),
         ValueError, DELAYS["negative"][2]),
+    # a non-text new password was refused only by the change, after the baseline
+    # login; with correct_old a wrong old one only by the third probe, as password
+    *(row(f"dos_experiment-{name}{'-correct_old' * correct_old}",
+          lambda fx, args=(at, bad, correct_old): dos(fx, *args), TypeError, **not_bytes(name, bad))
+      for at, (name, bad) in enumerate((("true_password", [112]), ("wrong_old_password", 3.5), ("new_password", 3)))
+      for correct_old in (False, True)),
+    row("dos_experiment-equal-passwords", lambda fx: dos(fx, 1, fx.password.decode()),
+        ExperimentInvalid, "wrong_old_password equals the true password"),
+    row("dos_experiment-negative-delay", lambda fx: dos(fx, channel_delay=-1), ValueError, DELAYS["negative"][2]),
     # the card's fields: a 33-byte card drew u at login, then failed its first XOR
     *(row(f"SmartCard-{type(bad).__name__}-field-{i}",
           lambda fx, fields=(bytes(4),) * i + (bad,) + (bytes(4),) * (3 - i): SmartCard(*fields),

@@ -36,6 +36,9 @@
   only function to take ``user_counts`` and ``server_counts``. Only
   registration and change_password, one exit each, take ``counts``; a
   counts parameter on a login phase would let counting creep back into it.
+- cost_literals: protocol.COSTS states what each exit costs, once. Every
+  tally books an entry of it, and no other module writes an op count as a
+  literal, so that no second statement of a cost can disagree with it.
 """
 
 import ast
@@ -149,6 +152,21 @@ def counters(source: str) -> list[str]:
     return parameters(source, COUNTERS)
 
 
+def cost_literals(source: str) -> list[str]:
+    """Each tally call that books anything but an entry of COSTS, and each dict display counting "hash" by a literal."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Call) and name_of(node.func) == "tally" and not (
+                len(node.args) == 2 and isinstance(node.args[1], ast.Subscript)
+                and name_of(node.args[1].value) == "COSTS"):
+            found.append((node.lineno, "tally()"))
+        elif isinstance(node, ast.Dict) and any(isinstance(key, ast.Constant) and key.value == "hash"
+                                                and isinstance(value, ast.Constant)
+                                                for key, value in zip(node.keys, node.values)):
+            found.append((node.lineno, "{'hash': literal}"))
+    return report(found)
+
+
 def params_takers(source: str) -> list[str]:
     """The public module-level functions with a parameter named params."""
     return [found.removesuffix("(params)") for found in parameters(source, ("params",))]
@@ -164,6 +182,7 @@ HOLDS = {  # rule -> the modules it holds for
     shim_uses: (PACKAGE - {"chebauth/primitives.py", "chebauth/_cheb_pure.py"}
                 | TESTS - {"tests/test_shims.py", "tests/test_values.py"}),
     parameters: {"chebauth/protocol.py"},
+    cost_literals: PACKAGE,
 }
 # the shim_uses reports a module may make: perfbench/tracer.py wraps hash_h
 # under every module name bound to it, adversary's among them
@@ -296,6 +315,14 @@ def test_module_keeps_rule(rule, name, expected):
         "    def add(self, counts): pass\n"
     ), ["registration(counts)", "server_handle_login(counts)", "run_login_session(user_counts)",
         "run_login_session(server_counts)"], id="counters"),
+    pytest.param(cost_literals, (
+        "tally(counts, 5, 4, 0)\n"
+        "primitives.tally(counts, cost)\n"
+        "tally(counts, COSTS['registration'])\n"
+        "tally(server_counts, COSTS[result.reason.value])\n"
+        "WASTED = {'hash': 6, 'xor': 4, 'cheb': 1}\n"
+        "{'hash': self.n_hash, 'xor': self.n_xor}\n"
+    ), ["tally() (line 1)", "tally() (line 2)", "{'hash': literal} (line 5)"], id="cost_literals"),
 ])
 def test_finder_on_snippet(finder, source, expected):
     assert finder(source) == expected
