@@ -72,6 +72,14 @@ class Dictionary(Frozen):
     __slots__ = __match_args__ = ("candidates",)
 
     def __init__(self, candidates: tuple):
+        # one password as the whole collection would iterate as characters or ints
+        try:
+            memoryview(candidates)
+            whole = True
+        except TypeError:
+            whole = isinstance(candidates, str)
+        if whole:
+            raise TypeError(f"candidates must be a collection of passwords, got {type(candidates).__name__}")
         candidates = tuple(c if type(c) is bytes else as_bytes(c, "candidate") for c in candidates)
         if len(set(candidates)) != len(candidates):
             raise ValueError(_DUPLICATES)

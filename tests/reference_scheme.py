@@ -11,6 +11,7 @@ from a random.Random in the package's draw order; a reject is its reason.
 """
 
 import hashlib
+import operator
 
 
 def h(n, *parts):
@@ -27,7 +28,7 @@ def H(n, p, *elements):
 
 def xor(a, b):
     assert len(a) == len(b)
-    return bytes(x ^ y for x, y in zip(a, b))
+    return bytes(map(operator.xor, a, b))
 
 
 def cheb(k, x, p):

@@ -15,14 +15,14 @@ default prime, cover each width and each prime. Each step runs on chebauth
 and on tests/reference_scheme.py, which gets a random.Random with the same
 seed and draws in the package's order.
 After every step the cards, session keys and reject reasons are bit-equal to
-the reference, a reject has left the card as it was, and the two random
-streams and clocks are in step. Each step's cost is checked against the calls
-made: the run counts chebauth.protocol's leaf calls h_digest, H_digest,
-xor_bytes and cheb_eval, and the counts read after each step equal the exact
-cost of the exits it took, as do the OpCounts that registration,
-change_password and run_login_session report. The module states those costs
-apart from protocol.COSTS, which the package books from, and one test
-compares the two statements. This is the one home of the
+the reference, a reject has left the card as it was, the two random streams
+are in the same state and the two clocks at the same tick. Each step's cost
+is checked against the calls made: the run counts chebauth.protocol's leaf
+calls h_digest, H_digest, xor_bytes and cheb_eval, and the counts read after
+each step equal the exact cost of the exits it took, as do the OpCounts that
+registration, change_password and run_login_session report. The module
+states those costs apart from protocol.COSTS, which the package books from,
+and one test compares the two statements. This is the one home of the
 per-exit tallies: each configuration's run must reach all nine exits whose
 tally it checks (registration, a change with the right and with a wrong old
 password, and accept, auth_failure and stale_timestamp at the server and at
@@ -38,16 +38,21 @@ clock of its own; an honest login draws whether to clear the memo first, and a
 misdelivery sends the last M2 too. Each configuration runs once, in a
 module-scoped fixture that all its tests share, with its index in CONFIGS as
 the seed, so that each runs a program of its own. The attacker
-overhears every M1 a card sends: after every step, each user's card, extracted
-as it is then, is scanned against every M1 so far with four candidates, and
-each guess_predicate verdict equals the oracle's. At w = 256 three rules also
-hold outright: a flipped message is rejected; a card corrupted by a wrong-old
-password change fails every login, under any password, until it is re-issued
-(the denial of service); and the offline guess accepts, of an M1 the server
-accepted, exactly the current password of an uncorrupted card of the same
-identity, whatever changes and re-issues came between. At w = 8 a truncation
-collision can break any of the three, and agreement with the reference is the
-check.
+overhears every M1 a card sends: each user's card, extracted as it is after a
+step, is scanned against every M1 so far with four candidates (the current,
+the issued and the last mistyped password, and a decoy), and each
+guess_predicate verdict equals the oracle's. A verdict is a function of its
+inputs, so each distinct state, that is the user, the card's D1 and D2, the
+three passwords, whether the card is corrupted and the M1, is checked once:
+after a step only the new M1s, or every M1 if the state is new; crossed
+counts those first checks that cross a change of D1. At w = 256 three rules
+also hold outright: a flipped message is rejected; a card corrupted by a
+wrong-old password change fails every login, under any password, until it is
+re-issued (the denial of service), probed once per card and password; and the
+offline guess accepts, of an M1 the server accepted, exactly the current
+password of an uncorrupted card of the same identity, whatever changes and
+re-issues came between. At w = 8 a truncation collision can break any of the
+three, and agreement with the reference is the check.
 
 A failing run is reported as found, without shrinking: shrinking a 20-step
 run of the first four configurations took 28-94 s, against about 2 s to pass.
@@ -138,10 +143,10 @@ def copies(*objects) -> tuple:
 class PackageFollowsReference(RuleBasedStateMachine):
     def __init__(self, width: int, prime: int, crossed: Counter, reached: Counter, calls: Counter):
         super().__init__()
-        # guesses checked on an uncorrupted card with an M1 of its identity that
-        # the server accepted before the card's D1 last changed, by whether the
-        # card has the password it was issued with (True: a re-issue came
-        # between; False: a password change did)
+        # first checks of an uncorrupted card's state against an M1 of its
+        # identity that the server accepted before the card's D1 last changed,
+        # by whether the card has the password it was issued with (True: a
+        # re-issue came between; False: a password change did)
         self.crossed = crossed
         self.reached = reached  # how often each of EXITS had its tally checked, and each of STEPS ran
         self.calls = calls  # the leaf calls chebauth.protocol made since the last reading, by kind
@@ -157,6 +162,9 @@ class PackageFollowsReference(RuleBasedStateMachine):
         self.issued_with = [None, None]  # the password each card was issued for
         self.last_typo = [b"~", b"~"]  # the last wrong password each user typed
         self.overheard = []  # (user, M1, whether the server accepted it, the card's D1) of every M1 sent
+        # by guess state, how many of overheard it has been checked against; and
+        # the (card, password) pairs of corrupted cards that have been probed
+        self.scanned, self.probed = {}, set()
 
     def made(self) -> Counter:
         """The leaf calls chebauth.protocol made since the last reading, by kind; the count starts again."""
@@ -366,13 +374,16 @@ class PackageFollowsReference(RuleBasedStateMachine):
     def corrupted_cards_fail_to_log_in(self):
         # the denial of service: after a wrong-old change neither the password
         # the card now has nor the one it was issued for logs in, until it is
-        # re-issued; probed on copies of both streams and clocks, so the run
-        # itself goes on undisturbed
+        # re-issued; probed once per card and password, on copies of both
+        # streams and clocks, so the run itself goes on undisturbed
         for user in USERS:
             if not self.corrupted[user]:
                 continue
             card, ref_card = self.cards[user], self.ref_cards[user]
             for typed in {self.passwords[user], self.issued_with[user]}:
+                if (card, typed) in self.probed:
+                    continue
+                self.probed.add((card, typed))
                 rng, clock, ref_rng = copies(self.rng, self.clock, self.ref_rng)
                 session = run_login_session(self.server, card, typed, clock, rng)
                 *_, ref_result = ref.login(
@@ -386,10 +397,14 @@ class PackageFollowsReference(RuleBasedStateMachine):
     def offline_guess_follows_oracle(self):
         # k = h(h(ID) || mk) depends on the identity and the master key alone:
         # a password change or a re-issue re-encodes the same k, so it does
-        # not retire an M1 overheard before it
+        # not retire an M1 overheard before it; a state's verdicts on an M1
+        # never change, so each state is checked against each M1 once
         for user in USERS:
             card, current = self.cards[user], self.passwords[user]
-            for owner, m1, accepted, d1 in self.overheard:
+            state = (user, card.d1, card.d2, current, self.issued_with[user], self.last_typo[user],
+                     self.corrupted[user])
+            first, self.scanned[state] = self.scanned.get(state, 0), len(self.overheard)
+            for owner, m1, accepted, d1 in self.overheard[first:]:
                 target = scan_target(card, m1)
                 crossed = owner == user and accepted and d1 != card.d1 and not self.corrupted[user]
                 self.crossed[self.issued_with[user] == current] += crossed
@@ -406,8 +421,8 @@ class PackageFollowsReference(RuleBasedStateMachine):
     @invariant()
     def streams_and_clocks_in_step(self):
         assert self.clock.now().ticks == self.ref_now
-        rng, ref_rng = copies(self.rng, self.ref_rng)
-        assert rng.draw_exponent() == ref.exponent(ref_rng)
+        # equal states make every later draw equal, not just the next one
+        assert self.rng._rng.getstate() == self.ref_rng.getstate()
 
 
 @pytest.fixture(scope="module", params=CONFIGS,

@@ -261,6 +261,11 @@ REFUSED = [
     row("Dictionary-duplicates", lambda fx: Dictionary((b"a", b"b", b"a")), ValueError, DUPLICATES),
     row("Dictionary-int", lambda fx: Dictionary(("a", 5)), TypeError, **not_bytes("candidate", 5)),
     row("Dictionary-None", lambda fx: Dictionary((b"a", None)), TypeError, **not_bytes("candidate", None)),
+    # one password as the whole collection: "abc" built three one-character
+    # candidates, and b"ab" was refused for its first byte, an int
+    *(row(f"Dictionary-{name}", lambda fx, whole=whole: Dictionary(whole), TypeError,
+          f"candidates must be a collection of passwords, got {name}")
+      for name, whole in (("str", "abc"), ("bytes", b"ab"))),
 ]
 
 
