@@ -7,7 +7,9 @@ an all-zero card with that M1 and the extracted card with another user's
 M1, each a scan missing one of the two leaks. One test per (width, prime)
 checks every example against all three scans, and a failure names the leak.
 Text candidates span 1- to 4-byte UTF-8, and the victim's password, as str
-and as bytes, is drawn too, so that hits are tested as well as misses.
+and as bytes, is drawn too, so that hits are tested as well as misses; one
+test per (width, prime, leak) pins that this password is a hit with both
+leaks and a miss with either missing, so the drawn hits are real hits.
 """
 
 from functools import cache
@@ -33,6 +35,16 @@ def victim(width, prime):
     _, foreign_m1 = intercepted_m1(make_fixture(401 + width, width=width, prime=prime))
     leaks = {"extracted": (card, m1), "zeroed_card": (zeroed_card(width), m1), "foreign_m1": (card, foreign_m1)}
     return (fx.password, fx.password.encode()), {leak: (c, m, scan_target(c, m)) for leak, (c, m) in leaks.items()}
+
+
+@pytest.mark.parametrize("leak", ("extracted", "zeroed_card", "foreign_m1"))
+@pytest.mark.parametrize("prime", (17, DEFAULT_PRIME), ids=("p17", "p256"))
+@pytest.mark.parametrize("width", WIDTHS)
+def test_victim_password_hits_only_with_both_leaks(width, prime, leak):
+    passwords, scans = victim(width, prime)
+    card, m1, target = scans[leak]
+    for password in passwords:
+        assert guess_predicate(password, target) == guess_predicate_oracle(password, card, m1) == (leak == "extracted")
 
 
 candidates = st.lists(
