@@ -14,6 +14,7 @@ from .primitives import LogicalClock, OpCounts, RandomSource, _from_bytes, as_by
 # under every module name bound to it, and its tests expect this one.
 from .primitives import hash_h  # noqa: F401
 from .protocol import (
+    COSTS,
     ChannelEvent,
     LoginRequest,
     RejectReason,
@@ -80,6 +81,9 @@ class Dictionary(Frozen):
             whole = isinstance(candidates, str)
         if whole:
             raise TypeError(f"candidates must be a collection of passwords, got {type(candidates).__name__}")
+        # a set iterates in an order that PYTHONHASHSEED picks, so the scan would too
+        if isinstance(candidates, (set, frozenset)):
+            raise TypeError(f"candidates must be in a fixed order, got {type(candidates).__name__}")
         candidates = tuple(c if type(c) is bytes else as_bytes(c, "candidate") for c in candidates)
         if len(set(candidates)) != len(candidates):
             raise ValueError(_DUPLICATES)
@@ -171,8 +175,9 @@ def guess_predicate(candidate, target: tuple) -> bool:
     Pure: no server interaction, deterministic per candidate. This is the
     attacker's inner loop, so it works on bytes and ints: h(cand || b)
     continues the state that hashed cand, and the XORs are integer XORs at
-    the card's byte width. The cost is 3 hashes and 2 XORs per call, which
-    offline_guess tallies once per scan; the predicate counts nothing.
+    the card's byte width. The cost is COSTS["guess"], 3 hashes and 2 XORs
+    per call, which offline_guess books once per scan; the predicate counts
+    nothing.
     """
     n, d1, d2, tail, x1, fresh = target
     state = fresh()
@@ -190,8 +195,9 @@ def offline_guess(card: SmartCard, m1: LoginRequest, dictionary: Dictionary) -> 
 
     The reported guess count is the 1-based index of that candidate (or the
     dictionary size when the scan misses), so predicate evaluations equal
-    the guess count. The op counts, 3 hashes and 2 XORs per evaluation, are
-    set once after the loop. The scan builds one scan_target for all of them.
+    the guess count. The op counts, COSTS["guess"] (3 hashes and 2 XORs) per
+    evaluation, are set once after the loop. The scan builds one scan_target
+    for all of them.
     """
     target = scan_target(card, m1)
     recovered = None
@@ -200,7 +206,7 @@ def offline_guess(card: SmartCard, m1: LoginRequest, dictionary: Dictionary) -> 
         if guess_predicate(candidate, target):
             recovered = candidate
             break
-    return GuessReport(recovered, guesses, OpCounts(n_hash=3 * guesses, n_xor=2 * guesses))
+    return GuessReport(recovered, guesses, OpCounts(*(guesses * n for n in COSTS["guess"])))
 
 
 def wrong_login_experiment(

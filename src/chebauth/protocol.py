@@ -13,13 +13,14 @@ The phases compute on bytes and ints: one join per hashed tuple into
 h_digest or H_digest, so h(pw) and h(pw || b) are one call each as the
 scheme writes them, and XOR through xor_bytes. What they store and send
 (master key, card and message fields, session keys) is plain bytes. COSTS
-states what each exit costs, and nothing else in the package does: the
-login phases count nothing, run_login_session books each party's entry by
-how the login ended, and registration and change_password book their one
-exit each; these are the package's only counts. A receiver rejects as
-malformed, before all else, anything not of its message class (an M2, None
-or a tuple at the server, an M1 at the card), a field of the wrong type or
-width, or an element mod another prime.
+states what each exit costs, and what one offline guess costs, and nothing
+else in the package does: the login phases count nothing, run_login_session
+books each party's entry by how the login ended, registration and
+change_password book their one exit each, and offline_guess books the guess
+entry once per candidate it tried; these are the package's only counts. A
+receiver rejects as malformed, before all else, anything not of its message
+class (an M2, None or a tuple at the server, an M1 at the card), a field of
+the wrong type or width, or an element mod another prime.
 
 Once X1 verifies, the server has the chaotic kernel tabulate the recovered
 K, so that T_v(K) here and the card's T_u(K) in later logins read K's
@@ -40,9 +41,11 @@ from .primitives import (DEFAULT_WIDTH, H_digest, LogicalClock, OpCounts, Random
 DEFAULT_DELTA_T = 5
 
 #: Each exit's (hash, xor, cheb): registration, a password change, the card's
-#: M1 and its check of an M2, and the server's check of an M1 by how it ended.
+#: M1 and its check of an M2, and the server's check of an M1 by how it ended;
+#: and the attacker's test of one password guess, which offline_guess books.
 COSTS = {"registration": (5, 4, 0), "change_password": (4, 4, 0), "card_m1": (3, 2, 1), "card_m2": (3, 2, 1),
-         "accept": (7, 6, 2), "auth_failure": (3, 2, 0), "stale_timestamp": (0, 0, 0), "malformed": (0, 0, 0)}
+         "accept": (7, 6, 2), "auth_failure": (3, 2, 0), "stale_timestamp": (0, 0, 0), "malformed": (0, 0, 0),
+         "guess": (3, 2, 0)}
 
 
 class EmptyCredential(ValueError):

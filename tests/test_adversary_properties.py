@@ -15,14 +15,12 @@ leaks and a miss with either missing, so the drawn hits are real hits.
 from functools import cache
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-pytest.importorskip("hypothesis")
-from hypothesis import given, settings, strategies as st  # noqa: E402
+from chebauth.adversary import guess_predicate, scan_target
+from chebauth.chaotic import DEFAULT_PRIME
 
-from chebauth.adversary import guess_predicate, scan_target  # noqa: E402
-from chebauth.chaotic import DEFAULT_PRIME  # noqa: E402
-
-from helpers import guess_predicate_oracle, intercepted_m1, make_fixture, zeroed_card  # noqa: E402
+from helpers import guess_predicate_oracle, intercepted_m1, make_fixture, zeroed_card
 
 WIDTHS = (8, 64, 256)
 
@@ -60,7 +58,7 @@ candidates = st.lists(
 
 @pytest.mark.parametrize("prime", (17, DEFAULT_PRIME), ids=("p17", "p256"))
 @pytest.mark.parametrize("width", WIDTHS)
-@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@settings(max_examples=100)
 @given(candidates)
 def test_candidates_agree_with_oracle(width, prime, candidates):
     passwords, scans = victim(width, prime)

@@ -63,10 +63,8 @@ import random
 from collections import Counter
 
 import pytest
-
-pytest.importorskip("hypothesis")
-from hypothesis import Phase, seed, settings, strategies as st  # noqa: E402
-from hypothesis.stateful import (  # noqa: E402
+from hypothesis import Phase, seed, settings, strategies as st
+from hypothesis.stateful import (
     RuleBasedStateMachine,
     initialize,
     invariant,
@@ -75,12 +73,12 @@ from hypothesis.stateful import (  # noqa: E402
     run_state_machine_as_test,
 )
 
-import reference_scheme as ref  # noqa: E402
-from chebauth import chaotic  # noqa: E402
-from chebauth.adversary import guess_predicate, scan_target  # noqa: E402
-from chebauth.chaotic import DEFAULT_PRIME, FieldElement  # noqa: E402
-from chebauth.primitives import LogicalClock, OpCounts, RandomSource  # noqa: E402
-from chebauth.protocol import (  # noqa: E402
+import reference_scheme as ref
+from chebauth import chaotic
+from chebauth.adversary import guess_predicate, scan_target
+from chebauth.chaotic import DEFAULT_PRIME, FieldElement
+from chebauth.primitives import LogicalClock, OpCounts, RandomSource
+from chebauth.protocol import (
     COSTS,
     DEFAULT_DELTA_T,
     Params,
@@ -95,7 +93,7 @@ from chebauth.protocol import (  # noqa: E402
     user_handle_response,
     user_login_start,
 )
-from helpers import (  # noqa: E402
+from helpers import (
     card_fields, clock_at, flipped, guess_predicate_oracle, leaf_calls, m1_fields, m2_fields)
 
 CONFIGS = [(8, 101), (8, DEFAULT_PRIME), (64, 17), (136, DEFAULT_PRIME), (256, 101), (256, DEFAULT_PRIME)]
@@ -105,13 +103,14 @@ USERS = (0, 1)
 # server's check of an M1 and the card's check of an M2, by the reject reason
 # it returns or "accept"; the card's M1 alone, and with its check of an M2,
 # which is what run_login_session books for the card in a login that ends at
-# the server or at the card; a registration and a password change.
+# the server or at the card; a registration and a password change; and one
+# guess_predicate call, which offline_guess books per candidate.
 SERVER_TALLY = {"malformed": OpCounts(), "stale_timestamp": OpCounts(), "auth_failure": OpCounts(3, 2, 0),
                 "accept": OpCounts(7, 6, 2)}
 USER_TALLY = {"malformed": OpCounts(), "stale_timestamp": OpCounts(), "auth_failure": OpCounts(3, 2, 1),
               "accept": OpCounts(3, 2, 1)}
 M1_ONLY, M1_AND_M2 = OpCounts(3, 2, 1), OpCounts(6, 4, 2)
-ISSUE, CHANGE = OpCounts(5, 4, 0), OpCounts(4, 4, 0)
+ISSUE, CHANGE, GUESS = OpCounts(5, 4, 0), OpCounts(4, 4, 0), OpCounts(3, 2, 0)
 EXITS = ("registration", "change-right_old", "change-wrong_old",
          *(f"{side}-{exit}" for side in ("server", "user") for exit in ("accept", "auth_failure", "stale_timestamp")))
 
@@ -434,8 +433,8 @@ def run(request) -> tuple[Counter, Counter]:
     with leaf_calls(calls):  # the leaf counters go when the run ends
         run_state_machine_as_test(
             seed(request.param_index)(lambda: PackageFollowsReference(width, prime, crossed, reached, calls)),
-            settings=settings(max_examples=20, stateful_step_count=20, deadline=None, derandomize=True,
-                              database=None, phases=[phase for phase in Phase if phase is not Phase.shrink]),
+            settings=settings(max_examples=20, stateful_step_count=20,
+                              phases=[phase for phase in Phase if phase is not Phase.shrink]),
         )
     return crossed, reached
 
@@ -450,7 +449,7 @@ def test_oracle_states_the_package_costs():
     # the run checks the constants above against the calls made; the package books from COSTS
     costs = {exit: OpCounts(*cost) for exit, cost in COSTS.items()}
     assert costs == {"registration": ISSUE, "change_password": CHANGE, "card_m1": M1_ONLY,
-                     "card_m2": USER_TALLY["accept"], **SERVER_TALLY}
+                     "card_m2": USER_TALLY["accept"], **SERVER_TALLY, "guess": GUESS}
     assert costs["card_m2"] == USER_TALLY["auth_failure"]
     assert tallied(M1_AND_M2) == tallied(costs["card_m1"], costs["card_m2"])
 

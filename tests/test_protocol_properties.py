@@ -16,15 +16,12 @@ from collections import Counter
 from functools import cache
 from types import SimpleNamespace
 
-import pytest
+from hypothesis import given, settings, strategies as st
 
-pytest.importorskip("hypothesis")
-from hypothesis import given, settings, strategies as st  # noqa: E402
-
-from chebauth import chaotic  # noqa: E402
-from chebauth.chaotic import DEFAULT_PRIME, FieldElement  # noqa: E402
-from chebauth.primitives import RandomSource, Timestamp  # noqa: E402
-from chebauth.protocol import (  # noqa: E402
+from chebauth import chaotic
+from chebauth.chaotic import DEFAULT_PRIME, FieldElement
+from chebauth.primitives import RandomSource, Timestamp
+from chebauth.protocol import (
     LoginRequest,
     Reject,
     RejectReason,
@@ -33,7 +30,7 @@ from chebauth.protocol import (  # noqa: E402
     user_login_start,
 )
 
-from helpers import clock_at, leaf_calls, make_fixture  # noqa: E402
+from helpers import clock_at, leaf_calls, make_fixture
 
 CONFIGS = [(8, 101), (8, DEFAULT_PRIME), (256, 101), (256, DEFAULT_PRIME)]
 PRIMES = (17, 101, DEFAULT_PRIME)
@@ -93,7 +90,7 @@ def tampered(draw):
     return session, message, type(message)(**fields)
 
 
-@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@settings(max_examples=150)
 @given(tampered())
 def test_one_bad_field_is_malformed_and_changes_nothing(case):
     session, message, bad = case

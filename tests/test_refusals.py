@@ -266,6 +266,10 @@ REFUSED = [
     *(row(f"Dictionary-{name}", lambda fx, whole=whole: Dictionary(whole), TypeError,
           f"candidates must be a collection of passwords, got {name}")
       for name, whole in (("str", "abc"), ("bytes", b"ab"))),
+    # a set's order, and so the scan's, would follow PYTHONHASHSEED
+    *(row(f"Dictionary-{name}", lambda fx, words=words: Dictionary(words), TypeError,
+          f"candidates must be in a fixed order, got {name}")
+      for name, words in (("set", {b"alpha", b"beta"}), ("frozenset", frozenset((b"alpha", b"beta"))))),
 ]
 
 

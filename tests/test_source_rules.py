@@ -1,4 +1,7 @@
-"""Rules on the source of src/chebauth and the tests, each checked by an ast finder, and why they hold:
+"""Rules on the source of src/chebauth and the tests, and why they hold.
+
+Most are checked by an ast finder; the two on what chebauth.protocol's
+public functions take are read from their signatures:
 
 - no_rebinding: a ``global`` or ``nonlocal`` statement lets a call change
   state that the next call reads, so a result can depend on what ran before
@@ -36,15 +39,19 @@
   only function to take ``user_counts`` and ``server_counts``. Only
   registration and change_password, one exit each, take ``counts``; a
   counts parameter on a login phase would let counting creep back into it.
-- cost_literals: protocol.COSTS states what each exit costs, once. Every
-  tally books an entry of it, and no other module writes an op count as a
-  literal, so that no second statement of a cost can disagree with it.
+- cost_literals: protocol.COSTS states what each exit and each offline
+  guess costs, once. Every tally books an entry of it, and no other module
+  writes an op count as a literal, in a dict display or in an OpCounts
+  call, so that no second statement of a cost can disagree with it.
 """
 
 import ast
+import inspect
 from pathlib import Path
 
 import pytest
+
+from chebauth import protocol
 
 ROOT = Path(__file__).resolve().parent.parent
 SOURCE = {f"{path.parent.name}/{path.name}": path.read_text(encoding="utf-8")
@@ -138,22 +145,12 @@ def shim_uses(source: str) -> list[str]:
     return report(found)
 
 
-def parameters(source: str, names=CHECKED_BY_PARAMS) -> list[str]:
-    """Each parameter in names of a public module-level function, as "function(name)"."""
-    return [f"{node.name}({argument.arg})" for node in ast.parse(source).body
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and not node.name.startswith("_")
-            for argument in (*node.args.posonlyargs, *node.args.args, *node.args.kwonlyargs,
-                             node.args.vararg, node.args.kwarg)
-            if argument is not None and argument.arg in names]
-
-
-def counters(source: str) -> list[str]:
-    """Each counts, user_counts or server_counts parameter of a public module-level function, as "function(name)"."""
-    return parameters(source, COUNTERS)
-
-
 def cost_literals(source: str) -> list[str]:
-    """Each tally call that books anything but an entry of COSTS, and each dict display counting "hash" by a literal."""
+    """Each tally call that books anything but an entry of COSTS, and each count written as a literal.
+
+    A count is written as a literal in a dict display whose "hash" value is a
+    number, and in an OpCounts call with a number anywhere in its arguments.
+    """
     found = []
     for node in ast.walk(ast.parse(source)):
         if isinstance(node, ast.Call) and name_of(node.func) == "tally" and not (
@@ -164,12 +161,20 @@ def cost_literals(source: str) -> list[str]:
                                                 and isinstance(value, ast.Constant)
                                                 for key, value in zip(node.keys, node.values)):
             found.append((node.lineno, "{'hash': literal}"))
+        elif isinstance(node, ast.Call) and name_of(node.func) == "OpCounts" and any(
+                isinstance(part, ast.Constant) and type(part.value) in (int, float)
+                for argument in (*node.args, *(keyword.value for keyword in node.keywords))
+                for part in ast.walk(argument)):
+            found.append((node.lineno, "OpCounts(literal)"))
     return report(found)
 
 
-def params_takers(source: str) -> list[str]:
-    """The public module-level functions with a parameter named params."""
-    return [found.removesuffix("(params)") for found in parameters(source, ("params",))]
+def protocol_parameters(names) -> list[str]:
+    """Each parameter in names of a public function that chebauth.protocol defines, as "function(name)"."""
+    return [f"{name}({parameter})" for name, function in vars(protocol).items()
+            if inspect.isfunction(function) and function.__module__ == protocol.__name__
+            and not name.startswith("_")
+            for parameter in inspect.signature(function).parameters if parameter in names]
 
 
 PACKAGE = {name for name in SOURCE if name.startswith("chebauth/")}
@@ -181,23 +186,28 @@ HOLDS = {  # rule -> the modules it holds for
     unused_imports: SOURCE.keys() - {"chebauth/__init__.py"},
     shim_uses: (PACKAGE - {"chebauth/primitives.py", "chebauth/_cheb_pure.py"}
                 | TESTS - {"tests/test_shims.py", "tests/test_values.py"}),
-    parameters: {"chebauth/protocol.py"},
     cost_literals: PACKAGE,
 }
 # the shim_uses reports a module may make: perfbench/tracer.py wraps hash_h
 # under every module name bound to it, adversary's among them
 KEPT = {"chebauth/adversary.py": {"import hash_h"}}
 CASES = [(rule, name, []) for rule, names in HOLDS.items() for name in sorted(names)]
-CASES.append((params_takers, "chebauth/protocol.py", ["server_setup", "user_login_start"]))
-CASES.append((counters, "chebauth/protocol.py", ["registration(counts)", "change_password(counts)",
-                                                 "run_login_session(user_counts)",
-                                                 "run_login_session(server_counts)"]))
 
 
 @pytest.mark.parametrize("rule, name, expected", CASES, ids=[f"{rule.__name__}-{name}" for rule, name, _ in CASES])
 def test_module_keeps_rule(rule, name, expected):
     kept = KEPT.get(name, set()) if rule is shim_uses else set()
     assert [found for found in rule(SOURCE[name]) if found.split(" (line")[0] not in kept] == expected
+
+
+@pytest.mark.parametrize("names, expected", [
+    pytest.param(CHECKED_BY_PARAMS, [], id="parameters"),
+    pytest.param(("params",), ["server_setup(params)", "user_login_start(params)"], id="params_takers"),
+    pytest.param(COUNTERS, ["registration(counts)", "change_password(counts)", "run_login_session(user_counts)",
+                            "run_login_session(server_counts)"], id="counters"),
+])
+def test_protocol_functions_take(names, expected):
+    assert protocol_parameters(names) == expected
 
 
 @pytest.mark.parametrize("finder, source, expected", [
@@ -284,37 +294,6 @@ def test_module_keeps_rule(rule, name, expected):
         "h(x) + ref.xor(a, b) + xor(a, b) + p.h_digest(32, a)\n"
     ), ["import hash_h (line 3)", "xor() (line 4)", "concat() (line 5)", "hash_H() (line 6)", "hash_h() (line 7)",
         "hash_h() (line 7)", "h() (line 8)"], id="shim_uses-call"),
-    pytest.param(parameters, (
-        "def server_setup(seed, width=256, prime=7, delta_t=5): pass\n"
-        "def user_login_start(card, *, prime): pass\n"
-        "def user_handle_response(card, delta_t, /, **width): pass\n"
-        "def _private(prime): pass\n"
-        "def fine(params, p, window): pass\n"
-        "class Params:\n"
-        "    def __init__(self, p, width, delta_t): pass\n"
-    ), [
-        "server_setup(width)", "server_setup(prime)", "server_setup(delta_t)",
-        "user_login_start(prime)", "user_handle_response(delta_t)", "user_handle_response(width)",
-    ], id="parameters"),
-    pytest.param(params_takers, (
-        "def server_setup(seed, params=None): pass\n"
-        "def user_handle_response(ctx, m2, clock, *, params): pass\n"
-        "def run(**params): pass\n"
-        "def _private(params): pass\n"
-        "def fine(ctx, parameters): pass\n"
-        "class Params:\n"
-        "    def replace(self, params): pass\n"
-    ), ["server_setup", "user_handle_response", "run"], id="params_takers"),
-    pytest.param(counters, (
-        "def registration(server, identity, password, rng, counts=None): pass\n"
-        "def server_handle_login(server, m1, clock, rng, *, counts): pass\n"
-        "def run_login_session(server, card, user_counts=None, server_counts=None, **kw): pass\n"
-        "def _booked(counts): pass\n"
-        "def fine(op_counts, tally): pass\n"
-        "class OpCounts:\n"
-        "    def add(self, counts): pass\n"
-    ), ["registration(counts)", "server_handle_login(counts)", "run_login_session(user_counts)",
-        "run_login_session(server_counts)"], id="counters"),
     pytest.param(cost_literals, (
         "tally(counts, 5, 4, 0)\n"
         "primitives.tally(counts, cost)\n"
@@ -322,7 +301,10 @@ def test_module_keeps_rule(rule, name, expected):
         "tally(server_counts, COSTS[result.reason.value])\n"
         "WASTED = {'hash': 6, 'xor': 4, 'cheb': 1}\n"
         "{'hash': self.n_hash, 'xor': self.n_xor}\n"
-    ), ["tally() (line 1)", "tally() (line 2)", "{'hash': literal} (line 5)"], id="cost_literals"),
+        "OpCounts(n_hash=3 * guesses, n_xor=2 * guesses)\n"
+        "primitives.OpCounts(0, 0, 1) + OpCounts(*(guesses * n for n in COSTS['guess'])) + OpCounts()\n"
+    ), ["tally() (line 1)", "tally() (line 2)", "{'hash': literal} (line 5)", "OpCounts(literal) (line 7)",
+        "OpCounts(literal) (line 8)"], id="cost_literals"),
 ])
 def test_finder_on_snippet(finder, source, expected):
     assert finder(source) == expected
