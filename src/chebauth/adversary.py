@@ -197,8 +197,10 @@ def offline_guess(card: SmartCard, m1: LoginRequest, dictionary: Dictionary) -> 
     dictionary size when the scan misses), so predicate evaluations equal
     the guess count. The op counts, COSTS["guess"] (3 hashes and 2 XORs) per
     evaluation, are set once after the loop. The scan builds one scan_target
-    for all of them.
+    for all of them, after refusing a dictionary that is not a Dictionary.
     """
+    if type(dictionary) is not Dictionary:
+        raise TypeError(f"dictionary must be a Dictionary, got {type(dictionary).__name__}")
     target = scan_target(card, m1)
     recovered = None
     guesses = 0

@@ -71,31 +71,32 @@ EXPONENT_LIMIT = 1 << 64
 _tables: dict = {}  # (value, p) -> (V_1, V_2, V_4, ..., V_{2^63})
 
 
+def _doublings(c: int, count: int, p: int):
+    """Yield count terms V_k, V_2k, V_4k, ... mod p from c = V_k, by V_2k = V_k^2 - 2."""
+    for _ in range(count):
+        yield c
+        c = (c * c - 2) % p
+
+
 def _tabulate(x: FieldElement) -> None:
     """Store the squaring chain of x, which cheb_eval reads from then on.
 
-    Entry j is V_{2^j} = 2*T_{2^j}(x) mod p, each the previous one squared
-    minus 2: 63 squarings, about half an evaluation without the chain. There
-    is no eviction: a chain is 64 field elements, about 4.5 KB at the
-    256-bit prime.
+    Entry j is V_{2^j} = 2*T_{2^j}(x) mod p, the j-th of _doublings from
+    V_1 = 2x: about half an evaluation without the chain. The first chain
+    stored for a key is kept, and none is evicted: a chain is 64 field
+    elements, about 4.5 KB at the 256-bit prime.
     """
     key = (x.value, x.p)
-    if key in _tables:
-        return
-    p = x.p
-    c = 2 * x.value % p
-    chain = [c]
-    for _ in range(EXPONENT_LIMIT.bit_length() - 2):
-        c = (c * c - 2) % p
-        chain.append(c)
-    _tables[key] = tuple(chain)
+    if key not in _tables:
+        _tables[key] = tuple(_doublings(2 * x.value % x.p, EXPONENT_LIMIT.bit_length() - 1, x.p))
 
 
 def cheb_eval(n: int, x: FieldElement) -> FieldElement:
     """Evaluate T_n(x) mod p in O(log n) field multiplications.
 
     T_0(x) = 1, T_1(x) = x, T_n(x) = 2*x*T_{n-1}(x) - T_{n-2}(x). n = 0 is
-    accepted (and returns 1) even though the protocol never samples it.
+    accepted (and returns 1) even though the protocol never samples it. An n
+    not exactly an int (a bool, say) or an x not a FieldElement is a TypeError.
 
     Works on V_k = 2*T_k from the low bit of n up, by V_{a+b} = V_a*V_b -
     V_{a-b}. With s = n mod 2^j it carries v = V_s and w = V_{2^j - s}, and
@@ -106,6 +107,8 @@ def cheb_eval(n: int, x: FieldElement) -> FieldElement:
     chain when n < EXPONENT_LIMIT: one product per bit. Any other base or
     exponent squares c = c^2 - 2 as it goes, two products per bit.
     """
+    if not (type(n) is int and type(x) is FieldElement):
+        raise TypeError(f"cheb_eval takes an int and a FieldElement: {[type(f).__name__ for f in (n, x)]}")
     if n < 0:
         raise ValueError("exponent must be non-negative")
     p = x.p
@@ -202,10 +205,4 @@ def is_probable_prime(n: int) -> bool:
         d //= 2
         s += 1
     v = 2 * cheb_eval(d, FieldElement(P * pow(2, -1, n) % n, n)).value % n
-    if v == 2 or v == n - 2:
-        return True
-    for _ in range(s - 1):
-        if v == 0:
-            return True
-        v = (v * v - 2) % n
-    return False
+    return v in (2, n - 2) or 0 in _doublings(v, s - 1, n)

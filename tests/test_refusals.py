@@ -231,6 +231,15 @@ REFUSED = [
         ("bool", True, 101, "['bool', 'int']"))),
     row("cheb_eval-negative-exponent", lambda fx: cheb_eval(-1, FieldElement(5, 17)),
         ValueError, "exponent must be non-negative"),
+    # True evaluated as T_1 and False as T_0; an int base failed on its missing .p
+    *(row(f"cheb_eval-{name}", lambda fx, n=n, x=x: cheb_eval(n, x),
+          TypeError, f"cheb_eval takes an int and a FieldElement: {names}") for name, n, x, names in (
+        ("true", True, FieldElement(5, 101), "['bool', 'FieldElement']"),
+        ("false", False, FieldElement(5, 101), "['bool', 'FieldElement']"),
+        ("float", 3.0, FieldElement(5, 101), "['float', 'FieldElement']"),
+        ("str", "3", FieldElement(5, 101), "['str', 'FieldElement']"),
+        ("int-base", 3, 5, "['int', 'int']"),
+        ("tuple-base", 3, (5, 101), "['int', 'tuple']"))),
     # the attacker's scan: a pair no candidate can verify is refused before any guess
     *(row(f"guess_predicate-{name}", lambda fx, candidate=candidate: guess_predicate(candidate, fx.target),
           TypeError, build=eavesdropped, **not_bytes("candidate", candidate))
@@ -241,6 +250,8 @@ REFUSED = [
         ValueError, "M1 field of 8 bits, but the card set width 256", eavesdropped),
     row("offline_guess-m2", lambda fx: offline_guess(fx.card, fx.m2, fx.words),
         TypeError, "m1 must be a LoginRequest, got LoginResponse", eavesdropped),
+    row("offline_guess-list", lambda fx: offline_guess(fx.card, fx.m1, [fx.password]),
+        TypeError, "dictionary must be a Dictionary, got list", eavesdropped),
     *(row(f"offline_guess-{field}-{bits}",
           lambda fx, field=field, bits=bits: offline_guess(fx.card, resized(fx.m1, field, bits), fx.words),
           ValueError, f"M1 field of {bits} bits, but the card set width 256", eavesdropped)

@@ -43,10 +43,16 @@ public functions take are read from their signatures:
   guess costs, once. Every tally books an entry of it, and no other module
   writes an op count as a literal, in a dict display or in an OpCounts
   call, so that no second statement of a cost can disagree with it.
+- newer_syntax: pyproject's requires-python lets the package install on
+  Python 3.10, while the tests run on one newer interpreter, which would
+  parse a grammar 3.10 refuses (an ``except*`` block, say). ``ast.parse``
+  with ``feature_version`` at that floor refuses it. The check is best
+  effort: it reads grammar only, not library calls newer than the floor.
 """
 
 import ast
 import inspect
+import re
 from pathlib import Path
 
 import pytest
@@ -62,6 +68,8 @@ ADAPTERS = {"hash_h", "hash_H", "xor", "concat"}
 ADAPTER_HOMES = {"primitives", "chebauth.primitives", "adversary", "chebauth.adversary"}  # the modules binding one
 CHECKED_BY_PARAMS = ("prime", "width", "delta_t")
 COUNTERS = ("counts", "user_counts", "server_counts")
+FLOOR = tuple(int(part) for part in re.search(  # pyproject's oldest Python, as (major, minor)
+    r'^requires-python = ">=(\d+)\.(\d+)"$', (ROOT / "pyproject.toml").read_text(encoding="utf-8"), re.M).groups())
 
 
 def report(found) -> list[str]:
@@ -169,6 +177,15 @@ def cost_literals(source: str) -> list[str]:
     return report(found)
 
 
+def newer_syntax(source: str) -> list[str]:
+    """The first error that the grammar of FLOOR finds in source, if any."""
+    try:
+        ast.parse(source, feature_version=FLOOR)
+    except SyntaxError as error:
+        return report([(error.lineno, error.msg)])
+    return []
+
+
 def protocol_parameters(names) -> list[str]:
     """Each parameter in names of a public function that chebauth.protocol defines, as "function(name)"."""
     return [f"{name}({parameter})" for name, function in vars(protocol).items()
@@ -187,6 +204,7 @@ HOLDS = {  # rule -> the modules it holds for
     shim_uses: (PACKAGE - {"chebauth/primitives.py", "chebauth/_cheb_pure.py"}
                 | TESTS - {"tests/test_shims.py", "tests/test_values.py"}),
     cost_literals: PACKAGE,
+    newer_syntax: PACKAGE,
 }
 # the shim_uses reports a module may make: perfbench/tracer.py wraps hash_h
 # under every module name bound to it, adversary's among them
@@ -305,6 +323,15 @@ def test_protocol_functions_take(names, expected):
         "primitives.OpCounts(0, 0, 1) + OpCounts(*(guesses * n for n in COSTS['guess'])) + OpCounts()\n"
     ), ["tally() (line 1)", "tally() (line 2)", "{'hash': literal} (line 5)", "OpCounts(literal) (line 7)",
         "OpCounts(literal) (line 8)"], id="cost_literals"),
+    pytest.param(newer_syntax, (
+        "match event:\n"
+        "    case [message, *rest] if (n := len(rest)):\n"
+        "        pass\n"
+        "try:\n"
+        "    scan()\n"
+        "except* ValueError:\n"
+        "    pass\n"
+    ), ["Exception groups are only supported in Python 3.11 and greater (line 7)"], id="newer_syntax"),
 ])
 def test_finder_on_snippet(finder, source, expected):
     assert finder(source) == expected
