@@ -10,10 +10,10 @@ once, as ``collections.namedtuple`` compiles its ``__new__``: it takes every
 field, in order, and stores each through its slot's ``__set__``, so Python
 binds the arguments and raises the usual ``TypeError`` on a bad call. It is
 the ``__init__`` of a class that writes none. ``FieldElement``, ``Timestamp``,
-``Params``, ``ServerState``, ``SmartCard``, ``Transcript``, ``Dictionary`` and
-``BitString`` validate their input and store it with one ``_fill``;
-``OpCounts``, mutable, with defaults, keeps plain attribute stores, which the
-interpreter specialises.
+``Params``, ``ServerState``, ``SmartCard``, ``UserLoginContext``,
+``Transcript``, ``Dictionary`` and ``BitString`` validate their input and
+store it with one ``_fill``; ``OpCounts``, mutable, with defaults, keeps
+plain attribute stores, which the interpreter specialises.
 """
 
 from operator import attrgetter

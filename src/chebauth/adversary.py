@@ -68,22 +68,14 @@ _DUPLICATES = "dictionary contains duplicate candidates"
 
 
 class Dictionary(Frozen):
-    """Finite candidate-password list, scanned in fixed order, no duplicates."""
+    """Finite candidate-password list, a tuple or list scanned in its order, no duplicates."""
 
     __slots__ = __match_args__ = ("candidates",)
 
     def __init__(self, candidates: tuple):
-        # one password as the whole collection would iterate as characters or ints
-        try:
-            memoryview(candidates)
-            whole = True
-        except TypeError:
-            whole = isinstance(candidates, str)
-        if whole:
-            raise TypeError(f"candidates must be a collection of passwords, got {type(candidates).__name__}")
-        # a set iterates in an order that PYTHONHASHSEED picks, so the scan would too
-        if isinstance(candidates, (set, frozenset)):
-            raise TypeError(f"candidates must be in a fixed order, got {type(candidates).__name__}")
+        # a lone password would iterate as characters or ints, and a set in PYTHONHASHSEED's order
+        if type(candidates) not in (tuple, list):
+            raise TypeError(f"candidates must be a tuple or list of passwords, got {type(candidates).__name__}")
         candidates = tuple(c if type(c) is bytes else as_bytes(c, "candidate") for c in candidates)
         if len(set(candidates)) != len(candidates):
             raise ValueError(_DUPLICATES)
@@ -146,10 +138,12 @@ def scan_target(card: SmartCard, m1: LoginRequest) -> tuple:
     Everything the predicate needs that depends only on the card and M1: the
     byte width n, D1 and D2 as ints, the tail IM1 || IM2 || T_u(K) || T1 as
     one bytes value, X1, and a copier of h's prefix state. A pair that no
-    candidate can verify is refused before any hash: anything but a
-    LoginRequest is a TypeError, and an IM1, IM2 or X1 not of the card's
-    width a ValueError.
+    candidate can verify is refused before any hash: a card that is not a
+    SmartCard, or an m1 that is not a LoginRequest, is a TypeError, and an
+    IM1, IM2 or X1 not of the card's width a ValueError.
     """
+    if not isinstance(card, SmartCard):  # an ExtractedCard is one
+        raise TypeError(f"card must be a SmartCard, got {type(card).__name__}")
     if type(m1) is not LoginRequest:
         raise TypeError(f"m1 must be a LoginRequest, got {type(m1).__name__}")
     d1, d2 = card.d1, card.d2

@@ -107,6 +107,11 @@ def zeroed_card(width: int) -> SmartCard:
     return SmartCard(*[bytes(width // 8)] * 4)
 
 
+def credentials(seed: int) -> tuple[bytes, bytes]:
+    """The identity and password that make_fixture registers for seed unless given others."""
+    return f"user-{seed}".encode(), f"pw-{seed}-secret".encode()
+
+
 def make_fixture(
     seed: int,
     width: int = DEFAULT_WIDTH,
@@ -116,8 +121,9 @@ def make_fixture(
     password: bytes | None = None,
 ) -> SimpleNamespace:
     """A registered user against a fresh server, fully determined by seed."""
-    identity = identity if identity is not None else f"user-{seed}".encode()
-    password = password if password is not None else f"pw-{seed}-secret".encode()
+    seed_identity, seed_password = credentials(seed)
+    identity = identity if identity is not None else seed_identity
+    password = password if password is not None else seed_password
     server = server_setup(seed, Params(prime, width, delta_t))
     rng = RandomSource(seed + 1)
     clock = LogicalClock()

@@ -20,9 +20,10 @@ One test per weakness pins its count exactly, verdict by verdict against
 an independent replay with the same draws and ticks, and checks that the
 pinned count lies inside its bounds: on the 6000 fixtures, 81
 denial-of-service runs fail to confirm and 47 wrong passwords pass X1, each
-set holding the 22 seeds whose typo derives K itself
-(tests/reference_scheme.py); of the 20 x 2560 decoys, 444 match and 226 of
-them derive K (tests/helpers.guess_predicate_oracle).
+set holding TYPO_DERIVES_K, the 22 seeds whose typo derives K itself, which
+one test pins from the registrations of tests/reference_scheme.py; of the
+20 x 2560 decoys, 444 match and 226 of them derive K
+(tests/helpers.guess_predicate_oracle).
 """
 
 import math
@@ -32,7 +33,7 @@ import reference_scheme as ref
 from chebauth.adversary import ExperimentInvalid, dos_experiment, guess_predicate, scan_target, wrong_login_experiment
 from chebauth.protocol import DEFAULT_DELTA_T, user_login_start
 
-from helpers import guess_predicate_oracle, make_fixture
+from helpers import credentials, guess_predicate_oracle, make_fixture
 
 WIDTH, PRIME = 8, 101
 DOS_RUNS = WRONG_LOGIN_RUNS = 6000
@@ -58,34 +59,51 @@ def four_sigma_bounds(trials: int, p: float) -> tuple[int, int]:
     return round(mean - 4 * sigma), round(mean + 4 * sigma)
 
 
+def reference_registration(seed: int) -> tuple:
+    """(identity, password, mk, card, rng) of the seed's width-8 fixture, registered through the reference.
+
+    The rng stands at the draw after the card's, as the fixture's does.
+    """
+    identity, password = credentials(seed)
+    mk, rng = ref.draw(random.Random(seed), WIDTH // 8), random.Random(seed + 1)
+    return identity, password, mk, ref.register(mk, identity, password, rng), rng
+
+
+def test_typo_derives_k_on_exactly_the_pinned_seeds():
+    # a login leaves D1 and D2 as registration built them, so the registered
+    # card answers for every card either rate test's runs hold
+    n, derives_k = WIDTH // 8, set()
+    for seed in range(DOS_RUNS):
+        identity, password, mk, (_, _, d1, d2), _ = reference_registration(seed)
+        typo = password + b"-typo"
+        if ref.xor(d1, ref.h(n, typo, ref.xor(d2, ref.h(n, typo)))) == ref.h(n, ref.h(n, identity), mk):
+            derives_k.add(seed)
+    assert derives_k == TYPO_DERIVES_K
+
+
 def dos_runs() -> tuple:
-    """(identity, password, dos_confirmed) of dos_experiment on each width-8 fixture, seeds 0 to 5999."""
-    runs = []
+    """dos_experiment's dos_confirmed on each width-8 fixture, seeds 0 to 5999."""
+    verdicts = []
     for seed in range(DOS_RUNS):
         fx = make_fixture(seed, width=WIDTH, prime=PRIME)
         report = dos_experiment(
             fx.card, fx.password, fx.password + b"-typo", fx.password + b"-new",
             fx.server, fx.clock, fx.rng,
         )
-        runs.append((fx.identity, fx.password, report.dos_confirmed))
-    return tuple(runs)
+        verdicts.append(report.dos_confirmed)
+    return tuple(verdicts)
 
 
-def reference_dos(seed, identity, password) -> tuple[bool, bool]:
-    """dos_experiment's run on one fixture, replayed through the reference with the same draws and ticks.
+def reference_dos(seed: int) -> bool:
+    """Whether every probe was rejected in dos_experiment's run on one fixture, replayed through the reference.
 
-    Returns whether every probe was rejected, and whether the wrong old
-    password derives the long-term key K from the card fields, in which
-    case the change leaves a card that works with the new password.
+    The replay takes the same draws and ticks as the run.
     """
-    n, wrong, new = WIDTH // 8, password + b"-typo", password + b"-new"
-    mk, rng = ref.draw(random.Random(seed), n), random.Random(seed + 1)
-    card = ref.register(mk, identity, password, rng)
+    _, password, mk, card, rng = reference_registration(seed)
+    wrong, new = password + b"-typo", password + b"-new"
     *_, result = ref.login(mk, card, password, rng, 0, 1, 1, DEFAULT_DELTA_T, PRIME)
     assert not isinstance(result, str)  # the baseline login is accepted
     _, card = result
-    _, _, d1, d2 = card
-    keeps_k = ref.xor(d1, ref.h(n, wrong, ref.xor(d2, ref.h(n, wrong)))) == ref.h(n, ref.h(n, identity), mk)
     card = ref.change(card, wrong, new)
     probes, now = [], 2
     for typed in (new, password, wrong):  # each leg one tick; no M2 travels after a server reject
@@ -94,23 +112,20 @@ def reference_dos(seed, identity, password) -> tuple[bool, bool]:
         if probes[-1]:
             _, card = result
         now += 1 if isinstance(reply, str) else 2
-    return not any(probes), keeps_k
+    return not any(probes)
 
 
 def test_dos_fails_to_confirm_on_exactly_the_reference_seeds():
     bounds = four_sigma_bounds(DOS_RUNS, dos_miss_rate(WIDTH))
     assert bounds == (37, 103)
-    unconfirmed, keeps_k = set(), set()
-    for seed, (identity, password, confirmed) in enumerate(dos_runs()):
-        ref_confirmed, ref_keeps_k = reference_dos(seed, identity, password)
-        assert confirmed == ref_confirmed, seed
+    unconfirmed = set()
+    for seed, confirmed in enumerate(dos_runs()):
+        assert confirmed == reference_dos(seed), seed
         if not confirmed:
             unconfirmed.add(seed)
-        if ref_keeps_k:
-            keeps_k.add(seed)
     assert bounds[0] <= len(unconfirmed) == 81 <= bounds[1]
     # a wrong old password that derives K rewrites the card correctly: the new password works
-    assert len(keeps_k) == 22 and keeps_k <= unconfirmed, keeps_k - unconfirmed
+    assert TYPO_DERIVES_K <= unconfirmed, TYPO_DERIVES_K - unconfirmed
 
 
 def decoy_runs() -> tuple:
@@ -128,8 +143,8 @@ def decoy_runs() -> tuple:
 
 
 def wrong_login_runs() -> tuple:
-    """(identity, password, whether the server accepted the typo) of each width-8 fixture, seeds 0 to 5999."""
-    runs = []
+    """Whether the server accepted the typo in wrong_login_experiment on each width-8 fixture, seeds 0 to 5999."""
+    verdicts = []
     for seed in range(WRONG_LOGIN_RUNS):
         fx = make_fixture(seed, width=WIDTH, prime=PRIME)
         try:
@@ -138,23 +153,15 @@ def wrong_login_runs() -> tuple:
         except ExperimentInvalid as exc:
             assert str(exc).startswith("server accepted the login: "), exc
             accepted = True
-        runs.append((fx.identity, fx.password, accepted))
-    return tuple(runs)
+        verdicts.append(accepted)
+    return tuple(verdicts)
 
 
-def reference_wrong_login(seed, identity, password) -> tuple[bool, bool]:
-    """Whether the server accepts the typo in wrong_login_experiment's round, replayed through the reference.
-
-    Also returns whether the typo derives the long-term key K from the card
-    fields, in which case its X1 is the true one and passes for certain.
-    """
-    n, wrong = WIDTH // 8, password + b"-typo"
-    mk, rng = ref.draw(random.Random(seed), n), random.Random(seed + 1)
-    card = ref.register(mk, identity, password, rng)
-    _, _, d1, d2 = card
-    keeps_k = ref.xor(d1, ref.h(n, wrong, ref.xor(d2, ref.h(n, wrong)))) == ref.h(n, ref.h(n, identity), mk)
-    _, _, reply, _ = ref.login(mk, card, wrong, rng, 0, 1, 1, DEFAULT_DELTA_T, PRIME)
-    return not isinstance(reply, str), keeps_k
+def reference_wrong_login(seed: int) -> bool:
+    """Whether the server accepts the typo in wrong_login_experiment's round, replayed through the reference."""
+    _, password, mk, card, rng = reference_registration(seed)
+    _, _, reply, _ = ref.login(mk, card, password + b"-typo", rng, 0, 1, 1, DEFAULT_DELTA_T, PRIME)
+    return not isinstance(reply, str)
 
 
 def test_decoys_match_exactly_as_the_oracle_does():
@@ -174,14 +181,11 @@ def test_decoys_match_exactly_as_the_oracle_does():
 def test_wrong_password_is_accepted_on_exactly_the_reference_seeds():
     bounds = four_sigma_bounds(WRONG_LOGIN_RUNS, false_match_rate(WIDTH))
     assert bounds == (20, 74)
-    accepted, keeps_k = set(), set()
-    for seed, (identity, password, server_accepted) in enumerate(wrong_login_runs()):
-        ref_accepted, ref_keeps_k = reference_wrong_login(seed, identity, password)
-        assert server_accepted == ref_accepted, seed
+    accepted = set()
+    for seed, server_accepted in enumerate(wrong_login_runs()):
+        assert server_accepted == reference_wrong_login(seed), seed
         if server_accepted:
             accepted.add(seed)
-        if ref_keeps_k:
-            keeps_k.add(seed)
     assert bounds[0] <= len(accepted) == 47 <= bounds[1]
     # a typo that derives K builds the true X1: the server cannot tell it from the password
-    assert keeps_k == TYPO_DERIVES_K and keeps_k <= accepted, keeps_k - accepted
+    assert TYPO_DERIVES_K <= accepted, TYPO_DERIVES_K - accepted

@@ -24,8 +24,9 @@ from chebauth.adversary import (Dictionary, ExperimentInvalid, dos_experiment, g
                                 scan_target, wrong_login_experiment)
 from chebauth.chaotic import DEFAULT_PRIME, FieldElement, cheb_eval
 from chebauth.primitives import RandomSource, Timestamp, WidthMismatch, as_bytes, xor_bytes
-from chebauth.protocol import (EmptyCredential, LoginRequest, Params, ServerState, SmartCard, change_password,
-                               registration, run_login_session, server_setup, user_login_start)
+from chebauth.protocol import (EmptyCredential, LoginRequest, Params, ServerState, SmartCard, UserLoginContext,
+                               change_password, registration, run_login_session, server_handle_login, server_setup,
+                               user_handle_response, user_login_start)
 
 from helpers import intercepted_m1, leaf_calls, make_fixture
 
@@ -85,6 +86,31 @@ DUPLICATES = "dictionary contains duplicate candidates"
 # a look-alike skips Params' checks: SimpleNamespace(p=9) would send an M1 mod 9
 LOOK_ALIKES = {"namespace-p": SimpleNamespace(p=9), "namespace": SimpleNamespace(p=9, width=64, delta_t=-1),
                "int": 101, "None": None, "tuple": (DEFAULT_PRIME, 256, 5)}
+TUK = FieldElement(1, DEFAULT_PRIME)
+PARAMS_TAKERS = {
+    "server_setup": lambda fx, params: server_setup(1, params),
+    "user_login_start": lambda fx, params: user_login_start(fx.card, fx.password, fx.clock, fx.rng, params),
+    "UserLoginContext": lambda fx, params: UserLoginContext(fx.card, params, 5, TUK)}
+# a look-alike server skips ServerState's checks: a 31-byte key issued a
+# 248-bit card, and a window of -1 made an honest M1 stale
+SERVERS = {"None": None, "short-key": SimpleNamespace(mk=bytes(31), params=Params()),
+           "namespace": SimpleNamespace(mk=bytes(32), params=SimpleNamespace(p=DEFAULT_PRIME, width=256, delta_t=-1))}
+SERVER_TAKERS = {
+    "registration": lambda fx, server: registration(server, fx.identity, fx.password, fx.rng),
+    "server_handle_login": lambda fx, server: server_handle_login(server, fx.m1, fx.clock, fx.rng),
+    "run_login_session": lambda fx, server: run_login_session(server, fx.card, fx.password, fx.clock, fx.rng)}
+# a look-alike card skips SmartCard's: an IM1 a byte short drew u, moved the clock and booked a malformed M1
+CARDS = {"None": None, "short-im1": SimpleNamespace(im1=bytes(31), im2=bytes(32), d1=bytes(32), d2=bytes(32)),
+         "tuple": (bytes(32),) * 4}
+CARD_TAKERS = {
+    "user_login_start": lambda fx, card: user_login_start(card, fx.password, fx.clock, fx.rng, fx.server.params),
+    "change_password": lambda fx, card: change_password(card, fx.password, b"new"),
+    "scan_target": lambda fx, card: scan_target(card, fx.m1),
+    "run_login_session": lambda fx, card: run_login_session(fx.server, card, fx.password, fx.clock, fx.rng),
+    "UserLoginContext": lambda fx, card: UserLoginContext(card, fx.server.params, 5, TUK)}
+# a look-alike login context skips its Params' checks: a window of -1 made an honest M2 stale
+CONTEXTS = {"None": None, "namespace": SimpleNamespace(card=SmartCard(*[bytes(32)] * 4), u=5, tuk=TUK,
+                                                       params=SimpleNamespace(p=DEFAULT_PRIME, delta_t=-1))}
 # random.Random seeds None from OS entropy, 7.0 and True as ints and -7 as 7: none would replay
 SEEDS = {"None": (None, TypeError, "seed must be an int, got NoneType"),
          "float": (7.0, TypeError, "seed must be an int, got float"),
@@ -127,8 +153,6 @@ def not_bytes(name, value):
 
 REFUSED = [
     # the server's set-up, state and Params
-    *(row(f"server_setup-params-{name}", lambda fx, bad=bad: server_setup(1, bad),
-          TypeError, f"params must be a Params, got {type(bad).__name__}") for name, bad in LOOK_ALIKES.items()),
     *(row(f"server_setup-seed-{name}", lambda fx, seed=seed: server_setup(seed), error, message)
       for name, (seed, error, message) in SEEDS.items()),
     # 40 bytes failed registration's XOR after b and r were drawn; 8 ran the scheme at 64 bits
@@ -150,6 +174,19 @@ REFUSED = [
         ("delta_t-float", dict(delta_t=2.5), "['int', 'int', 'float']"),
         ("delta_t-bool", dict(delta_t=True), "['int', 'int', 'bool']"),
         ("p-float", dict(p=101.0), "['float', 'int', 'int']"))),
+    # the parties' state and Params, refused before anything is read from them
+    *(row(f"{taker}-params-{name}", lambda fx, call=call, bad=bad: call(fx, bad),
+          TypeError, f"params must be a Params, got {type(bad).__name__}")
+      for taker, call in PARAMS_TAKERS.items() for name, bad in LOOK_ALIKES.items()),
+    *(row(f"{taker}-server-{name}", lambda fx, call=call, bad=bad: call(fx, bad),
+          TypeError, f"server must be a ServerState, got {type(bad).__name__}", eavesdropped)
+      for taker, call in SERVER_TAKERS.items() for name, bad in SERVERS.items()),
+    *(row(f"{taker}-card-{name}", lambda fx, call=call, bad=bad: call(fx, bad),
+          TypeError, f"card must be a SmartCard, got {type(bad).__name__}", eavesdropped)
+      for taker, call in CARD_TAKERS.items() for name, bad in CARDS.items()),
+    *(row(f"user_handle_response-ctx-{name}", lambda fx, bad=bad: user_handle_response(bad, fx.m2, fx.clock),
+          TypeError, f"ctx must be a UserLoginContext, got {type(bad).__name__}", eavesdropped)
+      for name, bad in CONTEXTS.items()),
     # credentials: bytes(3) would be three zero bytes, a password nobody typed
     *(row(f"registration-empty-{name}", lambda fx, pair=pair: registration(fx.server, *pair, fx.rng),
           EmptyCredential, "identity and password must be non-empty")
@@ -167,10 +204,7 @@ REFUSED = [
         **not_bytes("old_password", 3)),
     row("change_password-list-new", lambda fx: change_password(fx.card, fx.password, [110, 101, 119]), TypeError,
         **not_bytes("new_password", [])),
-    # the login's Params, card width and channel delay
-    *(row(f"user_login_start-params-{name}",
-          lambda fx, bad=bad: user_login_start(fx.card, fx.password, fx.clock, fx.rng, bad),
-          TypeError, f"params must be a Params, got {type(bad).__name__}") for name, bad in LOOK_ALIKES.items()),
+    # the login's card width and channel delay
     # a 1-byte card at a 256-bit server drew u, evaluated the map and moved
     # the clock before the server rejected M1; the width alone decides
     *(row(f"run_login_session-{card}-bit-card-at-{server}",
@@ -272,15 +306,14 @@ REFUSED = [
     row("Dictionary-duplicates", lambda fx: Dictionary((b"a", b"b", b"a")), ValueError, DUPLICATES),
     row("Dictionary-int", lambda fx: Dictionary(("a", 5)), TypeError, **not_bytes("candidate", 5)),
     row("Dictionary-None", lambda fx: Dictionary((b"a", None)), TypeError, **not_bytes("candidate", None)),
-    # one password as the whole collection: "abc" built three one-character
-    # candidates, and b"ab" was refused for its first byte, an int
-    *(row(f"Dictionary-{name}", lambda fx, whole=whole: Dictionary(whole), TypeError,
-          f"candidates must be a collection of passwords, got {name}")
-      for name, whole in (("str", "abc"), ("bytes", b"ab"))),
-    # a set's order, and so the scan's, would follow PYTHONHASHSEED
+    # only a tuple or a list: "abc" built three one-character candidates, b"ab"
+    # was refused for its first byte, an int, and a set's order, and so the
+    # scan's, would follow PYTHONHASHSEED; a dict and a generator were taken
     *(row(f"Dictionary-{name}", lambda fx, words=words: Dictionary(words), TypeError,
-          f"candidates must be in a fixed order, got {name}")
-      for name, words in (("set", {b"alpha", b"beta"}), ("frozenset", frozenset((b"alpha", b"beta"))))),
+          f"candidates must be a tuple or list of passwords, got {type(words).__name__}")
+      for name, words in (("str", "abc"), ("bytes", b"ab"), ("set", {b"alpha", b"beta"}),
+                          ("frozenset", frozenset((b"alpha", b"beta"))), ("dict", dict.fromkeys((b"alpha", b"beta"))),
+                          ("generator", (word for word in (b"alpha", b"beta"))))),
 ]
 
 

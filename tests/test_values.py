@@ -76,7 +76,7 @@ CASES = [
 # The classes whose __init__ checks its input or has defaults, and ExtractedCard,
 # which inherits SmartCard's; every other class's __init__ is its _fill.
 WRITE_THEIR_OWN_INIT = {FieldElement, BitString, Timestamp, OpCounts, Params, ServerState, SmartCard,
-                        ExtractedCard, Transcript, Dictionary}
+                        UserLoginContext, ExtractedCard, Transcript, Dictionary}
 
 
 @pytest.mark.parametrize("cls, fields, changed, frozen", CASES, ids=[c[0].__name__ for c in CASES])
