@@ -8,7 +8,7 @@ either one alone validates nothing (the tests check this explicitly).
 import os
 
 from ._value import Frozen, Record
-from .primitives import LogicalClock, OpCounts, RandomSource, _from_bytes, as_bytes, h_state
+from .primitives import LogicalClock, OpCounts, RandomSource, _from_bytes, _require, as_bytes, h_state
 
 # Not called here. It stays bound because perfbench/tracer.py wraps hash_h
 # under every module name bound to it, and its tests expect this one.
@@ -144,8 +144,7 @@ def scan_target(card: SmartCard, m1: LoginRequest) -> tuple:
     """
     if not isinstance(card, SmartCard):  # an ExtractedCard is one
         raise TypeError(f"card must be a SmartCard, got {type(card).__name__}")
-    if type(m1) is not LoginRequest:
-        raise TypeError(f"m1 must be a LoginRequest, got {type(m1).__name__}")
+    _require(m1, LoginRequest, "m1")
     d1, d2 = card.d1, card.d2
     for field in (m1.im1, m1.im2, m1.x1):
         if len(field) != len(d1):
@@ -193,8 +192,7 @@ def offline_guess(card: SmartCard, m1: LoginRequest, dictionary: Dictionary) -> 
     evaluation, are set once after the loop. The scan builds one scan_target
     for all of them, after refusing a dictionary that is not a Dictionary.
     """
-    if type(dictionary) is not Dictionary:
-        raise TypeError(f"dictionary must be a Dictionary, got {type(dictionary).__name__}")
+    _require(dictionary, Dictionary, "dictionary")
     target = scan_target(card, m1)
     recovered = None
     guesses = 0

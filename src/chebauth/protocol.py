@@ -5,9 +5,9 @@ and return a new one, so a rejected step provably leaves state untouched.
 Card and server share one Params (prime p, width l, freshness window),
 validated once when built: server_setup, user_login_start and the login
 context, which carries the card and its Params from M1 to M2, refuse anything
-else. Each phase likewise refuses, with TypeError and before all else, a
-server that is not a ServerState, a card that is not a SmartCard and a login
-context that is not a UserLoginContext: a look-alike would skip their checks.
+else. Each phase likewise refuses, before all else, a state argument (server,
+card, login context, Params, clock or rng) not exactly of its annotated class,
+with primitives._require's TypeError: a look-alike would skip its checks.
 Two behaviors are reproduced on purpose because the adversary experiments
 measure them: the card checks nothing locally at login time, and a password
 change is applied without verifying the old password.
@@ -38,7 +38,7 @@ from enum import Enum
 from ._value import Frozen, Record
 from .chaotic import DEFAULT_PRIME, FieldElement, _tabulate, bits_to_field, cheb_eval, is_probable_prime
 from .primitives import (DEFAULT_WIDTH, H_digest, LogicalClock, OpCounts, RandomSource, Timestamp,
-                         _check_width, as_bytes, h_digest, tally, xor_bytes)
+                         _check_width, _require, as_bytes, h_digest, tally, xor_bytes)
 
 #: Default freshness window, in clock ticks.
 DEFAULT_DELTA_T = 5
@@ -130,22 +130,24 @@ class LoginResponse(Frozen):
 
 
 class UserLoginContext(Frozen):
-    """Held from M1 to M2: the card and Params the login began with, u and T_u(K)."""
+    """Held from M1 to M2: the card and Params the login began with, u and T_u(K) in their field."""
 
     __slots__ = __match_args__ = ("card", "params", "u", "tuk")
 
     def __init__(self, card: SmartCard, params: Params, u: int, tuk: FieldElement):
-        if not isinstance(card, SmartCard):
-            raise TypeError(f"card must be a SmartCard, got {type(card).__name__}")
-        if type(params) is not Params:  # a look-alike skips Params' checks
-            raise TypeError(f"params must be a Params, got {type(params).__name__}")
+        _require(card, SmartCard, "card")
+        _require(params, Params, "params")
+        if type(u) is not int:  # cheb_eval would refuse a bool only at M2, naming no u
+            raise TypeError(f"u must be an int, got {type(u).__name__}")
+        _require(tuk, FieldElement, "tuk")
+        if tuk.p != params.p:
+            raise ValueError(f"tuk mod {tuk.p}, but Params set another prime")
         self._fill(card, params, u, tuk)
 
 
 def server_setup(seed: int, params: Params = Params()) -> ServerState:
     """Draw a fresh master key of params.width bits; params were validated when built."""
-    if type(params) is not Params:
-        raise TypeError(f"params must be a Params, got {type(params).__name__}")
+    _require(params, Params, "params")
     return ServerState(RandomSource(seed).draw_bytes(params.width // 8), params)
 
 
@@ -162,8 +164,8 @@ def registration(
     the server's pseudonym nonce r. The identity is hashed to an l-bit value
     before masking so every XOR operand has the system width.
     """
-    if type(server) is not ServerState:  # a look-alike skips ServerState's checks
-        raise TypeError(f"server must be a ServerState, got {type(server).__name__}")
+    _require(server, ServerState, "server")
+    _require(rng, RandomSource, "rng")
     identity, password = as_bytes(identity, "identity"), as_bytes(password, "password")
     if not identity or not password:
         raise EmptyCredential("identity and password must be non-empty")
@@ -192,10 +194,10 @@ def user_login_start(
     a well-formed M1 (with a garbage key under the hood) and the mistake is
     only caught server-side, one wasted round trip later.
     """
-    if not isinstance(card, SmartCard):
-        raise TypeError(f"card must be a SmartCard, got {type(card).__name__}")
-    if type(params) is not Params:  # a look-alike skips Params' checks
-        raise TypeError(f"params must be a Params, got {type(params).__name__}")
+    _require(card, SmartCard, "card")
+    _require(clock, LogicalClock, "clock")
+    _require(rng, RandomSource, "rng")
+    _require(params, Params, "params")
     n = len(card.d2)
     if n != params.width // 8:  # refused before u is drawn, as ServerState refuses its master key
         raise ValueError(f"card of {8 * n} bits, but Params set width {params.width}")
@@ -222,11 +224,12 @@ def server_handle_login(
     a field of the wrong type, IM1, IM2 or X1 not of the master key's width,
     or T_u(K) outside the server's field; then freshness, both before keyed
     work; then X1. The server keeps no state; it draws r_new, then v. A
-    server that is not a ServerState raises TypeError instead: the server's
-    own state is not a delivered message.
+    server, clock or rng of the wrong type raises TypeError instead: the
+    server's own state is not a delivered message.
     """
-    if type(server) is not ServerState:
-        raise TypeError(f"server must be a ServerState, got {type(server).__name__}")
+    _require(server, ServerState, "server")
+    _require(clock, LogicalClock, "clock")
+    _require(rng, RandomSource, "rng")
     mk, params = server.mk, server.params
     n = len(mk)
     im1, im2, tuk, x1, t1 = fields = m1._key if type(m1) is LoginRequest else (None,) * 5
@@ -268,10 +271,10 @@ def user_handle_response(
     leaves ctx.card bit for bit as it was. MALFORMED comes first: anything but
     a LoginResponse (an M1, None, a tuple), a field of the wrong type, Y1, Y2
     or Y3 not of the card's width, or T_v(K) outside the login's field. A
-    ctx that is not a UserLoginContext raises TypeError instead.
+    ctx or clock of the wrong type raises TypeError instead.
     """
-    if type(ctx) is not UserLoginContext:
-        raise TypeError(f"ctx must be a UserLoginContext, got {type(ctx).__name__}")
+    _require(ctx, UserLoginContext, "ctx")
+    _require(clock, LogicalClock, "clock")
     n = len(ctx.card.d1)
     y1, y2, y3, tvk, t2 = fields = m2._key if type(m2) is LoginResponse else (None,) * 5
     if (tuple(map(type, fields)) != (bytes, bytes, bytes, FieldElement, Timestamp)
@@ -307,8 +310,7 @@ def change_password(
     registration raises EmptyCredential for it, and the card then logs in
     with b"".
     """
-    if not isinstance(card, SmartCard):
-        raise TypeError(f"card must be a SmartCard, got {type(card).__name__}")
+    _require(card, SmartCard, "card")
     old_password, new_password = as_bytes(old_password, "old_password"), as_bytes(new_password, "new_password")
     n = len(card.d2)
     b = xor_bytes(card.d2, h_digest(n, old_password))
@@ -365,8 +367,8 @@ def run_login_session(
     (an M2 the server built is well-formed, and fresh whenever M1 was, both
     legs taking channel_delay); the server's entry for its outcome.
     """
-    if type(server) is not ServerState:
-        raise TypeError(f"server must be a ServerState, got {type(server).__name__}")
+    _require(server, ServerState, "server")
+    _require(clock, LogicalClock, "clock")  # user_login_start checks card and rng before they are read
     if type(channel_delay) is not int:  # 2 * True is an int the clock would take
         raise TypeError(f"channel_delay must be an int, got {type(channel_delay).__name__}")
     try:

@@ -1,5 +1,6 @@
-"""Shared test fixtures, the naive evaluation oracle and a counter of the protocol's leaf calls."""
+"""Shared test fixtures, the naive evaluation oracle, a counter of the protocol's leaf calls and a signature reader."""
 
+import inspect
 import re
 from collections import Counter
 from contextlib import contextmanager
@@ -49,6 +50,18 @@ def leaf_calls(calls: Counter):
         for name, kind in LEAVES.items():
             patch.setattr(protocol, name, counting(getattr(protocol, name), kind, calls))
         yield
+
+
+def public_parameters(*modules) -> list:
+    """(function, inspect.Parameter) for each parameter of each public function that modules define, in order.
+
+    A function a module imports is another module's, so __module__ skips it.
+    Annotations are evaluated, so that they are classes also in a module that
+    postpones them (``from __future__ import annotations``).
+    """
+    return [(function, parameter) for module in modules for name, function in vars(module).items()
+            if inspect.isfunction(function) and function.__module__ == module.__name__ and not name.startswith("_")
+            for parameter in inspect.signature(function, eval_str=True).parameters.values()]
 
 
 def clock_at(ticks: int) -> LogicalClock:

@@ -2,7 +2,12 @@
 
 A row is a refused call on a fixture built for it, the exact type of the
 exception and its message. Where CPython words the message (a missing
-argument, say), the row pins the type alone. A refusal must leave
+argument, say), the row pins the type alone. The state rows are read from
+the signatures: each parameter of a public function of chebauth.protocol or
+chebauth.adversary annotated with a class of LOOK_ALIKES is refused as None
+and as each look-alike of that class, the other arguments being the
+fixture's attributes of their names, so a new state parameter gets its rows
+with no table to extend. A refusal must leave
 everything as it was: chebauth.protocol makes no hash, XOR or map call, no
 candidate is evaluated, no random stream is seeded, the kernel's memo gains
 no key, and the fixture's next draw and its clock, which still advances,
@@ -10,6 +15,7 @@ equal those of a replay of the fixture. The REFUSED table of
 tests/test_cli.py is the CLI's counterpart.
 """
 
+import inspect
 import random
 from collections import Counter
 from functools import partial
@@ -19,16 +25,16 @@ from types import SimpleNamespace
 
 import pytest
 
-from chebauth import adversary, chaotic
+from chebauth import adversary, chaotic, protocol
 from chebauth.adversary import (Dictionary, ExperimentInvalid, dos_experiment, guess_predicate, offline_guess,
                                 scan_target, wrong_login_experiment)
 from chebauth.chaotic import DEFAULT_PRIME, FieldElement, cheb_eval
-from chebauth.primitives import RandomSource, Timestamp, WidthMismatch, as_bytes, xor_bytes
-from chebauth.protocol import (EmptyCredential, LoginRequest, Params, ServerState, SmartCard, UserLoginContext,
-                               change_password, registration, run_login_session, server_handle_login, server_setup,
-                               user_handle_response, user_login_start)
+from chebauth.primitives import LogicalClock, RandomSource, Timestamp, WidthMismatch, as_bytes, xor_bytes
+from chebauth.protocol import (EmptyCredential, LoginRequest, LoginResponse, Params, ServerState, SmartCard,
+                               UserLoginContext, change_password, registration, run_login_session, server_setup,
+                               user_login_start)
 
-from helpers import intercepted_m1, leaf_calls, make_fixture
+from helpers import intercepted_m1, leaf_calls, make_fixture, public_parameters
 
 
 def ticked():
@@ -50,13 +56,20 @@ def mismatched(server_width, card_width):
 
 
 def eavesdropped():
-    """The seed-65 fixture with its M1, scan target and M2, and a width-8 card and M1 of the same password."""
+    """The seed-65 fixture with an argument of each parameter name the state rows fill, and a width-8 card and M1.
+
+    That is its M1 and login context, their Params, u and T_u(K), its scan
+    target, an M2, its dictionary and the passwords the attacks take.
+    """
     fx = make_fixture(65)
-    _, fx.m1 = intercepted_m1(fx)
+    fx.m1, fx.ctx = user_login_start(fx.card, fx.password, fx.clock, fx.rng, fx.server.params)
+    fx.seed, fx.params, fx.u, fx.tuk = 65, fx.ctx.params, fx.ctx.u, fx.ctx.tuk
     fx.target = scan_target(fx.card, fx.m1)
     fx.m2 = run_login_session(fx.server, fx.card, fx.password, fx.clock, fx.rng).events[1].message
     fx.narrow_card, fx.narrow_m1 = intercepted_m1(make_fixture(65, width=8, prime=17))
-    fx.words = Dictionary((fx.password,))
+    fx.dictionary = Dictionary((fx.password,))
+    fx.old_password = fx.true_password = fx.password
+    fx.new_password, fx.wrong_password, fx.wrong_old_password = b"new", b"oops", fx.password + b"-typo"
     return fx
 
 
@@ -81,36 +94,62 @@ def row(name, call, error, message=None, build=partial(make_fixture, 1), cause=N
     return pytest.param(build, call, error, message, cause, id=name)
 
 
+class UncheckedParams(Params):
+    """A Params subclass, so that a state check made with isinstance would take UNCHECKED."""
+
+    __slots__ = ()
+
+
+UNCHECKED = UncheckedParams.__new__(UncheckedParams)
+UNCHECKED._fill(9, 64, -1)  # Params' checks skipped: a composite modulus and a window of -1
 NOT_PRIME = "modulus must be a prime greater than 3"
 DUPLICATES = "dictionary contains duplicate candidates"
-# a look-alike skips Params' checks: SimpleNamespace(p=9) would send an M1 mod 9
-LOOK_ALIKES = {"namespace-p": SimpleNamespace(p=9), "namespace": SimpleNamespace(p=9, width=64, delta_t=-1),
-               "int": 101, "None": None, "tuple": (DEFAULT_PRIME, 256, 5)}
 TUK = FieldElement(1, DEFAULT_PRIME)
-PARAMS_TAKERS = {
-    "server_setup": lambda fx, params: server_setup(1, params),
-    "user_login_start": lambda fx, params: user_login_start(fx.card, fx.password, fx.clock, fx.rng, params),
-    "UserLoginContext": lambda fx, params: UserLoginContext(fx.card, params, 5, TUK)}
-# a look-alike server skips ServerState's checks: a 31-byte key issued a
-# 248-bit card, and a window of -1 made an honest M1 stale
-SERVERS = {"None": None, "short-key": SimpleNamespace(mk=bytes(31), params=Params()),
-           "namespace": SimpleNamespace(mk=bytes(32), params=SimpleNamespace(p=DEFAULT_PRIME, width=256, delta_t=-1))}
-SERVER_TAKERS = {
-    "registration": lambda fx, server: registration(server, fx.identity, fx.password, fx.rng),
-    "server_handle_login": lambda fx, server: server_handle_login(server, fx.m1, fx.clock, fx.rng),
-    "run_login_session": lambda fx, server: run_login_session(server, fx.card, fx.password, fx.clock, fx.rng)}
-# a look-alike card skips SmartCard's: an IM1 a byte short drew u, moved the clock and booked a malformed M1
-CARDS = {"None": None, "short-im1": SimpleNamespace(im1=bytes(31), im2=bytes(32), d1=bytes(32), d2=bytes(32)),
-         "tuple": (bytes(32),) * 4}
-CARD_TAKERS = {
-    "user_login_start": lambda fx, card: user_login_start(card, fx.password, fx.clock, fx.rng, fx.server.params),
-    "change_password": lambda fx, card: change_password(card, fx.password, b"new"),
-    "scan_target": lambda fx, card: scan_target(card, fx.m1),
-    "run_login_session": lambda fx, card: run_login_session(fx.server, card, fx.password, fx.clock, fx.rng),
-    "UserLoginContext": lambda fx, card: UserLoginContext(card, fx.server.params, 5, TUK)}
-# a look-alike login context skips its Params' checks: a window of -1 made an honest M2 stale
-CONTEXTS = {"None": None, "namespace": SimpleNamespace(card=SmartCard(*[bytes(32)] * 4), u=5, tuk=TUK,
-                                                       params=SimpleNamespace(p=DEFAULT_PRIME, delta_t=-1))}
+# Each class a state parameter may be annotated with, and the look-alikes of
+# it that the parameter must refuse besides None: a look-alike skips the
+# checks of the class, and the phase would compute on it.
+LOOK_ALIKES = {
+    # SimpleNamespace(p=9) would send an M1 mod 9
+    Params: {"namespace-p": SimpleNamespace(p=9), "namespace": SimpleNamespace(p=9, width=64, delta_t=-1),
+             "int": 101, "tuple": (DEFAULT_PRIME, 256, 5), "subclass": UNCHECKED},
+    # a 31-byte key issued a 248-bit card, and a window of -1 made an honest M1 stale
+    ServerState: {"short-key": SimpleNamespace(mk=bytes(31), params=Params()), "namespace": SimpleNamespace(
+        mk=bytes(32), params=SimpleNamespace(p=DEFAULT_PRIME, width=256, delta_t=-1))},
+    # an IM1 a byte short drew u, moved the clock and booked a malformed M1
+    SmartCard: {"short-im1": SimpleNamespace(im1=bytes(31), im2=bytes(32), d1=bytes(32), d2=bytes(32)),
+                "tuple": (bytes(32),) * 4},
+    # a window of -1 made an honest M2 stale
+    UserLoginContext: {"namespace": SimpleNamespace(card=SmartCard(*[bytes(32)] * 4), u=5, tuk=TUK,
+                                                    params=SimpleNamespace(p=DEFAULT_PRIME, delta_t=-1))},
+    # None and these raised AttributeError: user_login_start's clock after it drew u
+    # and evaluated the map, the server's rng after it checked X1
+    LogicalClock: {"Timestamp": Timestamp(7)},
+    RandomSource: {"random.Random": random.Random(1)},
+    Dictionary: {"list": [b"alpha"]},
+    # no candidate verifies against an M2
+    LoginRequest: {"m2": LoginResponse(bytes(32), bytes(32), bytes(32), TUK, Timestamp(7))},
+}
+# a delivered message is Reject(MALFORMED), not a TypeError: tests/test_protocol_properties.py
+DELIVERED = {("server_handle_login", "m1")}
+STATE_PARAMETERS = [(function, parameter.name) for function, parameter in public_parameters(protocol, adversary)
+                    if parameter.annotation in LOOK_ALIKES and (function.__name__, parameter.name) not in DELIVERED]
+
+
+def state_rows(function, parameter: str):
+    """A row for None and for each look-alike of parameter's annotated class, passed to function as parameter.
+
+    The other arguments without a default are the eavesdropped fixture's
+    attributes of their names; those with one keep it.
+    """
+    signature = inspect.signature(function, eval_str=True).parameters
+    cls = signature[parameter].annotation
+    passed = [name for name, p in signature.items() if name == parameter or p.default is p.empty]
+    for name, bad in {"None": None, **LOOK_ALIKES[cls]}.items():
+        yield row(f"{function.__name__}-{parameter}-{name}",
+                  lambda fx, bad=bad: function(**{arg: bad if arg == parameter else getattr(fx, arg) for arg in passed}),
+                  TypeError, f"{parameter} must be a {cls.__name__}, got {type(bad).__name__}", eavesdropped)
+
+
 # random.Random seeds None from OS entropy, 7.0 and True as ints and -7 as 7: none would replay
 SEEDS = {"None": (None, TypeError, "seed must be an int, got NoneType"),
          "float": (7.0, TypeError, "seed must be an int, got float"),
@@ -174,19 +213,17 @@ REFUSED = [
         ("delta_t-float", dict(delta_t=2.5), "['int', 'int', 'float']"),
         ("delta_t-bool", dict(delta_t=True), "['int', 'int', 'bool']"),
         ("p-float", dict(p=101.0), "['float', 'int', 'int']"))),
-    # the parties' state and Params, refused before anything is read from them
-    *(row(f"{taker}-params-{name}", lambda fx, call=call, bad=bad: call(fx, bad),
-          TypeError, f"params must be a Params, got {type(bad).__name__}")
-      for taker, call in PARAMS_TAKERS.items() for name, bad in LOOK_ALIKES.items()),
-    *(row(f"{taker}-server-{name}", lambda fx, call=call, bad=bad: call(fx, bad),
-          TypeError, f"server must be a ServerState, got {type(bad).__name__}", eavesdropped)
-      for taker, call in SERVER_TAKERS.items() for name, bad in SERVERS.items()),
-    *(row(f"{taker}-card-{name}", lambda fx, call=call, bad=bad: call(fx, bad),
-          TypeError, f"card must be a SmartCard, got {type(bad).__name__}", eavesdropped)
-      for taker, call in CARD_TAKERS.items() for name, bad in CARDS.items()),
-    *(row(f"user_handle_response-ctx-{name}", lambda fx, bad=bad: user_handle_response(bad, fx.m2, fx.clock),
-          TypeError, f"ctx must be a UserLoginContext, got {type(bad).__name__}", eavesdropped)
-      for name, bad in CONTEXTS.items()),
+    # the parties' state, refused before anything is read from it
+    *(state_row for function, parameter in STATE_PARAMETERS for state_row in state_rows(function, parameter)),
+    *(state_row for parameter in ("card", "params") for state_row in state_rows(UserLoginContext, parameter)),
+    # a str T_u(K) was evaluated at M2 before an AttributeError, one mod 17 at
+    # p256 ran the whole M2 check to AUTH_FAILURE, and u=True met cheb_eval's refusal
+    row("UserLoginContext-u-bool", lambda fx: UserLoginContext(fx.card, fx.params, True, fx.tuk),
+        TypeError, "u must be an int, got bool", eavesdropped),
+    row("UserLoginContext-tuk-str", lambda fx: UserLoginContext(fx.card, fx.params, fx.u, "tuk"),
+        TypeError, "tuk must be a FieldElement, got str", eavesdropped),
+    row("UserLoginContext-tuk-mod-17", lambda fx: UserLoginContext(fx.card, fx.params, fx.u, FieldElement(1, 17)),
+        ValueError, "tuk mod 17, but Params set another prime", eavesdropped),
     # credentials: bytes(3) would be three zero bytes, a password nobody typed
     *(row(f"registration-empty-{name}", lambda fx, pair=pair: registration(fx.server, *pair, fx.rng),
           EmptyCredential, "identity and password must be non-empty")
@@ -278,16 +315,12 @@ REFUSED = [
     *(row(f"guess_predicate-{name}", lambda fx, candidate=candidate: guess_predicate(candidate, fx.target),
           TypeError, build=eavesdropped, **not_bytes("candidate", candidate))
       for name, candidate in (("int", 3), ("list", [112, 119]))),
-    row("offline_guess-narrow-card", lambda fx: offline_guess(fx.narrow_card, fx.m1, fx.words),
+    row("offline_guess-narrow-card", lambda fx: offline_guess(fx.narrow_card, fx.m1, fx.dictionary),
         ValueError, "M1 field of 256 bits, but the card set width 8", eavesdropped),
-    row("offline_guess-narrow-m1", lambda fx: offline_guess(fx.card, fx.narrow_m1, fx.words),
+    row("offline_guess-narrow-m1", lambda fx: offline_guess(fx.card, fx.narrow_m1, fx.dictionary),
         ValueError, "M1 field of 8 bits, but the card set width 256", eavesdropped),
-    row("offline_guess-m2", lambda fx: offline_guess(fx.card, fx.m2, fx.words),
-        TypeError, "m1 must be a LoginRequest, got LoginResponse", eavesdropped),
-    row("offline_guess-list", lambda fx: offline_guess(fx.card, fx.m1, [fx.password]),
-        TypeError, "dictionary must be a Dictionary, got list", eavesdropped),
     *(row(f"offline_guess-{field}-{bits}",
-          lambda fx, field=field, bits=bits: offline_guess(fx.card, resized(fx.m1, field, bits), fx.words),
+          lambda fx, field=field, bits=bits: offline_guess(fx.card, resized(fx.m1, field, bits), fx.dictionary),
           ValueError, f"M1 field of {bits} bits, but the card set width 256", eavesdropped)
       for field, bits in product(("im1", "im2", "x1"), (248, 264))),
     # word lists: a blank line is named even where the file also repeats a line;
@@ -315,6 +348,18 @@ REFUSED = [
                           ("frozenset", frozenset((b"alpha", b"beta"))), ("dict", dict.fromkeys((b"alpha", b"beta"))),
                           ("generator", (word for word in (b"alpha", b"beta"))))),
 ]
+
+
+def test_state_parameters_are_read_from_the_signatures():
+    assert [f"{function.__name__}({parameter})" for function, parameter in STATE_PARAMETERS] == [
+        "server_setup(params)", "registration(server)", "registration(rng)", "user_login_start(card)",
+        "user_login_start(clock)", "user_login_start(rng)", "user_login_start(params)", "server_handle_login(server)",
+        "server_handle_login(clock)", "server_handle_login(rng)", "user_handle_response(ctx)",
+        "user_handle_response(clock)", "change_password(card)", "run_login_session(server)", "run_login_session(card)",
+        "run_login_session(clock)", "run_login_session(rng)", "scan_target(card)", "scan_target(m1)",
+        "offline_guess(card)", "offline_guess(m1)", "offline_guess(dictionary)", "wrong_login_experiment(card)",
+        "wrong_login_experiment(server)", "wrong_login_experiment(clock)", "wrong_login_experiment(rng)",
+        "dos_experiment(card)", "dos_experiment(server)", "dos_experiment(clock)", "dos_experiment(rng)"]
 
 
 @pytest.mark.parametrize("build, call, error, message, cause", REFUSED)

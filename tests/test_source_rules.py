@@ -53,13 +53,14 @@ public functions take are read from their signatures:
 """
 
 import ast
-import inspect
 import re
 from pathlib import Path
 
 import pytest
 
 from chebauth import protocol
+
+from helpers import public_parameters
 
 ROOT = Path(__file__).resolve().parent.parent
 SOURCE = {f"{path.parent.name}/{path.name}": path.read_text(encoding="utf-8")
@@ -190,10 +191,8 @@ def newer_syntax(source: str) -> list[str]:
 
 def protocol_parameters(names) -> list[str]:
     """Each parameter in names of a public function that chebauth.protocol defines, as "function(name)"."""
-    return [f"{name}({parameter})" for name, function in vars(protocol).items()
-            if inspect.isfunction(function) and function.__module__ == protocol.__name__
-            and not name.startswith("_")
-            for parameter in inspect.signature(function).parameters if parameter in names]
+    return [f"{function.__name__}({parameter.name})" for function, parameter in public_parameters(protocol)
+            if parameter.name in names]
 
 
 PACKAGE = {name for name in SOURCE if name.startswith("chebauth/")}
