@@ -253,6 +253,7 @@ def dos_experiment(
     against the server. The report's dos_confirmed is True exactly when
     every probe is rejected; its OpCounts total all three stages.
     """
+    _require(correct_old, bool, "correct_old")  # by truth value, "no" and 1 would run the control
     true_password, wrong_old_password, new_password = (  # refused here, before the baseline draws
         as_bytes(true_password, "true_password"), as_bytes(wrong_old_password, "wrong_old_password"),
         as_bytes(new_password, "new_password"))

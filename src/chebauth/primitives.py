@@ -7,7 +7,7 @@ Timestamp refuses ticks its 8 bytes cannot hold. Map exponents are drawn
 below chaotic.EXPONENT_LIMIT, the kernel's bound.
 
 h_digest, H_digest and xor_bytes are what the protocol phases call, and
-_require their one check of a state argument's exact class. tally adds one
+_require the package's one check of an argument's exact class. tally adds one
 exit's entry of protocol.COSTS to an OpCounts, the package's one count:
 protocol.run_login_session books a login's by how it ended, and registration
 and change_password book their own. hash_h, hash_H, xor and concat are the
@@ -63,7 +63,7 @@ def as_bytes(value, name: str) -> bytes:
 def _require(value, cls: type, name: str):
     """Refuse, with a TypeError naming name, a value not exactly a cls: a look-alike or subclass skips cls's checks."""
     if type(value) is not cls:
-        raise TypeError(f"{name} must be a {cls.__name__}, got {type(value).__name__}")
+        raise TypeError(f"{name} must be {'an' if cls is int else 'a'} {cls.__name__}, got {type(value).__name__}")
 
 
 class BitString(Frozen):
@@ -90,8 +90,7 @@ class Timestamp(Frozen):
     __slots__ = __match_args__ = ("ticks",)
 
     def __init__(self, ticks: int):
-        if type(ticks) is not int:
-            raise TypeError(f"ticks must be an int, got {type(ticks).__name__}")
+        _require(ticks, int, "ticks")
         if not 0 <= ticks < 1 << 64:
             raise ValueError(f"ticks must be in [0, 2**64), got {ticks}")
         self._fill(ticks)
@@ -113,8 +112,7 @@ class LogicalClock:
 
     def after(self, ticks: int) -> Timestamp:
         """The time ticks from now, without moving the clock; a non-int (a bool too) or one past 2^64 is refused."""
-        if type(ticks) is not int:  # now + True would be an int Timestamp takes
-            raise TypeError(f"ticks must be an int, got {type(ticks).__name__}")
+        _require(ticks, int, "ticks")  # now + True would be an int Timestamp takes
         if ticks < 0:
             raise ValueError("clock cannot move backwards")
         return Timestamp(self._now.ticks + ticks)
@@ -151,8 +149,7 @@ class RandomSource:
     """Seeded deterministic random stream: same seed, same draw sequence."""
 
     def __init__(self, seed: int):
-        if type(seed) is not int:  # random.Random seeds None from the OS, and 1.0 and True as 1
-            raise TypeError(f"seed must be an int, got {type(seed).__name__}")
+        _require(seed, int, "seed")  # random.Random seeds None from the OS, and 1.0 and True as 1
         if seed < 0:  # and -7 as 7, so either would break replay
             raise ValueError(f"seed must be non-negative, got {seed}")
         self._rng = random.Random(seed)

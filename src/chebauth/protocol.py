@@ -5,9 +5,9 @@ and return a new one, so a rejected step provably leaves state untouched.
 Card and server share one Params (prime p, width l, freshness window),
 validated once when built: server_setup, user_login_start and the login
 context, which carries the card and its Params from M1 to M2, refuse anything
-else. Each phase likewise refuses, before all else, a state argument (server,
-card, login context, Params, clock or rng) not exactly of its annotated class,
-with primitives._require's TypeError: a look-alike would skip its checks.
+else. Each phase likewise refuses, before all else, a state (server, card,
+login context, Params, clock, rng) or int argument not exactly of its annotated
+class, with primitives._require's TypeError: a look-alike skips its checks.
 Two behaviors are reproduced on purpose because the adversary experiments
 measure them: the card checks nothing locally at login time, and a password
 change is applied without verifying the old password.
@@ -137,8 +137,7 @@ class UserLoginContext(Frozen):
     def __init__(self, card: SmartCard, params: Params, u: int, tuk: FieldElement):
         _require(card, SmartCard, "card")
         _require(params, Params, "params")
-        if type(u) is not int:  # cheb_eval would refuse a bool only at M2, naming no u
-            raise TypeError(f"u must be an int, got {type(u).__name__}")
+        _require(u, int, "u")  # cheb_eval would refuse a bool only at M2, naming no u
         _require(tuk, FieldElement, "tuk")
         if tuk.p != params.p:
             raise ValueError(f"tuk mod {tuk.p}, but Params set another prime")
@@ -369,8 +368,7 @@ def run_login_session(
     """
     _require(server, ServerState, "server")
     _require(clock, LogicalClock, "clock")  # user_login_start checks card and rng before they are read
-    if type(channel_delay) is not int:  # 2 * True is an int the clock would take
-        raise TypeError(f"channel_delay must be an int, got {type(channel_delay).__name__}")
+    _require(channel_delay, int, "channel_delay")  # 2 * True is an int the clock would take
     try:
         clock.after(2 * channel_delay)
     except ValueError as exc:  # the clock's message names M2's delivery tick, not the delay passed

@@ -2,12 +2,12 @@
 
 A row is a refused call on a fixture built for it, the exact type of the
 exception and its message. Where CPython words the message (a missing
-argument, say), the row pins the type alone. The state rows are read from
-the signatures: each parameter of a public function of chebauth.protocol or
-chebauth.adversary annotated with a class of LOOK_ALIKES is refused as None
-and as each look-alike of that class, the other arguments being the
-fixture's attributes of their names, so a new state parameter gets its rows
-with no table to extend. A refusal must leave
+argument, say), the row pins the type alone. The rows of primitives._require's
+refusals are read from the signatures: each parameter of a public function of
+chebauth.protocol or chebauth.adversary annotated with a class of LOOK_ALIKES,
+a state class, int or bool, is refused as None and as each look-alike of that
+class, the other arguments being the fixture's attributes of their names, so a
+new such parameter gets its rows with no table to extend. A refusal must leave
 everything as it was: chebauth.protocol makes no hash, XOR or map call, no
 candidate is evaluated, no random stream is seeded, the kernel's memo gains
 no key, and the fixture's next draw and its clock, which still advances,
@@ -105,9 +105,10 @@ UNCHECKED._fill(9, 64, -1)  # Params' checks skipped: a composite modulus and a 
 NOT_PRIME = "modulus must be a prime greater than 3"
 DUPLICATES = "dictionary contains duplicate candidates"
 TUK = FieldElement(1, DEFAULT_PRIME)
-# Each class a state parameter may be annotated with, and the look-alikes of
-# it that the parameter must refuse besides None: a look-alike skips the
-# checks of the class, and the phase would compute on it.
+# Each class a parameter checked by primitives._require may be annotated with,
+# and the look-alikes of it that the parameter must refuse besides None: a
+# look-alike skips the checks of the class, and the phase would compute on it.
+# The OpCounts | None counters are not checked and get no rows.
 LOOK_ALIKES = {
     # SimpleNamespace(p=9) would send an M1 mod 9
     Params: {"namespace-p": SimpleNamespace(p=9), "namespace": SimpleNamespace(p=9, width=64, delta_t=-1),
@@ -128,6 +129,10 @@ LOOK_ALIKES = {
     Dictionary: {"list": [b"alpha"]},
     # no candidate verifies against an M2
     LoginRequest: {"m2": LoginResponse(bytes(32), bytes(32), bytes(32), TUK, Timestamp(7))},
+    # random.Random seeds None from OS entropy and 1.0 and True as 1, and 2 * True is a 1-tick delay's int
+    int: {"true": True, "false": False, "float": 1.0},
+    # by their truth value, "no" and 1 ran dos_experiment's control, None its attack
+    bool: {"1": 1, "no": "no"},
 }
 # a delivered message is Reject(MALFORMED), not a TypeError: tests/test_protocol_properties.py
 DELIVERED = {("server_handle_login", "m1")}
@@ -144,13 +149,15 @@ def state_rows(function, parameter: str):
     signature = inspect.signature(function, eval_str=True).parameters
     cls = signature[parameter].annotation
     passed = [name for name, p in signature.items() if name == parameter or p.default is p.empty]
+    article = "an" if cls is int else "a"
     for name, bad in {"None": None, **LOOK_ALIKES[cls]}.items():
         yield row(f"{function.__name__}-{parameter}-{name}",
                   lambda fx, bad=bad: function(**{arg: bad if arg == parameter else getattr(fx, arg) for arg in passed}),
-                  TypeError, f"{parameter} must be a {cls.__name__}, got {type(bad).__name__}", eavesdropped)
+                  TypeError, f"{parameter} must be {article} {cls.__name__}, got {type(bad).__name__}", eavesdropped)
 
 
-# random.Random seeds None from OS entropy, 7.0 and True as ints and -7 as 7: none would replay
+# random.Random seeds None from OS entropy, 7.0 and True as ints and -7 as 7: none would
+# replay; server_setup's TypeError rows are derived from its signature
 SEEDS = {"None": (None, TypeError, "seed must be an int, got NoneType"),
          "float": (7.0, TypeError, "seed must be an int, got float"),
          "bool": (True, TypeError, "seed must be an int, got bool"),
@@ -165,10 +172,8 @@ STEPS = {"float": (1.5, TypeError, "ticks must be an int, got float"),
          "negative": (-1, ValueError, "clock cannot move backwards"),
          "past-2^64": (1 << 64, ValueError, "ticks must be in [0, 2**64), got 18446744073709551623"),
          "to-2^64": ((1 << 64) - 7, ValueError, "ticks must be in [0, 2**64), got 18446744073709551616")}
+# a delay's TypeError rows are derived from the signatures
 DELAYS = {"negative": (-1, ValueError, "channel_delay -1 refused by the clock: clock cannot move backwards"),
-          "true": (True, TypeError, "channel_delay must be an int, got bool"),  # 2 * True is a 1-tick delay's int
-          "false": (False, TypeError, "channel_delay must be an int, got bool"),
-          "float": (1.0, TypeError, "channel_delay must be an int, got float"),
           "past-the-last-tick": (1 << 63, ValueError, "channel_delay 9223372036854775808 refused by the clock:"
                                                       " ticks must be in [0, 2**64), got 18446744073709551616")}
 
@@ -193,7 +198,7 @@ def not_bytes(name, value):
 REFUSED = [
     # the server's set-up, state and Params
     *(row(f"server_setup-seed-{name}", lambda fx, seed=seed: server_setup(seed), error, message)
-      for name, (seed, error, message) in SEEDS.items()),
+      for name, (seed, error, message) in SEEDS.items() if error is ValueError),
     # 40 bytes failed registration's XOR after b and r were drawn; 8 ran the scheme at 64 bits
     *(row(f"ServerState-{bits}-bit-key", lambda fx, bits=bits: ServerState(bytes(bits // 8), Params()),
           ValueError, f"master key of {bits} bits, but Params set width 256") for bits in (320, 64)),
@@ -352,14 +357,16 @@ REFUSED = [
 
 def test_state_parameters_are_read_from_the_signatures():
     assert [f"{function.__name__}({parameter})" for function, parameter in STATE_PARAMETERS] == [
-        "server_setup(params)", "registration(server)", "registration(rng)", "user_login_start(card)",
-        "user_login_start(clock)", "user_login_start(rng)", "user_login_start(params)", "server_handle_login(server)",
-        "server_handle_login(clock)", "server_handle_login(rng)", "user_handle_response(ctx)",
-        "user_handle_response(clock)", "change_password(card)", "run_login_session(server)", "run_login_session(card)",
-        "run_login_session(clock)", "run_login_session(rng)", "scan_target(card)", "scan_target(m1)",
-        "offline_guess(card)", "offline_guess(m1)", "offline_guess(dictionary)", "wrong_login_experiment(card)",
+        "server_setup(seed)", "server_setup(params)", "registration(server)", "registration(rng)",
+        "user_login_start(card)", "user_login_start(clock)", "user_login_start(rng)", "user_login_start(params)",
+        "server_handle_login(server)", "server_handle_login(clock)", "server_handle_login(rng)",
+        "user_handle_response(ctx)", "user_handle_response(clock)", "change_password(card)",
+        "run_login_session(server)", "run_login_session(card)", "run_login_session(clock)", "run_login_session(rng)",
+        "run_login_session(channel_delay)", "scan_target(card)", "scan_target(m1)", "offline_guess(card)",
+        "offline_guess(m1)", "offline_guess(dictionary)", "wrong_login_experiment(card)",
         "wrong_login_experiment(server)", "wrong_login_experiment(clock)", "wrong_login_experiment(rng)",
-        "dos_experiment(card)", "dos_experiment(server)", "dos_experiment(clock)", "dos_experiment(rng)"]
+        "wrong_login_experiment(channel_delay)", "dos_experiment(card)", "dos_experiment(server)",
+        "dos_experiment(clock)", "dos_experiment(rng)", "dos_experiment(channel_delay)", "dos_experiment(correct_old)"]
 
 
 @pytest.mark.parametrize("build, call, error, message, cause", REFUSED)

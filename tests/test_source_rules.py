@@ -43,6 +43,14 @@ public functions take are read from their signatures:
   guess costs, once. Every tally books an entry of it, and no other module
   writes an op count as a literal, in a dict display or in an OpCounts
   call, so that no second statement of a cost can disagree with it.
+- type_refusals: primitives._require states the rule for an argument of the
+  wrong class once, its check of the exact class and its message, "ticks
+  must be an int, got bool". A ``TypeError`` written out as "... must be a
+  ..." or "... must be an ..." in another function would be a second copy of
+  the rule that could drift from it. Dictionary.__init__ accepts two classes,
+  a tuple or a list "of passwords", and scan_target any instance of
+  SmartCard, because perfbench's guess-scan passes it an ExtractedCard
+  (ROADMAP item 1 deletes that class); both keep their inline check.
 - newer_syntax: pyproject's requires-python lets the package install, and
   the tests and perfbench run, on Python 3.10, while they are written on one
   newer interpreter, which would parse a grammar 3.10 refuses (an
@@ -180,6 +188,26 @@ def cost_literals(source: str) -> list[str]:
     return report(found)
 
 
+def type_refusals(source: str) -> list[str]:
+    """Each raise of a TypeError whose message says "must be a" or "must be an", by the function it is in, bar _require.
+
+    The function is named with its classes, as "Dictionary.__init__"; the
+    message is read from the call's source, so an f-string counts.
+    """
+    found = []
+
+    def visit(node, scope):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            scope = f"{scope}.{node.name}" if scope else node.name
+        elif (isinstance(node, ast.Raise) and isinstance(node.exc, ast.Call) and name_of(node.exc.func) == "TypeError"
+              and scope != "_require" and re.search(r"\bmust be an? ", ast.unparse(node.exc))):
+            found.append((node.lineno, scope or "<module>"))
+        for child in ast.iter_child_nodes(node):
+            visit(child, scope)
+    visit(ast.parse(source), "")
+    return report(found)
+
+
 def newer_syntax(source: str) -> list[str]:
     """The first error that the grammar of FLOOR finds in source, if any."""
     try:
@@ -205,17 +233,20 @@ HOLDS = {  # rule -> the modules it holds for
     shim_uses: (PACKAGE - {"chebauth/primitives.py", "chebauth/_cheb_pure.py"}
                 | TESTS - {"tests/test_shims.py", "tests/test_values.py"}),
     cost_literals: PACKAGE,
+    type_refusals: PACKAGE,
     newer_syntax: SOURCE.keys(),
 }
-# the shim_uses reports a module may make: perfbench/tracer.py wraps hash_h
-# under every module name bound to it, adversary's among them
-KEPT = {"chebauth/adversary.py": {"import hash_h"}}
+# (rule, module) -> the reports the module may make: perfbench/tracer.py wraps
+# hash_h under every module name bound to it, adversary's among them, and
+# adversary's two inline class checks are the ones the docstring names
+KEPT = {(shim_uses, "chebauth/adversary.py"): {"import hash_h"},
+        (type_refusals, "chebauth/adversary.py"): {"Dictionary.__init__", "scan_target"}}
 CASES = [(rule, name, []) for rule, names in HOLDS.items() for name in sorted(names)]
 
 
 @pytest.mark.parametrize("rule, name, expected", CASES, ids=[f"{rule.__name__}-{name}" for rule, name, _ in CASES])
 def test_module_keeps_rule(rule, name, expected):
-    kept = KEPT.get(name, set()) if rule is shim_uses else set()
+    kept = KEPT.get((rule, name), set())
     assert [found for found in rule(SOURCE[name]) if found.split(" (line")[0] not in kept] == expected
 
 
@@ -333,6 +364,28 @@ def test_protocol_functions_take(names, expected):
         "except* ValueError:\n"
         "    pass\n"
     ), ["Exception groups are only supported in Python 3.11 and greater (line 7)"], id="newer_syntax"),
+    pytest.param(type_refusals, (
+        "class Timestamp(Frozen):\n"
+        "    def __init__(self, ticks: int):\n"
+        "        if type(ticks) is not int:\n"
+        "            raise TypeError(f'ticks must be an int, got {type(ticks).__name__}')\n"
+        "def run(delay):\n"
+        "    raise TypeError('delay must be a bool')\n"
+        "raise TypeError(f'seed must be an int, got {seed!r}')\n"
+    ), ["Timestamp.__init__ (line 4)", "run (line 6)", "<module> (line 7)"], id="type_refusals-inline"),
+    pytest.param(type_refusals, (
+        "def _require(value, cls: type, name: str):\n"
+        "    if type(value) is not cls:\n"
+        "        raise TypeError(f\"{name} must be {'an' if cls is int else 'a'} {cls.__name__}\")\n"
+        "class Timestamp(Frozen):\n"
+        "    def __init__(self, ticks: int):\n"
+        "        _require(ticks, int, 'ticks')\n"
+        "        raise ValueError(f'ticks must be in [0, 2**64), got {ticks}')\n"
+        "def as_bytes(value, name):\n"
+        "    raise TypeError(f'{name} must be str or bytes-like, got {type(value).__name__}')\n"
+        "def cheb_eval(n, x):\n"
+        "    raise TypeError(f'cheb_eval takes an int and a FieldElement: {names}')\n"
+    ), [], id="type_refusals-require"),
 ])
 def test_finder_on_snippet(finder, source, expected):
     assert finder(source) == expected
