@@ -1,4 +1,4 @@
-"""Bases of the package's value types.
+"""Bases of the package's value types, and _require, its one check of an argument's class.
 
 The value types are plain ``__slots__`` classes, not dataclasses: importing
 ``dataclasses`` (which pulls in ``inspect``) and generating the methods of each
@@ -17,6 +17,13 @@ plain attribute stores, which the interpreter specialises.
 """
 
 from operator import attrgetter
+
+
+def _require(value, cls: type, name: str):
+    """Refuse, with a TypeError naming name, a value not exactly a cls: a look-alike or subclass skips cls's checks."""
+    if type(value) is not cls:
+        article = "an" if cls.__name__[0] in "AEIOaeio" else "a"  # an int, an OpCounts, a UserLoginContext
+        raise TypeError(f"{name} must be {article} {cls.__name__}, got {type(value).__name__}")
 
 
 def _compiled_filler(cls, fields):

@@ -7,8 +7,8 @@ either one alone validates nothing (the tests check this explicitly).
 
 import os
 
-from ._value import Frozen, Record
-from .primitives import LogicalClock, OpCounts, RandomSource, _from_bytes, _require, as_bytes, h_state
+from ._value import Frozen, Record, _require
+from .primitives import LogicalClock, OpCounts, RandomSource, _from_bytes, as_bytes, h_state
 
 # Not called here. It stays bound because perfbench/tracer.py wraps hash_h
 # under every module name bound to it, and its tests expect this one.

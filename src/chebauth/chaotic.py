@@ -24,7 +24,7 @@ _tabulate fills that process-wide memo.
 
 from math import isqrt
 
-from ._value import Frozen
+from ._value import Frozen, _require
 
 #: Name of the evaluation kernel. There is one; the CLI reports carry it.
 backend_name: str = "pure"
@@ -174,8 +174,10 @@ def is_probable_prime(n: int) -> bool:
     n + 1 = d*2^s, n passes iff V_d = +-2 or V_{d*2^r} = 0 for some r < s - 1,
     where V_k = V_k(P, 1) = 2*T_k(P/2) mod n is cheb_eval's own sequence.
     A fixed set of Miller-Rabin bases would not do: composites that pass
-    every base up to 37 are known, and more can be built for any set.
+    every base up to 37 are known, and more can be built for any set. An n
+    not exactly an int is a TypeError: 7.0 would pass, and True fail, as ints.
     """
+    _require(n, int, "n")
     if n < 2:
         return False
     for q in _SMALL_PRIMES:

@@ -7,20 +7,20 @@ Timestamp refuses ticks its 8 bytes cannot hold. Map exponents are drawn
 below chaotic.EXPONENT_LIMIT, the kernel's bound.
 
 h_digest, H_digest and xor_bytes are what the protocol phases call, and
-_require the package's one check of an argument's exact class. tally adds one
-exit's entry of protocol.COSTS to an OpCounts, the package's one count:
-protocol.run_login_session books a login's by how it ended, and registration
-and change_password book their own. hash_h, hash_H, xor and concat are the
-public forms at a width in bits; they take and return bytes and count
-nothing. BitString is only the shell of a retired bit-string type, kept for
-the constructor hook that perfbench/tracer.py replaces; nothing in the
-package builds one.
+_value._require checks an argument's exact class, as in every module. tally
+adds one exit's entry of protocol.COSTS to an OpCounts, the package's one
+count: protocol.run_login_session books a login's by how it ended, and
+registration and change_password book their own. hash_h, hash_H, xor and
+concat are the public forms at a width in bits; they take and return bytes
+and count nothing. BitString is only the shell of a retired bit-string type,
+kept for the constructor hook that perfbench/tracer.py replaces; nothing in
+the package builds one.
 """
 
 import hashlib
 import random
 
-from ._value import Frozen, Record
+from ._value import Frozen, Record, _require
 from .chaotic import EXPONENT_LIMIT, FieldElement
 
 #: Default system width l in bits. Must be a multiple of 8 and at most 256
@@ -58,12 +58,6 @@ def as_bytes(value, name: str) -> bytes:
         return bytes(memoryview(value))
     except TypeError as exc:
         raise TypeError(f"{name} must be str or bytes-like, got {type(value).__name__}") from exc
-
-
-def _require(value, cls: type, name: str):
-    """Refuse, with a TypeError naming name, a value not exactly a cls: a look-alike or subclass skips cls's checks."""
-    if type(value) is not cls:
-        raise TypeError(f"{name} must be {'an' if cls is int else 'a'} {cls.__name__}, got {type(value).__name__}")
 
 
 class BitString(Frozen):

@@ -5,9 +5,9 @@ and return a new one, so a rejected step provably leaves state untouched.
 Card and server share one Params (prime p, width l, freshness window),
 validated once when built: server_setup, user_login_start and the login
 context, which carries the card and its Params from M1 to M2, refuse anything
-else. Each phase likewise refuses, before all else, a state (server, card,
-login context, Params, clock, rng) or int argument not exactly of its annotated
-class, with primitives._require's TypeError: a look-alike skips its checks.
+else. Each phase likewise refuses first a state (server, card, login context,
+Params, clock, rng), int or non-None OpCounts argument not exactly of its
+annotated class, with _value._require's TypeError: a look-alike skips checks.
 Two behaviors are reproduced on purpose because the adversary experiments
 measure them: the card checks nothing locally at login time, and a password
 change is applied without verifying the old password.
@@ -35,10 +35,10 @@ never tabulated.
 
 from enum import Enum
 
-from ._value import Frozen, Record
+from ._value import Frozen, Record, _require
 from .chaotic import DEFAULT_PRIME, FieldElement, _tabulate, bits_to_field, cheb_eval, is_probable_prime
 from .primitives import (DEFAULT_WIDTH, H_digest, LogicalClock, OpCounts, RandomSource, Timestamp,
-                         _check_width, _require, as_bytes, h_digest, tally, xor_bytes)
+                         _check_width, as_bytes, h_digest, tally, xor_bytes)
 
 #: Default freshness window, in clock ticks.
 DEFAULT_DELTA_T = 5
@@ -165,6 +165,8 @@ def registration(
     """
     _require(server, ServerState, "server")
     _require(rng, RandomSource, "rng")
+    if counts is not None:  # a None counter costs no call
+        _require(counts, OpCounts, "counts")
     identity, password = as_bytes(identity, "identity"), as_bytes(password, "password")
     if not identity or not password:
         raise EmptyCredential("identity and password must be non-empty")
@@ -310,6 +312,8 @@ def change_password(
     with b"".
     """
     _require(card, SmartCard, "card")
+    if counts is not None:
+        _require(counts, OpCounts, "counts")
     old_password, new_password = as_bytes(old_password, "old_password"), as_bytes(new_password, "new_password")
     n = len(card.d2)
     b = xor_bytes(card.d2, h_digest(n, old_password))
@@ -369,6 +373,10 @@ def run_login_session(
     _require(server, ServerState, "server")
     _require(clock, LogicalClock, "clock")  # user_login_start checks card and rng before they are read
     _require(channel_delay, int, "channel_delay")  # 2 * True is an int the clock would take
+    if user_counts is not None:  # before the clock: a dict would be tallied after M1, the server's after it accepted
+        _require(user_counts, OpCounts, "user_counts")
+    if server_counts is not None:
+        _require(server_counts, OpCounts, "server_counts")
     try:
         clock.after(2 * channel_delay)
     except ValueError as exc:  # the clock's message names M2's delivery tick, not the delay passed

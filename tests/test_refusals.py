@@ -2,21 +2,22 @@
 
 A row is a refused call on a fixture built for it, the exact type of the
 exception and its message. Where CPython words the message (a missing
-argument, say), the row pins the type alone. The rows of primitives._require's
+argument, say), the row pins the type alone. The rows of _value._require's
 refusals are read from the signatures: each parameter of a public function of
-chebauth.protocol or chebauth.adversary annotated with a class of LOOK_ALIKES,
-a state class, int or bool, is refused as None and as each look-alike of that
-class, the other arguments being the fixture's attributes of their names, so a
-new such parameter gets its rows with no table to extend. A refusal must leave
-everything as it was: chebauth.protocol makes no hash, XOR or map call, no
-candidate is evaluated, no random stream is seeded, the kernel's memo gains
-no key, and the fixture's next draw and its clock, which still advances,
-equal those of a replay of the fixture. The REFUSED table of
-tests/test_cli.py is the CLI's counterpart.
+chebauth.protocol or chebauth.adversary annotated with a key of LOOK_ALIKES, a
+state class, int, bool or OpCounts | None, is refused as each look-alike of
+that class, and as None unless the annotation admits it, the other arguments
+being the fixture's attributes of their names, so a new such parameter gets
+its rows with no table to extend. A refusal must leave everything as it was:
+chebauth.protocol makes no hash, XOR or map call, no candidate is evaluated,
+no random stream is seeded, the kernel's memo gains no key, and the fixture's
+next draw and its clock, which still advances, equal those of a replay of the
+fixture. The REFUSED table of tests/test_cli.py is the CLI's counterpart.
 """
 
 import inspect
 import random
+import typing
 from collections import Counter
 from functools import partial
 from itertools import product
@@ -29,7 +30,7 @@ from chebauth import adversary, chaotic, protocol
 from chebauth.adversary import (Dictionary, ExperimentInvalid, dos_experiment, guess_predicate, offline_guess,
                                 scan_target, wrong_login_experiment)
 from chebauth.chaotic import DEFAULT_PRIME, FieldElement, cheb_eval
-from chebauth.primitives import LogicalClock, RandomSource, Timestamp, WidthMismatch, as_bytes, xor_bytes
+from chebauth.primitives import LogicalClock, OpCounts, RandomSource, Timestamp, WidthMismatch, as_bytes, xor_bytes
 from chebauth.protocol import (EmptyCredential, LoginRequest, LoginResponse, Params, ServerState, SmartCard,
                                UserLoginContext, change_password, registration, run_login_session, server_setup,
                                user_login_start)
@@ -105,10 +106,10 @@ UNCHECKED._fill(9, 64, -1)  # Params' checks skipped: a composite modulus and a 
 NOT_PRIME = "modulus must be a prime greater than 3"
 DUPLICATES = "dictionary contains duplicate candidates"
 TUK = FieldElement(1, DEFAULT_PRIME)
-# Each class a parameter checked by primitives._require may be annotated with,
-# and the look-alikes of it that the parameter must refuse besides None: a
-# look-alike skips the checks of the class, and the phase would compute on it.
-# The OpCounts | None counters are not checked and get no rows.
+# Each annotation of a parameter checked by _value._require, and the look-alikes
+# of its class that the parameter must refuse, besides None unless the
+# annotation admits it: a look-alike skips the checks of the class, and the
+# phase would compute on it.
 LOOK_ALIKES = {
     # SimpleNamespace(p=9) would send an M1 mod 9
     Params: {"namespace-p": SimpleNamespace(p=9), "namespace": SimpleNamespace(p=9, width=64, delta_t=-1),
@@ -133,7 +134,11 @@ LOOK_ALIKES = {
     int: {"true": True, "false": False, "float": 1.0},
     # by their truth value, "no" and 1 ran dos_experiment's control, None its attack
     bool: {"1": 1, "no": "no"},
+    # a dict was tallied only once the server had accepted the login, 5 once the card had built M1,
+    # and (0, 0, 0), the shape of a COSTS entry, once change_password had made its hashes
+    OpCounts | None: {"dict": {}, "int": 5, "tuple": (0, 0, 0)},
 }
+AN = (int, OpCounts)  # the classes whose refusal reads "must be an", not "must be a"
 # a delivered message is Reject(MALFORMED), not a TypeError: tests/test_protocol_properties.py
 DELIVERED = {("server_handle_login", "m1")}
 STATE_PARAMETERS = [(function, parameter.name) for function, parameter in public_parameters(protocol, adversary)
@@ -141,16 +146,18 @@ STATE_PARAMETERS = [(function, parameter.name) for function, parameter in public
 
 
 def state_rows(function, parameter: str):
-    """A row for None and for each look-alike of parameter's annotated class, passed to function as parameter.
+    """A row for each look-alike of parameter's annotated class, and for None unless it is "X | None".
 
     The other arguments without a default are the eavesdropped fixture's
     attributes of their names; those with one keep it.
     """
     signature = inspect.signature(function, eval_str=True).parameters
-    cls = signature[parameter].annotation
+    annotation = signature[parameter].annotation
+    cls, *optional = typing.get_args(annotation) or (annotation,)  # OpCounts | None: (OpCounts, NoneType)
     passed = [name for name, p in signature.items() if name == parameter or p.default is p.empty]
-    article = "an" if cls is int else "a"
-    for name, bad in {"None": None, **LOOK_ALIKES[cls]}.items():
+    article = "an" if cls in AN else "a"
+    bads = LOOK_ALIKES[annotation] if optional else {"None": None, **LOOK_ALIKES[annotation]}
+    for name, bad in bads.items():
         yield row(f"{function.__name__}-{parameter}-{name}",
                   lambda fx, bad=bad: function(**{arg: bad if arg == parameter else getattr(fx, arg) for arg in passed}),
                   TypeError, f"{parameter} must be {article} {cls.__name__}, got {type(bad).__name__}", eavesdropped)
@@ -316,6 +323,9 @@ REFUSED = [
         ("str", "3", FieldElement(5, 101), "['str', 'FieldElement']"),
         ("int-base", 3, 5, "['int', 'int']"),
         ("tuple-base", 3, (5, 101), "['int', 'tuple']"))),
+    # 7.0 was prime and True not, as ints, and 41.0 failed inside pow
+    *(row(f"is_probable_prime-{name}", lambda fx, n=n: chaotic.is_probable_prime(n), TypeError,
+          f"n must be an int, got {type(n).__name__}") for name, n in (("7.0", 7.0), ("true", True), ("str", "7"))),
     # the attacker's scan: a pair no candidate can verify is refused before any guess
     *(row(f"guess_predicate-{name}", lambda fx, candidate=candidate: guess_predicate(candidate, fx.target),
           TypeError, build=eavesdropped, **not_bytes("candidate", candidate))
@@ -358,15 +368,17 @@ REFUSED = [
 def test_state_parameters_are_read_from_the_signatures():
     assert [f"{function.__name__}({parameter})" for function, parameter in STATE_PARAMETERS] == [
         "server_setup(seed)", "server_setup(params)", "registration(server)", "registration(rng)",
-        "user_login_start(card)", "user_login_start(clock)", "user_login_start(rng)", "user_login_start(params)",
-        "server_handle_login(server)", "server_handle_login(clock)", "server_handle_login(rng)",
-        "user_handle_response(ctx)", "user_handle_response(clock)", "change_password(card)",
-        "run_login_session(server)", "run_login_session(card)", "run_login_session(clock)", "run_login_session(rng)",
-        "run_login_session(channel_delay)", "scan_target(card)", "scan_target(m1)", "offline_guess(card)",
-        "offline_guess(m1)", "offline_guess(dictionary)", "wrong_login_experiment(card)",
-        "wrong_login_experiment(server)", "wrong_login_experiment(clock)", "wrong_login_experiment(rng)",
-        "wrong_login_experiment(channel_delay)", "dos_experiment(card)", "dos_experiment(server)",
-        "dos_experiment(clock)", "dos_experiment(rng)", "dos_experiment(channel_delay)", "dos_experiment(correct_old)"]
+        "registration(counts)", "user_login_start(card)", "user_login_start(clock)", "user_login_start(rng)",
+        "user_login_start(params)", "server_handle_login(server)", "server_handle_login(clock)",
+        "server_handle_login(rng)", "user_handle_response(ctx)", "user_handle_response(clock)",
+        "change_password(card)", "change_password(counts)", "run_login_session(server)", "run_login_session(card)",
+        "run_login_session(clock)", "run_login_session(rng)", "run_login_session(channel_delay)",
+        "run_login_session(user_counts)", "run_login_session(server_counts)", "scan_target(card)",
+        "scan_target(m1)", "offline_guess(card)", "offline_guess(m1)", "offline_guess(dictionary)",
+        "wrong_login_experiment(card)", "wrong_login_experiment(server)", "wrong_login_experiment(clock)",
+        "wrong_login_experiment(rng)", "wrong_login_experiment(channel_delay)", "dos_experiment(card)",
+        "dos_experiment(server)", "dos_experiment(clock)", "dos_experiment(rng)", "dos_experiment(channel_delay)",
+        "dos_experiment(correct_old)"]
 
 
 @pytest.mark.parametrize("build, call, error, message, cause", REFUSED)

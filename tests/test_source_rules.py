@@ -43,14 +43,16 @@ public functions take are read from their signatures:
   guess costs, once. Every tally books an entry of it, and no other module
   writes an op count as a literal, in a dict display or in an OpCounts
   call, so that no second statement of a cost can disagree with it.
-- type_refusals: primitives._require states the rule for an argument of the
-  wrong class once, its check of the exact class and its message, "ticks
-  must be an int, got bool". A ``TypeError`` written out as "... must be a
-  ..." or "... must be an ..." in another function would be a second copy of
-  the rule that could drift from it. Dictionary.__init__ accepts two classes,
-  a tuple or a list "of passwords", and scan_target any instance of
-  SmartCard, because perfbench's guess-scan passes it an ExtractedCard
-  (ROADMAP item 1 deletes that class); both keep their inline check.
+- type_refusals: _value._require, at the bottom of the import graph so that
+  chaotic can import it too, states the rule for an argument of the wrong
+  class once, its check of the exact class and its message, "ticks must be
+  an int, got bool" or "counts must be an OpCounts, got dict". A
+  ``TypeError`` written out as "... must be a ..." or "... must be an ..."
+  in another function would be a second copy of the rule that could drift
+  from it. Dictionary.__init__ accepts two classes, a tuple or a list "of
+  passwords", and scan_target any instance of SmartCard, because perfbench's
+  guess-scan passes it an ExtractedCard (ROADMAP item 1 deletes that class);
+  both keep their inline check.
 - newer_syntax: pyproject's requires-python lets the package install, and
   the tests and perfbench run, on Python 3.10, while they are written on one
   newer interpreter, which would parse a grammar 3.10 refuses (an
